@@ -105,6 +105,14 @@ class ScenarioConfig:
             hard.append("level values must satisfy 0 < min < max")
         if not 0.0 < self.radio_range_min <= self.radio_range_max:
             hard.append("radio ranges must satisfy 0 < min <= max")
+        # every zone of a multi-zone arena has an internal edge to hold its
+        # peripherals; a single zone has none
+        peripherals = self.zones * max(self.peripherals_per_zone, 0) if self.zones > 1 else 0
+        if self.nodes - peripherals < 2:
+            hard.append(
+                "nodes=%d leaves fewer than 2 mobile nodes after %d peripherals"
+                % (self.nodes, peripherals)
+            )
         if self.route_margin < 0.0:
             hard.append("route_margin must be >= 0, got %g" % self.route_margin)
         if not 0.0 < self.energy_min <= self.energy_max:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .model import NodeState, Point, ZoneState, distance, zone_of
+from .model import NodeGrid, NodeState, Point, ZoneState, distance, zone_of
 from .rewards import NodeRewardState, session_reward, network_reward, zone_reward
 
 T_SYNC_DEFAULT = 5.0
@@ -93,13 +93,18 @@ def _membership_diameter(members: Iterable[int], nodes: Mapping[int, NodeState])
     return best
 
 
-def _neighbor_count(node: NodeState, nodes: Mapping[int, NodeState]) -> int:
+def _neighbor_count(node: NodeState, alive: NodeGrid) -> int:
+    """Alive nodes other than `node` within its radio range.
+
+    `alive` holds only alive nodes, in cells strictly wider than `node`'s
+    radio range, so the 3x3 block around it holds every neighbor even after
+    float rounding at a cell border.
+    """
     return sum(
         1
-        for other in nodes.values()
-        if other.id != node.id
-        and other.alive
-        and distance(node.position, other.position) <= node.radio_range
+        for cell in alive.around(node.position)
+        for other in cell
+        if other.id != node.id and distance(node.position, other.position) <= node.radio_range
     )
 
 
@@ -156,7 +161,9 @@ class ZoneController:
             zone.theta = zone.diagonal
         if members:
             zone.av_rad = math.fsum(nodes[m].radio_range for m in members) / len(members)
-            n_bar = math.fsum(_neighbor_count(nodes[m], nodes) for m in members) / len(members)
+            side = max(nodes[m].radio_range for m in members) + 1.0
+            alive = NodeGrid((n for n in nodes.values() if n.alive), side)
+            n_bar = math.fsum(_neighbor_count(nodes[m], alive) for m in members) / len(members)
             if n_bar > 0.0:
                 # isolated zones keep the previous value so hop-count
                 # quantities stay finite; flood branching never drops below 1

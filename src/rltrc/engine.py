@@ -39,7 +39,16 @@ from .metrics import (
     compute_metrics,
     windowed_waste_series,
 )
-from .model import NodeState, Point, SessionRecord, ZoneState, distance, make_zones, zone_of
+from .model import (
+    NodeGrid,
+    NodeState,
+    Point,
+    SessionRecord,
+    ZoneState,
+    distance,
+    make_zones,
+    zone_of,
+)
 from .policy import LinkSnapshot, SigmaInputs
 from .rewards import (
     NodeRewardState,
@@ -167,11 +176,6 @@ def mobility_step(
 # ---------------------------------------------------------------------------
 # routing
 
-def route_select(candidates: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Minimum hop count, ties to the lexicographically smallest id sequence."""
-    return min(candidates, key=lambda r: (len(r), r))
-
-
 def shortest_route(
     adjacency: dict[int, list[int]], src: int, dst: int
 ) -> tuple[int, ...] | None:
@@ -284,11 +288,6 @@ class Simulator:
             for spot in self._peripheral_spots(z, cfg.peripherals_per_zone):
                 self.nodes[nid] = self._make_node(nid, spot, peripheral=True)
                 nid += 1
-        if nid + 2 > cfg.nodes:
-            raise ConfigError(
-                ["nodes=%d leaves fewer than 2 mobile nodes after %d peripherals"
-                 % (cfg.nodes, nid)]
-            )
         self.mobile_ids = list(range(nid, cfg.nodes))
         for _ in range(nid, cfg.nodes):
             pos = (self.rng.uniform(0.0, cfg.arena_width), self.rng.uniform(0.0, cfg.arena_height))
@@ -900,26 +899,35 @@ class Simulator:
 
     def _discover_route(self, src: int, dst: int, scope: list[int]) -> tuple[int, ...] | None:
         """Links already graded unreliable are avoided; when that leaves no
-        route at all they are allowed back in as a last resort."""
-        live = [n for n in scope if self.nodes[n].alive or n == src]
-        adjacency: dict[int, list[int]] = {n: [] for n in live}
-        risky: dict[int, list[int]] = {n: [] for n in live}
+        route at all they are allowed back in as a last resort.
+
+        Candidate links come from a NodeGrid over the live scope whose cell
+        side is the largest reach plus 1 m. The cell is strictly wider than
+        any reach, so every in-reach pair sits in adjacent cells even after
+        float rounding at a cell border, and the links found are exactly
+        those of an all-pairs scan.
+        """
+        live = [self.nodes[n] for n in scope if self.nodes[n].alive or n == src]
+        adjacency: dict[int, list[int]] = {nu.id: [] for nu in live}
+        risky: dict[int, list[int]] = {nu.id: [] for nu in live}
         margin = self.cfg.route_margin
-        for u in live:
-            nu = self.nodes[u]
-            # route links must leave slack for motion during their lifetime
-            reach = max(nu.radio_range - margin, 0.0)
-            for v in live:
-                if u == v:
-                    continue
-                nv = self.nodes[v]
-                d = distance(nu.position, nv.position)
-                if d <= reach and nu.max_power - self.channel.alpha(u, v) * d >= nv.min_rcv:
-                    entry = self.caches[u].get(v)
-                    if entry is not None and not entry.reliable:
-                        risky[u].append(v)
-                    else:
-                        adjacency[u].append(v)
+        # route links must leave slack for motion during their lifetime
+        reach = {nu.id: max(nu.radio_range - margin, 0.0) for nu in live}
+        grid = NodeGrid(live, max(reach.values(), default=0.0) + 1.0)
+        for nu in live:
+            u = nu.id
+            for cell in grid.around(nu.position):
+                for nv in cell:
+                    v = nv.id
+                    if u == v:
+                        continue
+                    d = distance(nu.position, nv.position)
+                    if d <= reach[u] and nu.max_power - self.channel.alpha(u, v) * d >= nv.min_rcv:
+                        entry = self.caches[u].get(v)
+                        if entry is not None and not entry.reliable:
+                            risky[u].append(v)
+                        else:
+                            adjacency[u].append(v)
         for outs in adjacency.values():
             outs.sort()
         if src not in adjacency or dst not in adjacency:

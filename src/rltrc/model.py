@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 Point = tuple[float, float]
 
@@ -59,12 +60,33 @@ class NodeState:
         return self.power_levels[0]
 
 
-def in_radio_range(sender: NodeState, receiver_pos: Point) -> bool:
-    """True when receiver_pos lies inside the sender's radio circle.
+class NodeGrid:
+    """Nodes bucketed into square cells for fixed-radius neighbor queries.
 
-    The boundary is inclusive: distance == radio_range is in range.
+    The standard uniform-grid scheme (Bentley, Stanat & Williams 1977): when
+    the cell side is larger than a query radius, every node within that
+    radius of a point lies in the 3x3 block of cells around the point's cell.
+    Nodes keep their insertion order within a cell.
     """
-    return distance(sender.position, receiver_pos) <= sender.radio_range
+
+    def __init__(self, nodes: Iterable[NodeState], side: float) -> None:
+        self.side = side
+        self.cells: dict[tuple[int, int], list[NodeState]] = {}
+        for node in nodes:
+            self.cells.setdefault(self._cell(node.position), []).append(node)
+
+    def _cell(self, p: Point) -> tuple[int, int]:
+        return int(p[0] // self.side), int(p[1] // self.side)
+
+    def around(self, p: Point) -> Iterator[list[NodeState]]:
+        """The non-empty cells of the 3x3 block centred on p's cell."""
+        cx, cy = self._cell(p)
+        cells = self.cells
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                cell = cells.get((i, j))
+                if cell is not None:
+                    yield cell
 
 
 @dataclass

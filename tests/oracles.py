@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own formulas: the disc-sampling oracle
 estimates the expected farthest neighbor by Monte Carlo, the path oracle
-enumerates simple paths, and the ledger oracle re-adds raw ledger rows. Test
-modules freeze the numbers these produce; the oracles stay here so the
+enumerates simple paths, the ledger oracle re-adds raw ledger rows, and the
+link and neighbor oracles scan every pair of nodes. Test modules freeze the
+numbers these produce or compare against them; the oracles stay here so the
 derivation can be re-run.
 """
 
@@ -100,3 +101,48 @@ def oracle_ledger_recheck(ledger) -> tuple[float, float, float, float, float]:
     awe = 100.0 * ew / ie if ie > 0.0 else 0.0
     awt = 100.0 * et / it if it > 0.0 else 0.0
     return ew, et, ec, awe, awt
+
+
+def oracle_route_links(nodes, scope, src, margin, alpha, caches):
+    """All-pairs scan for the links route discovery may use.
+
+    Live nodes are the scope's alive nodes plus src. u -> v is a link when
+    v lies within u's reach (radio range less margin, floored at zero) and
+    u's top power still arrives above v's receive floor over the channel
+    coefficient alpha(u, v), which is asked for in-reach pairs only. Links
+    whose cache entry is graded unreliable go to the risky map. Returns
+    (adjacency, risky) keyed in live order, adjacency lists sorted.
+    """
+    live = [n for n in scope if nodes[n].residual_energy > 0.0 or n == src]
+    adjacency = {u: [] for u in live}
+    risky = {u: [] for u in live}
+    for u in live:
+        nu = nodes[u]
+        reach = max(nu.radio_range - margin, 0.0)
+        for v in live:
+            if u == v:
+                continue
+            nv = nodes[v]
+            d = math.dist(nu.position, nv.position)
+            if d <= reach and nu.power_levels[-1] - alpha(u, v) * d >= nv.min_rcv:
+                entry = caches[u].get(v)
+                if entry is not None and not entry.reliable:
+                    risky[u].append(v)
+                else:
+                    adjacency[u].append(v)
+    return {u: sorted(outs) for u, outs in adjacency.items()}, risky
+
+
+def oracle_neighbor_counts(nodes, members) -> dict[int, int]:
+    """For each member, the alive other nodes within its radio range, by
+    scanning every node."""
+    return {
+        m: sum(
+            1
+            for other in nodes.values()
+            if other.id != m
+            and other.residual_energy > 0.0
+            and math.dist(nodes[m].position, other.position) <= nodes[m].radio_range
+        )
+        for m in members
+    }

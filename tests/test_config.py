@@ -1,6 +1,7 @@
 import pytest
 
 from rltrc.config import ConfigError, ScenarioConfig, load_config, parse_config
+from rltrc.engine import Simulator
 
 
 class TestDefaults:
@@ -44,6 +45,17 @@ class TestRangeValidation:
     def test_negative_route_margin_rejected(self):
         errs = ScenarioConfig(route_margin=-1.0).validate()
         assert any("route_margin" in e for e in errs)
+
+    def test_too_few_mobile_nodes_rejected_before_build(self, monkeypatch):
+        # 3 zones x 2 peripherals leave 2 mobile nodes of 8, and 1 of 7
+        assert ScenarioConfig(zones=3, nodes=8, override=True).validate() == []
+        cfg = ScenarioConfig(zones=3, nodes=7, override=True)
+        errs = cfg.validate()
+        assert errs == ["nodes=7 leaves fewer than 2 mobile nodes after 6 peripherals"]
+        monkeypatch.setattr(Simulator, "_build_world", lambda self: pytest.fail("world built"))
+        with pytest.raises(ConfigError) as err:
+            Simulator(cfg)
+        assert err.value.violations == errs
 
     def test_override_waives_published_ranges_only(self):
         cfg = ScenarioConfig(arena_width=100.0, arena_height=80.0, override=True)

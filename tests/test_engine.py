@@ -16,7 +16,6 @@ from rltrc.engine import (
     _reflect,
     advance_toward,
     mobility_step,
-    route_select,
     run,
     shortest_route,
 )
@@ -137,10 +136,6 @@ class TestRouting:
                 assert got is None
             else:
                 assert list(got) == want
-
-    def test_route_select_prefers_shortest_then_lexicographic(self):
-        routes = [(0, 3, 2, 5), (0, 4, 5), (0, 2, 5), (0, 2, 6, 5)]
-        assert route_select(routes) == (0, 2, 5)
 
 
 def discovery_sim(nodes, positions, **overrides):

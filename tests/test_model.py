@@ -7,7 +7,6 @@ from rltrc.model import (
     SessionRecord,
     ZoneState,
     distance,
-    in_radio_range,
     make_zones,
     zone_of,
 )
@@ -43,13 +42,6 @@ class TestNodeState:
         assert n.min_power == 5.0
         n.residual_energy = 0.0
         assert not n.alive
-
-
-def test_in_radio_range_boundary_inclusive():
-    n = NodeState(id=0, position=(0.0, 0.0), radio_range=10.0)
-    assert in_radio_range(n, (10.0, 0.0))
-    assert in_radio_range(n, (0.0, 0.0))
-    assert not in_radio_range(n, (10.0001, 0.0))
 
 
 class TestZones:

@@ -1,0 +1,134 @@
+"""Grid-based link and neighbor search against all-pairs oracles.
+
+Layouts are seeded and built to stress the cell grid: nodes on exact
+multiples of the cell side and at the arena corners, coincident nodes,
+nodes exactly one reach apart across a cell border, radio ranges across
+10-40 m, zero and oversized route margins, dead nodes and dead sources.
+"""
+
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import oracle_neighbor_counts, oracle_route_links
+
+from rltrc import control, engine
+from rltrc.control import ZoneController
+from rltrc.engine import Simulator
+from rltrc.linkcache import CommCacheEntry
+from rltrc.scenarios import scenario
+
+WIDTH, HEIGHT = 100.0, 75.0
+NODES = 80
+LAYOUTS = range(12)
+
+
+def scattered_sim(rng: random.Random) -> Simulator:
+    """A static world whose nodes sit where cell borders matter.
+
+    Node 0 carries the largest radio range and stays alive, so it fixes the
+    cell side of every discovery and sync that includes it: the largest
+    reach plus 1 m, or the largest range plus 1 m.
+    """
+    margin = rng.choice((0.0, 0.0, rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0), 45.0))
+    cfg = scenario("lossless-pair", nodes=NODES, sessions=1, arena_width=WIDTH,
+                   arena_height=HEIGHT, duration=0.0, route_margin=margin)
+    sim = Simulator(cfg)
+    nodes = sim.nodes
+    top = rng.uniform(20.0, 40.0)
+    for n in nodes.values():
+        n.radio_range = rng.uniform(10.0, top)
+        n.min_rcv = rng.uniform(0.5, 8.0)
+        n.residual_energy = 0.0 if rng.random() < 0.1 else 5.0
+    nodes[0].radio_range = top
+    nodes[0].residual_energy = 5.0
+    sides = (max(top - margin, 0.0) + 1.0, top + 1.0)
+    corners = [(0.0, 0.0), (WIDTH, 0.0), (0.0, HEIGHT), (WIDTH, HEIGHT)]
+    for nid in sorted(nodes):
+        kind = rng.random()
+        if kind < 0.2:
+            side = rng.choice(sides)
+            pos = (side * rng.randrange(int(WIDTH // side) + 1),
+                   side * rng.randrange(int(HEIGHT // side) + 1))
+        elif kind < 0.25:
+            pos = rng.choice(corners)
+        elif kind < 0.35 and nid:
+            pos = nodes[rng.randrange(nid)].position
+        elif kind < 0.5 and nid:
+            base = nodes[rng.randrange(nid)]
+            reach = rng.choice((base.radio_range, max(base.radio_range - margin, 0.0)))
+            pos = (base.position[0] + rng.choice((-reach, reach)), base.position[1])
+        else:
+            pos = (rng.uniform(0.0, WIDTH), rng.uniform(0.0, HEIGHT))
+        nodes[nid].position = pos
+    for _ in range(10 * NODES):
+        u, v = rng.sample(sorted(nodes), 2)
+        sim.caches[u][v] = CommCacheEntry(successor_id=v, sig_atn=0.14,
+                                          reliable=rng.random() < 0.2)
+    return sim
+
+
+@pytest.mark.parametrize("layout_seed", LAYOUTS)
+def test_discovery_matches_all_pairs_oracle(layout_seed, monkeypatch):
+    rng = random.Random(layout_seed)
+    sim = scattered_sim(rng)
+    ids = sorted(sim.nodes)
+    shortest_route = engine.shortest_route
+    alpha = sim.channel.alpha
+    searched, asked = [], []
+
+    def recorded_search(adjacency, src, dst):
+        searched.append([(u, list(outs)) for u, outs in adjacency.items()])
+        return shortest_route(adjacency, src, dst)
+
+    def recorded_alpha(u, v):
+        asked.append((u, v))
+        return alpha(u, v)
+
+    monkeypatch.setattr(engine, "shortest_route", recorded_search)
+    monkeypatch.setattr(sim.channel, "alpha", recorded_alpha)
+    for query in range(16):
+        src, dst = rng.choice(ids), rng.choice(ids)
+        if query == 0 and src:
+            sim.nodes[src].residual_energy = 0.0
+        scope = sorted(set(ids) - set(rng.sample(ids, rng.randrange(NODES // 2))) | {0, src})
+        oracle_asked = []
+        adjacency, risky = oracle_route_links(
+            sim.nodes, scope, src, sim.cfg.route_margin,
+            lambda u, v: oracle_asked.append((u, v)) or alpha(u, v), sim.caches)
+        expected = []
+        if src in adjacency and dst in adjacency:
+            expected.append(adjacency)
+            if shortest_route(adjacency, src, dst) is None:
+                expected.append({u: sorted(adjacency[u] + risky[u]) for u in adjacency})
+        want = shortest_route(expected[-1], src, dst) if expected else None
+
+        searched.clear()
+        asked.clear()
+        assert sim._discover_route(src, dst, scope) == want
+        assert searched == [list(adj.items()) for adj in expected]
+        assert Counter(asked) == Counter(oracle_asked)
+
+
+@pytest.mark.parametrize("layout_seed", LAYOUTS)
+def test_sync_neighbor_counts_match_all_pairs_oracle(layout_seed, monkeypatch):
+    rng = random.Random(layout_seed)
+    sim = scattered_sim(rng)
+    members = set(rng.sample(sorted(sim.nodes), rng.randrange(1, NODES))) | {0}
+    neighbor_count = control._neighbor_count
+    counted = []
+
+    def recorded_count(node, alive):
+        got = neighbor_count(node, alive)
+        counted.append((node.id, got))
+        return got
+
+    monkeypatch.setattr(control, "_neighbor_count", recorded_count)
+    zone = sim.zones[0]
+    zone.member_nodes = members
+    ZoneController(zone).sync(0.0, sim.nodes, sim.reward_states)
+    assert sorted(counted) == sorted(oracle_neighbor_counts(sim.nodes, members).items())
