@@ -38,10 +38,6 @@ class BroadcastCircle:
     radius: float
     spans_zones: tuple[int, ...]
 
-    @property
-    def intra_zonal(self) -> bool:
-        return len(self.spans_zones) == 1
-
     def contains(self, p: Point) -> bool:
         return distance(self.center, p) <= self.radius
 
@@ -84,8 +80,31 @@ def assign_zones(nodes: Mapping[int, NodeState], zones: list[ZoneState]) -> None
             zones[node.zone_id].member_nodes.add(node.id)
 
 
+# the four directions whose extreme points bound the diameter from below
+_EXTENTS = (lambda p: p[0], lambda p: p[1], lambda p: p[0] + p[1], lambda p: p[0] - p[1])
+
+
 def _membership_diameter(members: Iterable[int], nodes: Mapping[int, NodeState]) -> float:
+    """Largest distance between two members, by an exactly pruned pair scan.
+
+    The distance between the extreme points along x, y, x+y and x-y is a
+    lower bound on the diameter. A point whose farthest bounding-box corner,
+    times (1 + 1e-9) against rounding, is below that bound cannot be in the
+    farthest pair and is dropped. The survivors keep their order and go
+    through the same `distance` calls as the full scan, and both points of
+    the farthest pair survive, so the float returned is the full scan's.
+    """
     pts = [nodes[m].position for m in members]
+    if len(pts) < 2:
+        return 0.0
+    ends = [(min(pts, key=k), max(pts, key=k)) for k in _EXTENTS]
+    bound = max(distance(a, b) for a, b in ends)
+    (x0, _), (x1, _) = ends[0]
+    (_, y0), (_, y1) = ends[1]
+    pts = [
+        p for p in pts
+        if math.hypot(max(p[0] - x0, x1 - p[0]), max(p[1] - y0, y1 - p[1])) * (1.0 + 1e-9) >= bound
+    ]
     best = 0.0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -130,9 +149,6 @@ class ZoneController:
         self.session_rewards[session_id] = r
         self._dirty = True
         return r
-
-    def sync_due(self, t_now: float) -> bool:
-        return t_now - self.last_sync >= self.t_sync
 
     def sync(
         self,

@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from random import Random
+from typing import Callable, Iterable, Iterator
 
 from . import linkcache, policy, rewards
 from .config import ConfigError, ScenarioConfig
@@ -177,37 +178,47 @@ def mobility_step(
 # routing
 
 def shortest_route(
-    adjacency: dict[int, list[int]], src: int, dst: int
+    into: Callable[[int], Iterable[int]],
+    out_of: Callable[[int], Iterable[int]],
+    src: int,
+    dst: int,
 ) -> tuple[int, ...] | None:
-    """Lexicographically smallest minimum-hop path over sorted adjacency.
+    """Lexicographically smallest minimum-hop path from src to dst.
 
-    Breadth-first distances to dst, then a greedy descent picking the lowest
-    id neighbor one step closer; equivalent to minimizing (hops, sequence).
+    `into(v)` yields the nodes u with a link u -> v and `out_of(u)` the
+    nodes v with a link u -> v, so links are only looked at when asked for.
+    `into` may leave out nodes that already have a level: the search
+    ignores them.
+
+    Breadth-first levels run backward from dst and stop as soon as src is
+    labelled: src then sits at level L and every node below L already has
+    its level. A greedy descent then picks the lowest-id out-neighbour one
+    level closer, which only reads levels below the current node; this is
+    equivalent to minimizing (hops, sequence).
     """
     if src == dst:
         return (src,)
-    preds: dict[int, list[int]] = {n: [] for n in adjacency}
-    for u, outs in adjacency.items():
-        for v in outs:
-            preds.setdefault(v, []).append(u)
     dist_to = {dst: 0}
     frontier = [dst]
-    while frontier:
+    while src not in dist_to:
+        if not frontier:
+            return None
         nxt = []
         for v in frontier:
-            for u in preds.get(v, ()):
+            for u in into(v):
                 if u not in dist_to:
                     dist_to[u] = dist_to[v] + 1
                     nxt.append(u)
+                    if u == src:
+                        break
+            if src in dist_to:
+                break
         frontier = nxt
-    if src not in dist_to:
-        return None
     path = [src]
     node = src
     while node != dst:
-        node = min(
-            v for v in adjacency.get(node, ()) if dist_to.get(v, -1) == dist_to[node] - 1
-        )
+        closer = dist_to[node] - 1
+        node = min(v for v in out_of(node) if dist_to.get(v, -1) == closer)
         path.append(node)
     return tuple(path)
 
@@ -872,14 +883,19 @@ class Simulator:
         return [n for n in sorted(self.nodes) if self.nodes[n].alive]
 
     def _corridor_zones(self, src: int, circle: BroadcastCircle) -> tuple[int, ...]:
-        """Contiguous zone id range covering the requester and the circle.
+        """Zones inside the bounding box of the requester's zone and the
+        zones the circle spans.
 
-        Zones are side-by-side slices, so the request travels through every
-        zone between the two endpoints.
+        Zones tile the arena as a grid, so the request travels through every
+        zone of that block of rows and columns.
         """
-        ids = set(circle.spans_zones)
-        ids.add(self.nodes[src].zone_id)
-        return tuple(range(min(ids), max(ids) + 1))
+        ends = [self.zones[i] for i in circle.spans_zones]
+        ends.append(self.zones[self.nodes[src].zone_id])
+        x0, x1 = min(z.x0 for z in ends), max(z.x1 for z in ends)
+        y0, y1 = min(z.y0 for z in ends), max(z.y1 for z in ends)
+        return tuple(
+            z.id for z in self.zones if x0 <= z.x0 and z.x1 <= x1 and y0 <= z.y0 and z.y1 <= y1
+        )
 
     def _flood_scope(
         self, src: int, circle: BroadcastCircle, corridor: tuple[int, ...]
@@ -901,42 +917,58 @@ class Simulator:
         """Links already graded unreliable are avoided; when that leaves no
         route at all they are allowed back in as a last resort.
 
-        Candidate links come from a NodeGrid over the live scope whose cell
-        side is the largest reach plus 1 m. The cell is strictly wider than
-        any reach, so every in-reach pair sits in adjacent cells even after
-        float rounding at a cell border, and the links found are exactly
-        those of an all-pairs scan.
+        Links are tested only when `shortest_route` asks for the links into
+        or out of a node, so a search that reaches src early leaves the rest
+        of the scope untested. Candidates come from a NodeGrid over the live
+        scope whose cell side is the largest reach plus 1 m. The cell is
+        strictly wider than any reach, so every in-reach pair sits in
+        adjacent cells even after float rounding at a cell border, and the
+        links are exactly those of an all-pairs scan.
         """
-        live = [self.nodes[n] for n in scope if self.nodes[n].alive or n == src]
-        adjacency: dict[int, list[int]] = {nu.id: [] for nu in live}
-        risky: dict[int, list[int]] = {nu.id: [] for nu in live}
+        nodes = self.nodes
+        live = [nodes[n] for n in scope if nodes[n].alive or n == src]
+        ids = {nu.id for nu in live}
+        if src not in ids or dst not in ids:
+            return None
         margin = self.cfg.route_margin
         # route links must leave slack for motion during their lifetime
         reach = {nu.id: max(nu.radio_range - margin, 0.0) for nu in live}
-        grid = NodeGrid(live, max(reach.values(), default=0.0) + 1.0)
-        for nu in live:
-            u = nu.id
+        grid = NodeGrid(live, max(reach.values()) + 1.0)
+        alpha = self.channel.alpha
+        caches = self.caches
+        risky_ok = False
+
+        def link(nu: NodeState, nv: NodeState) -> bool:
+            u, v = nu.id, nv.id
+            d = distance(nu.position, nv.position)
+            if d <= reach[u] and nu.max_power - alpha(u, v) * d >= nv.min_rcv:
+                entry = caches[u].get(v)
+                return risky_ok or entry is None or entry.reliable
+            return False
+
+        def into(v: int) -> Iterator[int]:
+            # v is labelled, so it is dst or was yielded before
+            nv = nodes[v]
+            for cell in grid.around(nv.position):
+                for nu in cell:
+                    u = nu.id
+                    if u not in labelled and link(nu, nv):
+                        labelled.add(u)
+                        yield u
+
+        def out_of(u: int) -> Iterator[int]:
+            nu = nodes[u]
             for cell in grid.around(nu.position):
                 for nv in cell:
-                    v = nv.id
-                    if u == v:
-                        continue
-                    d = distance(nu.position, nv.position)
-                    if d <= reach[u] and nu.max_power - self.channel.alpha(u, v) * d >= nv.min_rcv:
-                        entry = self.caches[u].get(v)
-                        if entry is not None and not entry.reliable:
-                            risky[u].append(v)
-                        else:
-                            adjacency[u].append(v)
-        for outs in adjacency.values():
-            outs.sort()
-        if src not in adjacency or dst not in adjacency:
-            return None
-        route = shortest_route(adjacency, src, dst)
+                    if nv.id != u and link(nu, nv):
+                        yield nv.id
+
+        labelled = {dst}
+        route = shortest_route(into, out_of, src, dst)
         if route is None:
-            for u, outs in risky.items():
-                adjacency[u] = sorted(adjacency[u] + outs)
-            route = shortest_route(adjacency, src, dst)
+            risky_ok = True
+            labelled = {dst}
+            route = shortest_route(into, out_of, src, dst)
         return route
 
     def _on_route_reply(self, sid: int, route: tuple[int, ...]) -> None:

@@ -166,18 +166,6 @@ def zone_of(point: Point, zones: list[ZoneState]) -> int:
 
 
 @dataclass
-class TransmissionRecord:
-    """One attempt of one packet over one hop."""
-
-    hop_start: int
-    hop_end: int
-    turn: int
-    power_used: float
-    t_send: float
-    t_ack: float | None = None
-
-
-@dataclass
 class SessionRecord:
     """A data session between two nodes with its currently installed route."""
 
@@ -185,10 +173,4 @@ class SessionRecord:
     src: int
     dst: int
     route: tuple[int, ...] | None = None
-    reward: float = 1.0
     live: bool = True
-    transmissions: list[TransmissionRecord] = field(default_factory=list)
-
-    @property
-    def hop_count(self) -> int:
-        return 0 if self.route is None else len(self.route) - 1

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own formulas: the disc-sampling oracle
 estimates the expected farthest neighbor by Monte Carlo, the path oracle
-enumerates simple paths, the ledger oracle re-adds raw ledger rows, and the
-link and neighbor oracles scan every pair of nodes. Test modules freeze the
+enumerates simple paths, the route oracle runs a full breadth-first search,
+the ledger oracle re-adds raw ledger rows, and the link, neighbor and
+diameter oracles scan every pair of nodes. Test modules freeze the
 numbers these produce or compare against them; the oracles stay here so the
 derivation can be re-run.
 """
@@ -55,6 +56,38 @@ def oracle_shortest_path(adjacency: dict[int, set[int]], src: int, dst: int) -> 
 
     walk([src], {src})
     return best
+
+
+def oracle_route(adjacency: dict[int, list[int]], src: int, dst: int) -> tuple[int, ...] | None:
+    """Minimum-hop path, ties broken by node-sequence order, by a full search.
+
+    Labels every node that can reach dst with its hop count by a backward
+    breadth-first search over the whole graph, then descends from src to
+    the lowest-id neighbor one hop closer.
+    """
+    if src == dst:
+        return (src,)
+    preds: dict[int, list[int]] = {}
+    for u, outs in adjacency.items():
+        for v in outs:
+            preds.setdefault(v, []).append(u)
+    dist_to = {dst: 0}
+    frontier = [dst]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in preds.get(v, ()):
+                if u not in dist_to:
+                    dist_to[u] = dist_to[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    if src not in dist_to:
+        return None
+    path = [src]
+    while path[-1] != dst:
+        here = path[-1]
+        path.append(min(v for v in adjacency[here] if dist_to.get(v, -1) == dist_to[here] - 1))
+    return tuple(path)
 
 
 def oracle_waste_fraction(waste_rows, invest_rows) -> tuple[float, float]:
@@ -146,3 +179,12 @@ def oracle_neighbor_counts(nodes, members) -> dict[int, int]:
         )
         for m in members
     }
+
+
+def oracle_membership_diameter(points) -> float:
+    """Largest distance between two of the points, over every pair."""
+    best = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            best = max(best, math.dist(points[i], points[j]))
+    return best

@@ -1,12 +1,19 @@
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import oracle_membership_diameter
 
 from rltrc.control import (
     BroadcastCircle,
     NetworkController,
     NodeTrack,
     ZoneController,
+    _membership_diameter,
     assign_zones,
     circle_intersects_rect,
     circle_spans,
@@ -33,7 +40,6 @@ class TestDestinationLookup:
         assert c.radius == 20.0
         assert c.center == (50.0, 50.0)
         assert c.spans_zones == (0,)
-        assert c.intra_zonal
 
     def test_zero_elapsed_single_zone(self):
         reg = {7: NodeTrack((50.0, 50.0), 100.0, 1.0, 2.0)}
@@ -45,7 +51,6 @@ class TestDestinationLookup:
         reg = {7: NodeTrack((95.0, 50.0), 95.0, 1.0, 2.0)}
         c = destination_lookup(7, 100.0, reg, self.zones)
         assert c.spans_zones == (0, 1)
-        assert not c.intra_zonal
 
     def test_unknown_destination_floods_everywhere(self):
         c = destination_lookup(99, 100.0, {}, self.zones)
@@ -106,6 +111,39 @@ class TestAssignZones:
         assign_zones({1: dead}, zones)
         assert zones[0].member_nodes == set()
         assert dead.zone_id == 0
+
+
+def diameter_cases():
+    """Seeded layouts for the pruned diameter, degenerate ones first."""
+    rng = random.Random(5)
+    yield [(3.0, 4.0), (0.0, 0.0)]
+    yield [(7.5, 2.25)] * 6
+    yield [(1.0, 1.0)] * 3 + [(1.0, 1.0 + 1e-12)]
+    yield [(float(i), 0.0) for i in range(9)]
+    yield [(0.0, float(i)) for i in range(9)][::-1]
+    yield [(0.1 * i, 0.3 * i) for i in range(25)]
+    yield [(5.0 - 0.7 * i, 2.0 + 0.7 * i) for i in range(25)]
+    for _ in range(40):
+        side = rng.randint(1, 6)
+        yield [(float(rng.randint(0, side)), float(rng.randint(0, side)))
+               for _ in range(rng.randint(2, 60))]
+    for _ in range(40):
+        w, h = rng.choice([(1e-9, 50.0), (50.0, 1e-9), (1e4, 1e-3), (1e-3, 1e4)])
+        x0, y0 = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+        yield [(x0 + rng.uniform(0.0, w), y0 + rng.uniform(0.0, h))
+               for _ in range(rng.randint(2, 60))]
+    for _ in range(300):
+        w, h = rng.uniform(1.0, 150.0), rng.uniform(1.0, 150.0)
+        pts = [(rng.uniform(0.0, w), rng.uniform(0.0, h)) for _ in range(rng.randint(2, 120))]
+        for _ in range(rng.randrange(4)):
+            pts.insert(rng.randrange(len(pts)), rng.choice(pts))
+        yield pts
+
+
+def test_membership_diameter_is_exactly_the_all_pairs_value():
+    for pts in diameter_cases():
+        nodes = {i: node(i, p) for i, p in enumerate(pts)}
+        assert _membership_diameter(sorted(nodes), nodes) == oracle_membership_diameter(pts)
 
 
 class TestZoneControllerSync:
@@ -181,12 +219,6 @@ class TestZoneControllerSync:
         self.rewards[1].apply_action(15.0, 5.0)
         self.ctl.sync(20.0, self.nodes, self.rewards)
         assert self.ctl.zone.reward_ri == 10.0
-
-    def test_sync_due(self):
-        assert self.ctl.sync_due(0.0)
-        self.ctl.sync(0.0, self.nodes, self.rewards)
-        assert not self.ctl.sync_due(4.9)
-        assert self.ctl.sync_due(5.0)
 
 
 class TestSessionRewards:

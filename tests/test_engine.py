@@ -104,21 +104,30 @@ class TestMobility:
         assert all(0.05 * 2.0 <= s <= 2.0 for s in seen)
 
 
+def route_over(adjacency, src, dst):
+    """shortest_route over a dict of out-lists."""
+    preds = {}
+    for u, outs in adjacency.items():
+        for v in outs:
+            preds.setdefault(v, []).append(u)
+    return shortest_route(lambda v: preds.get(v, ()), lambda u: adjacency.get(u, ()), src, dst)
+
+
 class TestRouting:
     def test_line_graph(self):
         adj = {0: [1], 1: [0, 2], 2: [1]}
-        assert shortest_route(adj, 0, 2) == (0, 1, 2)
+        assert route_over(adj, 0, 2) == (0, 1, 2)
 
     def test_complete_graph_is_one_hop(self):
         adj = {i: [j for j in range(4) if j != i] for i in range(4)}
-        assert shortest_route(adj, 1, 3) == (1, 3)
+        assert route_over(adj, 1, 3) == (1, 3)
 
     def test_disconnected_returns_none(self):
         adj = {0: [1], 1: [0], 2: [3], 3: [2]}
-        assert shortest_route(adj, 0, 3) is None
+        assert route_over(adj, 0, 3) is None
 
     def test_src_equals_dst(self):
-        assert shortest_route({0: []}, 0, 0) == (0,)
+        assert route_over({0: []}, 0, 0) == (0,)
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(21)
@@ -130,7 +139,7 @@ class TestRouting:
                     if rng.random() < 0.35:
                         adj[i].add(j)
                         adj[j].add(i)
-            got = shortest_route({k: sorted(v) for k, v in adj.items()}, 0, n - 1)
+            got = route_over({k: sorted(v) for k, v in adj.items()}, 0, n - 1)
             want = oracle_shortest_path(adj, 0, n - 1)
             if want is None:
                 assert got is None
@@ -195,6 +204,23 @@ class TestDiscovery:
         assert sim._corridor_zones(0, circle) == (0, 1, 2)
         near = BroadcastCircle(center=(10.0, 5.0), radius=4.0, spans_zones=(0,))
         assert sim._corridor_zones(0, near) == (0,)
+
+    @pytest.mark.parametrize("zones, src_zone, spans, want", [
+        (6, 3, (2,), (0, 1, 2, 3, 4, 5)),
+        (6, 0, (4,), (0, 1, 3, 4)),
+        (6, 5, (4,), (4, 5)),
+        (9, 3, (2,), (0, 1, 2, 3, 4, 5)),
+        (9, 4, (4,), (4,)),
+        (9, 6, (2,), tuple(range(9))),
+        (9, 7, (1,), (1, 4, 7)),
+        (9, 0, (4, 5, 7, 8), (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+        (12, 5, (2, 3), (1, 2, 3, 5, 6, 7)),
+    ])
+    def test_corridor_is_grid_block_of_endpoint_zones(self, zones, src_zone, spans, want):
+        sim = Simulator(scenario("desk-converge", zones=zones, duration=0.0))
+        src = next(n.id for n in sim.nodes.values() if n.zone_id == src_zone)
+        circle = BroadcastCircle(center=sim.zones[spans[0]].center, radius=1.0, spans_zones=spans)
+        assert sim._corridor_zones(src, circle) == want
 
     def test_flood_scope_unions_corridor_and_circle(self):
         sim = discovery_sim(4, [(10.0, 0.0), (20.0, 0.0), (50.0, 0.0), (110.0, 0.0)])

@@ -4,7 +4,6 @@ import pytest
 
 from rltrc.model import (
     NodeState,
-    SessionRecord,
     ZoneState,
     distance,
     make_zones,
@@ -93,10 +92,3 @@ class TestZones:
         assert z.center == (15.0, 20.0)
         assert z.contains((30.0, 40.0))
         assert not z.contains((30.1, 40.0))
-
-
-def test_session_hop_count():
-    s = SessionRecord(id=0, src=1, dst=4)
-    assert s.hop_count == 0
-    s.route = (1, 2, 4)
-    assert s.hop_count == 2

@@ -8,15 +8,14 @@ nodes exactly one reach apart across a cell border, radio ranges across
 
 import random
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import oracle_neighbor_counts, oracle_route_links
+from oracles import oracle_neighbor_counts, oracle_route, oracle_route_links
 
-from rltrc import control, engine
+from rltrc import control
 from rltrc.control import ZoneController
 from rltrc.engine import Simulator
 from rltrc.linkcache import CommCacheEntry
@@ -72,46 +71,63 @@ def scattered_sim(rng: random.Random) -> Simulator:
     return sim
 
 
+def recorded_alpha(sim, monkeypatch) -> list[tuple[int, int]]:
+    """Every (u, v) the simulator's channel is asked for, in call order."""
+    alpha = sim.channel.alpha
+    asked = []
+
+    def recorded(u, v):
+        asked.append((u, v))
+        return alpha(u, v)
+
+    monkeypatch.setattr(sim.channel, "alpha", recorded)
+    return asked
+
+
 @pytest.mark.parametrize("layout_seed", LAYOUTS)
 def test_discovery_matches_all_pairs_oracle(layout_seed, monkeypatch):
     rng = random.Random(layout_seed)
     sim = scattered_sim(rng)
     ids = sorted(sim.nodes)
-    shortest_route = engine.shortest_route
     alpha = sim.channel.alpha
-    searched, asked = [], []
-
-    def recorded_search(adjacency, src, dst):
-        searched.append([(u, list(outs)) for u, outs in adjacency.items()])
-        return shortest_route(adjacency, src, dst)
-
-    def recorded_alpha(u, v):
-        asked.append((u, v))
-        return alpha(u, v)
-
-    monkeypatch.setattr(engine, "shortest_route", recorded_search)
-    monkeypatch.setattr(sim.channel, "alpha", recorded_alpha)
-    for query in range(16):
+    asked = recorded_alpha(sim, monkeypatch)
+    for query in range(48):
         src, dst = rng.choice(ids), rng.choice(ids)
         if query == 0 and src:
             sim.nodes[src].residual_energy = 0.0
         scope = sorted(set(ids) - set(rng.sample(ids, rng.randrange(NODES // 2))) | {0, src})
-        oracle_asked = []
+        oracle_asked = set()
         adjacency, risky = oracle_route_links(
             sim.nodes, scope, src, sim.cfg.route_margin,
-            lambda u, v: oracle_asked.append((u, v)) or alpha(u, v), sim.caches)
-        expected = []
+            lambda u, v: oracle_asked.add((u, v)) or alpha(u, v), sim.caches)
+        want = None
         if src in adjacency and dst in adjacency:
-            expected.append(adjacency)
-            if shortest_route(adjacency, src, dst) is None:
-                expected.append({u: sorted(adjacency[u] + risky[u]) for u in adjacency})
-        want = shortest_route(expected[-1], src, dst) if expected else None
+            want = oracle_route(adjacency, src, dst)
+            if want is None:
+                want = oracle_route({u: sorted(adjacency[u] + risky[u]) for u in adjacency},
+                                    src, dst)
 
-        searched.clear()
         asked.clear()
         assert sim._discover_route(src, dst, scope) == want
-        assert searched == [list(adj.items()) for adj in expected]
-        assert Counter(asked) == Counter(oracle_asked)
+        assert set(asked) <= oracle_asked
+
+
+def test_discovery_stops_at_the_source(monkeypatch):
+    """On a chain, a search from the middle never tests a link out of a node
+    beyond the source, on the far side from the destination."""
+    cfg = scenario("lossless-pair", nodes=8, sessions=1, arena_width=160.0,
+                   arena_height=30.0, duration=0.0)
+    sim = Simulator(cfg)
+    for nid, n in sim.nodes.items():
+        n.position = (20.0 * nid, 0.0)
+        n.radio_range = 35.0
+    asked = recorded_alpha(sim, monkeypatch)
+    assert sim._discover_route(4, 7, list(range(8))) == (4, 5, 6, 7)
+    assert asked
+    assert all(u >= 4 for u, _ in asked)
+    asked.clear()
+    assert sim._discover_route(3, 0, list(range(8))) == (3, 2, 1, 0)
+    assert all(u <= 3 for u, _ in asked)
 
 
 @pytest.mark.parametrize("layout_seed", LAYOUTS)
