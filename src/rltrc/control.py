@@ -16,7 +16,6 @@ from typing import Iterable, Mapping
 from .model import NodeGrid, NodeState, Point, ZoneState, distance, zone_of
 from .rewards import NodeRewardState, session_reward, network_reward, zone_reward
 
-T_SYNC_DEFAULT = 5.0
 T_NET_DEFAULT = 20.0
 
 
@@ -112,30 +111,52 @@ def _membership_diameter(members: Iterable[int], nodes: Mapping[int, NodeState])
     return best
 
 
-def _neighbor_count(node: NodeState, alive: NodeGrid) -> int:
-    """Alive nodes other than `node` within its radio range.
+# the forward half of the 3x3 block: each pair of adjacent cells is visited once
+_FORWARD = ((1, -1), (1, 0), (1, 1), (0, 1))
 
-    `alive` holds only alive nodes, in cells strictly wider than `node`'s
-    radio range, so the 3x3 block around it holds every neighbor even after
-    float rounding at a cell border.
+
+def neighbor_counts(alive: list[NodeState]) -> dict[int, int]:
+    """For each alive node, the other alive nodes within its radio range.
+
+    One pass over one `NodeGrid` whose cells are strictly wider than the
+    largest radio range, so every in-range pair lies in one cell or in two
+    adjacent ones even after float rounding at a cell border. Each cell is
+    paired with itself and with its four forward neighbours, so each
+    unordered pair is measured once: `d` is the `distance` of either order
+    (x - y is exactly -(y - x)), and it counts for each end whose range
+    covers it.
     """
-    return sum(
-        1
-        for cell in alive.around(node.position)
-        for other in cell
-        if other.id != node.id and distance(node.position, other.position) <= node.radio_range
-    )
+    if not alive:
+        return {}
+    cells = NodeGrid(alive, max(n.radio_range for n in alive) + 1.0).cells
+    counts = dict.fromkeys([n.id for n in alive], 0)
+    hypot = math.hypot
+    for (i, j), cell in cells.items():
+        near = cell[:]
+        for di, dj in _FORWARD:
+            near += cells.get((i + di, j + dj), ())
+        for k, u in enumerate(cell):
+            ux, uy = u.position
+            reach = u.radio_range
+            got = 0
+            for v in near[k + 1:]:
+                vx, vy = v.position
+                d = hypot(vx - ux, vy - uy)
+                if d <= reach:
+                    got += 1
+                if d <= v.radio_range:
+                    counts[v.id] += 1
+            counts[u.id] += got
+    return counts
 
 
 class ZoneController:
     """Single-writer actor owning one zone's registry, stats and reward."""
 
-    def __init__(self, zone: ZoneState, t_sync: float = T_SYNC_DEFAULT) -> None:
+    def __init__(self, zone: ZoneState) -> None:
         self.zone = zone
-        self.t_sync = t_sync
         self.registry: dict[int, NodeTrack] = {}
         self.session_rewards: dict[int, float] = {}
-        self.last_sync = -math.inf
         self._dirty = True
         self._last_members: frozenset[int] = frozenset()
 
@@ -155,13 +176,21 @@ class ZoneController:
         t_now: float,
         nodes: Mapping[int, NodeState],
         reward_states: Mapping[int, NodeRewardState],
+        *,
+        neighbors: Mapping[int, int],
     ) -> list[tuple[int, float]]:
         """Refresh registry and geometry stats, recompute RI when stale.
 
+        Members are alive when their zone syncs: `assign_zones` drops dead
+        nodes at the start of the tick, and a node can only die from its own
+        zone's charges, which are debited after its sync. `neighbors` holds
+        each alive node's neighbour count from `neighbor_counts`, taken over
+        the nodes alive now.
+
         Returns the per-node relay charges for the zone-state broadcast (one
-        transmission per live member at its minimum level, in power units;
-        the engine converts to joules and applies the drain rule). An empty
-        zone broadcasts nothing.
+        transmission per member at its minimum level, in power units; the
+        engine converts to joules and applies the drain rule). An empty zone
+        broadcasts nothing.
         """
         zone = self.zone
         members = sorted(zone.member_nodes)
@@ -177,9 +206,7 @@ class ZoneController:
             zone.theta = zone.diagonal
         if members:
             zone.av_rad = math.fsum(nodes[m].radio_range for m in members) / len(members)
-            side = max(nodes[m].radio_range for m in members) + 1.0
-            alive = NodeGrid((n for n in nodes.values() if n.alive), side)
-            n_bar = math.fsum(_neighbor_count(nodes[m], alive) for m in members) / len(members)
+            n_bar = math.fsum(neighbors[m] for m in members) / len(members)
             if n_bar > 0.0:
                 # isolated zones keep the previous value so hop-count
                 # quantities stay finite; flood branching never drops below 1
@@ -193,8 +220,7 @@ class ZoneController:
             )
             self._dirty = False
             self._last_members = member_set
-        self.last_sync = t_now
-        return [(m, nodes[m].min_power) for m in members if nodes[m].alive]
+        return [(m, nodes[m].min_power) for m in members]
 
 
 def session_reporter(src: int, zone: ZoneState, nodes: Mapping[int, NodeState]) -> int | None:

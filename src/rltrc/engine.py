@@ -29,6 +29,7 @@ from .control import (
     ZoneController,
     assign_zones,
     destination_lookup,
+    neighbor_counts,
     session_reporter,
 )
 from .linkcache import CommCacheEntry, PacketRecord
@@ -305,7 +306,7 @@ class Simulator:
             self.nodes[nid] = self._make_node(nid, pos, peripheral=False)
             nid += 1
         assign_zones(self.nodes, self.zones)
-        self.controllers = [ZoneController(z, cfg.t_sync) for z in self.zones]
+        self.controllers = [ZoneController(z) for z in self.zones]
         self.network = NetworkController(cfg.t_net)
         self.global_registry: dict[int, NodeTrack] = {}
         self.reward_states = {n: NodeRewardState() for n in self.nodes}
@@ -407,15 +408,28 @@ class Simulator:
     # -- periodic events ----------------------------------------------------
 
     def _on_controller_sync(self) -> None:
+        """Sync every zone controller in zone order and charge its broadcast.
+
+        Neighbour counts are taken once per tick, one pass over the alive
+        nodes that measures each pair once. A zone-state charge can kill a
+        member; the counts are then taken again before the next controller
+        so that later zones do not count the dead node.
+        """
         assign_zones(self.nodes, self.zones)
         airtime = self.cfg.airtime
+        neighbors = None
         for ctl in self.controllers:
             for sid in sorted(self.sessions):
                 sn = self.sessions[sid]
                 if sn.started and sn.live and sn.home_zone == ctl.zone.id:
                     ctl.record_session_reward(sid)
-            for member, level in ctl.sync(self.t, self.nodes, self.reward_states):
+            if neighbors is None:
+                neighbors = neighbor_counts([n for n in self.nodes.values() if n.alive])
+            charges = ctl.sync(self.t, self.nodes, self.reward_states, neighbors=neighbors)
+            for member, level in charges:
                 self._debit(member, level * airtime, "zone-state", message=True)
+            if not all(self.nodes[m].alive for m, _ in charges):
+                neighbors = None
             self.global_registry.update(ctl.registry)
         self.network.collect(self.t, self.zones)
         self._push(self.t + self.cfg.t_sync, "controller-sync")
@@ -453,7 +467,6 @@ class Simulator:
         sn.started = True
         src = self.nodes[sn.src]
         sn.home_zone = zone_of(src.position, self.zones)
-        self.zones[sn.home_zone].live_sessions.add(sid)
         self._push(self.t, "packet-gen", sid=sid)
         self._request_route(sn, waste=None)
 
@@ -1018,7 +1031,6 @@ class Simulator:
                 else:
                     keep.append(q)
             rt.queue = keep
-        self.zones[sn.home_zone].live_sessions.discard(sn.id)
         self._push(self.t, "session-end", sid=sn.id)
 
     def _on_session_end(self, sid: int) -> None:

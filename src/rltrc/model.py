@@ -110,7 +110,6 @@ class ZoneState:
     av_rad: float = 1.0
     ng: float = 1.0
     member_nodes: set[int] = field(default_factory=set)
-    live_sessions: set[int] = field(default_factory=set)
     ew: float = 0.0
     et: float = 0.0
     reward_ri: float = 0.0

@@ -18,6 +18,7 @@ from rltrc.control import (
     circle_intersects_rect,
     circle_spans,
     destination_lookup,
+    neighbor_counts,
     session_reporter,
 )
 from rltrc.model import NodeState, make_zones
@@ -154,70 +155,75 @@ class TestZoneControllerSync:
             2: node(2, (70.0, 50.0)),
         }
         assign_zones(self.nodes, self.zones)
-        self.ctl = ZoneController(self.zones[0], t_sync=5.0)
+        self.ctl = ZoneController(self.zones[0])
         self.rewards = {1: NodeRewardState(), 2: NodeRewardState()}
 
+    def sync(self, t_now, ctl=None):
+        alive = [n for n in self.nodes.values() if n.alive]
+        return (ctl or self.ctl).sync(t_now, self.nodes, self.rewards,
+                                      neighbors=neighbor_counts(alive))
+
     def test_registry_refresh(self):
-        self.ctl.sync(10.0, self.nodes, self.rewards)
+        self.sync(10.0)
         assert self.ctl.registry[1].position == (40.0, 50.0)
         assert self.ctl.registry[1].last_seen == 10.0
         assert 2 in self.ctl.registry
 
     def test_theta_is_membership_diameter(self):
-        self.ctl.sync(10.0, self.nodes, self.rewards)
+        self.sync(10.0)
         assert self.ctl.zone.theta == pytest.approx(30.0)
 
     def test_theta_falls_back_to_diagonal(self):
         del self.nodes[2]
         assign_zones(self.nodes, self.zones)
-        self.ctl.sync(10.0, self.nodes, self.rewards)
+        self.sync(10.0)
         assert self.ctl.zone.theta == pytest.approx(math.hypot(100.0, 100.0))
 
     def test_phi_and_av_rad(self):
-        self.ctl.sync(10.0, self.nodes, self.rewards)
+        self.sync(10.0)
         assert self.ctl.zone.av_rad == 40.0
         assert self.ctl.zone.phi == 1.0  # each sees the other
         assert self.ctl.zone.ng == 1.0
 
     def test_isolated_members_keep_previous_phi(self):
         self.nodes[2].position = (70.0, 50.0)
-        self.ctl.sync(10.0, self.nodes, self.rewards)
+        self.sync(10.0)
         assert self.ctl.zone.phi == 1.0
         # move them out of mutual range, same zone
         self.nodes[1].position = (5.0, 5.0)
         self.nodes[2].position = (95.0, 95.0)
         assign_zones(self.nodes, self.zones)
-        self.ctl.sync(20.0, self.nodes, self.rewards)
+        self.sync(20.0)
         assert self.ctl.zone.phi == 1.0
 
     def test_broadcast_charges_live_members_at_min_level(self):
-        charges = self.ctl.sync(10.0, self.nodes, self.rewards)
+        charges = self.sync(10.0)
         assert charges == [(1, 5.0), (2, 5.0)]
 
     def test_empty_zone_free_and_zero_reward(self):
         ctl = ZoneController(self.zones[4])
-        charges = ctl.sync(10.0, self.nodes, self.rewards)
+        charges = self.sync(10.0, ctl)
         assert charges == []
         assert ctl.zone.reward_ri == 0.0
 
     def test_ri_lazy_between_attempts(self):
         self.rewards[1].apply_action(15.0, 10.0)
-        self.ctl.sync(10.0, self.nodes, self.rewards)
+        self.sync(10.0)
         assert self.ctl.zone.reward_ri == 5.0
         # reward changed but no completion was noted and membership is stable
         self.rewards[1].apply_action(15.0, 10.0)
-        self.ctl.sync(20.0, self.nodes, self.rewards)
+        self.sync(20.0)
         assert self.ctl.zone.reward_ri == 5.0
         self.ctl.note_attempt_completed()
-        self.ctl.sync(30.0, self.nodes, self.rewards)
+        self.sync(30.0)
         assert self.ctl.zone.reward_ri == 10.0
 
     def test_membership_change_forces_recompute(self):
-        self.ctl.sync(10.0, self.nodes, self.rewards)
+        self.sync(10.0)
         self.nodes[2].position = (150.0, 50.0)
         assign_zones(self.nodes, self.zones)
         self.rewards[1].apply_action(15.0, 5.0)
-        self.ctl.sync(20.0, self.nodes, self.rewards)
+        self.sync(20.0)
         assert self.ctl.zone.reward_ri == 10.0
 
 

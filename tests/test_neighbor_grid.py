@@ -6,6 +6,7 @@ nodes exactly one reach apart across a cell border, radio ranges across
 10-40 m, zero and oversized route margins, dead nodes and dead sources.
 """
 
+import math
 import random
 import sys
 from pathlib import Path
@@ -15,8 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import oracle_neighbor_counts, oracle_route, oracle_route_links
 
-from rltrc import control
-from rltrc.control import ZoneController
+from rltrc.control import ZoneController, neighbor_counts
 from rltrc.engine import Simulator
 from rltrc.linkcache import CommCacheEntry
 from rltrc.scenarios import scenario
@@ -131,20 +131,43 @@ def test_discovery_stops_at_the_source(monkeypatch):
 
 
 @pytest.mark.parametrize("layout_seed", LAYOUTS)
-def test_sync_neighbor_counts_match_all_pairs_oracle(layout_seed, monkeypatch):
+def test_sync_neighbor_counts_match_all_pairs_oracle(layout_seed):
     rng = random.Random(layout_seed)
     sim = scattered_sim(rng)
-    members = set(rng.sample(sorted(sim.nodes), rng.randrange(1, NODES))) | {0}
-    neighbor_count = control._neighbor_count
-    counted = []
-
-    def recorded_count(node, alive):
-        got = neighbor_count(node, alive)
-        counted.append((node.id, got))
-        return got
-
-    monkeypatch.setattr(control, "_neighbor_count", recorded_count)
+    alive = [n for n in sim.nodes.values() if n.alive]
+    want = oracle_neighbor_counts(sim.nodes, [n.id for n in alive])
+    neighbors = neighbor_counts(alive)
+    assert neighbors == want
+    members = set(rng.sample([n.id for n in alive], rng.randrange(1, len(alive)))) | {0}
     zone = sim.zones[0]
     zone.member_nodes = members
-    ZoneController(zone).sync(0.0, sim.nodes, sim.reward_states)
-    assert sorted(counted) == sorted(oracle_neighbor_counts(sim.nodes, members).items())
+    ZoneController(zone).sync(0.0, sim.nodes, sim.reward_states, neighbors=neighbors)
+    assert zone.phi == math.fsum(want[m] for m in members) / len(members)
+    assert neighbor_counts([]) == {}
+
+
+@pytest.mark.parametrize("share", [0.5, 1.0])
+def test_sync_recounts_after_a_zone_state_death(share):
+    """A zone-0 member whose energy is at most its zone-state charge dies
+    mid-tick; zone 1, synced after it, no longer counts it as a neighbour.
+    With share 1.0 the charge is paid in full and still leaves it dead."""
+    cfg = scenario("lossless-pair", nodes=6, sessions=1, arena_width=90.0,
+                   arena_height=30.0, duration=0.0)
+    sim = Simulator(cfg)
+    spots = [(25.0, 15.0), (5.0, 15.0), (35.0, 15.0), (50.0, 15.0), (65.0, 15.0), (80.0, 15.0)]
+    for nid, pos in enumerate(spots):
+        sim.nodes[nid].position = pos
+    doomed = sim.nodes[0]
+    doomed.residual_energy = share * doomed.min_power * cfg.airtime
+    ids = sorted(sim.nodes)
+    before = oracle_neighbor_counts(sim.nodes, ids)
+
+    sim._on_controller_sync()
+
+    assert not doomed.alive
+    zone0, zone1 = sim.zones[0], sim.zones[1]
+    assert zone0.member_nodes == {0, 1} and zone1.member_nodes == {2, 3}
+    assert zone0.phi == math.fsum(before[m] for m in (0, 1)) / 2
+    after = oracle_neighbor_counts(sim.nodes, ids)
+    assert after[2] < before[2] and after[3] < before[3]
+    assert zone1.phi == math.fsum(after[m] for m in (2, 3)) / 2
