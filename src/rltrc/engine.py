@@ -1,8 +1,11 @@
 """Deterministic discrete-event simulator.
 
 One logical clock, one master RNG, a single heap ordered by (fire_time,
-sequence). All iteration over node or zone collections is in sorted order so
-equal (config, seed) pairs replay the exact same trace.
+sequence). Each heap entry is (fire_time, sequence, handler, args): the run
+loop calls `handler(*args)`, where handler is a `Simulator._on_<kind>`
+method bound when the event is pushed. All iteration over node or zone
+collections is in sorted order so equal (config, seed) pairs replay the
+exact same trace.
 
 World model: signals travel at the configured speed vs, so a data packet
 sent over a hop of length d arrives after d/(2 vs) and its acknowledgement
@@ -277,7 +280,7 @@ class Simulator:
         self.rng = Random(self.seed)
         self.t = 0.0
         self._seq = itertools.count()
-        self._events: list[tuple[float, int, str, dict]] = []
+        self._events: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._attempt_ids = itertools.count(1)
         self._pids = itertools.count(1)
         self.channel = Channel(self.seed, cfg.alpha_min, cfg.alpha_max, cfg.noise_spread)
@@ -286,6 +289,9 @@ class Simulator:
         # per-packet acked-hop investment still eligible for write-off;
         # zeroed when written off so waste can never exceed investment
         self.packet_invested: dict[int, tuple[float, float]] = {}
+        # per zone, the exploration rate rl-trc uses until the next sync; the
+        # sync at t = 0 is the first event, so it is set before any transmit
+        self.zone_sigma: list[float] = []
         self._build_world()
 
     # -- construction -------------------------------------------------------
@@ -369,22 +375,31 @@ class Simulator:
 
     # -- event machinery ----------------------------------------------------
 
-    def _push(self, t: float, kind: str, **payload) -> None:
-        heapq.heappush(self._events, (t, next(self._seq), kind, payload))
+    def _push(self, t: float, handler: Callable[..., None], *args) -> None:
+        """Queue `handler(*args)` at time t as the entry (t, seq, handler, args).
+
+        `handler` is an `_on_<kind>` method looked up on the instance at push
+        time, so a wrapper set on the class before then sees every event.
+        """
+        heapq.heappush(self._events, (t, next(self._seq), handler, args))
 
     def run(self) -> MetricsReport:
         cfg = self.cfg
         if cfg.duration > 0.0:
-            self._push(0.0, "controller-sync")
-            self._push(cfg.mobility_dt, "mobility-step")
+            self._push(0.0, self._on_controller_sync)
+            self._push(cfg.mobility_dt, self._on_mobility_step)
             if cfg.policy == "beacon-prr-like":
-                self._push(cfg.beacon_period, "beacon")
+                self._push(cfg.beacon_period, self._on_beacon)
             for sid in sorted(self.sessions):
-                self._push(self.rng.uniform(0.0, cfg.session_start_max), "session-start", sid=sid)
-            while self._events and self._events[0][0] <= cfg.duration:
-                t, _, kind, payload = heapq.heappop(self._events)
+                self._push(self.rng.uniform(0.0, cfg.session_start_max),
+                           self._on_session_start, sid)
+            events = self._events
+            pop = heapq.heappop
+            duration = cfg.duration
+            while events and events[0][0] <= duration:
+                t, _, handler, args = pop(events)
                 self.t = t
-                getattr(self, "_on_" + kind.replace("-", "_"))(**payload)
+                handler(*args)
         self.ledger.final_energy = {n: self.nodes[n].residual_energy for n in self.nodes}
         report = compute_metrics(self.ledger, policy=cfg.policy)
         if cfg.duration > 0.0:
@@ -414,6 +429,10 @@ class Simulator:
         nodes that measures each pair once. A zone-state charge can kill a
         member; the counts are then taken again before the next controller
         so that later zones do not count the dead node.
+
+        Sigma reads only a zone's reward and the network's cached reward, and
+        a sender's zone changes only in `assign_zones`; all three change only
+        here, so each zone's sigma is worked out once, at the end of the tick.
         """
         assign_zones(self.nodes, self.zones)
         airtime = self.cfg.airtime
@@ -431,26 +450,23 @@ class Simulator:
             if not all(self.nodes[m].alive for m, _ in charges):
                 neighbors = None
             self.global_registry.update(ctl.registry)
-        self.network.collect(self.t, self.zones)
-        self._push(self.t + self.cfg.t_sync, "controller-sync")
+        cached = self.network.collect(self.t, self.zones)
+        self.zone_sigma = [
+            policy.compute_sigma(SigmaInputs(z.reward_ri, cached)) for z in self.zones
+        ]
+        self._push(self.t + self.cfg.t_sync, self._on_controller_sync)
 
     def _on_mobility_step(self) -> None:
-        arena = (self.cfg.arena_width, self.cfg.arena_height)
+        cfg = self.cfg
+        model, dt, t_now, rng = cfg.mobility, cfg.mobility_dt, self.t, self.rng
+        arena = (cfg.arena_width, cfg.arena_height)
+        pause_max, accel = cfg.pause_max, cfg.gaussian_accel
+        nodes, states = self.nodes, self.mobility_states
         for nid in self.mobile_ids:
-            node = self.nodes[nid]
+            node = nodes[nid]
             if node.alive:
-                mobility_step(
-                    node,
-                    self.mobility_states[nid],
-                    self.cfg.mobility,
-                    self.cfg.mobility_dt,
-                    self.t,
-                    self.rng,
-                    arena,
-                    self.cfg.pause_max,
-                    self.cfg.gaussian_accel,
-                )
-        self._push(self.t + self.cfg.mobility_dt, "mobility-step")
+                mobility_step(node, states[nid], model, dt, t_now, rng, arena, pause_max, accel)
+        self._push(t_now + dt, self._on_mobility_step)
 
     def _on_beacon(self) -> None:
         airtime = self.cfg.airtime
@@ -458,7 +474,7 @@ class Simulator:
             node = self.nodes[nid]
             if node.alive:
                 self._debit(nid, node.min_power * airtime, "beacon", message=True)
-        self._push(self.t + self.cfg.beacon_period, "beacon")
+        self._push(self.t + self.cfg.beacon_period, self._on_beacon)
 
     # -- sessions and packets -----------------------------------------------
 
@@ -467,7 +483,7 @@ class Simulator:
         sn.started = True
         src = self.nodes[sn.src]
         sn.home_zone = zone_of(src.position, self.zones)
-        self._push(self.t, "packet-gen", sid=sid)
+        self._push(self.t, self._on_packet_gen, sid)
         self._request_route(sn, waste=None)
 
     def _on_packet_gen(self, sid: int) -> None:
@@ -481,19 +497,34 @@ class Simulator:
             self._fail_session(sn)
             return
         self.runtime[sn.src].queue.append(QueuedPacket(pid=pid, session=sid))
-        self._push(self.t + self.cfg.proc_delay, "send-attempt", node=sn.src)
+        self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, sn.src)
         gap = self._inter_arrival()
         if self.t + gap <= self.cfg.duration:
-            self._push(self.t + gap, "packet-gen", sid=sid)
+            self._push(self.t + gap, self._on_packet_gen, sid)
 
     def _inter_arrival(self) -> float:
+        """Bounded Poisson arrivals: exponential gaps with the band's mean,
+        redrawn until one lies in the band, or the mean after 1000 misses.
+
+        Each draw is `Random.expovariate`'s own, -log(1 - u) / lambd from one
+        `random()`, so the gaps and the generator state are those of calling
+        it. The gap lies in [lo, hi] only for u in [1 - e^(-lo lambd),
+        1 - e^(-hi lambd)], so the log is taken only for u in that window
+        widened by 1e-9 against rounding.
+        """
         cfg = self.cfg
-        mean = (cfg.inter_arrival_min + cfg.inter_arrival_max) / 2.0
-        # bounded Poisson arrivals: resample until inside the configured band
+        lo, hi = cfg.inter_arrival_min, cfg.inter_arrival_max
+        mean = (lo + hi) / 2.0
+        lambd = 1.0 / mean
+        u_lo = -math.expm1(-lo * lambd) - 1e-9
+        u_hi = -math.expm1(-hi * lambd) + 1e-9
+        random = self.rng.random
         for _ in range(1000):
-            g = self.rng.expovariate(1.0 / mean)
-            if cfg.inter_arrival_min <= g <= cfg.inter_arrival_max:
-                return g
+            u = random()
+            if u_lo <= u <= u_hi:
+                g = -math.log(1.0 - u) / lambd
+                if lo <= g <= hi:
+                    return g
         return mean
 
     # -- transmission -------------------------------------------------------
@@ -516,7 +547,7 @@ class Simulator:
         if not sn.live:
             rt.queue.pop(0)
             self._drop_packet(qp.pid, "session-failed")
-            self._push(self.t, "send-attempt", node=node)
+            self._push(self.t, self._on_send_attempt, node)
             return
         succ = sn.next_hop.get(node)
         if succ is None:
@@ -524,7 +555,7 @@ class Simulator:
                 return  # waiting for a route; install resolves this queue
             rt.queue.pop(0)
             self._drop_packet(qp.pid, "route-invalidated")
-            self._push(self.t, "send-attempt", node=node)
+            self._push(self.t, self._on_send_attempt, node)
             return
         entry = self.caches[node].setdefault(
             succ,
@@ -565,10 +596,9 @@ class Simulator:
         if not avail:
             self._link_failure(node, succ, entry, rt, qp, sn, immediate=True)
             return None
-        sigma = policy.compute_sigma(
-            SigmaInputs(self.zones[sender.zone_id].reward_ri, self.network.cached)
+        return policy.select_power_level(
+            avail, self.zone_sigma[sender.zone_id], entry.reliable, self.rng
         )
-        return policy.select_power_level(avail, sigma, entry.reliable, self.rng)
 
     def _select_baseline(
         self, node: int, succ: int, entry: CommCacheEntry, rt: NodeRuntime
@@ -617,20 +647,9 @@ class Simulator:
             rss = propagate(level, d, self.channel.alpha(node, succ),
                             cfg.noise_spread, self.rng)
             if receiver.alive and d <= sender.radio_range and rss >= receiver.min_rcv:
-                self._push(
-                    self.t + 0.5 * d / cfg.vs,
-                    "packet-arrival",
-                    node=succ,
-                    pid=qp.pid,
-                    sid=sn.id,
-                    sender=node,
-                    rss=rss,
-                    level=level,
-                    t_sent=self.t,
-                    dist=d,
-                    attempt_id=attempt_id,
-                )
-        self._push(self.t + cfg.tau_a, "ack-timeout", node=node, attempt_id=attempt_id)
+                self._push(self.t + 0.5 * d / cfg.vs, self._on_packet_arrival,
+                           succ, qp.pid, sn.id, node, rss, level, self.t, d, attempt_id)
+        self._push(self.t + cfg.tau_a, self._on_ack_timeout, node, attempt_id)
 
     def _ack_level(self, receiver_id: int, sender_id: int, data_level: float, data_rss: float) -> float:
         """Reverse-link level sized from the measured loss of the data just
@@ -666,16 +685,8 @@ class Simulator:
         ack_rss = propagate(ack_level, dist, self.channel.alpha(node, sender),
                             cfg.noise_spread, self.rng)
         if ack_rss >= self.nodes[sender].min_rcv and dist <= receiver.radio_range:
-            self._push(
-                t_sent + dist / cfg.vs,
-                "ack-arrival",
-                node=sender,
-                succ=node,
-                attempt_id=attempt_id,
-                t_sent=t_sent,
-                level=level,
-                rss=rss,
-            )
+            self._push(t_sent + dist / cfg.vs, self._on_ack_arrival,
+                       sender, node, attempt_id, t_sent, level, rss)
         rt = self.runtime[node]
         if pid in rt.seen:
             return
@@ -688,7 +699,7 @@ class Simulator:
             self.packet_invested.pop(pid, None)
             return
         rt.queue.append(QueuedPacket(pid=pid, session=sid))
-        self._push(self.t + cfg.proc_delay, "send-attempt", node=node)
+        self._push(self.t + cfg.proc_delay, self._on_send_attempt, node)
 
     def _on_ack_arrival(
         self, node: int, succ: int, attempt_id: int, t_sent: float, level: float, rss: float
@@ -722,7 +733,7 @@ class Simulator:
             rt.queue.pop(0)
         rt.turn = 1
         if rt.queue:
-            self._push(self.t + self.cfg.proc_delay, "send-attempt", node=node)
+            self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, node)
 
     def _on_ack_timeout(self, node: int, attempt_id: int) -> None:
         rt = self.runtime[node]
@@ -739,7 +750,7 @@ class Simulator:
             self.controllers[sender.zone_id].note_attempt_completed()
         if not rt.queue or rt.queue[0].pid != fl.pid:
             # the packet was withdrawn while the attempt was on the air
-            self._push(self.t, "send-attempt", node=node)
+            self._push(self.t, self._on_send_attempt, node)
             return
         qp = rt.queue[0]
         rt.turn += 1
@@ -748,14 +759,14 @@ class Simulator:
                 rt.turn, fl.action, self.cfg.tau_a, [], 0.0, 0.0, [], self.cfg.mx_atmpt
             )
             self._book_waste(sn.home_zone, we, wt)
-            self._push(self.t, "send-attempt", node=node)
+            self._push(self.t, self._on_send_attempt, node)
             return
         succ = sn.next_hop.get(node)
         entry = self.caches[node].get(succ) if succ is not None else None
         if succ is None or entry is None or not sn.live:
             rt.queue.pop(0)
             self._drop_packet(qp.pid, "route-invalidated")
-            self._push(self.t, "send-attempt", node=node)
+            self._push(self.t, self._on_send_attempt, node)
             return
         self._link_failure(node, succ, entry, rt, qp, sn, immediate=False,
                            last_action=fl.action)
@@ -823,17 +834,10 @@ class Simulator:
                                 "control", message=True)
             back_hops = idx
         self._teardown_route(sn)
-        self._push(
-            self.t + back_hops * cfg.t_hop,
-            "link-breakage",
-            sid=sn.id,
-            prev_e=prev_e,
-            prev_t=prev_t,
-            invested_e=inv_e,
-            invested_t=inv_t,
-        )
+        self._push(self.t + back_hops * cfg.t_hop, self._on_link_breakage,
+                   sn.id, prev_e, prev_t, inv_e, inv_t)
         if rt.queue:
-            self._push(self.t, "send-attempt", node=node)
+            self._push(self.t, self._on_send_attempt, node)
 
     def _teardown_route(self, sn: Session) -> None:
         """Queued packets stay put until the replacement route says whether
@@ -890,7 +894,7 @@ class Simulator:
             if self.nodes[relay].alive:
                 self._debit(relay, self.nodes[relay].max_power * cfg.airtime,
                             "control", message=True)
-        self._push(self.t + 2.0 * hops * cfg.t_hop, "route-reply", sid=sn.id, route=route)
+        self._push(self.t + 2.0 * hops * cfg.t_hop, self._on_route_reply, sn.id, route)
 
     def _alive_ids(self) -> list[int]:
         return [n for n in sorted(self.nodes) if self.nodes[n].alive]
@@ -1004,7 +1008,7 @@ class Simulator:
             if not any(q.session == sid for q in rt.queue):
                 continue
             if nid in on_path:
-                self._push(self.t + self.cfg.proc_delay, "send-attempt", node=nid)
+                self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, nid)
                 continue
             keep = []
             for q in rt.queue:
@@ -1015,7 +1019,7 @@ class Simulator:
                     keep.append(q)
             rt.queue = keep
             if rt.queue:
-                self._push(self.t + self.cfg.proc_delay, "send-attempt", node=nid)
+                self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, nid)
 
     def _fail_session(self, sn: Session) -> None:
         sn.live = False
@@ -1031,7 +1035,7 @@ class Simulator:
                 else:
                     keep.append(q)
             rt.queue = keep
-        self._push(self.t, "session-end", sid=sn.id)
+        self._push(self.t, self._on_session_end, sn.id)
 
     def _on_session_end(self, sid: int) -> None:
         sn = self.sessions[sid]

@@ -11,6 +11,7 @@ power-level set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -196,7 +197,7 @@ def available_levels(levels: tuple[float, ...], p_thres: float) -> tuple[float, 
     An empty result means no level can currently reach the successor; the
     caller must treat the link as unusable for this attempt.
     """
-    return tuple(p for p in levels if p > p_thres)
+    return levels[bisect_right(levels, p_thres):]
 
 
 def expected_link_end(radio_range: float, vel: float, t_ack2: float) -> float:

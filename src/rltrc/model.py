@@ -35,7 +35,6 @@ class NodeState:
     min_rcv: float = 1.0
     zone_id: int = 0
     is_peripheral: bool = False
-    velocity: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         levels = tuple(float(p) for p in self.power_levels)

@@ -9,7 +9,7 @@ cover the comparison runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 SIGMA_FLOOR = 0.001
@@ -81,41 +81,6 @@ def select_power_level(
     if rng.random() < 1.0 - sigma:
         return available[-1]
     return available[rng.randrange(len(available))]
-
-
-@dataclass
-class ArmStats:
-    """Pull counts and cumulative payouts for a bank of arms."""
-
-    pulls: list[int] = field(default_factory=list)
-    payouts: list[float] = field(default_factory=list)
-
-    @classmethod
-    def for_arms(cls, n: int) -> "ArmStats":
-        return cls(pulls=[0] * n, payouts=[0.0] * n)
-
-    def record(self, arm: int, payout: float) -> None:
-        self.pulls[arm] += 1
-        self.payouts[arm] += payout
-
-    def average(self, arm: int) -> float:
-        if self.pulls[arm] == 0:
-            raise ValueError("arm %d has no pulls" % arm)
-        return self.payouts[arm] / self.pulls[arm]
-
-
-def greedy_arm(stats: ArmStats) -> int:
-    """Arm with the best average payout; unpulled arms first, ties go low."""
-    if not stats.pulls:
-        raise ValueError("no arms")
-    for i, n in enumerate(stats.pulls):
-        if n == 0:
-            return i
-    best = 0
-    for i in range(1, len(stats.pulls)):
-        if stats.average(i) > stats.average(best):
-            best = i
-    return best
 
 
 @dataclass

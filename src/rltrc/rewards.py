@@ -136,11 +136,10 @@ def transmission_waste(
 
 @dataclass
 class WasteLedger:
-    """Per-zone cumulative waste plus the raw rows that produced it."""
+    """Per-zone cumulative waste."""
 
     ew: dict[int, float] = field(default_factory=dict)
     et: dict[int, float] = field(default_factory=dict)
-    contributions: list[tuple[int, float, float]] = field(default_factory=list)
 
     def zone_totals(self, zone_id: int) -> tuple[float, float]:
         return self.ew.get(zone_id, 0.0), self.et.get(zone_id, 0.0)
@@ -157,7 +156,6 @@ def accumulate_zone_waste(
             raise ValueError("negative waste entry")
         ledger.ew[zone_id] = ledger.ew.get(zone_id, 0.0) + wst_energ
         ledger.et[zone_id] = ledger.et.get(zone_id, 0.0) + wst_tme
-        ledger.contributions.append((zone_id, wst_energ, wst_tme))
     return ledger
 
 
@@ -187,7 +185,6 @@ class NodeRewardState:
 
     self_reward: float = 0.0
     successor_rewards: dict[int, float] = field(default_factory=dict)
-    last_action: float = 0.0
 
     def total(self) -> float:
         """Node input to the zone reward: self-reward plus successor grades."""
@@ -195,7 +192,6 @@ class NodeRewardState:
 
     def apply_action(self, p_max: float, action: float) -> None:
         self.self_reward = node_self_reward(self.self_reward, p_max, action)
-        self.last_action = action
 
     def apply_ack(self, successor_id: int, prr: float, rss_over_tpl: float, trend: int) -> None:
         self.successor_rewards[successor_id] = successor_reward_ack(prr, rss_over_tpl, trend)

@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import oracle_energy_totals, oracle_shortest_path, oracle_waste_fraction
 
+from rltrc import policy
 from rltrc.config import ScenarioConfig
 from rltrc.control import BroadcastCircle
 from rltrc.engine import (
@@ -22,6 +23,7 @@ from rltrc.engine import (
 from rltrc.linkcache import CommCacheEntry
 from rltrc.metrics import render_csv
 from rltrc.model import NodeState
+from rltrc.policy import SigmaInputs, compute_sigma
 from rltrc.scenarios import scenario
 
 
@@ -231,6 +233,92 @@ class TestDiscovery:
         # corridor limited to zone 0: zone-members 0,1 plus node 3 via the circle
         scope = sim._flood_scope(0, circle, (0,))
         assert scope == [0, 1, 3]
+
+
+def rejection_gap(rng, lo, hi):
+    """Bounded Poisson gap by redrawing `expovariate` until it is in band."""
+    mean = (lo + hi) / 2.0
+    for _ in range(1000):
+        g = rng.expovariate(1.0 / mean)
+        if lo <= g <= hi:
+            return g
+    return mean
+
+
+class ScriptedRandom(random.Random):
+    """A generator whose `random()` returns the given draws in order."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+class TestInterArrival:
+    @pytest.mark.parametrize("lo, hi", [(1.15, 1.3), (0.05, 0.2), (1.2, 1.2)])
+    def test_same_gaps_and_generator_state_as_rejection_loop(self, lo, hi):
+        # (1.2, 1.2) is a band no draw hits, so every gap is the mean
+        sim = Simulator(scenario("desk-compare", inter_arrival_min=lo, inter_arrival_max=hi))
+        for seed in range(200):
+            sim.rng = random.Random(seed)
+            want_rng = random.Random(seed)
+            for _ in range(3):
+                assert sim._inter_arrival() == rejection_gap(want_rng, lo, hi)
+                assert sim.rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("lo, hi", [(1.15, 1.3), (0.05, 0.2)])
+    def test_band_edges_decided_as_by_expovariate(self, lo, hi):
+        # draws a few steps of random()'s 2**-53 grid either side of the u
+        # at each band edge: accepted or redrawn exactly as the old loop does
+        sim = Simulator(scenario("desk-compare", inter_arrival_min=lo, inter_arrival_max=hi))
+        lambd = 1.0 / ((lo + hi) / 2.0)
+        inside = 1.0 - math.exp(-1.0)  # the u whose gap is the mean
+        outcomes = set()
+        for edge in (lo, hi):
+            step = round((1.0 - math.exp(-edge * lambd)) * 2**53)
+            for k in range(-40, 41):
+                sim.rng = ScriptedRandom([(step + k) / 2**53, inside])
+                want_rng = ScriptedRandom([(step + k) / 2**53, inside])
+                got = sim._inter_arrival()
+                assert got == rejection_gap(want_rng, lo, hi)
+                assert sim.rng.draws == want_rng.draws
+                outcomes.add(len(want_rng.draws))
+        assert outcomes == {0, 1}  # both sides of an edge were drawn
+
+    def test_inline_formula_is_expovariate(self):
+        # the gap formula is copied from Random.expovariate; pin that it
+        # still is on the running Python
+        for seed in range(200):
+            for lambd in (1.0 / 1.225, 1.0 / 0.125, 1.0 / 1.2, 3.5):
+                u = random.Random(seed).random()
+                assert random.Random(seed).expovariate(lambd) == -math.log(1.0 - u) / lambd
+
+
+def test_sigma_per_tick_equals_sigma_recomputed_at_each_decision(monkeypatch):
+    sim = Simulator(scenario("desk-converge"))
+    senders = []
+    select_rltrc = sim._select_rltrc
+
+    def tracked(node, *args):
+        senders.append(node)
+        return select_rltrc(node, *args)
+
+    select = policy.select_power_level
+    used = []
+
+    def checked(available, sigma, reliable, rng):
+        zone = sim.zones[sim.nodes[senders[-1]].zone_id]
+        used.append((sigma, compute_sigma(SigmaInputs(zone.reward_ri, sim.network.cached))))
+        return select(available, sigma, reliable, rng)
+
+    sim._select_rltrc = tracked
+    monkeypatch.setattr(policy, "select_power_level", checked)
+    sim.run()
+    assert len(used) > 1000
+    assert len({want for _, want in used}) > 1
+    assert all(got == want for got, want in used)
 
 
 class TestEndToEnd:

@@ -1,4 +1,5 @@
 import math
+import math
 import random
 
 import pytest
@@ -212,6 +213,18 @@ class TestAvailableLevels:
         for _ in range(200):
             got = available_levels(levels, rng.uniform(-5.0, 25.0))
             assert got == levels[len(levels) - len(got):]
+
+    def test_matches_strict_filter(self):
+        # the suffix is cut by bisection; it must be the levels strictly
+        # above the threshold, on exact ties, infinities and NaN alike
+        rng = random.Random(23)
+        for _ in range(500):
+            levels = tuple(sorted(round(rng.uniform(1.0, 30.0), rng.choice((0, 1, 6)))
+                                  for _ in range(rng.randint(0, 8))))
+            thresholds = [rng.uniform(-5.0, 35.0), math.inf, -math.inf, math.nan]
+            thresholds += levels
+            for t in thresholds:
+                assert available_levels(levels, t) == tuple(p for p in levels if p > t)
 
 
 class TestLinkEnd:

@@ -3,13 +3,11 @@ import random
 import pytest
 
 from rltrc.policy import (
-    ArmStats,
     LinkSnapshot,
     SigmaInputs,
     UnusableLinkError,
     baseline_decide,
     compute_sigma,
-    greedy_arm,
     select_power_level,
 )
 
@@ -78,46 +76,6 @@ class TestSelectPowerLevel:
         assert counts[14.0] / n == pytest.approx(0.85, abs=0.005)
         for lvl in levels[:-1]:
             assert counts[lvl] / n == pytest.approx(0.05, abs=0.005)
-
-
-class TestGreedyArm:
-    def test_worked_example(self):
-        st = ArmStats(pulls=[3, 4, 3], payouts=[12.0, 10.0, 9.0])
-        assert greedy_arm(st) == 0
-
-    def test_unpulled_arm_first(self):
-        st = ArmStats(pulls=[2, 0, 1], payouts=[10.0, 0.0, 9.0])
-        assert greedy_arm(st) == 1
-
-    def test_tie_breaks_low(self):
-        st = ArmStats(pulls=[2, 1], payouts=[6.0, 3.0])
-        assert greedy_arm(st) == 0
-
-    def test_single_arm(self):
-        assert greedy_arm(ArmStats(pulls=[5], payouts=[1.0])) == 0
-
-    def test_scale_invariance(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            n = rng.randint(2, 6)
-            st = ArmStats(
-                pulls=[rng.randint(1, 9) for _ in range(n)],
-                payouts=[rng.uniform(0.1, 20.0) for _ in range(n)],
-            )
-            scaled = ArmStats(pulls=list(st.pulls), payouts=[3.7 * p for p in st.payouts])
-            assert greedy_arm(st) == greedy_arm(scaled)
-
-    def test_record_and_average(self):
-        st = ArmStats.for_arms(2)
-        st.record(0, 4.0)
-        st.record(0, 2.0)
-        assert st.average(0) == 3.0
-        with pytest.raises(ValueError):
-            st.average(1)
-
-    def test_no_arms(self):
-        with pytest.raises(ValueError):
-            greedy_arm(ArmStats())
 
 
 def snap(**kw):

@@ -263,7 +263,6 @@ class TestNodeRewardState:
         st = NodeRewardState()
         st.apply_action(25.0, 20.0)
         assert st.self_reward == 5.0
-        assert st.last_action == 20.0
         st.apply_action(25.0, 25.0)
         assert st.self_reward == 5.0
 

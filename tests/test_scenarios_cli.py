@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from bless_golden import GOLDEN_DIR, trace
+from bless_golden import GOLDEN_DIR, GOLDEN_TRACES, trace
 
 from rltrc.cli import main
 from rltrc.config import ScenarioConfig
@@ -45,14 +45,18 @@ class TestScenarioSuite:
 
 
 class TestGoldenTraces:
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_digest_matches_blessed_file(self, name):
-        path = GOLDEN_DIR / ("%s-seed1.json" % name)
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_TRACES))
+    def test_digest_matches_blessed_file(self, golden):
+        # besides the canned scenarios, desk-compare under the policies,
+        # mobility models and noise no canned scenario runs; beacon-prr-like
+        # is the only policy with beacons
+        name, overrides = GOLDEN_TRACES[golden]
+        path = GOLDEN_DIR / ("%s-seed1.json" % golden)
         want = json.loads(path.read_text(encoding="utf-8"))
-        got = trace(name, seed=want["seed"])
+        got = trace(name, seed=want["seed"], **overrides)
         assert got == want, (
             "behavior changed for %s; rerun tests/bless_golden.py only if intended"
-            % name
+            % golden
         )
 
 
