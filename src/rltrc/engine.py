@@ -48,7 +48,6 @@ from .model import (
     NodeGrid,
     NodeState,
     Point,
-    SessionRecord,
     ZoneState,
     distance,
     make_zones,
@@ -237,30 +236,24 @@ class QueuedPacket:
 
 
 @dataclass
-class InFlight:
-    """The one attempt a node may have on the air."""
-
-    attempt_id: int
-    pid: int
-    session: int
-    successor: int
-    action: float             # power units booked, 0 when blocked
-    t_sent: float
-    row: AttemptRow
-
-
-@dataclass
 class NodeRuntime:
     queue: list[QueuedPacket] = field(default_factory=list)
     turn: int = 1
     turn_pid: int = -1                # packet the turn counter belongs to
-    inflight: InFlight | None = None
+    inflight: AttemptRow | None = None   # the one attempt a node may have on the air
     levels_used: dict[int, float] = field(default_factory=dict)  # successor -> last level
     seen: set[int] = field(default_factory=set)
 
 
 @dataclass
-class Session(SessionRecord):
+class Session:
+    """A data session between two nodes with its currently installed route."""
+
+    id: int
+    src: int
+    dst: int
+    route: tuple[int, ...] | None = None
+    live: bool = True
     home_zone: int = 0
     started: bool = False
     discovering: bool = False
@@ -281,7 +274,6 @@ class Simulator:
         self.t = 0.0
         self._seq = itertools.count()
         self._events: list[tuple[float, int, Callable[..., None], tuple]] = []
-        self._attempt_ids = itertools.count(1)
         self._pids = itertools.count(1)
         self.channel = Channel(self.seed, cfg.alpha_min, cfg.alpha_max, cfg.noise_spread)
         self.ledger = MetricsLedger(duration=cfg.duration)
@@ -557,11 +549,7 @@ class Simulator:
             self._drop_packet(qp.pid, "route-invalidated")
             self._push(self.t, self._on_send_attempt, node)
             return
-        entry = self.caches[node].setdefault(
-            succ,
-            CommCacheEntry(successor_id=succ, sig_atn=self.cfg.prior_sig_atn,
-                           timestamp_begin=self.t),
-        )
+        entry = self.caches[node][succ]  # made by the route reply that set next_hop
         if self.cfg.policy == "rl-trc":
             level = self._select_rltrc(node, succ, entry, rt, qp, sn)
             if level is None:
@@ -630,13 +618,12 @@ class Simulator:
     ) -> None:
         cfg = self.cfg
         sender = self.nodes[node]
-        attempt_id = next(self._attempt_ids)
         sent = self._debit(node, level * cfg.airtime, "tx", message=True)
         action = level if sent else 0.0
         row = AttemptRow(self.t, qp.pid, sn.id, node, succ, rt.turn, action,
                          "pending" if sent else "blocked")
         self.ledger.attempts.append(row)
-        rt.inflight = InFlight(attempt_id, qp.pid, sn.id, succ, action, self.t, row)
+        rt.inflight = row
         self.ledger.packets[qp.pid].attempts += 1
         if sent:
             # self-reward accrues per action actually transmitted
@@ -647,9 +634,8 @@ class Simulator:
             rss = propagate(level, d, self.channel.alpha(node, succ),
                             cfg.noise_spread, self.rng)
             if receiver.alive and d <= sender.radio_range and rss >= receiver.min_rcv:
-                self._push(self.t + 0.5 * d / cfg.vs, self._on_packet_arrival,
-                           succ, qp.pid, sn.id, node, rss, level, self.t, d, attempt_id)
-        self._push(self.t + cfg.tau_a, self._on_ack_timeout, node, attempt_id)
+                self._push(self.t + 0.5 * d / cfg.vs, self._on_packet_arrival, row, rss, d)
+        self._push(self.t + cfg.tau_a, self._on_ack_timeout, row)
 
     def _ack_level(self, receiver_id: int, sender_id: int, data_level: float, data_rss: float) -> float:
         """Reverse-link level sized from the measured loss of the data just
@@ -660,19 +646,11 @@ class Simulator:
         avail = linkcache.available_levels(receiver.power_levels, thres)
         return avail[0] if avail else receiver.max_power
 
-    def _on_packet_arrival(
-        self,
-        node: int,
-        pid: int,
-        sid: int,
-        sender: int,
-        rss: float,
-        level: float,
-        t_sent: float,
-        dist: float,
-        attempt_id: int,
-    ) -> None:
+    def _on_packet_arrival(self, row: AttemptRow, rss: float, dist: float) -> None:
+        """Data of `row` reaches its successor; only sent rows are queued
+        here, so `row.action` is the level it went out at."""
         cfg = self.cfg
+        node, sender, pid = row.successor, row.node, row.pid
         receiver = self.nodes[node]
         if not receiver.alive:
             return
@@ -680,41 +658,38 @@ class Simulator:
         if not self._debit(node, rx_cost, "rx", message=False):
             return
         # acknowledgement back across the same hop, lossy like any signal
-        ack_level = self._ack_level(node, sender, level, rss)
+        ack_level = self._ack_level(node, sender, row.action, rss)
         self.ledger.count_message()
         ack_rss = propagate(ack_level, dist, self.channel.alpha(node, sender),
                             cfg.noise_spread, self.rng)
         if ack_rss >= self.nodes[sender].min_rcv and dist <= receiver.radio_range:
-            self._push(t_sent + dist / cfg.vs, self._on_ack_arrival,
-                       sender, node, attempt_id, t_sent, level, rss)
+            self._push(row.t + dist / cfg.vs, self._on_ack_arrival, row, rss)
         rt = self.runtime[node]
         if pid in rt.seen:
             return
         rt.seen.add(pid)
-        sn = self.sessions[sid]
+        sn = self.sessions[row.session]
         stat = self.ledger.packets[pid]
         if node == sn.dst:
             stat.status = "delivered"
             stat.delivered_at = self.t
             self.packet_invested.pop(pid, None)
             return
-        rt.queue.append(QueuedPacket(pid=pid, session=sid))
+        rt.queue.append(QueuedPacket(pid=pid, session=row.session))
         self._push(self.t + cfg.proc_delay, self._on_send_attempt, node)
 
-    def _on_ack_arrival(
-        self, node: int, succ: int, attempt_id: int, t_sent: float, level: float, rss: float
-    ) -> None:
+    def _on_ack_arrival(self, row: AttemptRow, rss: float) -> None:
+        node, succ = row.node, row.successor
         rt = self.runtime[node]
-        fl = rt.inflight
-        if fl is None or fl.attempt_id != attempt_id:
-            return
+        if rt.inflight is not row:
+            return  # the attempt timed out first
         rt.inflight = None
-        fl.row.outcome = "ack"
+        row.outcome = "ack"
         sender = self.nodes[node]
         entry = self.caches[node][succ]
         linkcache.record_ack(
             entry,
-            PacketRecord(t_msg=t_sent, t_ack=self.t, tx_power=level, rss=rss),
+            PacketRecord(t_msg=row.t, t_ack=self.t, tx_power=row.action, rss=rss),
             self.cfg.vs,
             sender.radio_range,
         )
@@ -724,31 +699,31 @@ class Simulator:
             )
         if sender.alive:
             self.controllers[sender.zone_id].note_attempt_completed()
-        sn = self.sessions[fl.session]
-        rtt = self.t - t_sent
-        self.ledger.record_invest(self.t, sn.home_zone, fl.action, rtt)
-        inv_e, inv_t = self.packet_invested.get(fl.pid, (0.0, 0.0))
-        self.packet_invested[fl.pid] = (inv_e + fl.action, inv_t + rtt)
-        if rt.queue and rt.queue[0].pid == fl.pid:
+        sn = self.sessions[row.session]
+        rtt = self.t - row.t
+        self.ledger.record_invest(self.t, sn.home_zone, row.action, rtt)
+        inv_e, inv_t = self.packet_invested.get(row.pid, (0.0, 0.0))
+        self.packet_invested[row.pid] = (inv_e + row.action, inv_t + rtt)
+        if rt.queue and rt.queue[0].pid == row.pid:
             rt.queue.pop(0)
         rt.turn = 1
         if rt.queue:
             self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, node)
 
-    def _on_ack_timeout(self, node: int, attempt_id: int) -> None:
+    def _on_ack_timeout(self, row: AttemptRow) -> None:
+        node = row.node
         rt = self.runtime[node]
-        fl = rt.inflight
-        if fl is None or fl.attempt_id != attempt_id:
-            return
+        if rt.inflight is not row:
+            return  # the attempt was acknowledged first
         rt.inflight = None
-        if fl.row.outcome == "pending":
-            fl.row.outcome = "timeout"
-        sn = self.sessions[fl.session]
-        self.ledger.record_invest(self.t, sn.home_zone, fl.action, self.cfg.tau_a)
+        if row.outcome == "pending":
+            row.outcome = "timeout"
+        sn = self.sessions[row.session]
+        self.ledger.record_invest(self.t, sn.home_zone, row.action, self.cfg.tau_a)
         sender = self.nodes[node]
         if sender.alive:
             self.controllers[sender.zone_id].note_attempt_completed()
-        if not rt.queue or rt.queue[0].pid != fl.pid:
+        if not rt.queue or rt.queue[0].pid != row.pid:
             # the packet was withdrawn while the attempt was on the air
             self._push(self.t, self._on_send_attempt, node)
             return
@@ -756,20 +731,19 @@ class Simulator:
         rt.turn += 1
         if rt.turn <= self.cfg.mx_atmpt:
             we, wt = rewards.transmission_waste(
-                rt.turn, fl.action, self.cfg.tau_a, [], 0.0, 0.0, [], self.cfg.mx_atmpt
+                rt.turn, row.action, self.cfg.tau_a, [], 0.0, 0.0, [], self.cfg.mx_atmpt
             )
             self._book_waste(sn.home_zone, we, wt)
             self._push(self.t, self._on_send_attempt, node)
             return
         succ = sn.next_hop.get(node)
-        entry = self.caches[node].get(succ) if succ is not None else None
-        if succ is None or entry is None or not sn.live:
+        if succ is None or not sn.live:
             rt.queue.pop(0)
             self._drop_packet(qp.pid, "route-invalidated")
             self._push(self.t, self._on_send_attempt, node)
             return
-        self._link_failure(node, succ, entry, rt, qp, sn, immediate=False,
-                           last_action=fl.action)
+        self._link_failure(node, succ, self.caches[node][succ], rt, qp, sn, immediate=False,
+                           last_action=row.action)
 
     # -- failure / discovery ------------------------------------------------
 
@@ -997,9 +971,7 @@ class Simulator:
         sn.next_hop = {route[i]: route[i + 1] for i in range(len(route) - 1)}
         for i in range(len(route) - 1):
             u, v = route[i], route[i + 1]
-            entry = self.caches[u].setdefault(
-                v, CommCacheEntry(successor_id=v, sig_atn=self.cfg.prior_sig_atn)
-            )
+            entry = self.caches[u].setdefault(v, CommCacheEntry(sig_atn=self.cfg.prior_sig_atn))
             linkcache.new_episode(entry, self.t)
         # forwarders still on the path resume; stranded holders give up
         on_path = set(route[:-1])

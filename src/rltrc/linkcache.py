@@ -48,7 +48,6 @@ class PacketRecord:
 
 @dataclass
 class CommCacheEntry:
-    successor_id: int
     sig_atn: float                      # power units per meter; starts at the scenario prior
     packets_tx: int = 0
     packets_rx: int = 0
@@ -57,7 +56,6 @@ class CommCacheEntry:
     recent_trend: int = 0               # -1 receding, 0 unknown, +1 approaching
     approx_velocity: float = 0.0
     timestamp_begin: float = 0.0
-    timestamp_end: float | None = None
     expected_timestamp_end: float = math.inf
     last_two: list[PacketRecord] = field(default_factory=list)
     reliable: bool = True
@@ -211,14 +209,13 @@ def expected_link_end(radio_range: float, vel: float, t_ack2: float) -> float:
 
 
 def mark_reliability(entry: CommCacheEntry, actual_break_time: float) -> CommCacheEntry:
-    """Record a link break and grade the link against its predicted lifetime.
+    """Grade a link that broke at `actual_break_time` against its predicted lifetime.
 
     The link is unreliable exactly when it broke strictly before the
     predicted end (breaks at or after the prediction are honest); against the
     +inf sentinel every break is early. The trend resets to unknown.
     """
     entry.reliable = actual_break_time >= entry.expected_timestamp_end
-    entry.timestamp_end = actual_break_time
     entry.recent_trend = 0
     return entry
 
@@ -231,7 +228,6 @@ def new_episode(entry: CommCacheEntry, t_now: float) -> CommCacheEntry:
     long idle gap would keep predict_displacement above 2R forever.
     """
     entry.timestamp_begin = t_now
-    entry.timestamp_end = None
     entry.expected_timestamp_end = math.inf
     entry.approx_velocity = 0.0
     entry.recent_trend = 0

@@ -26,7 +26,14 @@ class PacketStat:
 
 @dataclass
 class AttemptRow:
-    """One hop attempt, logged so waste can be recomputed independently."""
+    """One hop attempt: its ledger row, the sender's in-flight handle while
+    on the air, and the payload of its arrival, ack and timeout events.
+
+    A sent row starts `pending` and becomes `ack` or `timeout`, whichever
+    event reaches the sender first; one whose debit could not be paid is
+    `blocked` and stays so. A row still `pending` at the end of the run had
+    its timeout fall past the duration.
+    """
 
     t: float
     pid: int
@@ -35,7 +42,7 @@ class AttemptRow:
     successor: int
     turn: int
     action: float             # power level actually paid for, 0 when blocked
-    outcome: str              # ack | timeout | blocked | dropped
+    outcome: str              # pending | ack | timeout | blocked
 
 
 @dataclass
@@ -130,12 +137,7 @@ def windowed_waste_series(
     """
     if window_len <= 0.0:
         raise ValueError("window_len must be positive")
-    horizon = ledger.duration
-    if horizon <= 0.0:
-        horizon = max(
-            [r[0] for r in ledger.waste_rows] + [r[0] for r in ledger.invest_rows] + [0.0]
-        )
-    n_windows = max(1, math.ceil(horizon / window_len - 1e-12))
+    n_windows = max(1, math.ceil(ledger.duration / window_len - 1e-12))
     waste_e = [0.0] * n_windows
     waste_t = [0.0] * n_windows
     invest_e = [0.0] * n_windows

@@ -161,14 +161,3 @@ def zone_of(point: Point, zones: list[ZoneState]) -> int:
         if z.contains(point):
             return z.id
     raise ValueError("point %r lies outside the arena" % (point,))
-
-
-@dataclass
-class SessionRecord:
-    """A data session between two nodes with its currently installed route."""
-
-    id: int
-    src: int
-    dst: int
-    route: tuple[int, ...] | None = None
-    live: bool = True

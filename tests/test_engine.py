@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import sys
@@ -186,13 +187,13 @@ class TestDiscovery:
             5,
             [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0), (60.0, 0.0), (20.0, 15.0)],
         )
-        sim.caches[0][1] = CommCacheEntry(successor_id=1, sig_atn=0.14, reliable=False)
+        sim.caches[0][1] = CommCacheEntry(sig_atn=0.14, reliable=False)
         route = sim._discover_route(0, 3, [0, 1, 2, 3, 4])
         assert route == (0, 4, 2, 3)
 
     def test_unreliable_link_used_as_last_resort(self):
         sim = discovery_sim(4, [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0), (60.0, 0.0)])
-        sim.caches[0][1] = CommCacheEntry(successor_id=1, sig_atn=0.14, reliable=False)
+        sim.caches[0][1] = CommCacheEntry(sig_atn=0.14, reliable=False)
         assert sim._discover_route(0, 3, [0, 1, 2, 3]) == (0, 1, 2, 3)
 
     def test_dead_nodes_excluded(self):
@@ -319,6 +320,47 @@ def test_sigma_per_tick_equals_sigma_recomputed_at_each_decision(monkeypatch):
     assert len(used) > 1000
     assert len({want for _, want in used}) > 1
     assert all(got == want for got, want in used)
+
+
+class TestAttemptRows:
+    @pytest.mark.parametrize("name", ["lossless-pair", "desk-compare", "desk-converge"])
+    def test_lifecycle(self, name):
+        cfg = scenario(name)
+        sim = Simulator(cfg, seed=1)
+        sim.run()
+        led = sim.ledger
+        assert led.attempts
+        assert len(led.attempts) == sum(p.attempts for p in led.packets.values())
+        for row in led.attempts:
+            assert row.outcome in ("ack", "timeout", "blocked", "pending")
+            assert (row.outcome == "blocked") == (row.action == 0.0)
+            if row.outcome == "ack":
+                assert row.action > 0.0
+            if row.outcome == "pending":
+                assert row.t + cfg.tau_a > cfg.duration
+
+    def test_ack_after_timeout_is_ignored(self):
+        sim = Simulator(scenario("lossless-pair"), seed=1)
+        on_ack = sim._on_ack_arrival
+        raced = []
+
+        def timeout_first(row, rss):
+            if raced:
+                return on_ack(row, rss)
+            sim._on_ack_timeout(row)
+            assert row.outcome == "timeout"
+            before = copy.deepcopy(
+                (sim.caches, sim.reward_states, sim.ledger.invest_rows, sim.packet_invested)
+            )
+            on_ack(row, rss)
+            raced.append(row)
+            assert row.outcome == "timeout"
+            assert (sim.caches, sim.reward_states, sim.ledger.invest_rows,
+                    sim.packet_invested) == before
+
+        sim._on_ack_arrival = timeout_first
+        sim.run()
+        assert raced
 
 
 class TestEndToEnd:

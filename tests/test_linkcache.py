@@ -34,7 +34,7 @@ def rec(t_msg, t_ack, pwr, rss, avg=None):
 
 class TestCacheCounters:
     def test_fresh_entry_single_ack(self):
-        e = CommCacheEntry(successor_id=7, sig_atn=1.0)
+        e = CommCacheEntry(sig_atn=1.0)
         record_tx(e)
         record_ack(e, rec(0.0, 1.0, 10.0, 8.0), vs=1.0, radio_range=10.0)
         assert e.prr == 1.0
@@ -43,7 +43,7 @@ class TestCacheCounters:
         assert e.avg_tpl == 10.0
 
     def test_prr_counts(self):
-        e = CommCacheEntry(successor_id=7, sig_atn=1.0)
+        e = CommCacheEntry(sig_atn=1.0)
         for _ in range(10):
             record_tx(e)
         for i in range(3):
@@ -51,12 +51,12 @@ class TestCacheCounters:
         assert e.prr == pytest.approx(0.3)
 
     def test_prr_is_one_before_any_tx(self):
-        e = CommCacheEntry(successor_id=7, sig_atn=1.0)
+        e = CommCacheEntry(sig_atn=1.0)
         assert e.prr == 1.0
         assert e.rss_over_tpl == 1.0
 
     def test_equal_rtt_equal_rss_trend_positive(self):
-        e = CommCacheEntry(successor_id=7, sig_atn=1.0)
+        e = CommCacheEntry(sig_atn=1.0)
         record_tx(e)
         record_ack(e, rec(0.0, 1.0, 10.0, 8.0), vs=1.0, radio_range=10.0)
         record_tx(e)
@@ -64,18 +64,18 @@ class TestCacheCounters:
         assert e.recent_trend == 1
 
     def test_malformed_ack(self):
-        e = CommCacheEntry(successor_id=7, sig_atn=1.0)
+        e = CommCacheEntry(sig_atn=1.0)
         with pytest.raises(MalformedAckError):
             record_ack(e, rec(0.0, 1.0, 10.0, 11.0), vs=1.0, radio_range=10.0)
 
     def test_ack_before_send(self):
-        e = CommCacheEntry(successor_id=7, sig_atn=1.0)
+        e = CommCacheEntry(sig_atn=1.0)
         with pytest.raises(ValueError):
             record_ack(e, rec(1.0, 1.0, 10.0, 8.0), vs=1.0, radio_range=10.0)
 
     def test_invariants_over_random_stream(self):
         rng = random.Random(1234)
-        e = CommCacheEntry(successor_id=7, sig_atn=1.0)
+        e = CommCacheEntry(sig_atn=1.0)
         for _ in range(500):
             record_tx(e)
             if rng.random() < 0.7:
@@ -244,26 +244,25 @@ class TestLinkEnd:
 
 class TestReliability:
     def test_early_break_unreliable(self):
-        e = CommCacheEntry(successor_id=1, sig_atn=1.0, expected_timestamp_end=110.0)
+        e = CommCacheEntry(sig_atn=1.0, expected_timestamp_end=110.0)
         mark_reliability(e, 105.0)
         assert not e.reliable
-        assert e.timestamp_end == 105.0
         assert e.recent_trend == 0
 
     def test_on_time_break_reliable(self):
-        e = CommCacheEntry(successor_id=1, sig_atn=1.0, expected_timestamp_end=110.0)
+        e = CommCacheEntry(sig_atn=1.0, expected_timestamp_end=110.0)
         mark_reliability(e, 110.0)
         assert e.reliable
 
     def test_infinite_prediction_breaks_unreliable(self):
-        e = CommCacheEntry(successor_id=1, sig_atn=1.0)
+        e = CommCacheEntry(sig_atn=1.0)
         assert e.expected_timestamp_end == math.inf
         mark_reliability(e, 1e9)
         assert not e.reliable
 
 
 def test_new_episode_resets_motion_state_only():
-    e = CommCacheEntry(successor_id=1, sig_atn=2.5)
+    e = CommCacheEntry(sig_atn=2.5)
     record_tx(e)
     record_ack(e, rec(0.0, 1.0, 10.0, 8.0), vs=1.0, radio_range=10.0)
     record_tx(e)
@@ -275,7 +274,6 @@ def test_new_episode_resets_motion_state_only():
     assert e.approx_velocity == 0.0
     assert e.expected_timestamp_end == math.inf
     assert e.timestamp_begin == 50.0
-    assert e.timestamp_end is None
     # history that should persist
     assert e.packets_tx == 2 and e.packets_rx == 2
     assert not e.reliable
@@ -283,7 +281,7 @@ def test_new_episode_resets_motion_state_only():
 
 
 def test_record_ack_updates_estimates():
-    e = CommCacheEntry(successor_id=1, sig_atn=9.9)
+    e = CommCacheEntry(sig_atn=9.9)
     record_tx(e)
     record_ack(e, rec(0.0, 2.0, 10.0, 6.0), vs=1.0, radio_range=10.0)
     assert e.sig_atn == 9.9  # single record keeps the prior

@@ -66,8 +66,7 @@ def scattered_sim(rng: random.Random) -> Simulator:
         nodes[nid].position = pos
     for _ in range(10 * NODES):
         u, v = rng.sample(sorted(nodes), 2)
-        sim.caches[u][v] = CommCacheEntry(successor_id=v, sig_atn=0.14,
-                                          reliable=rng.random() < 0.2)
+        sim.caches[u][v] = CommCacheEntry(sig_atn=0.14, reliable=rng.random() < 0.2)
     return sim
 
 
