@@ -1,22 +1,21 @@
 """Zone controllers and the network controller.
 
 Controllers are infrastructure: no battery, no mobility. Each zone controller
-tracks its members' last-reported position, energy and top speed, answers
-destination lookups with a broadcast circle, and periodically rebroadcasts
-zone state while refreshing the zone's geometry statistics and reward. The
+tracks its members' last-reported position and top speed, which the
+destination lookup turns into a broadcast circle. At every sync it
+rebroadcasts zone state and recomputes the zone's geometry statistics and its
+reward RI from the members' rewards and the filed session rewards. The
 network controller sums zone rewards on a slower timer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .model import NodeGrid, NodeState, Point, ZoneState, distance, zone_of
 from .rewards import NodeRewardState, session_reward, network_reward, zone_reward
-
-T_NET_DEFAULT = 20.0
 
 
 @dataclass
@@ -25,7 +24,6 @@ class NodeTrack:
 
     position: Point
     last_seen: float
-    residual_energy: float
     max_velocity: float
 
 
@@ -151,24 +149,17 @@ def neighbor_counts(alive: list[NodeState]) -> dict[int, int]:
 
 
 class ZoneController:
-    """Single-writer actor owning one zone's registry, stats and reward."""
+    """Single-writer actor owning one zone's registry, stats and reward RI."""
 
     def __init__(self, zone: ZoneState) -> None:
         self.zone = zone
         self.registry: dict[int, NodeTrack] = {}
         self.session_rewards: dict[int, float] = {}
-        self._dirty = True
-        self._last_members: frozenset[int] = frozenset()
-
-    def note_attempt_completed(self) -> None:
-        """An attempt in this zone finished; RI must be recomputed at next sync."""
-        self._dirty = True
 
     def record_session_reward(self, session_id: int) -> float:
         """File a session's reward from the zone's cumulative waste totals."""
         r = session_reward(self.zone.ew, self.zone.et)
         self.session_rewards[session_id] = r
-        self._dirty = True
         return r
 
     def sync(
@@ -179,7 +170,7 @@ class ZoneController:
         *,
         neighbors: Mapping[int, int],
     ) -> list[tuple[int, float]]:
-        """Refresh registry and geometry stats, recompute RI when stale.
+        """On every sync: refresh the registry and geometry stats, recompute RI.
 
         Members are alive when their zone syncs: `assign_zones` drops dead
         nodes at the start of the tick, and a node can only die from its own
@@ -196,7 +187,7 @@ class ZoneController:
         members = sorted(zone.member_nodes)
         for m in members:
             n = nodes[m]
-            self.registry[m] = NodeTrack(n.position, t_now, n.residual_energy, n.max_velocity)
+            self.registry[m] = NodeTrack(n.position, t_now, n.max_velocity)
         for m in [k for k in self.registry if k not in zone.member_nodes]:
             del self.registry[m]
 
@@ -212,14 +203,10 @@ class ZoneController:
                 # quantities stay finite; flood branching never drops below 1
                 zone.phi = n_bar
                 zone.ng = max(1.0, n_bar)
-        member_set = frozenset(members)
-        if self._dirty or member_set != self._last_members:
-            zone.reward_ri = zone_reward(
-                [reward_states[m].total() for m in members if m in reward_states],
-                self.session_rewards.values(),
-            )
-            self._dirty = False
-            self._last_members = member_set
+        zone.reward_ri = zone_reward(
+            [reward_states[m].total() for m in members if m in reward_states],
+            self.session_rewards.values(),
+        )
         return [(m, nodes[m].min_power) for m in members]
 
 
@@ -237,7 +224,7 @@ def session_reporter(src: int, zone: ZoneState, nodes: Mapping[int, NodeState]) 
 class NetworkController:
     """Aggregates zone rewards on the slow timer, serving a cached sum between."""
 
-    def __init__(self, t_net: float = T_NET_DEFAULT) -> None:
+    def __init__(self, t_net: float) -> None:
         self.t_net = t_net
         self.last_collect = -math.inf
         self.cached = 0.0

@@ -233,13 +233,14 @@ def shortest_route(
 class QueuedPacket:
     pid: int
     session: int
+    # this hop's attempt number for the packet; it leaves the queue when
+    # acknowledged or failed, and a node never queues a pid twice
+    turn: int = 1
 
 
 @dataclass
 class NodeRuntime:
     queue: list[QueuedPacket] = field(default_factory=list)
-    turn: int = 1
-    turn_pid: int = -1                # packet the turn counter belongs to
     inflight: AttemptRow | None = None   # the one attempt a node may have on the air
     levels_used: dict[int, float] = field(default_factory=dict)  # successor -> last level
     seen: set[int] = field(default_factory=set)
@@ -252,11 +253,11 @@ class Session:
     id: int
     src: int
     dst: int
-    route: tuple[int, ...] | None = None
     live: bool = True
     home_zone: int = 0
     started: bool = False
     discovering: bool = False
+    # the installed route as node -> successor, in route order; empty when none
     next_hop: dict[int, int] = field(default_factory=dict)
 
 
@@ -532,9 +533,6 @@ class Simulator:
         if rt.inflight is not None or not rt.queue:
             return
         qp = rt.queue[0]
-        if qp.pid != rt.turn_pid:
-            rt.turn = 1
-            rt.turn_pid = qp.pid
         sn = self.sessions[qp.session]
         if not sn.live:
             rt.queue.pop(0)
@@ -543,7 +541,7 @@ class Simulator:
             return
         succ = sn.next_hop.get(node)
         if succ is None:
-            if node == sn.src or sn.route is None:
+            if node == sn.src or not sn.next_hop:
                 return  # waiting for a route; install resolves this queue
             rt.queue.pop(0)
             self._drop_packet(qp.pid, "route-invalidated")
@@ -620,7 +618,7 @@ class Simulator:
         sender = self.nodes[node]
         sent = self._debit(node, level * cfg.airtime, "tx", message=True)
         action = level if sent else 0.0
-        row = AttemptRow(self.t, qp.pid, sn.id, node, succ, rt.turn, action,
+        row = AttemptRow(self.t, qp.pid, sn.id, node, succ, qp.turn, action,
                          "pending" if sent else "blocked")
         self.ledger.attempts.append(row)
         rt.inflight = row
@@ -697,8 +695,6 @@ class Simulator:
             self.reward_states[node].apply_ack(
                 succ, entry.prr, entry.rss_over_tpl, entry.recent_trend
             )
-        if sender.alive:
-            self.controllers[sender.zone_id].note_attempt_completed()
         sn = self.sessions[row.session]
         rtt = self.t - row.t
         self.ledger.record_invest(self.t, sn.home_zone, row.action, rtt)
@@ -706,7 +702,6 @@ class Simulator:
         self.packet_invested[row.pid] = (inv_e + row.action, inv_t + rtt)
         if rt.queue and rt.queue[0].pid == row.pid:
             rt.queue.pop(0)
-        rt.turn = 1
         if rt.queue:
             self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, node)
 
@@ -720,18 +715,15 @@ class Simulator:
             row.outcome = "timeout"
         sn = self.sessions[row.session]
         self.ledger.record_invest(self.t, sn.home_zone, row.action, self.cfg.tau_a)
-        sender = self.nodes[node]
-        if sender.alive:
-            self.controllers[sender.zone_id].note_attempt_completed()
         if not rt.queue or rt.queue[0].pid != row.pid:
             # the packet was withdrawn while the attempt was on the air
             self._push(self.t, self._on_send_attempt, node)
             return
         qp = rt.queue[0]
-        rt.turn += 1
-        if rt.turn <= self.cfg.mx_atmpt:
+        qp.turn += 1
+        if qp.turn <= self.cfg.mx_atmpt:
             we, wt = rewards.transmission_waste(
-                rt.turn, row.action, self.cfg.tau_a, [], 0.0, 0.0, [], self.cfg.mx_atmpt
+                qp.turn, row.action, self.cfg.tau_a, [], 0.0, 0.0, [], self.cfg.mx_atmpt
             )
             self._book_waste(sn.home_zone, we, wt)
             self._push(self.t, self._on_send_attempt, node)
@@ -784,12 +776,10 @@ class Simulator:
             avg_hop_count(zone_here.theta, zone_here.phi, zone_here.av_rad),
             cfg.broadcast_cost_cap,
         )
-        turn = rt.turn if immediate else cfg.mx_atmpt + 1
+        turn = qp.turn if immediate else cfg.mx_atmpt + 1
         if cfg.policy == "rl-trc":
             self.reward_states[node].apply_noack(succ, turn, cfg.mx_atmpt, penalty)
-        self.controllers[sender.zone_id].note_attempt_completed()
         rt.queue.pop(0)
-        rt.turn = 1
         # claim the packet's acked-hop investment exactly once
         inv_e, inv_t = self.packet_invested.pop(qp.pid, (0.0, 0.0))
         self._drop_packet(qp.pid, "link-breakage")
@@ -798,26 +788,19 @@ class Simulator:
         prev_e = last_action if not immediate else 0.0
         prev_t = cfg.tau_a if not immediate else 0.0
         # breakage notice travels back to the source at max level
-        route = sn.route or ()
-        back_hops = 0
-        if node in route:
-            idx = route.index(node)
-            for relay in route[1 : idx + 1]:
-                if self.nodes[relay].alive:
-                    self._debit(relay, self.nodes[relay].max_power * cfg.airtime,
-                                "control", message=True)
-            back_hops = idx
-        self._teardown_route(sn)
+        hops = list(sn.next_hop)
+        back_hops = hops.index(node)
+        for relay in hops[1 : back_hops + 1]:
+            if self.nodes[relay].alive:
+                self._debit(relay, self.nodes[relay].max_power * cfg.airtime,
+                            "control", message=True)
+        # queued packets stay put until the replacement route says whether
+        # their holder is still on the path
+        sn.next_hop = {}
         self._push(self.t + back_hops * cfg.t_hop, self._on_link_breakage,
                    sn.id, prev_e, prev_t, inv_e, inv_t)
         if rt.queue:
             self._push(self.t, self._on_send_attempt, node)
-
-    def _teardown_route(self, sn: Session) -> None:
-        """Queued packets stay put until the replacement route says whether
-        their holder is still on the path."""
-        sn.route = None
-        sn.next_hop = {}
 
     def _on_link_breakage(
         self, sid: int, prev_e: float, prev_t: float, invested_e: float, invested_t: float
@@ -967,19 +950,16 @@ class Simulator:
         if not sn.live or not sn.discovering:
             return
         sn.discovering = False
-        sn.route = tuple(route)
-        sn.next_hop = {route[i]: route[i + 1] for i in range(len(route) - 1)}
-        for i in range(len(route) - 1):
-            u, v = route[i], route[i + 1]
+        sn.next_hop = dict(zip(route, route[1:]))
+        for u, v in sn.next_hop.items():
             entry = self.caches[u].setdefault(v, CommCacheEntry(sig_atn=self.cfg.prior_sig_atn))
             linkcache.new_episode(entry, self.t)
         # forwarders still on the path resume; stranded holders give up
-        on_path = set(route[:-1])
         for nid in sorted(self.runtime):
             rt = self.runtime[nid]
             if not any(q.session == sid for q in rt.queue):
                 continue
-            if nid in on_path:
+            if nid in sn.next_hop:
                 self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, nid)
                 continue
             keep = []
@@ -996,7 +976,6 @@ class Simulator:
     def _fail_session(self, sn: Session) -> None:
         sn.live = False
         sn.discovering = False
-        sn.route = None
         sn.next_hop = {}
         for nid in sorted(self.runtime):
             rt = self.runtime[nid]

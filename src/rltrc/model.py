@@ -120,10 +120,6 @@ class ZoneState:
     def diagonal(self) -> float:
         return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
 
-    @property
-    def center(self) -> Point:
-        return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
-
 
 def make_zones(width: float, height: float, count: int, av_rad: float = 25.0) -> list[ZoneState]:
     """Tile a width x height arena with `count` rectangular zones.

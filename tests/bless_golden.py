@@ -6,7 +6,8 @@ itself: a digest mismatch is a failure, never an auto-bless.
 
 Besides every canned scenario at seed 1, the digests cover desk-compare at
 seed 1 under the settings no canned scenario uses: each baseline policy,
-the other two mobility models and a nonzero noise spread.
+the other two mobility models, a nonzero noise spread and batteries that
+run flat; and desk-converge at seed 1 on a 9-zone grid.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ GOLDEN_TRACES.update({
     "desk-compare-random-walk": ("desk-compare", {"mobility": "random-walk"}),
     "desk-compare-gaussian": ("desk-compare", {"mobility": "gaussian"}),
     "desk-compare-noise": ("desk-compare", {"noise_spread": 0.1}),
+    # batteries low enough that nodes die mid-run
+    "desk-compare-low-energy": ("desk-compare", {"energy_min": 0.3, "energy_max": 1.0}),
+    # a 3 x 3 zone grid, so corridors span rows and columns
+    "desk-converge-9-zones": ("desk-converge", {"zones": 9}),
 })
 
 

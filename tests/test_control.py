@@ -36,20 +36,20 @@ class TestDestinationLookup:
         self.zones = make_zones(300.0, 200.0, 6)  # 100x100 rects, 3 cols
 
     def test_radius_from_elapsed_time(self):
-        reg = {7: NodeTrack((50.0, 50.0), 90.0, 1.0, 2.0)}
+        reg = {7: NodeTrack((50.0, 50.0), 90.0, 2.0)}
         c = destination_lookup(7, 100.0, reg, self.zones)
         assert c.radius == 20.0
         assert c.center == (50.0, 50.0)
         assert c.spans_zones == (0,)
 
     def test_zero_elapsed_single_zone(self):
-        reg = {7: NodeTrack((50.0, 50.0), 100.0, 1.0, 2.0)}
+        reg = {7: NodeTrack((50.0, 50.0), 100.0, 2.0)}
         c = destination_lookup(7, 100.0, reg, self.zones)
         assert c.radius == 0.0
         assert c.spans_zones == (0,)
 
     def test_circle_crossing_boundary_spans_zones(self):
-        reg = {7: NodeTrack((95.0, 50.0), 95.0, 1.0, 2.0)}
+        reg = {7: NodeTrack((95.0, 50.0), 95.0, 2.0)}
         c = destination_lookup(7, 100.0, reg, self.zones)
         assert c.spans_zones == (0, 1)
 
@@ -60,7 +60,7 @@ class TestDestinationLookup:
         assert c.contains((299.0, 199.0))
 
     def test_radius_monotone_in_elapsed(self):
-        reg = {7: NodeTrack((50.0, 50.0), 90.0, 1.0, 2.0)}
+        reg = {7: NodeTrack((50.0, 50.0), 90.0, 2.0)}
         radii = [destination_lookup(7, t, reg, self.zones).radius for t in (90, 95, 100, 200)]
         assert radii == sorted(radii)
 
@@ -206,16 +206,13 @@ class TestZoneControllerSync:
         assert charges == []
         assert ctl.zone.reward_ri == 0.0
 
-    def test_ri_lazy_between_attempts(self):
+    def test_ri_recomputed_every_sync(self):
         self.rewards[1].apply_action(15.0, 10.0)
         self.sync(10.0)
         assert self.ctl.zone.reward_ri == 5.0
-        # reward changed but no completion was noted and membership is stable
+        # reward accrued with no attempt completed and the same members
         self.rewards[1].apply_action(15.0, 10.0)
         self.sync(20.0)
-        assert self.ctl.zone.reward_ri == 5.0
-        self.ctl.note_attempt_completed()
-        self.sync(30.0)
         assert self.ctl.zone.reward_ri == 10.0
 
     def test_membership_change_forces_recompute(self):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from bless_golden import GOLDEN_TRACES
 from oracles import oracle_energy_totals, oracle_shortest_path, oracle_waste_fraction
 
 from rltrc import policy
@@ -222,7 +223,8 @@ class TestDiscovery:
     def test_corridor_is_grid_block_of_endpoint_zones(self, zones, src_zone, spans, want):
         sim = Simulator(scenario("desk-converge", zones=zones, duration=0.0))
         src = next(n.id for n in sim.nodes.values() if n.zone_id == src_zone)
-        circle = BroadcastCircle(center=sim.zones[spans[0]].center, radius=1.0, spans_zones=spans)
+        z = sim.zones[spans[0]]
+        circle = BroadcastCircle(center=(z.x0, z.y0), radius=1.0, spans_zones=spans)
         assert sim._corridor_zones(src, circle) == want
 
     def test_flood_scope_unions_corridor_and_circle(self):
@@ -323,15 +325,23 @@ def test_sigma_per_tick_equals_sigma_recomputed_at_each_decision(monkeypatch):
 
 
 class TestAttemptRows:
-    @pytest.mark.parametrize("name", ["lossless-pair", "desk-compare", "desk-converge"])
-    def test_lifecycle(self, name):
-        cfg = scenario(name)
+    @pytest.mark.parametrize(
+        "golden", ["lossless-pair", "desk-compare", "desk-converge", "desk-compare-low-energy"]
+    )
+    def test_lifecycle(self, golden):
+        name, overrides = GOLDEN_TRACES[golden]
+        cfg = scenario(name, **overrides)
         sim = Simulator(cfg, seed=1)
         sim.run()
         led = sim.ledger
         assert led.attempts
         assert len(led.attempts) == sum(p.attempts for p in led.packets.values())
+        # the rows of one packet at one node carry turns 1, 2, ..., k in send order
+        sent: dict[tuple[int, int], int] = {}
         for row in led.attempts:
+            hop = (row.pid, row.node)
+            sent[hop] = sent.get(hop, 0) + 1
+            assert row.turn == sent[hop]
             assert row.outcome in ("ack", "timeout", "blocked", "pending")
             assert (row.outcome == "blocked") == (row.action == 0.0)
             if row.outcome == "ack":

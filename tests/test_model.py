@@ -89,6 +89,5 @@ class TestZones:
     def test_geometry_helpers(self):
         z = ZoneState(id=0, x0=0, y0=0, x1=30, y1=40)
         assert z.diagonal == 50.0
-        assert z.center == (15.0, 20.0)
         assert z.contains((30.0, 40.0))
         assert not z.contains((30.1, 40.0))
