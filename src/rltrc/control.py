@@ -1,8 +1,9 @@
 """Zone controllers and the network controller.
 
 Controllers are infrastructure: no battery, no mobility. Each zone controller
-tracks its members' last-reported position and top speed, which the
-destination lookup turns into a broadcast circle. At every sync it
+writes its members' last-reported position and top speed into one
+network-wide registry, which the destination lookup turns into a broadcast
+circle; a node keeps its last sighting after it leaves a zone. At every sync it
 rebroadcasts zone state and recomputes the zone's geometry statistics and its
 reward RI from the members' rewards and the filed session rewards. The
 network controller sums zone rewards on a slower timer.
@@ -149,11 +150,12 @@ def neighbor_counts(alive: list[NodeState]) -> dict[int, int]:
 
 
 class ZoneController:
-    """Single-writer actor owning one zone's registry, stats and reward RI."""
+    """Single-writer actor owning one zone's stats and reward RI, and its
+    members' entries in the shared node registry."""
 
-    def __init__(self, zone: ZoneState) -> None:
+    def __init__(self, zone: ZoneState, registry: dict[int, NodeTrack]) -> None:
         self.zone = zone
-        self.registry: dict[int, NodeTrack] = {}
+        self.registry = registry
         self.session_rewards: dict[int, float] = {}
 
     def record_session_reward(self, session_id: int) -> float:
@@ -188,8 +190,6 @@ class ZoneController:
         for m in members:
             n = nodes[m]
             self.registry[m] = NodeTrack(n.position, t_now, n.max_velocity)
-        for m in [k for k in self.registry if k not in zone.member_nodes]:
-            del self.registry[m]
 
         if len(members) >= 2:
             zone.theta = _membership_diameter(members, nodes)

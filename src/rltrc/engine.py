@@ -74,11 +74,10 @@ class Channel:
     from the run seed and the pair, so they do not depend on event order.
     """
 
-    def __init__(self, seed: int, alpha_min: float, alpha_max: float, noise_spread: float):
+    def __init__(self, seed: int, alpha_min: float, alpha_max: float):
         self._seed = seed
         self._alpha_min = alpha_min
         self._alpha_max = alpha_max
-        self.noise_spread = noise_spread
         self._alphas: dict[tuple[int, int], float] = {}
 
     def alpha(self, u: int, v: int) -> float:
@@ -276,7 +275,7 @@ class Simulator:
         self._seq = itertools.count()
         self._events: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._pids = itertools.count(1)
-        self.channel = Channel(self.seed, cfg.alpha_min, cfg.alpha_max, cfg.noise_spread)
+        self.channel = Channel(self.seed, cfg.alpha_min, cfg.alpha_max)
         self.ledger = MetricsLedger(duration=cfg.duration)
         self.waste_ledger = WasteLedger()
         # per-packet acked-hop investment still eligible for write-off;
@@ -305,9 +304,10 @@ class Simulator:
             self.nodes[nid] = self._make_node(nid, pos, peripheral=False)
             nid += 1
         assign_zones(self.nodes, self.zones)
-        self.controllers = [ZoneController(z) for z in self.zones]
+        # each node's last sighting by its zone controller, for destination lookup
+        self.registry: dict[int, NodeTrack] = {}
+        self.controllers = [ZoneController(z, self.registry) for z in self.zones]
         self.network = NetworkController(cfg.t_net)
-        self.global_registry: dict[int, NodeTrack] = {}
         self.reward_states = {n: NodeRewardState() for n in self.nodes}
         self.caches: dict[int, dict[int, CommCacheEntry]] = {n: {} for n in self.nodes}
         self.runtime = {n: NodeRuntime() for n in self.nodes}
@@ -331,8 +331,6 @@ class Simulator:
         if z.y0 > 0.0:
             edges.append("bottom")
         spots: list[Point] = []
-        if not edges:
-            return spots
         rounds = (count + len(edges) - 1) // len(edges)
         for i in range(count):
             edge = edges[i % len(edges)]
@@ -442,7 +440,6 @@ class Simulator:
                 self._debit(member, level * airtime, "zone-state", message=True)
             if not all(self.nodes[m].alive for m, _ in charges):
                 neighbors = None
-            self.global_registry.update(ctl.registry)
         cached = self.network.collect(self.t, self.zones)
         self.zone_sigma = [
             policy.compute_sigma(SigmaInputs(z.reward_ri, cached)) for z in self.zones
@@ -524,8 +521,7 @@ class Simulator:
 
     def _on_send_attempt(self, node: int) -> None:
         rt = self.runtime[node]
-        sender = self.nodes[node]
-        if not sender.alive:
+        if not self.nodes[node].alive:
             for qp in rt.queue:
                 self._drop_packet(qp.pid, "node-death")
             rt.queue.clear()
@@ -535,21 +531,17 @@ class Simulator:
         qp = rt.queue[0]
         sn = self.sessions[qp.session]
         if not sn.live:
-            rt.queue.pop(0)
-            self._drop_packet(qp.pid, "session-failed")
-            self._push(self.t, self._on_send_attempt, node)
+            self._drop_head(node, rt, "session-failed")
             return
         succ = sn.next_hop.get(node)
         if succ is None:
             if node == sn.src or not sn.next_hop:
                 return  # waiting for a route; install resolves this queue
-            rt.queue.pop(0)
-            self._drop_packet(qp.pid, "route-invalidated")
-            self._push(self.t, self._on_send_attempt, node)
+            self._drop_head(node, rt, "route-invalidated")
             return
         entry = self.caches[node][succ]  # made by the route reply that set next_hop
         if self.cfg.policy == "rl-trc":
-            level = self._select_rltrc(node, succ, entry, rt, qp, sn)
+            level = self._select_rltrc(node, succ, entry, sn)
             if level is None:
                 return  # escalated to link failure
         else:
@@ -558,13 +550,7 @@ class Simulator:
         self._transmit(node, succ, level, entry, rt, qp, sn)
 
     def _select_rltrc(
-        self,
-        node: int,
-        succ: int,
-        entry: CommCacheEntry,
-        rt: NodeRuntime,
-        qp: QueuedPacket,
-        sn: Session,
+        self, node: int, succ: int, entry: CommCacheEntry, sn: Session
     ) -> float | None:
         sender = self.nodes[node]
         dist_est = 0.0
@@ -573,14 +559,14 @@ class Simulator:
                 entry.approx_velocity, self.t, entry.last_ack_time
             )
             if linkcache.should_drop(dist_est, sender.radio_range):
-                self._link_failure(node, succ, entry, rt, qp, sn, immediate=True)
+                self._link_failure(node, sn, 0.0, 0.0)
                 return None
         p_thres = linkcache.power_threshold(
             entry.sig_atn, dist_est, self.nodes[succ].min_rcv
         )
         avail = linkcache.available_levels(sender.power_levels, p_thres)
         if not avail:
-            self._link_failure(node, succ, entry, rt, qp, sn, immediate=True)
+            self._link_failure(node, sn, 0.0, 0.0)
             return None
         return policy.select_power_level(
             avail, self.zone_sigma[sender.zone_id], entry.reliable, self.rng
@@ -706,7 +692,7 @@ class Simulator:
             self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, node)
 
     def _on_ack_timeout(self, row: AttemptRow) -> None:
-        node = row.node
+        cfg, node = self.cfg, row.node
         rt = self.runtime[node]
         if rt.inflight is not row:
             return  # the attempt was acknowledged first
@@ -714,28 +700,21 @@ class Simulator:
         if row.outcome == "pending":
             row.outcome = "timeout"
         sn = self.sessions[row.session]
-        self.ledger.record_invest(self.t, sn.home_zone, row.action, self.cfg.tau_a)
+        self.ledger.record_invest(self.t, sn.home_zone, row.action, cfg.tau_a)
         if not rt.queue or rt.queue[0].pid != row.pid:
             # the packet was withdrawn while the attempt was on the air
             self._push(self.t, self._on_send_attempt, node)
             return
         qp = rt.queue[0]
         qp.turn += 1
-        if qp.turn <= self.cfg.mx_atmpt:
-            we, wt = rewards.transmission_waste(
-                qp.turn, row.action, self.cfg.tau_a, [], 0.0, 0.0, [], self.cfg.mx_atmpt
-            )
+        if qp.turn <= cfg.mx_atmpt:
+            we, wt = rewards.transmission_waste(qp.turn, row.action, cfg.tau_a, cfg.mx_atmpt)
             self._book_waste(sn.home_zone, we, wt)
             self._push(self.t, self._on_send_attempt, node)
-            return
-        succ = sn.next_hop.get(node)
-        if succ is None or not sn.live:
-            rt.queue.pop(0)
-            self._drop_packet(qp.pid, "route-invalidated")
-            self._push(self.t, self._on_send_attempt, node)
-            return
-        self._link_failure(node, succ, self.caches[node][succ], rt, qp, sn, immediate=False,
-                           last_action=row.action)
+        elif node in sn.next_hop:
+            self._link_failure(node, sn, row.action, cfg.tau_a)
+        else:
+            self._drop_head(node, rt, "route-invalidated")
 
     # -- failure / discovery ------------------------------------------------
 
@@ -746,47 +725,44 @@ class Simulator:
             zone.ew, zone.et = self.waste_ledger.zone_totals(zone_id)
             self.ledger.record_waste(self.t, zone_id, we, wt)
 
-    def _zone_flood_terms(self, zone_ids: tuple[int, ...]) -> tuple[list[float], list[float]]:
-        costs, times = [], []
-        for zid in zone_ids:
-            z = self.zones[zid]
-            h = avg_hop_count(z.theta, z.phi, z.av_rad)
-            costs.append(broadcast_cost(z.ng, h, self.cfg.broadcast_cost_cap))
-            times.append(min_hop_count(z.theta, z.phi, z.av_rad) * self.cfg.t_hop)
-        return costs, times
+    def _flood_cost(self, z: ZoneState) -> float:
+        """Messages a flood across zone z costs, at its average hop depth."""
+        h = avg_hop_count(z.theta, z.phi, z.av_rad)
+        return broadcast_cost(z.ng, h, self.cfg.broadcast_cost_cap)
 
-    def _link_failure(
-        self,
-        node: int,
-        succ: int,
-        entry: CommCacheEntry,
-        rt: NodeRuntime,
-        qp: QueuedPacket,
-        sn: Session,
-        immediate: bool,
-        last_action: float = 0.0,
-    ) -> None:
-        """Exhausted or hopeless hop: grade the link, tell the source, rebuild."""
+    def _flood(
+        self, sn: Session, scope: list[int], zone_ids: Iterable[int]
+    ) -> tuple[float, float]:
+        """Charge a flood over `scope`; book and return its investment, the
+        cost and minimum-hop time summed over the zones `zone_ids`."""
+        self._charge_flood(scope)
+        zones, t_hop = [self.zones[zid] for zid in zone_ids], self.cfg.t_hop
+        cost = math.fsum([self._flood_cost(z) for z in zones])
+        time = math.fsum([min_hop_count(z.theta, z.phi, z.av_rad) * t_hop for z in zones])
+        self.ledger.record_invest(self.t, sn.home_zone, cost, time)
+        return cost, time
+
+    def _link_failure(self, node: int, sn: Session, prev_e: float, prev_t: float) -> None:
+        """Give up the hop of node's head packet: grade the link, drop the
+        packet, tell the source, rebuild the route.
+
+        `(prev_e, prev_t)` is the power and ack wait of the packet's last
+        attempt, still to be written off (earlier timeouts were booked as
+        they came): `(row.action, tau_a)` after the timeout of turn
+        mx_atmpt + 1, `(0, 0)` when the link cache gives the hop up before
+        sending, at a turn within the retry budget and so with no penalty.
+        """
         cfg = self.cfg
-        sender = self.nodes[node]
-        linkcache.mark_reliability(entry, self.t)
-        zone_here = self.zones[sender.zone_id]
-        penalty = broadcast_cost(
-            zone_here.ng,
-            avg_hop_count(zone_here.theta, zone_here.phi, zone_here.av_rad),
-            cfg.broadcast_cost_cap,
-        )
-        turn = qp.turn if immediate else cfg.mx_atmpt + 1
+        rt = self.runtime[node]
+        qp = rt.queue.pop(0)
+        succ = sn.next_hop[node]
+        linkcache.mark_reliability(self.caches[node][succ], self.t)
         if cfg.policy == "rl-trc":
-            self.reward_states[node].apply_noack(succ, turn, cfg.mx_atmpt, penalty)
-        rt.queue.pop(0)
+            penalty = self._flood_cost(self.zones[self.nodes[node].zone_id])
+            self.reward_states[node].apply_noack(succ, qp.turn, cfg.mx_atmpt, penalty)
         # claim the packet's acked-hop investment exactly once
         inv_e, inv_t = self.packet_invested.pop(qp.pid, (0.0, 0.0))
         self._drop_packet(qp.pid, "link-breakage")
-        # an immediate write-off never transmitted, and every earlier timeout
-        # of this packet was already booked by the turn-advance path
-        prev_e = last_action if not immediate else 0.0
-        prev_t = cfg.tau_a if not immediate else 0.0
         # breakage notice travels back to the source at max level
         hops = list(sn.next_hop)
         back_hops = hops.index(node)
@@ -803,7 +779,7 @@ class Simulator:
             self._push(self.t, self._on_send_attempt, node)
 
     def _on_link_breakage(
-        self, sid: int, prev_e: float, prev_t: float, invested_e: float, invested_t: float
+        self, sid: int, prev_e: float, prev_t: float, inv_e: float, inv_t: float
     ) -> None:
         sn = self.sessions[sid]
         if not sn.live:
@@ -811,7 +787,7 @@ class Simulator:
         if not self.nodes[sn.src].alive:
             self._fail_session(sn)
             return
-        self._request_route(sn, waste=(prev_e, prev_t, invested_e, invested_t))
+        self._request_route(sn, waste=(prev_e, prev_t, inv_e, inv_t))
 
     def _request_route(
         self, sn: Session, waste: tuple[float, float, float, float] | None
@@ -823,25 +799,18 @@ class Simulator:
         """
         cfg = self.cfg
         sn.discovering = True
-        circle = destination_lookup(sn.dst, self.t, self.global_registry, self.zones)
+        circle = destination_lookup(sn.dst, self.t, self.registry, self.zones)
         corridor = self._corridor_zones(sn.src, circle)
         scope = self._flood_scope(sn.src, circle, corridor)
-        self._charge_flood(scope)
-        costs, times = self._zone_flood_terms(corridor)
-        self.ledger.record_invest(self.t, sn.home_zone, math.fsum(costs), math.fsum(times))
+        flood_e, flood_t = self._flood(sn, scope, corridor)
         if waste is not None:
             prev_e, prev_t, inv_e, inv_t = waste
-            we = prev_e + math.fsum(costs) + inv_e
-            wt = prev_t + math.fsum(times) + inv_t
-            self._book_waste(sn.home_zone, we, wt)
+            self._book_waste(sn.home_zone, prev_e + flood_e + inv_e, prev_t + flood_t + inv_t)
         route = self._discover_route(sn.src, sn.dst, scope)
         if route is None and len(scope) < len(self._alive_ids()):
             # the circle missed; fall back to one full flood
             scope = self._alive_ids()
-            self._charge_flood(scope)
-            all_zone_ids = tuple(z.id for z in self.zones)
-            costs, times = self._zone_flood_terms(all_zone_ids)
-            self.ledger.record_invest(self.t, sn.home_zone, math.fsum(costs), math.fsum(times))
+            self._flood(sn, scope, range(len(self.zones)))
             route = self._discover_route(sn.src, sn.dst, scope)
         if route is None:
             self._fail_session(sn)
@@ -959,17 +928,8 @@ class Simulator:
             rt = self.runtime[nid]
             if not any(q.session == sid for q in rt.queue):
                 continue
-            if nid in sn.next_hop:
-                self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, nid)
-                continue
-            keep = []
-            for q in rt.queue:
-                held = rt.inflight is not None and rt.inflight.pid == q.pid
-                if q.session == sid and not held:
-                    self._drop_packet(q.pid, "route-invalidated")
-                else:
-                    keep.append(q)
-            rt.queue = keep
+            if nid not in sn.next_hop:
+                self._withdraw(rt, sid, "route-invalidated", rt.inflight and rt.inflight.pid)
             if rt.queue:
                 self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, nid)
 
@@ -977,15 +937,8 @@ class Simulator:
         sn.live = False
         sn.discovering = False
         sn.next_hop = {}
-        for nid in sorted(self.runtime):
-            rt = self.runtime[nid]
-            keep = []
-            for q in rt.queue:
-                if q.session == sn.id:
-                    self._drop_packet(q.pid, "session-failed")
-                else:
-                    keep.append(q)
-            rt.queue = keep
+        for rt in self.runtime.values():
+            self._withdraw(rt, sn.id, "session-failed")
         self._push(self.t, self._on_session_end, sn.id)
 
     def _on_session_end(self, sid: int) -> None:
@@ -998,6 +951,21 @@ class Simulator:
         stat = self.ledger.packets[pid]
         if stat.status == "pending":
             stat.status = "dropped-" + cause
+
+    def _drop_head(self, node: int, rt: NodeRuntime, cause: str) -> None:
+        """Drop the packet at the head of node's queue and try the next one."""
+        self._drop_packet(rt.queue.pop(0).pid, cause)
+        self._push(self.t, self._on_send_attempt, node)
+
+    def _withdraw(self, rt: NodeRuntime, sid: int, cause: str, held: int | None = None) -> None:
+        """Drop every packet of session sid from a queue but the pid `held`."""
+        keep = []
+        for q in rt.queue:
+            if q.session == sid and q.pid != held:
+                self._drop_packet(q.pid, cause)
+            else:
+                keep.append(q)
+        rt.queue = keep
 
 
 def run(cfg: ScenarioConfig, seed: int | None = None) -> MetricsReport:

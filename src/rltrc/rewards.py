@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 BROADCAST_COST_CAP = 1e12
 
@@ -107,31 +107,21 @@ def broadcast_cost(ng: float, h_avg: float, cap: float = BROADCAST_COST_CAP) -> 
 
 
 def transmission_waste(
-    turn: int,
-    prev_action: float,
-    tau_a: float,
-    zone_set_costs: Sequence[float],
-    invested_energy: float,
-    invested_time: float,
-    zone_broadcast_times: Sequence[float],
-    mx_atmpt: int,
+    turn: int, prev_action: float, tau_a: float, mx_atmpt: int
 ) -> tuple[float, float]:
     """Energy and time written off by one hop attempt at retry `turn`.
 
-    First attempts waste nothing. Intermediate retries write off the
-    previous attempt's power and ack wait. The final failed turn additionally
-    books the route-rediscovery floods over the spanned zones and everything
-    invested in the packet from the source up to this hop.
+    First attempts waste nothing; a retry writes off the previous attempt's
+    power and ack wait. A hop that runs out of retries is written off by the
+    route rediscovery instead: its last attempt, the floods over the spanned
+    zones and everything invested in the packet up to this hop. So turns past
+    `mx_atmpt` are rejected here.
     """
-    if not 1 <= turn <= mx_atmpt + 1:
-        raise ValueError("turn %d outside [1, %d]" % (turn, mx_atmpt + 1))
+    if not 1 <= turn <= mx_atmpt:
+        raise ValueError("turn %d outside [1, %d]" % (turn, mx_atmpt))
     if turn == 1:
         return 0.0, 0.0
-    if turn <= mx_atmpt:
-        return prev_action, tau_a
-    energy = prev_action + math.fsum(zone_set_costs) + invested_energy
-    time = tau_a + math.fsum(zone_broadcast_times) + invested_time
-    return energy, time
+    return prev_action, tau_a
 
 
 @dataclass

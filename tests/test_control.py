@@ -155,7 +155,7 @@ class TestZoneControllerSync:
             2: node(2, (70.0, 50.0)),
         }
         assign_zones(self.nodes, self.zones)
-        self.ctl = ZoneController(self.zones[0])
+        self.ctl = ZoneController(self.zones[0], {})
         self.rewards = {1: NodeRewardState(), 2: NodeRewardState()}
 
     def sync(self, t_now, ctl=None):
@@ -168,6 +168,17 @@ class TestZoneControllerSync:
         assert self.ctl.registry[1].position == (40.0, 50.0)
         assert self.ctl.registry[1].last_seen == 10.0
         assert 2 in self.ctl.registry
+        # a node that leaves the zone keeps its last sighting
+        self.nodes[2].position = (150.0, 50.0)
+        assign_zones(self.nodes, self.zones)
+        self.sync(20.0)
+        assert self.ctl.registry[1].last_seen == 20.0
+        assert self.ctl.registry[2].position == (70.0, 50.0)
+        assert self.ctl.registry[2].last_seen == 10.0
+        # the registry is shared: another zone's sync refreshes node 2
+        self.sync(30.0, ZoneController(self.zones[1], self.ctl.registry))
+        assert self.ctl.registry[2].position == (150.0, 50.0)
+        assert self.ctl.registry[2].last_seen == 30.0
 
     def test_theta_is_membership_diameter(self):
         self.sync(10.0)
@@ -201,7 +212,7 @@ class TestZoneControllerSync:
         assert charges == [(1, 5.0), (2, 5.0)]
 
     def test_empty_zone_free_and_zero_reward(self):
-        ctl = ZoneController(self.zones[4])
+        ctl = ZoneController(self.zones[4], {})
         charges = self.sync(10.0, ctl)
         assert charges == []
         assert ctl.zone.reward_ri == 0.0
@@ -227,7 +238,7 @@ class TestZoneControllerSync:
 class TestSessionRewards:
     def test_report_uses_zone_waste(self):
         zones = make_zones(300.0, 200.0, 6)
-        ctl = ZoneController(zones[0])
+        ctl = ZoneController(zones[0], {})
         assert ctl.record_session_reward(1) == 1.0
         ctl.zone.ew = 1.0
         ctl.zone.et = 1.0

@@ -15,6 +15,7 @@ from rltrc.config import ScenarioConfig
 from rltrc.control import BroadcastCircle
 from rltrc.engine import (
     MobilityState,
+    QueuedPacket,
     Simulator,
     _reflect,
     advance_toward,
@@ -23,7 +24,7 @@ from rltrc.engine import (
     shortest_route,
 )
 from rltrc.linkcache import CommCacheEntry
-from rltrc.metrics import render_csv
+from rltrc.metrics import PacketStat, render_csv
 from rltrc.model import NodeState
 from rltrc.policy import SigmaInputs, compute_sigma
 from rltrc.scenarios import scenario
@@ -371,6 +372,70 @@ class TestAttemptRows:
         sim._on_ack_arrival = timeout_first
         sim.run()
         assert raced
+
+
+def hopeless_hop(reason, turn=1):
+    """A finished lossless-pair run with one packet queued again at the
+    source, its link cache rigged so that rl-trc gives the hop up unsent.
+
+    "displacement": the successor seems to have moved past twice the radio
+    range since the last ack. "no-level": no level of the sender clears the
+    successor's receive threshold. The packet carries an acked-hop
+    investment of (7, 0.25) from earlier hops.
+    """
+    sim = Simulator(scenario("lossless-pair"), seed=1)
+    sim.run()
+    sn = sim.sessions[0]
+    entry = sim.caches[sn.src][sn.dst]
+    assert sn.next_hop == {sn.src: sn.dst} and len(entry.last_two) == 2
+    if reason == "displacement":
+        entry.approx_velocity = 1e9
+    else:
+        sim.nodes[sn.dst].min_rcv = 1e9
+    sim.t = sim.cfg.duration + 1.0
+    sim._events.clear()
+    rt = sim.runtime[sn.src]
+    rt.inflight = None
+    pid = max(sim.ledger.packets) + 1
+    sim.ledger.packets[pid] = PacketStat(session=sn.id, generated_at=sim.t)
+    rt.queue = [QueuedPacket(pid=pid, session=sn.id, turn=turn)]
+    sim.packet_invested[pid] = (7.0, 0.25)
+    return sim, sn, pid
+
+
+@pytest.mark.parametrize("reason", ["displacement", "no-level"])
+class TestImmediateLinkFailure:
+    def test_hop_given_up_unsent(self, reason):
+        sim, sn, pid = hopeless_hop(reason, turn=3)
+        assert sim.cfg.mx_atmpt == 3
+        grade = sim.reward_states[sn.src].successor_rewards[sn.dst]
+        attempts = len(sim.ledger.attempts)
+        sim._on_send_attempt(sn.src)
+        assert len(sim.ledger.attempts) == attempts
+        assert sim.ledger.packets[pid].status == "dropped-link-breakage"
+        assert sim.runtime[sn.src].queue == []
+        assert sn.next_hop == {}
+        assert not sim.caches[sn.src][sn.dst].reliable
+        # a turn within the retry budget costs the successor no grade
+        assert sim.reward_states[sn.src].successor_rewards[sn.dst] == grade
+        assert pid not in sim.packet_invested
+        # nothing was sent, so the notice carries no last attempt to write off
+        assert [(handler, args) for _, _, handler, args in sim._events] == [
+            (sim._on_link_breakage, (sn.id, 0.0, 0.0, 7.0, 0.25))
+        ]
+
+    def test_rediscovery_books_the_write_off(self, reason):
+        sim, sn, _ = hopeless_hop(reason)
+        sim._on_send_attempt(sn.src)
+        [(_, _, handler, args)] = sim._events
+        invest, waste = len(sim.ledger.invest_rows), len(sim.ledger.waste_rows)
+        handler(*args)
+        # the circle flood finds the route, so it is the one flood
+        [(_, zone, flood_e, flood_t)] = sim.ledger.invest_rows[invest:]
+        assert zone == sn.home_zone and flood_e > 0.0 and flood_t > 0.0
+        assert sim.ledger.waste_rows[waste:] == [
+            (sim.t, sn.home_zone, 0.0 + flood_e + 7.0, 0.0 + flood_t + 0.25)
+        ]
 
 
 class TestEndToEnd:

@@ -140,7 +140,7 @@ def test_sync_neighbor_counts_match_all_pairs_oracle(layout_seed):
     members = set(rng.sample([n.id for n in alive], rng.randrange(1, len(alive)))) | {0}
     zone = sim.zones[0]
     zone.member_nodes = members
-    ZoneController(zone).sync(0.0, sim.nodes, sim.reward_states, neighbors=neighbors)
+    ZoneController(zone, {}).sync(0.0, sim.nodes, sim.reward_states, neighbors=neighbors)
     assert zone.phi == math.fsum(want[m] for m in members) / len(members)
     assert neighbor_counts([]) == {}
 
