@@ -127,7 +127,8 @@ def neighbor_counts(alive: list[NodeState]) -> dict[int, int]:
     """
     if not alive:
         return {}
-    cells = NodeGrid(alive, max(n.radio_range for n in alive) + 1.0).cells
+    side = max(n.radio_range for n in alive) + 1.0
+    cells = NodeGrid([(n.position, n) for n in alive], side).cells
     counts = dict.fromkeys([n.id for n in alive], 0)
     hypot = math.hypot
     for (i, j), cell in cells.items():

@@ -89,6 +89,20 @@ class Channel:
             self._alphas[key] = got
         return got
 
+    @property
+    def ceiling(self) -> float:
+        """A float no coefficient `alpha` returns can exceed.
+
+        `Random.uniform(a, b)` returns `a + (b - a) * random()` with
+        `0 <= random() < 1`. Float rounding is monotone, so the product is at
+        most `b - a` and the sum at most `a + (b - a)`, this value (which can
+        differ from b by rounding). By the same monotonicity, for d >= 0 a
+        link budget `p - ceiling * d >= floor` implies
+        `p - alpha(u, v) * d >= floor` for every pair, so a caller may skip
+        the lookup whenever the ceiling already clears the floor.
+        """
+        return self._alpha_min + (self._alpha_max - self._alpha_min)
+
 
 def propagate(tx_power: float, dist: float, alpha: float, noise_spread: float, rng: Random) -> float:
     """Received strength over the linear channel; never above the sent power."""
@@ -180,48 +194,45 @@ def mobility_step(
 # routing
 
 def shortest_route(
-    into: Callable[[int], Iterable[int]],
-    out_of: Callable[[int], Iterable[int]],
+    into: Callable[[int, set[int]], Iterable[int]],
+    out_of: Callable[[int, set[int]], Iterable[int]],
     src: int,
     dst: int,
 ) -> tuple[int, ...] | None:
     """Lexicographically smallest minimum-hop path from src to dst.
 
-    `into(v)` yields the nodes u with a link u -> v and `out_of(u)` the
-    nodes v with a link u -> v, so links are only looked at when asked for.
-    `into` may leave out nodes that already have a level: the search
-    ignores them.
+    `into(v, labelled)` yields the nodes u outside the set `labelled` with a
+    link u -> v, and `out_of(u, among)` the nodes v inside the set `among`
+    with a link u -> v, so links are only looked at when asked for and only
+    for the nodes that can matter. `labelled` grows while `into` runs, since
+    each yielded node is labelled before the next is asked for.
 
     Breadth-first levels run backward from dst and stop as soon as src is
-    labelled: src then sits at level L and every node below L already has
-    its level. A greedy descent then picks the lowest-id out-neighbour one
-    level closer, which only reads levels below the current node; this is
-    equivalent to minimizing (hops, sequence).
+    labelled: src then sits at level L and every level below L is complete.
+    A greedy descent then picks, among the nodes one level closer, the
+    lowest-id one the current node links to; this is equivalent to
+    minimizing (hops, sequence).
     """
     if src == dst:
         return (src,)
-    dist_to = {dst: 0}
-    frontier = [dst]
-    while src not in dist_to:
-        if not frontier:
-            return None
+    labelled = {dst}
+    levels = [[dst]]
+    while src not in labelled:
         nxt = []
-        for v in frontier:
-            for u in into(v):
-                if u not in dist_to:
-                    dist_to[u] = dist_to[v] + 1
-                    nxt.append(u)
-                    if u == src:
-                        break
-            if src in dist_to:
+        for v in levels[-1]:
+            for u in into(v, labelled):
+                labelled.add(u)
+                nxt.append(u)
+                if u == src:
+                    break
+            if src in labelled:
                 break
-        frontier = nxt
+        if not nxt:
+            return None
+        levels.append(nxt)
     path = [src]
-    node = src
-    while node != dst:
-        closer = dist_to[node] - 1
-        node = min(v for v in out_of(node) if dist_to.get(v, -1) == closer)
-        path.append(node)
+    for level in reversed(levels[:-1]):
+        path.append(min(out_of(path[-1], set(level))))
     return tuple(path)
 
 
@@ -798,32 +809,33 @@ class Simulator:
         full write-off against the session's home zone.
         """
         cfg = self.cfg
+        nodes = self.nodes
         sn.discovering = True
+        alive = [n for n in sorted(nodes) if nodes[n].alive]
         circle = destination_lookup(sn.dst, self.t, self.registry, self.zones)
         corridor = self._corridor_zones(sn.src, circle)
-        scope = self._flood_scope(sn.src, circle, corridor)
+        scope = self._flood_scope(sn.src, circle, corridor, alive)
         flood_e, flood_t = self._flood(sn, scope, corridor)
         if waste is not None:
             prev_e, prev_t, inv_e, inv_t = waste
             self._book_waste(sn.home_zone, prev_e + flood_e + inv_e, prev_t + flood_t + inv_t)
         route = self._discover_route(sn.src, sn.dst, scope)
-        if route is None and len(scope) < len(self._alive_ids()):
-            # the circle missed; fall back to one full flood
-            scope = self._alive_ids()
-            self._flood(sn, scope, range(len(self.zones)))
-            route = self._discover_route(sn.src, sn.dst, scope)
+        if route is None:
+            # the flood may have drained some of the nodes it reached
+            alive = [n for n in alive if nodes[n].alive]
+            if len(scope) < len(alive):
+                # the circle missed; fall back to one full flood
+                self._flood(sn, alive, range(len(self.zones)))
+                route = self._discover_route(sn.src, sn.dst, alive)
         if route is None:
             self._fail_session(sn)
             return
         hops = len(route) - 1
         for relay in reversed(route[1:]):
-            if self.nodes[relay].alive:
-                self._debit(relay, self.nodes[relay].max_power * cfg.airtime,
+            if nodes[relay].alive:
+                self._debit(relay, nodes[relay].max_power * cfg.airtime,
                             "control", message=True)
         self._push(self.t + 2.0 * hops * cfg.t_hop, self._on_route_reply, sn.id, route)
-
-    def _alive_ids(self) -> list[int]:
-        return [n for n in sorted(self.nodes) if self.nodes[n].alive]
 
     def _corridor_zones(self, src: int, circle: BroadcastCircle) -> tuple[int, ...]:
         """Zones inside the bounding box of the requester's zone and the
@@ -841,10 +853,11 @@ class Simulator:
         )
 
     def _flood_scope(
-        self, src: int, circle: BroadcastCircle, corridor: tuple[int, ...]
+        self, src: int, circle: BroadcastCircle, corridor: tuple[int, ...], alive: list[int]
     ) -> list[int]:
+        """src plus the nodes of `alive` in the corridor or the circle, sorted."""
         scope = {src}
-        for nid in self._alive_ids():
+        for nid in alive:
             node = self.nodes[nid]
             if node.zone_id in corridor or circle.contains(node.position):
                 scope.add(nid)
@@ -857,60 +870,74 @@ class Simulator:
                 self._debit(nid, node.max_power * self.cfg.airtime, "flood", message=True)
 
     def _discover_route(self, src: int, dst: int, scope: list[int]) -> tuple[int, ...] | None:
-        """Links already graded unreliable are avoided; when that leaves no
-        route at all they are allowed back in as a last resort.
+        """Minimum-hop route over the live scope (its alive nodes plus src),
+        as `shortest_route` picks it.
 
-        Links are tested only when `shortest_route` asks for the links into
-        or out of a node, so a search that reaches src early leaves the rest
-        of the scope untested. Candidates come from a NodeGrid over the live
-        scope whose cell side is the largest reach plus 1 m. The cell is
-        strictly wider than any reach, so every in-reach pair sits in
-        adjacent cells even after float rounding at a cell border, and the
-        links are exactly those of an all-pairs scan.
+        u -> v is a link when v lies within u's reach, its radio range less
+        the route margin, and u's top power arrives above v's receive floor
+        over the channel. Links already graded unreliable are avoided; when
+        that leaves no route at all they are allowed back in as a last
+        resort.
+
+        The search works on one record `(id, x, y, reach, top power,
+        receive floor)` per live node, bucketed into a NodeGrid whose cell
+        side is the largest reach plus 1 m. The cell is strictly wider than
+        any reach, so every in-reach pair sits in the 3x3 block around a
+        node's cell even after float rounding at a cell border, and the links
+        are exactly those of an all-pairs scan. Links are tested only when
+        `shortest_route` asks, so a search that reaches src early leaves the
+        rest of the scope untested. The channel coefficient is looked up only
+        for in-reach pairs whose budget its ceiling does not already clear.
         """
         nodes = self.nodes
-        live = [nodes[n] for n in scope if nodes[n].alive or n == src]
-        ids = {nu.id for nu in live}
-        if src not in ids or dst not in ids:
-            return None
         margin = self.cfg.route_margin
-        # route links must leave slack for motion during their lifetime
-        reach = {nu.id: max(nu.radio_range - margin, 0.0) for nu in live}
-        grid = NodeGrid(live, max(reach.values()) + 1.0)
+        recs = {}
+        entries = []
+        for n in scope:
+            nu = nodes[n]
+            if nu.alive or n == src:
+                # route links must leave slack for motion during their lifetime
+                p = nu.position
+                rec = (n, p[0], p[1], max(nu.radio_range - margin, 0.0), nu.max_power, nu.min_rcv)
+                recs[n] = rec
+                entries.append((p, rec))
+        if src not in recs or dst not in recs:
+            return None
+        block = NodeGrid(entries, max(r[3] for r in recs.values()) + 1.0).block
+        hypot = math.hypot
         alpha = self.channel.alpha
+        ceiling = self.channel.ceiling
         caches = self.caches
         risky_ok = False
 
-        def link(nu: NodeState, nv: NodeState) -> bool:
-            u, v = nu.id, nv.id
-            d = distance(nu.position, nv.position)
-            if d <= reach[u] and nu.max_power - alpha(u, v) * d >= nv.min_rcv:
-                entry = caches[u].get(v)
-                return risky_ok or entry is None or entry.reliable
-            return False
+        def usable(u: int, v: int, top: float, rcv: float, d: float) -> bool:
+            # the rest of the link test, for v within u's reach at distance d
+            if top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
+                return False
+            entry = caches[u].get(v)
+            return risky_ok or entry is None or entry.reliable
 
-        def into(v: int) -> Iterator[int]:
-            # v is labelled, so it is dst or was yielded before
-            nv = nodes[v]
-            for cell in grid.around(nv.position):
-                for nu in cell:
-                    u = nu.id
-                    if u not in labelled and link(nu, nv):
-                        labelled.add(u)
-                        yield u
+        def into(v: int, labelled: set[int]) -> Iterator[int]:
+            _, xv, yv, _, _, rcv = recs[v]
+            for u, xu, yu, reach, top, _ in block((xv, yv)):
+                if u in labelled:
+                    continue
+                d = hypot(xv - xu, yv - yu)
+                if d <= reach and usable(u, v, top, rcv, d):
+                    yield u
 
-        def out_of(u: int) -> Iterator[int]:
-            nu = nodes[u]
-            for cell in grid.around(nu.position):
-                for nv in cell:
-                    if nv.id != u and link(nu, nv):
-                        yield nv.id
+        def out_of(u: int, among: set[int]) -> Iterator[int]:
+            _, xu, yu, reach, top, _ = recs[u]
+            for v, xv, yv, _, _, rcv in block((xu, yu)):
+                if v not in among:
+                    continue
+                d = hypot(xv - xu, yv - yu)
+                if d <= reach and usable(u, v, top, rcv, d):
+                    yield v
 
-        labelled = {dst}
         route = shortest_route(into, out_of, src, dst)
         if route is None:
             risky_ok = True
-            labelled = {dst}
             route = shortest_route(into, out_of, src, dst)
         return route
 

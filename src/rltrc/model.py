@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Generic, Iterable, TypeVar
 
 Point = tuple[float, float]
+T = TypeVar("T")
 
 
 def distance(a: Point, b: Point) -> float:
@@ -59,33 +60,45 @@ class NodeState:
         return self.power_levels[0]
 
 
-class NodeGrid:
-    """Nodes bucketed into square cells for fixed-radius neighbor queries.
+class NodeGrid(Generic[T]):
+    """Items bucketed by position into square cells, for fixed-radius
+    neighbor queries.
 
     The standard uniform-grid scheme (Bentley, Stanat & Williams 1977): when
-    the cell side is larger than a query radius, every node within that
+    the cell side is larger than a query radius, every item within that
     radius of a point lies in the 3x3 block of cells around the point's cell.
-    Nodes keep their insertion order within a cell.
+    Items keep their insertion order within a cell.
     """
 
-    def __init__(self, nodes: Iterable[NodeState], side: float) -> None:
+    def __init__(self, entries: Iterable[tuple[Point, T]], side: float) -> None:
         self.side = side
-        self.cells: dict[tuple[int, int], list[NodeState]] = {}
-        for node in nodes:
-            self.cells.setdefault(self._cell(node.position), []).append(node)
+        self.cells: dict[tuple[int, int], list[T]] = {}
+        self._blocks: dict[tuple[int, int], list[T]] = {}
+        cell, cells = self._cell, self.cells
+        for p, item in entries:
+            cells.setdefault(cell(p), []).append(item)
 
     def _cell(self, p: Point) -> tuple[int, int]:
         return int(p[0] // self.side), int(p[1] // self.side)
 
-    def around(self, p: Point) -> Iterator[list[NodeState]]:
-        """The non-empty cells of the 3x3 block centred on p's cell."""
-        cx, cy = self._cell(p)
-        cells = self.cells
-        for i in (cx - 1, cx, cx + 1):
-            for j in (cy - 1, cy, cy + 1):
-                cell = cells.get((i, j))
-                if cell is not None:
-                    yield cell
+    def block(self, p: Point) -> list[T]:
+        """The items of the 3x3 block of cells centred on p's cell, cell by
+        cell from (x-1, y-1), (x-1, y), ... to (x+1, y+1).
+
+        Each block is built once and then shared by every point of its
+        centre cell, so callers must not change it.
+        """
+        key = self._cell(p)
+        got = self._blocks.get(key)
+        if got is None:
+            cx, cy = key
+            cells = self.cells
+            got = []
+            for i in (cx - 1, cx, cx + 1):
+                for j in (cy - 1, cy, cy + 1):
+                    got += cells.get((i, j), ())
+            self._blocks[key] = got
+        return got
 
 
 @dataclass

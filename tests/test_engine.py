@@ -115,7 +115,9 @@ def route_over(adjacency, src, dst):
     for u, outs in adjacency.items():
         for v in outs:
             preds.setdefault(v, []).append(u)
-    return shortest_route(lambda v: preds.get(v, ()), lambda u: adjacency.get(u, ()), src, dst)
+    return shortest_route(lambda v, labelled: [u for u in preds.get(v, ()) if u not in labelled],
+                          lambda u, among: [v for v in adjacency.get(u, ()) if v in among],
+                          src, dst)
 
 
 class TestRouting:
@@ -235,7 +237,7 @@ class TestDiscovery:
         assign_zones(sim.nodes, sim.zones)
         circle = BroadcastCircle(center=(110.0, 0.0), radius=5.0, spans_zones=(2,))
         # corridor limited to zone 0: zone-members 0,1 plus node 3 via the circle
-        scope = sim._flood_scope(0, circle, (0,))
+        scope = sim._flood_scope(0, circle, (0,), [0, 1, 2, 3])
         assert scope == [0, 1, 3]
 
 
@@ -436,6 +438,30 @@ class TestImmediateLinkFailure:
         assert sim.ledger.waste_rows[waste:] == [
             (sim.t, sn.home_zone, 0.0 + flood_e + 7.0, 0.0 + flood_t + 0.25)
         ]
+
+
+@pytest.mark.parametrize("stale", ["failed", "settled"])
+def test_stale_route_reply_changes_nothing(stale):
+    """A reply that arrives for a failed session, or for one whose
+    discovery already ended, installs no route and queues no event."""
+    sim = Simulator(scenario("lossless-pair"), seed=1)
+    sim.run()
+    sn = sim.sessions[0]
+    if stale == "failed":
+        sim._fail_session(sn)
+    assert not sn.discovering
+    sim._events.clear()
+    pid = max(sim.ledger.packets) + 1
+    sim.ledger.packets[pid] = PacketStat(session=sn.id, generated_at=sim.t)
+    queued = QueuedPacket(pid=pid, session=sn.id)
+    sim.runtime[sn.dst].queue = [queued]
+    next_hop, caches = dict(sn.next_hop), copy.deepcopy(sim.caches)
+    sim._on_route_reply(sn.id, (sn.dst, sn.src))
+    assert sn.next_hop == next_hop
+    assert sim.caches == caches
+    assert sim._events == []
+    assert sim.runtime[sn.dst].queue == [queued]
+    assert sim.ledger.packets[pid].status == "pending"
 
 
 class TestEndToEnd:

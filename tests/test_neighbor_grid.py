@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import oracle_neighbor_counts, oracle_route, oracle_route_links
 
 from rltrc.control import ZoneController, neighbor_counts
-from rltrc.engine import Simulator
+from rltrc.engine import Channel, Simulator
 from rltrc.linkcache import CommCacheEntry
 from rltrc.scenarios import scenario
 
@@ -83,13 +83,11 @@ def recorded_alpha(sim, monkeypatch) -> list[tuple[int, int]]:
     return asked
 
 
-@pytest.mark.parametrize("layout_seed", LAYOUTS)
-def test_discovery_matches_all_pairs_oracle(layout_seed, monkeypatch):
-    rng = random.Random(layout_seed)
-    sim = scattered_sim(rng)
+def oracle_queries(sim, rng, alpha):
+    """48 seeded discovery queries `(src, dst, scope, want, oracle_asked)`:
+    the route the all-pairs oracle finds and the pairs it asks the channel
+    about. The first query's source is dead unless it is node 0."""
     ids = sorted(sim.nodes)
-    alpha = sim.channel.alpha
-    asked = recorded_alpha(sim, monkeypatch)
     for query in range(48):
         src, dst = rng.choice(ids), rng.choice(ids)
         if query == 0 and src:
@@ -105,28 +103,122 @@ def test_discovery_matches_all_pairs_oracle(layout_seed, monkeypatch):
             if want is None:
                 want = oracle_route({u: sorted(adjacency[u] + risky[u]) for u in adjacency},
                                     src, dst)
+        yield src, dst, scope, want, oracle_asked
 
+
+@pytest.mark.parametrize("layout_seed", LAYOUTS)
+def test_discovery_matches_all_pairs_oracle(layout_seed, monkeypatch):
+    rng = random.Random(layout_seed)
+    sim = scattered_sim(rng)
+    alpha = sim.channel.alpha
+    asked = recorded_alpha(sim, monkeypatch)
+    for src, dst, scope, want, oracle_asked in oracle_queries(sim, rng, alpha):
         asked.clear()
         assert sim._discover_route(src, dst, scope) == want
         assert set(asked) <= oracle_asked
 
 
+def recorded_link_tests(sim, monkeypatch) -> list[tuple[int, int]]:
+    """Every link u -> v the route search measures, in call order.
+
+    Each link test computes one `math.hypot(xv - xu, yv - yu)`. Node k is
+    placed at height 2**k / 1024, so the exact height difference names the
+    ordered pair.
+    """
+    nodes = sim.nodes
+    for nid, n in nodes.items():
+        n.position = (n.position[0], 2.0 ** nid / 1024.0)
+    pairs = {}
+    for u, nu in nodes.items():
+        for v, nv in nodes.items():
+            if u != v:
+                pairs[(nv.position[0] - nu.position[0], nv.position[1] - nu.position[1])] = (u, v)
+    hypot = math.hypot
+    tested = []
+
+    def recorded(dx, dy):
+        tested.append(pairs[(dx, dy)])
+        return hypot(dx, dy)
+
+    monkeypatch.setattr(math, "hypot", recorded)
+    return tested
+
+
 def test_discovery_stops_at_the_source(monkeypatch):
-    """On a chain, a search from the middle never tests a link out of a node
-    beyond the source, on the far side from the destination."""
+    """On a chain, a search from the middle tests only links into nodes
+    strictly between the source and the destination: the backward search
+    never labels beyond the source, and the descent only tries nodes one
+    hop closer to the destination."""
     cfg = scenario("lossless-pair", nodes=8, sessions=1, arena_width=160.0,
                    arena_height=30.0, duration=0.0)
     sim = Simulator(cfg)
     for nid, n in sim.nodes.items():
         n.position = (20.0 * nid, 0.0)
         n.radio_range = 35.0
-    asked = recorded_alpha(sim, monkeypatch)
+    tested = recorded_link_tests(sim, monkeypatch)
     assert sim._discover_route(4, 7, list(range(8))) == (4, 5, 6, 7)
-    assert asked
-    assert all(u >= 4 for u, _ in asked)
-    asked.clear()
+    assert {(4, 5), (5, 6), (6, 7)} <= set(tested)
+    assert all(v > 4 for _, v in tested)
+    tested.clear()
     assert sim._discover_route(3, 0, list(range(8))) == (3, 2, 1, 0)
-    assert all(u <= 3 for u, _ in asked)
+    assert {(3, 2), (2, 1), (1, 0)} <= set(tested)
+    assert all(v < 3 for _, v in tested)
+
+
+# equal ends, spans of one ulp, decimals with no exact float, tiny magnitudes,
+# and spans where lo + (hi - lo) rounds above hi
+@pytest.mark.parametrize("span", [
+    (0.2, 0.4), (0.10, 0.18), (0.3, 0.3), (0.1, math.nextafter(0.1, 1.0)), (0.1, 0.7),
+    (1.0 / 3.0, 2.0 / 3.0), (1e-300, 3e-300), (0.7, 12.3), (0.06, 0.6), (0.33, 0.9),
+])
+def test_alpha_never_exceeds_the_ceiling(span):
+    lo, hi = span
+    channel = Channel(7, lo, hi)
+    ceiling = channel.ceiling
+    assert ceiling == lo + (hi - lo)
+    assert all(channel.alpha(u, v) <= ceiling for u in range(60) for v in range(u + 1, 60))
+    # the largest draw `random()` can make still stays at or below it
+    top = 1.0 - 2.0 ** -53
+
+    class Highest(random.Random):
+        def random(self):
+            return top
+
+    assert Highest().uniform(lo, hi) <= ceiling
+
+
+def test_discovery_with_undecided_links_matches_all_pairs_oracle(monkeypatch):
+    """Receive floors of 16-23 against top powers of 5-25 leave links the
+    ceiling clears, links it cannot decide and links that fail. The channel
+    is asked about undecided links only, and routes still match the oracle."""
+    cleared = undecided = asked_pass = asked_fail = 0
+    for layout_seed in LAYOUTS:
+        rng = random.Random(layout_seed)
+        sim = scattered_sim(rng)
+        nodes, ceiling = sim.nodes, sim.channel.ceiling
+        for n in nodes.values():
+            n.min_rcv = rng.uniform(16.0, 23.0)
+        alpha = sim.channel.alpha
+        asked = recorded_alpha(sim, monkeypatch)
+
+        def budget(u, v, coefficient):
+            d = math.dist(nodes[u].position, nodes[v].position)
+            return nodes[u].max_power - coefficient * d >= nodes[v].min_rcv
+
+        for src, dst, scope, want, oracle_asked in oracle_queries(sim, rng, alpha):
+            asked.clear()
+            got = sim._discover_route(src, dst, scope)
+            assert got == want
+            assert set(asked) <= oracle_asked
+            assert not any(budget(u, v, ceiling) for u, v in asked)
+            exact = [budget(u, v, alpha(u, v)) for u, v in asked]
+            asked_pass += sum(exact)
+            asked_fail += len(exact) - sum(exact)
+            hops = [budget(u, v, ceiling) for u, v in zip(got, got[1:])] if got else []
+            cleared += sum(hops)
+            undecided += len(hops) - sum(hops)
+    # both branches decided links, the exact one both ways, and routes used both kinds
+    assert cleared and undecided and asked_pass and asked_fail
 
 
 @pytest.mark.parametrize("layout_seed", LAYOUTS)
