@@ -4,18 +4,25 @@ The ledger is append-only during a run. Energy rows are joules and drive EC
 plus the conservation check. Waste and investment rows are in the protocol's
 abstract units (power levels, broadcast message counts, seconds) and drive
 AWE/AWT; utilized = invested - wasted, so AWE = 100 * wasted / invested.
+
+The three row logs are stored column by column (`RowLog`): floats in
+`array('d')`, ids in `array('i')` and debit kinds as a list of the engine's
+interned strings, so a row costs a few dozen bytes and no object per field.
+They still read as 4-tuples in append order, and the sums run over the same
+floats in the same order as a list of tuples would.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 
 CSV_VERSION_HEADER = "# rltrc metrics v1"
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketStat:
     session: int
     generated_at: float
@@ -24,7 +31,7 @@ class PacketStat:
     status: str = "pending"   # delivered | pending | dropped-<cause>
 
 
-@dataclass
+@dataclass(slots=True)
 class AttemptRow:
     """One hop attempt: its ledger row, the sender's in-flight handle while
     on the air, and the payload of its arrival, ack and timeout events.
@@ -45,34 +52,75 @@ class AttemptRow:
     outcome: str              # pending | ack | timeout | blocked
 
 
+class RowLog:
+    """An append-only table of 4-field rows, stored one column per field.
+
+    `typecodes` gives each column's `array` typecode; None makes the column
+    a list (for strings). `len` counts rows, iteration yields each row as a
+    tuple in append order, an index gives one such tuple and a slice a list
+    of them.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, typecodes: tuple[str | None, ...]):
+        self.columns = tuple(array(tc) if tc else [] for tc in typecodes)
+
+    def append(self, a, b, c, d) -> None:
+        ca, cb, cc, cd = self.columns
+        ca.append(a)
+        cb.append(b)
+        cc.append(c)
+        cd.append(d)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(*(col[index] for col in self.columns)))
+        return tuple(col[index] for col in self.columns)
+
+
+def _debit_log() -> RowLog:
+    return RowLog(("d", "i", None, "d"))     # t, node, kind, joules
+
+
+def _zone_log() -> RowLog:
+    return RowLog(("d", "i", "d", "d"))      # t, zone, energy, seconds
+
+
 @dataclass
 class MetricsLedger:
     initial_energy: dict[int, float] = field(default_factory=dict)
     final_energy: dict[int, float] = field(default_factory=dict)
-    debits: list[tuple[float, int, str, float]] = field(default_factory=list)
+    debits: RowLog = field(default_factory=_debit_log)
     message_count: int = 0
     packets: dict[int, PacketStat] = field(default_factory=dict)
     attempts: list[AttemptRow] = field(default_factory=list)
-    waste_rows: list[tuple[float, int, float, float]] = field(default_factory=list)
-    invest_rows: list[tuple[float, int, float, float]] = field(default_factory=list)
+    waste_rows: RowLog = field(default_factory=_zone_log)
+    invest_rows: RowLog = field(default_factory=_zone_log)
     duration: float = 0.0
 
     def record_debit(self, t: float, node: int, kind: str, joules: float) -> None:
-        self.debits.append((t, node, kind, joules))
+        self.debits.append(t, node, kind, joules)
 
     def count_message(self, n: int = 1) -> None:
         self.message_count += n
 
     def record_waste(self, t: float, zone: int, energy: float, time: float) -> None:
         if energy or time:
-            self.waste_rows.append((t, zone, energy, time))
+            self.waste_rows.append(t, zone, energy, time)
 
     def record_invest(self, t: float, zone: int, energy: float, time: float) -> None:
         if energy or time:
-            self.invest_rows.append((t, zone, energy, time))
+            self.invest_rows.append(t, zone, energy, time)
 
     def total_debits(self) -> float:
-        return math.fsum(row[3] for row in self.debits)
+        return math.fsum(self.debits.columns[3])
 
 
 @dataclass
@@ -109,10 +157,9 @@ def compute_metrics(ledger: MetricsLedger, policy: str = "rl-trc") -> MetricsRep
     total = len(ledger.initial_energy)
     alive = sum(1 for n in ledger.initial_energy if ledger.final_energy.get(n, 1.0) > 0.0)
     paln = 100.0 * alive / total if total else 100.0
-    we = math.fsum(r[2] for r in ledger.waste_rows)
-    wt = math.fsum(r[3] for r in ledger.waste_rows)
-    ie = math.fsum(r[2] for r in ledger.invest_rows)
-    it = math.fsum(r[3] for r in ledger.invest_rows)
+    waste, invest = ledger.waste_rows.columns, ledger.invest_rows.columns
+    we, wt = math.fsum(waste[2]), math.fsum(waste[3])
+    ie, it = math.fsum(invest[2]), math.fsum(invest[3])
     awe = 100.0 * we / ie if ie > 0.0 else 0.0
     awt = 100.0 * wt / it if it > 0.0 else 0.0
     return MetricsReport(

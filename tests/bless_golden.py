@@ -1,8 +1,13 @@
-"""Regenerate the golden trace digests.
+"""Regenerate the golden trace digests, or check them.
 
 Run `python tests/bless_golden.py` after an intentional behavior change and
 commit the rewritten JSON files. The regression test refuses to update them
 itself: a digest mismatch is a failure, never an auto-bless.
+
+`python tests/bless_golden.py --check` writes nothing: it reruns every
+golden, reports each one whose file would change and exits 1 if any would.
+It needs only the standard library, so it checks the digests on
+interpreters without pytest.
 
 Besides every canned scenario at seed 1, the digests cover desk-compare at
 seed 1 under the settings no canned scenario uses: each baseline policy,
@@ -12,8 +17,10 @@ run flat; and desk-converge at seed 1 on a 9-zone grid.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from rltrc.engine import Simulator
@@ -56,15 +63,30 @@ def trace(name: str, seed: int, **overrides) -> dict:
     return payload
 
 
-def main() -> None:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true",
+                    help="compare every golden with a fresh run, write nothing, "
+                         "exit 1 on any mismatch")
+    args = ap.parse_args(argv)
+    if not args.check:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+    mismatched = 0
     for golden, (name, overrides) in GOLDEN_TRACES.items():
-        payload = trace(name, seed=1, **overrides)
+        text = json.dumps(trace(name, seed=1, **overrides), indent=2, sort_keys=True) + "\n"
         path = GOLDEN_DIR / ("%s-seed1.json" % golden)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        print("blessed %s" % path.name)
+        if not args.check:
+            path.write_text(text, encoding="utf-8")
+            print("blessed %s" % path.name)
+        elif path.is_file() and path.read_text(encoding="utf-8") == text:
+            print("ok %s" % path.name)
+        else:
+            mismatched += 1
+            print("MISMATCH %s" % path.name)
+    if args.check:
+        print("%d of %d goldens mismatch" % (mismatched, len(GOLDEN_TRACES)))
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

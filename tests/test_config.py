@@ -63,6 +63,43 @@ class TestRangeValidation:
         bad = ScenarioConfig(arena_width=100.0, zones=5, override=True)
         assert any("zones" in e for e in bad.validate())
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"zones": 5}, "zones must be one of [3, 6, 9, 12], got 5"),
+        ({"mobility": "teleport"},
+         "mobility must be one of ['random-waypoint', 'random-walk', 'gaussian'],"
+         " got 'teleport'"),
+        ({"policy": "greedy"},
+         "policy must be one of ['rl-trc', 'fixed-max', 'odtpc-like', 'beacon-rssi-like',"
+         " 'beacon-prr-like'], got 'greedy'"),
+        ({"duration": -1.0}, "duration must be >= 0, got -1"),
+        # no node count below 1 leaves 2 mobile nodes, so both messages show
+        ({"nodes": 0}, ["nodes must be >= 1, got 0",
+                        "nodes=0 leaves fewer than 2 mobile nodes after 6 peripherals"]),
+        ({"sessions": -1}, "sessions must be >= 0, got -1"),
+        ({"level_count_min": 11}, "level counts must satisfy 0 < min <= max"),
+        ({"level_value_min": 30.0}, "level values must satisfy 0 < min < max"),
+        ({"radio_range_min": 45.0}, "radio ranges must satisfy 0 < min <= max"),
+        ({"nodes": 7, "override": True},
+         "nodes=7 leaves fewer than 2 mobile nodes after 6 peripherals"),
+        ({"route_margin": -1.0}, "route_margin must be >= 0, got -1"),
+        ({"energy_min": 60.0}, "energies must satisfy 0 < min <= max"),
+        ({"inter_arrival_min": 0.3}, "inter-arrival bounds must satisfy 0 < min <= max"),
+        ({"vmax_min": 5.0}, "vmax bounds must satisfy 0 <= min <= max"),
+        ({"vs": 0.0}, "tau_a, vs and mobility_dt must be positive"),
+        ({"alpha_min": 0.0}, "alpha range must satisfy 0 < min <= max"),
+        ({"nodes": 500}, "nodes per zone must lie in [5, 150], got 167 (500 nodes / 3 zones)"),
+        ({"arena_width": 500.0}, "arena must be 2000x2000 m, got 500x2000"),
+        ({"radio_range_max": 50.0}, "radio range must lie in [10, 40] m, got [10, 50]"),
+        ({"energy_max": 60.0}, "initial energy must lie in [20, 50] J, got [20, 60]"),
+        ({"level_count_max": 30}, "power level count must lie in [1, 25], got [5, 30]"),
+        ({"inter_arrival_max": 0.3},
+         "inter-arrival bounds must lie in [0.05, 0.2] s, got [0.05, 0.3]"),
+        ({"mx_atmpt": 5}, "mx_atmpt must be 3 or 4, got 5"),
+    ])
+    def test_each_violation_message(self, overrides, message):
+        expected = message if isinstance(message, list) else [message]
+        assert ScenarioConfig(**overrides).validate() == expected
+
     def test_all_violations_reported(self):
         errs = ScenarioConfig(
             zones=5, mobility="teleport", duration=-1.0, radio_range_min=0.0
@@ -80,6 +117,13 @@ class TestParseErrors:
         with pytest.raises(ConfigError) as err:
             parse_config("nodes = many")
         assert "nodes" in str(err.value)
+
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("Yes", True), ("1", True), ("on", True),
+        ("false", False), ("NO", False), ("0", False), ("off", False),
+    ])
+    def test_bool_words(self, word, value):
+        assert parse_config("override = %s" % word).override is value
 
     def test_bad_bool(self):
         with pytest.raises(ConfigError) as err:

@@ -117,6 +117,8 @@ class TestAssignZones:
 def diameter_cases():
     """Seeded layouts for the pruned diameter, degenerate ones first."""
     rng = random.Random(5)
+    yield []
+    yield [(3.0, 4.0)]
     yield [(3.0, 4.0), (0.0, 0.0)]
     yield [(7.5, 2.25)] * 6
     yield [(1.0, 1.0)] * 3 + [(1.0, 1.0 + 1e-12)]

@@ -363,12 +363,12 @@ class TestAttemptRows:
             sim._on_ack_timeout(row)
             assert row.outcome == "timeout"
             before = copy.deepcopy(
-                (sim.caches, sim.reward_states, sim.ledger.invest_rows, sim.packet_invested)
+                (sim.caches, sim.reward_states, sim.ledger.invest_rows[:], sim.packet_invested)
             )
             on_ack(row, rss)
             raced.append(row)
             assert row.outcome == "timeout"
-            assert (sim.caches, sim.reward_states, sim.ledger.invest_rows,
+            assert (sim.caches, sim.reward_states, sim.ledger.invest_rows[:],
                     sim.packet_invested) == before
 
         sim._on_ack_arrival = timeout_first
@@ -464,7 +464,54 @@ def test_stale_route_reply_changes_nothing(stale):
     assert sim.ledger.packets[pid].status == "pending"
 
 
+class TestUnpaidOrLateEvents:
+    def test_receiver_that_cannot_pay_rx_neither_acks_nor_forwards(self):
+        sim = Simulator(scenario("lossless-pair"), seed=1)
+        arrive = sim._on_packet_arrival
+        starved = []
+
+        def starve_first(row, rss, dist):
+            if starved:
+                return arrive(row, rss, dist)
+            receiver = sim.nodes[row.successor]
+            receiver.residual_energy = 1e-15
+            messages, queued = sim.ledger.message_count, len(sim._events)
+            arrive(row, rss, dist)
+            starved.append(row)
+            # the partial payment drains the receiver and is booked as rx
+            assert not receiver.alive
+            assert sim.ledger.debits[-1] == (sim.t, row.successor, "rx", 1e-15)
+            assert sim.ledger.message_count == messages
+            assert len(sim._events) == queued
+            assert row.pid not in sim.runtime[row.successor].seen
+            assert sim.ledger.packets[row.pid].status == "pending"
+
+        sim._on_packet_arrival = starve_first
+        sim.run()
+        assert starved
+
+    def test_link_breakage_of_an_ended_session_is_ignored(self):
+        sim = Simulator(scenario("lossless-pair"), seed=1)
+        sim.run()
+        sn = sim.sessions[0]
+        sim._fail_session(sn)
+        sim._events.clear()
+        led = sim.ledger
+        rows = (led.debits[:], led.invest_rows[:], led.waste_rows[:])
+        sim._on_link_breakage(sn.id, 1.0, 0.5, 7.0, 0.25)
+        assert (led.debits[:], led.invest_rows[:], led.waste_rows[:]) == rows
+        assert sim._events == []
+        assert not sn.discovering and sn.next_hop == {}
+
+
 class TestEndToEnd:
+    def test_single_level_nodes_send_at_the_top_value(self):
+        cfg = scenario("lossless-pair", level_count_min=1, level_count_max=1)
+        sim = Simulator(cfg)
+        sim.run()
+        assert all(n.power_levels == (cfg.level_value_max,) for n in sim.nodes.values())
+        assert {row.action for row in sim.ledger.attempts} == {cfg.level_value_max}
+
     def test_lossless_pair_delivers_everything(self):
         rep = run(scenario("lossless-pair"))
         assert rep.ntg == 100.0
@@ -533,7 +580,7 @@ class TestEndToEnd:
         rb = b.run()
         assert render_csv(ra) == render_csv(rb)
         assert render_csv(ra.series) == render_csv(rb.series)
-        assert a.ledger.debits == b.ledger.debits
+        assert a.ledger.debits[:] == b.ledger.debits[:]
 
     def test_different_seed_different_trace(self):
         base = scenario("desk-conserve")

@@ -291,3 +291,13 @@ def test_record_ack_updates_estimates():
     assert e.approx_velocity > 0.0
     assert e.expected_timestamp_end > 14.0
     assert len(e.last_two) == 2
+
+
+def test_record_ack_keeps_an_attenuation_it_cannot_estimate():
+    # at zero signal speed neither ack says how far its packet travelled
+    e = CommCacheEntry(sig_atn=9.9)
+    for r in (rec(0.0, 2.0, 10.0, 6.0), rec(10.0, 14.0, 10.0, 4.0)):
+        record_tx(e)
+        record_ack(e, r, vs=0.0, radio_range=10.0)
+    assert e.sig_atn == 9.9
+    assert e.approx_velocity == (6.0 - 4.0) / (9.9 * (14.0 - 2.0))

@@ -1,6 +1,8 @@
+import copy
 import math
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from rltrc.metrics import (
     CSV_VERSION_HEADER,
     MetricsLedger,
     PacketStat,
+    RowLog,
     compute_metrics,
     emit_csv,
     render_csv,
@@ -35,10 +38,101 @@ def ledger_with(
     for pid, stat in enumerate(packets, start=1):
         led.packets[pid] = stat
     for row in waste:
-        led.waste_rows.append(row)
+        led.waste_rows.append(*row)
     for row in invest:
-        led.invest_rows.append(row)
+        led.invest_rows.append(*row)
     return led
+
+
+def awkward_amount(rng):
+    """A positive float of any magnitude, often a decimal with no exact
+    binary form, so that summation order and rounding show."""
+    return rng.choice([0.1, 0.3, 0.7, rng.random()]) * 10.0 ** rng.randint(-9, 9)
+
+
+def random_rows(rng, n, duration):
+    """n (t, zone, energy, seconds) rows in ascending time."""
+    times = sorted(rng.uniform(0.0, duration) for _ in range(n))
+    return [(t, rng.randrange(12), awkward_amount(rng), awkward_amount(rng)) for t in times]
+
+
+def series_of_rows(waste, invest, duration, window_len):
+    """windowed_waste_series over plain lists of row tuples, summed in list
+    order: the reference the column-stored ledger must reproduce."""
+    n_windows = max(1, math.ceil(duration / window_len - 1e-12))
+    sums = [[0.0] * n_windows for _ in range(4)]
+    for rows, (e_sum, t_sum) in ((waste, sums[:2]), (invest, sums[2:])):
+        for t, _zone, e, tm in rows:
+            w = min(n_windows - 1, max(0, int(t / window_len)))
+            e_sum[w] += e
+            t_sum[w] += tm
+    we, wt, ie, it = sums
+    return [
+        (w * window_len,
+         100.0 * we[w] / ie[w] if ie[w] > 0.0 else 0.0,
+         100.0 * wt[w] / it[w] if it[w] > 0.0 else 0.0)
+        for w in range(n_windows)
+    ]
+
+
+class TestRowLog:
+    ROWS = [(0.5, 3, "tx", 0.1), (1.25, 0, "rx", 2e-9), (1.25, 7, "flood", 3.0e4)]
+
+    def table(self):
+        rows = RowLog(("d", "i", None, "d"))
+        for row in self.ROWS:
+            rows.append(*row)
+        return rows
+
+    def test_len_iteration_index_and_slices(self):
+        rows = self.table()
+        assert len(rows) == 3 and len(RowLog(("d", "i", "d", "d"))) == 0
+        assert list(rows) == self.ROWS
+        assert rows[1] == self.ROWS[1] and rows[-1] == self.ROWS[-1]
+        assert rows[:] == self.ROWS
+        assert rows[1:] == self.ROWS[1:]
+        assert rows[::-2] == self.ROWS[::-2]
+        assert rows[5:] == []
+
+    def test_deepcopy_is_equal_and_independent(self):
+        rows = self.table()
+        clone = copy.deepcopy(rows)
+        assert clone[:] == rows[:]
+        clone.append(9.0, 1, "beacon", 1.0)
+        assert len(clone) == 4 and rows[:] == self.ROWS
+
+    def test_sums_match_fsum_over_tuples_bit_for_bit(self):
+        rng = random.Random(20)
+        for trial in range(20):
+            duration = rng.choice([1.0, 60.0, 1200.0])
+            waste = random_rows(rng, rng.randint(0, 300), duration)
+            invest = random_rows(rng, rng.randint(1, 300), duration)
+            debits = [(t, zone, rng.choice(["tx", "rx", "flood"]), e)
+                      for t, zone, e, _ in random_rows(rng, rng.randint(0, 300), duration)]
+            led = ledger_with(waste=waste, invest=invest, duration=duration)
+            for row in debits:
+                led.record_debit(*row)
+            assert led.total_debits() == math.fsum(r[3] for r in debits)
+            rep = compute_metrics(led)
+            ie, it = math.fsum(r[2] for r in invest), math.fsum(r[3] for r in invest)
+            assert rep.awe == 100.0 * math.fsum(r[2] for r in waste) / ie
+            assert rep.awt == 100.0 * math.fsum(r[3] for r in waste) / it
+            window = duration / 20.0
+            assert windowed_waste_series(led, window) == series_of_rows(
+                waste, invest, duration, window)
+
+    def test_a_debit_row_costs_at_most_48_bytes(self):
+        led = MetricsLedger()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(10_000):
+                led.record_debit(i * 0.01, i % 100, "tx", i * 1e-6 + 0.1)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(led.debits) == 10_000
+        assert grown <= 48 * 10_000
 
 
 class TestComputeMetrics:
@@ -132,9 +226,9 @@ class TestWindowedSeries:
         for _ in range(400):
             t = rng.uniform(0.0, 100.0)
             e, tm = rng.uniform(0.1, 5.0), rng.uniform(0.1, 2.0)
-            led.invest_rows.append((t, 0, e, tm))
+            led.invest_rows.append(t, 0, e, tm)
             if rng.random() < 0.4:
-                led.waste_rows.append((t, 0, e * rng.random(), tm * rng.random()))
+                led.waste_rows.append(t, 0, e * rng.random(), tm * rng.random())
         series = windowed_waste_series(led, 12.5)
         assert len(series) == 8
         for w, (t0, awe, awt) in enumerate(series):
@@ -152,9 +246,9 @@ class TestWindowedSeries:
         for _ in range(300):
             t = rng.uniform(0.0, 60.0)
             e, tm = rng.uniform(0.5, 3.0), rng.uniform(0.1, 1.0)
-            led.invest_rows.append((t, 0, e, tm))
+            led.invest_rows.append(t, 0, e, tm)
             if rng.random() < 0.5:
-                led.waste_rows.append((t, 0, e * 0.3, tm * 0.2))
+                led.waste_rows.append(t, 0, e * 0.3, tm * 0.2)
         rep = compute_metrics(led)
         series = windowed_waste_series(led, 6.0)
         inv_e = [0.0] * len(series)

@@ -156,6 +156,8 @@ class TestBroadcastCost:
     def test_cap(self):
         assert broadcast_cost(3.0, 100.0, cap=30.0) == 30.0
         assert broadcast_cost(2.5, 500.0) == 1e12
+        # 2.5 ** 1001 overflows a float; the cost saturates instead
+        assert broadcast_cost(2.5, 1000.0) == 1e12
 
     def test_bad_branching(self):
         with pytest.raises(ValueError):

@@ -105,6 +105,8 @@ class TestCli:
         cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["run", "--config", str(cfg), "--seed", "2"]) == 0
         assert "seed 2" in capsys.readouterr().out
+        assert main(["run", "--config", str(cfg), "--policy", "fixed-max"]) == 0
+        assert "policy fixed-max" in capsys.readouterr().out
 
     def test_policy_override(self, capsys):
         assert main(["run", "--scenario", "desk-conserve", "--policy", "fixed-max"]) == 0
