@@ -53,7 +53,7 @@ from .model import (
     make_zones,
     zone_of,
 )
-from .policy import LinkSnapshot, SigmaInputs
+from .policy import LinkSnapshot
 from .rewards import (
     NodeRewardState,
     WasteLedger,
@@ -452,9 +452,7 @@ class Simulator:
             if not all(self.nodes[m].alive for m, _ in charges):
                 neighbors = None
         cached = self.network.collect(self.t, self.zones)
-        self.zone_sigma = [
-            policy.compute_sigma(SigmaInputs(z.reward_ri, cached)) for z in self.zones
-        ]
+        self.zone_sigma = [policy.compute_sigma(z.reward_ri, cached) for z in self.zones]
         self._push(self.t + self.cfg.t_sync, self._on_controller_sync)
 
     def _on_mobility_step(self) -> None:

@@ -8,14 +8,15 @@ AWE/AWT; utilized = invested - wasted, so AWE = 100 * wasted / invested.
 The three row logs are stored column by column (`RowLog`): floats in
 `array('d')`, ids in `array('i')` and debit kinds as a list of the engine's
 interned strings, so a row costs a few dozen bytes and no object per field.
-They still read as 4-tuples in append order, and the sums run over the same
-floats in the same order as a list of tuples would.
+Readers ask the ledger for counts and exact sums instead of iterating its
+rows, and `invariant_problems` checks that a finished run's books balance.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 
@@ -29,6 +30,11 @@ class PacketStat:
     delivered_at: float | None = None
     attempts: int = 0
     status: str = "pending"   # delivered | pending | dropped-<cause>
+
+
+# every status a packet can end a run in; the engine drops for four causes
+PACKET_STATUSES = frozenset(("delivered", "pending", "dropped-node-death", "dropped-session-failed",
+                             "dropped-route-invalidated", "dropped-link-breakage"))
 
 
 @dataclass(slots=True)
@@ -52,13 +58,15 @@ class AttemptRow:
     outcome: str              # pending | ack | timeout | blocked
 
 
+ATTEMPT_OUTCOMES = frozenset(("pending", "ack", "timeout", "blocked"))
+
+
 class RowLog:
     """An append-only table of 4-field rows, stored one column per field.
 
     `typecodes` gives each column's `array` typecode; None makes the column
-    a list (for strings). `len` counts rows, iteration yields each row as a
-    tuple in append order, an index gives one such tuple and a slice a list
-    of them.
+    a list (for strings). `len` counts rows and iteration yields each row as
+    a tuple in append order.
     """
 
     __slots__ = ("columns",)
@@ -78,11 +86,6 @@ class RowLog:
 
     def __iter__(self):
         return zip(*self.columns)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(zip(*(col[index] for col in self.columns)))
-        return tuple(col[index] for col in self.columns)
 
 
 def _debit_log() -> RowLog:
@@ -108,8 +111,8 @@ class MetricsLedger:
     def record_debit(self, t: float, node: int, kind: str, joules: float) -> None:
         self.debits.append(t, node, kind, joules)
 
-    def count_message(self, n: int = 1) -> None:
-        self.message_count += n
+    def count_message(self) -> None:
+        self.message_count += 1
 
     def record_waste(self, t: float, zone: int, energy: float, time: float) -> None:
         if energy or time:
@@ -121,6 +124,31 @@ class MetricsLedger:
 
     def total_debits(self) -> float:
         return math.fsum(self.debits.columns[3])
+
+    @property
+    def debit_count(self) -> int:
+        return len(self.debits)
+
+    def energy_by_node(self) -> dict[int, float]:
+        """Joules debited from each node that paid any, an exact sum each."""
+        paid = defaultdict(list)
+        for _t, node, _kind, joules in self.debits:
+            paid[node].append(joules)
+        return {node: math.fsum(js) for node, js in paid.items()}
+
+    def zone_sums(self) -> dict[int, tuple[float, float, float, float]]:
+        """Per zone with any row: (waste energy, waste time, investment
+        energy, investment time), each an exact sum."""
+        parts = defaultdict(lambda: ([], [], [], []))
+        for rows, first in ((self.waste_rows, 0), (self.invest_rows, 2)):
+            for _t, zone, energy, seconds in rows:
+                parts[zone][first].append(energy)
+                parts[zone][first + 1].append(seconds)
+        return {zone: tuple(map(math.fsum, cols)) for zone, cols in parts.items()}
+
+    def outcome_counts(self) -> Counter:
+        """Hop attempts per outcome."""
+        return Counter(row.outcome for row in self.attempts)
 
 
 @dataclass
@@ -175,6 +203,34 @@ def compute_metrics(ledger: MetricsLedger, policy: str = "rl-trc") -> MetricsRep
     )
 
 
+def invariant_problems(ledger: MetricsLedger, report: MetricsReport) -> list[str]:
+    """Every way a finished run's books fail to balance; empty when sound.
+
+    The debits re-sum to `report.ec` and to each node's energy drop, every
+    packet status and attempt outcome is known, and no zone wastes more
+    energy or time than it invested."""
+    problems = []
+    debits = ledger.total_debits()
+    if not math.isclose(debits, report.ec, rel_tol=1e-9, abs_tol=1e-9):
+        problems.append("debits sum to %r J but ec is %r J" % (debits, report.ec))
+    paid = ledger.energy_by_node()
+    for node, start in ledger.initial_energy.items():
+        drop, debited = start - ledger.final_energy.get(node, start), paid.get(node, 0.0)
+        if not math.isclose(debited, drop, rel_tol=1e-9, abs_tol=1e-9):
+            problems.append("node %d paid %r J but its energy dropped %r J" % (node, debited, drop))
+    unknown = sorted({p.status for p in ledger.packets.values()} - PACKET_STATUSES)
+    if unknown:
+        problems.append("packet statuses outside the known set: %s" % unknown)
+    unknown = sorted(ledger.outcome_counts().keys() - ATTEMPT_OUTCOMES)
+    if unknown:
+        problems.append("attempt outcomes outside the known set: %s" % unknown)
+    for zone, (we, wt, ie, it) in sorted(ledger.zone_sums().items()):
+        for label, w, i in (("energy", we, ie), ("time", wt, it)):
+            if w > i * (1.0 + 1e-9) + 1e-12:
+                problems.append("zone %d wastes %r of %s but invested %r" % (zone, w, label, i))
+    return problems
+
+
 def windowed_waste_series(
     ledger: MetricsLedger, window_len: float
 ) -> list[tuple[float, float, float]]:
@@ -224,20 +280,8 @@ def render_csv(payload: MetricsReport | list[tuple[float, float, float]]) -> str
     lines = [CSV_VERSION_HEADER]
     if isinstance(payload, MetricsReport):
         lines.append(SUMMARY_COLUMNS)
-        lines.append(
-            ",".join(
-                [
-                    payload.policy,
-                    str(payload.omc),
-                    _fmt(payload.ec),
-                    _fmt(payload.ntg),
-                    _fmt(payload.adl),
-                    _fmt(payload.paln),
-                    _fmt(payload.awe),
-                    _fmt(payload.awt),
-                ]
-            )
-        )
+        numbers = (payload.ec, payload.ntg, payload.adl, payload.paln, payload.awe, payload.awt)
+        lines.append(",".join([payload.policy, str(payload.omc)] + [_fmt(x) for x in numbers]))
     else:
         lines.append(SERIES_COLUMNS)
         for t, awe, awt in payload:

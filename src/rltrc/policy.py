@@ -22,18 +22,13 @@ class UnusableLinkError(RuntimeError):
     """No power level clears the link's threshold; the route must be rebuilt."""
 
 
-@dataclass(frozen=True)
-class SigmaInputs:
-    zone_reward: float
-    network_reward: float
-
-
 def _clamp(sigma: float) -> float:
     return min(SIGMA_CEIL, max(SIGMA_FLOOR, sigma))
 
 
-def compute_sigma(inputs: SigmaInputs) -> float:
-    """Exploration probability from the zone and network reward levels.
+def compute_sigma(ri: float, rn: float) -> float:
+    """Exploration probability from the zone reward ri and the network
+    reward rn.
 
     Negative zone reward pins sigma to the floor; a sub-unit zone reward is
     used directly. From there the network reward shapes how aggressively the
@@ -41,7 +36,6 @@ def compute_sigma(inputs: SigmaInputs) -> float:
     sigma up, until below -1 it collapses to the floor again. Result is
     always within [0.001, 0.999].
     """
-    ri, rn = inputs.zone_reward, inputs.network_reward
     if ri < 0.0:
         return SIGMA_FLOOR
     if ri < 1.0:

@@ -59,15 +59,9 @@ def successor_reward_noack(rd_prev: float, turn: int, mx_atmpt: int, broad_cost:
     return rd_prev
 
 
-def expected_max_neighbor_distance(n_neighbors: int, radius: float) -> float:
-    """Mean distance to the farthest of n uniform neighbors in a disc."""
-    if n_neighbors < 1:
-        raise ValueError("need at least one neighbor")
-    return 2.0 * n_neighbors * radius / (2.0 * n_neighbors + 1.0)
-
-
 def per_hop_progress(phi: float, av_rad: float) -> float:
-    """Average forwarding progress per hop given phi neighbors in range av_rad."""
+    """Average forwarding progress per hop given phi neighbors in range av_rad:
+    the mean distance to the farthest of phi uniform neighbors in a disc."""
     return 2.0 * phi * av_rad / (2.0 * phi + 1.0)
 
 

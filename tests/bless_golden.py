@@ -9,6 +9,10 @@ golden, reports each one whose file would change and exits 1 if any would.
 It needs only the standard library, so it checks the digests on
 interpreters without pytest.
 
+Every golden run must also pass `metrics.invariant_problems`. Blessing
+writes no golden whose run breaks one, `--check` reports it, and either
+way the script exits 1.
+
 Besides every canned scenario at seed 1, the digests cover desk-compare at
 seed 1 under the settings no canned scenario uses: each baseline policy,
 the other two mobility models, a nonzero noise spread and batteries that
@@ -24,7 +28,7 @@ import sys
 from pathlib import Path
 
 from rltrc.engine import Simulator
-from rltrc.metrics import render_csv
+from rltrc.metrics import invariant_problems, render_csv
 from rltrc.scenarios import names, scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -46,7 +50,8 @@ GOLDEN_TRACES.update({
 })
 
 
-def trace(name: str, seed: int, **overrides) -> dict:
+def trace(name: str, seed: int, **overrides) -> tuple[dict, list[str]]:
+    """The golden payload of one run, and the run's invariant problems."""
     sim = Simulator(scenario(name, seed=seed, **overrides))
     rep = sim.run()
     payload = {
@@ -56,36 +61,43 @@ def trace(name: str, seed: int, **overrides) -> dict:
         "series_sha256": hashlib.sha256(render_csv(rep.series).encode()).hexdigest(),
         "omc": rep.omc,
         "packets": len(sim.ledger.packets),
-        "debits": len(sim.ledger.debits),
+        "debits": sim.ledger.debit_count,
     }
     if overrides:
         payload["overrides"] = overrides
-    return payload
+    return payload, invariant_problems(sim.ledger, rep)
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
                     help="compare every golden with a fresh run, write nothing, "
-                         "exit 1 on any mismatch")
+                         "exit 1 on any mismatch or broken invariant")
     args = ap.parse_args(argv)
     if not args.check:
         GOLDEN_DIR.mkdir(exist_ok=True)
-    mismatched = 0
+    mismatched = broken = 0
     for golden, (name, overrides) in GOLDEN_TRACES.items():
-        text = json.dumps(trace(name, seed=1, **overrides), indent=2, sort_keys=True) + "\n"
+        payload, problems = trace(name, seed=1, **overrides)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         path = GOLDEN_DIR / ("%s-seed1.json" % golden)
-        if not args.check:
+        if problems:
+            broken += 1
+            print("BROKEN %s: %s" % (path.name, "; ".join(problems)))
+        if args.check:
+            if path.is_file() and path.read_text(encoding="utf-8") == text:
+                print("ok %s" % path.name)
+            else:
+                mismatched += 1
+                print("MISMATCH %s" % path.name)
+        elif not problems:
             path.write_text(text, encoding="utf-8")
             print("blessed %s" % path.name)
-        elif path.is_file() and path.read_text(encoding="utf-8") == text:
-            print("ok %s" % path.name)
-        else:
-            mismatched += 1
-            print("MISMATCH %s" % path.name)
     if args.check:
         print("%d of %d goldens mismatch" % (mismatched, len(GOLDEN_TRACES)))
-    return 1 if mismatched else 0
+    if broken:
+        print("%d of %d golden runs break an invariant" % (broken, len(GOLDEN_TRACES)))
+    return 1 if mismatched or broken else 0
 
 
 if __name__ == "__main__":

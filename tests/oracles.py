@@ -3,8 +3,8 @@
 These deliberately avoid the package's own formulas: the disc-sampling oracle
 estimates the expected farthest neighbor by Monte Carlo, the path oracle
 enumerates simple paths, the route oracle runs a full breadth-first search,
-the ledger oracle re-adds raw ledger rows, and the link, neighbor and
-diameter oracles scan every pair of nodes. Test modules freeze the
+the ledger oracle re-adds the rows a ledger spy copied as the run booked
+them, and the link, neighbor and diameter oracles scan every pair of nodes. Test modules freeze the
 numbers these produce or compare against them; the oracles stay here so the
 derivation can be re-run.
 """
@@ -115,18 +115,47 @@ def oracle_energy_totals(initial: dict[int, float], debit_rows) -> dict[int, flo
     return residual
 
 
-def oracle_ledger_recheck(ledger) -> tuple[float, float, float, float, float]:
-    """Flat re-summation of a finished ledger: (ew, et, ec, awe, awt).
+class LedgerSpy:
+    """Copies of the rows a run books into one ledger, taken at its calls.
+
+    Wraps the ledger instance's `record_debit`, `record_waste` and
+    `record_invest`, so tests can replay and re-sum a run's rows without
+    reading how the ledger stores them. Each `*_calls` list holds the call
+    arguments as tuples in call order, `(t, node, kind, joules)` for debits
+    and `(t, zone, energy, seconds)` otherwise, including the all-zero
+    waste and investment calls the ledger itself keeps no row for.
+    """
+
+    def __init__(self, ledger) -> None:
+        self.debit_calls: list[tuple] = []
+        self.waste_calls: list[tuple] = []
+        self.invest_calls: list[tuple] = []
+        for name, rows in (("record_debit", self.debit_calls),
+                           ("record_waste", self.waste_calls),
+                           ("record_invest", self.invest_calls)):
+            setattr(ledger, name, self._copying(getattr(ledger, name), rows))
+
+    @staticmethod
+    def _copying(record, rows):
+        def spy(*row):
+            rows.append(row)
+            record(*row)
+        return spy
+
+
+def oracle_ledger_recheck(ledger, spy: LedgerSpy) -> tuple[float, float, float, float, float]:
+    """Flat re-summation of a finished run: (ew, et, ec, awe, awt).
 
     Carries no incremental state: wasted energy/time are single fsums over
-    the raw waste rows, consumption is the initial-minus-final sum, and the
-    percentages divide the flat totals. Disagreement with the incremental
-    pipeline means one of the two is double-counting.
+    the waste rows the spy copied, consumption is the ledger's
+    initial-minus-final sum, and the percentages divide the flat totals.
+    Disagreement with the incremental pipeline means one of the two is
+    double-counting.
     """
-    ew = math.fsum(r[2] for r in ledger.waste_rows)
-    et = math.fsum(r[3] for r in ledger.waste_rows)
-    ie = math.fsum(r[2] for r in ledger.invest_rows)
-    it = math.fsum(r[3] for r in ledger.invest_rows)
+    ew = math.fsum(r[2] for r in spy.waste_calls)
+    et = math.fsum(r[3] for r in spy.waste_calls)
+    ie = math.fsum(r[2] for r in spy.invest_calls)
+    it = math.fsum(r[3] for r in spy.invest_calls)
     ec = math.fsum(
         ledger.initial_energy[n] - ledger.final_energy.get(n, ledger.initial_energy[n])
         for n in ledger.initial_energy

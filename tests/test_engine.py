@@ -8,10 +8,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from bless_golden import GOLDEN_TRACES
-from oracles import oracle_energy_totals, oracle_shortest_path, oracle_waste_fraction
+from oracles import LedgerSpy, oracle_energy_totals, oracle_shortest_path
 
 from rltrc import policy
-from rltrc.config import ScenarioConfig
+from rltrc.config import VALID_MOBILITY, VALID_POLICIES, VALID_ZONE_COUNTS
 from rltrc.control import BroadcastCircle
 from rltrc.engine import (
     MobilityState,
@@ -24,9 +24,9 @@ from rltrc.engine import (
     shortest_route,
 )
 from rltrc.linkcache import CommCacheEntry
-from rltrc.metrics import PacketStat, render_csv
+from rltrc.metrics import PacketStat, invariant_problems, render_csv
 from rltrc.model import NodeState
-from rltrc.policy import SigmaInputs, compute_sigma
+from rltrc.policy import compute_sigma
 from rltrc.scenarios import scenario
 
 
@@ -316,7 +316,7 @@ def test_sigma_per_tick_equals_sigma_recomputed_at_each_decision(monkeypatch):
 
     def checked(available, sigma, reliable, rng):
         zone = sim.zones[sim.nodes[senders[-1]].zone_id]
-        used.append((sigma, compute_sigma(SigmaInputs(zone.reward_ri, sim.network.cached))))
+        used.append((sigma, compute_sigma(zone.reward_ri, sim.network.cached)))
         return select(available, sigma, reliable, rng)
 
     sim._select_rltrc = tracked
@@ -354,6 +354,7 @@ class TestAttemptRows:
 
     def test_ack_after_timeout_is_ignored(self):
         sim = Simulator(scenario("lossless-pair"), seed=1)
+        spy = LedgerSpy(sim.ledger)
         on_ack = sim._on_ack_arrival
         raced = []
 
@@ -363,13 +364,12 @@ class TestAttemptRows:
             sim._on_ack_timeout(row)
             assert row.outcome == "timeout"
             before = copy.deepcopy(
-                (sim.caches, sim.reward_states, sim.ledger.invest_rows[:], sim.packet_invested)
+                (sim.caches, sim.reward_states, spy.invest_calls, sim.packet_invested)
             )
             on_ack(row, rss)
             raced.append(row)
             assert row.outcome == "timeout"
-            assert (sim.caches, sim.reward_states, sim.ledger.invest_rows[:],
-                    sim.packet_invested) == before
+            assert (sim.caches, sim.reward_states, spy.invest_calls, sim.packet_invested) == before
 
         sim._on_ack_arrival = timeout_first
         sim.run()
@@ -430,12 +430,12 @@ class TestImmediateLinkFailure:
         sim, sn, _ = hopeless_hop(reason)
         sim._on_send_attempt(sn.src)
         [(_, _, handler, args)] = sim._events
-        invest, waste = len(sim.ledger.invest_rows), len(sim.ledger.waste_rows)
+        spy = LedgerSpy(sim.ledger)
         handler(*args)
         # the circle flood finds the route, so it is the one flood
-        [(_, zone, flood_e, flood_t)] = sim.ledger.invest_rows[invest:]
+        [(_, zone, flood_e, flood_t)] = spy.invest_calls
         assert zone == sn.home_zone and flood_e > 0.0 and flood_t > 0.0
-        assert sim.ledger.waste_rows[waste:] == [
+        assert spy.waste_calls == [
             (sim.t, sn.home_zone, 0.0 + flood_e + 7.0, 0.0 + flood_t + 0.25)
         ]
 
@@ -467,6 +467,7 @@ def test_stale_route_reply_changes_nothing(stale):
 class TestUnpaidOrLateEvents:
     def test_receiver_that_cannot_pay_rx_neither_acks_nor_forwards(self):
         sim = Simulator(scenario("lossless-pair"), seed=1)
+        spy = LedgerSpy(sim.ledger)
         arrive = sim._on_packet_arrival
         starved = []
 
@@ -480,7 +481,7 @@ class TestUnpaidOrLateEvents:
             starved.append(row)
             # the partial payment drains the receiver and is booked as rx
             assert not receiver.alive
-            assert sim.ledger.debits[-1] == (sim.t, row.successor, "rx", 1e-15)
+            assert spy.debit_calls[-1] == (sim.t, row.successor, "rx", 1e-15)
             assert sim.ledger.message_count == messages
             assert len(sim._events) == queued
             assert row.pid not in sim.runtime[row.successor].seen
@@ -496,10 +497,9 @@ class TestUnpaidOrLateEvents:
         sn = sim.sessions[0]
         sim._fail_session(sn)
         sim._events.clear()
-        led = sim.ledger
-        rows = (led.debits[:], led.invest_rows[:], led.waste_rows[:])
+        spy = LedgerSpy(sim.ledger)
         sim._on_link_breakage(sn.id, 1.0, 0.5, 7.0, 0.25)
-        assert (led.debits[:], led.invest_rows[:], led.waste_rows[:]) == rows
+        assert (spy.debit_calls, spy.invest_calls, spy.waste_calls) == ([], [], [])
         assert sim._events == []
         assert not sn.discovering and sn.next_hop == {}
 
@@ -536,51 +536,37 @@ class TestEndToEnd:
 
     def test_packet_statuses_are_consistent(self):
         sim = Simulator(scenario("desk-conserve"))
-        sim.run()
+        assert invariant_problems(sim.ledger, sim.run()) == []
         for stat in sim.ledger.packets.values():
             if stat.status == "delivered":
                 assert stat.delivered_at is not None
                 assert stat.delivered_at >= stat.generated_at
             else:
                 assert stat.delivered_at is None
-                assert stat.status == "pending" or stat.status.startswith("dropped-")
 
     def test_energy_conservation_and_replay(self):
         sim = Simulator(scenario("desk-conserve"))
-        sim.run()
+        spy = LedgerSpy(sim.ledger)
         led = sim.ledger
-        drops = math.fsum(
-            led.initial_energy[n] - led.final_energy[n] for n in led.initial_energy
-        )
-        assert drops == pytest.approx(led.total_debits(), rel=1e-9)
+        assert invariant_problems(led, sim.run()) == []
         replayed = oracle_energy_totals(
-            led.initial_energy, [(r[1], r[3]) for r in led.debits]
+            led.initial_energy, [(r[1], r[3]) for r in spy.debit_calls]
         )
         for nid, residual in replayed.items():
             assert led.final_energy[nid] == pytest.approx(residual, abs=1e-12)
         assert all(v >= 0.0 for v in led.final_energy.values())
 
-    def test_waste_never_exceeds_investment(self):
-        for name in ("desk-conserve", "desk-compare"):
-            sim = Simulator(scenario(name))
-            sim.run()
-            led = sim.ledger
-            awe, awt = oracle_waste_fraction(
-                [(r[2], r[3]) for r in led.waste_rows],
-                [(r[2], r[3]) for r in led.invest_rows],
-            )
-            assert 0.0 <= awe <= 100.0
-            assert 0.0 <= awt <= 100.0
-
     def test_same_seed_same_bytes(self):
         cfg = scenario("desk-compare", seed=3)
         a = Simulator(cfg)
+        spy_a = LedgerSpy(a.ledger)
         ra = a.run()
         b = Simulator(cfg)
+        spy_b = LedgerSpy(b.ledger)
         rb = b.run()
         assert render_csv(ra) == render_csv(rb)
         assert render_csv(ra.series) == render_csv(rb.series)
-        assert a.ledger.debits[:] == b.ledger.debits[:]
+        assert spy_a.debit_calls and spy_a.debit_calls == spy_b.debit_calls
 
     def test_different_seed_different_trace(self):
         base = scenario("desk-conserve")
@@ -609,3 +595,49 @@ class TestEndToEnd:
 
         with pytest.raises(ConfigError):
             Simulator(scenario("desk-conserve", nodes=7, peripherals_per_zone=2))
+
+
+FUZZ_DRAWS = 60
+
+
+def random_configs(seed, count):
+    """`count` short runs drawn over policy, mobility, zone count, energy
+    and noise, all in desk-compare's arena.
+
+    `nodes` honours `validate`'s bounds by construction: at least five
+    nodes per zone and at least two mobile nodes besides the peripherals.
+    Near-zero batteries make nodes die mid-run.
+    """
+    rng = random.Random(seed)
+    per_zone = scenario("desk-compare").peripherals_per_zone
+    configs = []
+    for _ in range(count):
+        zones = rng.choice(VALID_ZONE_COUNTS)
+        fewest = max(5 * zones, per_zone * zones + 2)
+        low, high = rng.choice([(0.05, 0.3), (100.0, 200.0)])
+        configs.append(scenario(
+            "desk-compare",
+            seed=rng.randrange(1, 10**6),
+            policy=rng.choice(VALID_POLICIES),
+            mobility=rng.choice(VALID_MOBILITY),
+            zones=zones,
+            nodes=rng.randint(fewest, max(fewest, 60)),
+            energy_min=low,
+            energy_max=high,
+            noise_spread=rng.choice([0.0, rng.uniform(0.0, 0.2)]),
+            duration=rng.uniform(10.0, 20.0),
+        ))
+    return configs
+
+
+def test_random_configs_keep_the_run_invariants():
+    configs = random_configs(11, FUZZ_DRAWS)
+    assert len(configs) == FUZZ_DRAWS
+    deaths = 0
+    for cfg in configs:
+        assert cfg.validate() == []
+        sim = Simulator(cfg)
+        assert invariant_problems(sim.ledger, sim.run()) == [], cfg
+        deaths += sum(p.status == "dropped-node-death" for p in sim.ledger.packets.values())
+    # the near-zero batteries really reach the node-death branch
+    assert deaths > 0

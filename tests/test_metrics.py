@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import random
 import sys
@@ -12,11 +13,13 @@ from oracles import oracle_waste_fraction
 
 from rltrc.metrics import (
     CSV_VERSION_HEADER,
+    AttemptRow,
     MetricsLedger,
     PacketStat,
     RowLog,
     compute_metrics,
     emit_csv,
+    invariant_problems,
     render_csv,
     windowed_waste_series,
 )
@@ -38,9 +41,9 @@ def ledger_with(
     for pid, stat in enumerate(packets, start=1):
         led.packets[pid] = stat
     for row in waste:
-        led.waste_rows.append(*row)
+        led.record_waste(*row)
     for row in invest:
-        led.invest_rows.append(*row)
+        led.record_invest(*row)
     return led
 
 
@@ -84,22 +87,18 @@ class TestRowLog:
             rows.append(*row)
         return rows
 
-    def test_len_iteration_index_and_slices(self):
+    def test_len_and_iteration(self):
         rows = self.table()
         assert len(rows) == 3 and len(RowLog(("d", "i", "d", "d"))) == 0
         assert list(rows) == self.ROWS
-        assert rows[1] == self.ROWS[1] and rows[-1] == self.ROWS[-1]
-        assert rows[:] == self.ROWS
-        assert rows[1:] == self.ROWS[1:]
-        assert rows[::-2] == self.ROWS[::-2]
-        assert rows[5:] == []
+        assert list(rows) == self.ROWS  # iterating again starts over
 
     def test_deepcopy_is_equal_and_independent(self):
         rows = self.table()
         clone = copy.deepcopy(rows)
-        assert clone[:] == rows[:]
+        assert list(clone) == list(rows)
         clone.append(9.0, 1, "beacon", 1.0)
-        assert len(clone) == 4 and rows[:] == self.ROWS
+        assert len(clone) == 4 and list(rows) == self.ROWS
 
     def test_sums_match_fsum_over_tuples_bit_for_bit(self):
         rng = random.Random(20)
@@ -131,8 +130,99 @@ class TestRowLog:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(led.debits) == 10_000
+        assert led.debit_count == 10_000
         assert grown <= 48 * 10_000
+
+
+class TestLedgerAnswers:
+    def test_answers_match_fsum_over_tuples_bit_for_bit(self):
+        rng = random.Random(21)
+        for trial in range(20):
+            waste = random_rows(rng, rng.randint(0, 300), 60.0)
+            invest = random_rows(rng, rng.randint(0, 300), 60.0)
+            debits = [(t, node, "tx", e)
+                      for t, node, e, _ in random_rows(rng, rng.randint(0, 300), 60.0)]
+            led = ledger_with(waste=waste, invest=invest)
+            for row in debits:
+                led.record_debit(*row)
+            assert led.debit_count == len(debits)
+            nodes = {r[1] for r in debits}
+            assert led.energy_by_node() == {
+                n: math.fsum(r[3] for r in debits if r[1] == n) for n in nodes}
+            zones = {r[1] for r in waste + invest}
+            assert led.zone_sums() == {
+                z: tuple(math.fsum(r[col] for r in rows if r[1] == z)
+                         for rows in (waste, invest) for col in (2, 3))
+                for z in zones}
+
+    def test_outcome_counts(self):
+        led = MetricsLedger()
+        for k, outcome in enumerate(["ack", "timeout", "ack", "blocked", "pending", "ack"]):
+            led.attempts.append(AttemptRow(t=k, pid=k, session=0, node=0, successor=1, turn=1,
+                                           action=0.0 if outcome == "blocked" else 5.0,
+                                           outcome=outcome))
+        assert led.outcome_counts() == {"ack": 3, "timeout": 1, "blocked": 1, "pending": 1}
+        assert MetricsLedger().outcome_counts() == {}
+
+
+def balanced_run(zone_of_waste=0, debit_node=1, status="dropped-link-breakage", outcome="ack",
+                 waste_time=0.5):
+    """A hand-built finished run whose books balance under the defaults.
+
+    Node 1 pays 0.75 J and node 2 0.5 J; zone 0 invests (5, 1) and wastes
+    (2, waste_time), zone 1 invests (1, 2); the packets end in every known
+    status and the attempts take every known outcome. Each argument moves
+    one booking so that exactly one check of `invariant_problems` fails.
+    """
+    led = ledger_with(
+        packets=[PacketStat(session=0, generated_at=0.0, delivered_at=1.5, attempts=1,
+                            status="delivered"),
+                 PacketStat(session=0, generated_at=2.0)]
+        + [PacketStat(session=0, generated_at=1.0, attempts=2, status=known)
+           for known in [status, "dropped-node-death", "dropped-session-failed",
+                         "dropped-route-invalidated"]],
+        waste=[(1.0, zone_of_waste, 2.0, waste_time)],
+        invest=[(0.5, 0, 5.0, 1.0), (1.0, 1, 1.0, 2.0)],
+        initial={1: 10.0, 2: 8.0},
+        final={1: 9.25, 2: 7.5},
+    )
+    for row in [(0.5, 1, "tx", 0.5), (0.6, 2, "rx", 0.5), (1.0, debit_node, "flood", 0.25)]:
+        led.record_debit(*row)
+    for k, known in enumerate([outcome, "timeout", "blocked", "pending"]):
+        led.attempts.append(AttemptRow(t=0.5 + k, pid=2, session=0, node=1, successor=2,
+                                       turn=k + 1, action=5.0, outcome=known))
+    return led, compute_metrics(led)
+
+
+class TestInvariantProblems:
+    def test_balanced_run_has_none(self):
+        assert invariant_problems(*balanced_run()) == []
+
+    def test_ec_the_debits_do_not_explain(self):
+        led, rep = balanced_run()
+        assert invariant_problems(led, dataclasses.replace(rep, ec=rep.ec + 0.125)) == [
+            "debits sum to 1.25 J but ec is 1.375 J"]
+
+    def test_debit_booked_to_the_wrong_node(self):
+        assert invariant_problems(*balanced_run(debit_node=2)) == [
+            "node 1 paid 0.5 J but its energy dropped 0.75 J",
+            "node 2 paid 0.75 J but its energy dropped 0.5 J"]
+
+    def test_unknown_packet_status(self):
+        assert invariant_problems(*balanced_run(status="dropped-lost")) == [
+            "packet statuses outside the known set: ['dropped-lost']"]
+
+    def test_unknown_attempt_outcome(self):
+        assert invariant_problems(*balanced_run(outcome="nack")) == [
+            "attempt outcomes outside the known set: ['nack']"]
+
+    def test_waste_booked_to_the_wrong_zone(self):
+        assert invariant_problems(*balanced_run(zone_of_waste=1)) == [
+            "zone 1 wastes 2.0 of energy but invested 1.0"]
+
+    def test_waste_time_over_investment(self):
+        assert invariant_problems(*balanced_run(waste_time=1.5)) == [
+            "zone 0 wastes 1.5 of time but invested 1.0"]
 
 
 class TestComputeMetrics:
@@ -222,19 +312,20 @@ class TestWindowedSeries:
 
     def test_matches_flat_per_window_summation(self):
         rng = random.Random(11)
-        led = MetricsLedger(duration=100.0)
+        waste, invest = [], []
         for _ in range(400):
             t = rng.uniform(0.0, 100.0)
             e, tm = rng.uniform(0.1, 5.0), rng.uniform(0.1, 2.0)
-            led.invest_rows.append(t, 0, e, tm)
+            invest.append((t, 0, e, tm))
             if rng.random() < 0.4:
-                led.waste_rows.append(t, 0, e * rng.random(), tm * rng.random())
+                waste.append((t, 0, e * rng.random(), tm * rng.random()))
+        led = ledger_with(waste=waste, invest=invest, duration=100.0)
         series = windowed_waste_series(led, 12.5)
         assert len(series) == 8
         for w, (t0, awe, awt) in enumerate(series):
             lo, hi = w * 12.5, (w + 1) * 12.5
-            win_w = [(r[2], r[3]) for r in led.waste_rows if lo <= r[0] < hi]
-            win_i = [(r[2], r[3]) for r in led.invest_rows if lo <= r[0] < hi]
+            win_w = [(r[2], r[3]) for r in waste if lo <= r[0] < hi]
+            win_i = [(r[2], r[3]) for r in invest if lo <= r[0] < hi]
             exp_awe, exp_awt = oracle_waste_fraction(win_w, win_i)
             assert t0 == pytest.approx(lo)
             assert awe == pytest.approx(exp_awe, rel=1e-12)
@@ -242,18 +333,19 @@ class TestWindowedSeries:
 
     def test_whole_run_equals_invested_weighted_window_mean(self):
         rng = random.Random(5)
-        led = MetricsLedger(duration=60.0)
+        waste, invest = [], []
         for _ in range(300):
             t = rng.uniform(0.0, 60.0)
             e, tm = rng.uniform(0.5, 3.0), rng.uniform(0.1, 1.0)
-            led.invest_rows.append(t, 0, e, tm)
+            invest.append((t, 0, e, tm))
             if rng.random() < 0.5:
-                led.waste_rows.append(t, 0, e * 0.3, tm * 0.2)
+                waste.append((t, 0, e * 0.3, tm * 0.2))
+        led = ledger_with(waste=waste, invest=invest, duration=60.0)
         rep = compute_metrics(led)
         series = windowed_waste_series(led, 6.0)
         inv_e = [0.0] * len(series)
         inv_t = [0.0] * len(series)
-        for t, _z, e, tm in led.invest_rows:
+        for t, _z, e, tm in invest:
             w = min(len(series) - 1, int(t / 6.0))
             inv_e[w] += e
             inv_t[w] += tm

@@ -4,7 +4,6 @@ import pytest
 
 from rltrc.policy import (
     LinkSnapshot,
-    SigmaInputs,
     UnusableLinkError,
     baseline_decide,
     compute_sigma,
@@ -14,31 +13,31 @@ from rltrc.policy import (
 
 class TestComputeSigma:
     def test_negative_zone_reward_floors(self):
-        assert compute_sigma(SigmaInputs(-5.0, 0.0)) == 0.001
-        assert compute_sigma(SigmaInputs(-0.001, 100.0)) == 0.001
+        assert compute_sigma(-5.0, 0.0) == 0.001
+        assert compute_sigma(-0.001, 100.0) == 0.001
 
     def test_subunit_zone_reward_passthrough(self):
-        assert compute_sigma(SigmaInputs(0.5, -3.0)) == 0.5
-        assert compute_sigma(SigmaInputs(0.0, 5.0)) == 0.001  # clamped up
+        assert compute_sigma(0.5, -3.0) == 0.5
+        assert compute_sigma(0.0, 5.0) == 0.001  # clamped up
 
     def test_worked_examples(self):
-        assert compute_sigma(SigmaInputs(3.0, 2.0)) == pytest.approx(0.8660, abs=1e-4)
-        assert compute_sigma(SigmaInputs(3.0, -0.5)) == pytest.approx(0.9375)
+        assert compute_sigma(3.0, 2.0) == pytest.approx(0.8660, abs=1e-4)
+        assert compute_sigma(3.0, -0.5) == pytest.approx(0.9375)
 
     def test_network_reward_band_edges(self):
         # rn in [0, 1] uses 1 - 1/(1+ri)
-        assert compute_sigma(SigmaInputs(3.0, 0.0)) == pytest.approx(0.75)
-        assert compute_sigma(SigmaInputs(3.0, 1.0)) == pytest.approx(0.75)
+        assert compute_sigma(3.0, 0.0) == pytest.approx(0.75)
+        assert compute_sigma(3.0, 1.0) == pytest.approx(0.75)
         # rn = -1 saturates, rn < -1 collapses to the floor
-        assert compute_sigma(SigmaInputs(3.0, -1.0)) == 0.999
-        assert compute_sigma(SigmaInputs(3.0, -2.0)) == 0.001
+        assert compute_sigma(3.0, -1.0) == 0.999
+        assert compute_sigma(3.0, -2.0) == 0.001
 
     def test_always_in_bounds(self):
         rng = random.Random(13)
         for _ in range(100_000):
             ri = rng.uniform(-50.0, 50.0)
             rn = rng.uniform(-50.0, 50.0)
-            assert 0.001 <= compute_sigma(SigmaInputs(ri, rn)) <= 0.999
+            assert 0.001 <= compute_sigma(ri, rn) <= 0.999
 
 
 class TestSelectPowerLevel:

