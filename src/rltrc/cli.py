@@ -4,7 +4,8 @@
 for one or more seeds, prints a summary line per run, and optionally writes
 per-run summary and windowed-series CSV files plus one merged summary.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 invalid configuration or arguments, 2 filesystem
+error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NoReturn
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .engine import Simulator
@@ -80,8 +82,16 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, not argparse's 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rltrc")
+    parser = _Parser(prog="rltrc")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute a scenario for one or more seeds")
     run.add_argument("--config", help="path to a key = value scenario file")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .model import NodeGrid, NodeState, Point, ZoneState, distance, zone_of
 from .rewards import NodeRewardState, session_reward, network_reward, zone_reward
@@ -68,11 +68,11 @@ def destination_lookup(
     return BroadcastCircle(track.position, radius, circle_spans(track.position, radius, zones))
 
 
-def assign_zones(nodes: Mapping[int, NodeState], zones: list[ZoneState]) -> None:
+def assign_zones(nodes: Iterable[NodeState], zones: list[ZoneState]) -> None:
     """Rebuild zone membership from current positions; dead nodes drop out."""
     for z in zones:
         z.member_nodes.clear()
-    for node in nodes.values():
+    for node in nodes:
         node.zone_id = zone_of(node.position, zones)
         if node.alive:
             zones[node.zone_id].member_nodes.add(node.id)
@@ -82,7 +82,7 @@ def assign_zones(nodes: Mapping[int, NodeState], zones: list[ZoneState]) -> None
 _EXTENTS = (lambda p: p[0], lambda p: p[1], lambda p: p[0] + p[1], lambda p: p[0] - p[1])
 
 
-def _membership_diameter(members: Iterable[int], nodes: Mapping[int, NodeState]) -> float:
+def _membership_diameter(members: Iterable[int], nodes: Sequence[NodeState]) -> float:
     """Largest distance between two members, by an exactly pruned pair scan.
 
     The distance between the extreme points along x, y, x+y and x-y is a
@@ -168,8 +168,8 @@ class ZoneController:
     def sync(
         self,
         t_now: float,
-        nodes: Mapping[int, NodeState],
-        reward_states: Mapping[int, NodeRewardState],
+        nodes: Sequence[NodeState],
+        reward_states: Sequence[NodeRewardState],
         *,
         neighbors: Mapping[int, int],
     ) -> list[tuple[int, float]]:
@@ -201,25 +201,22 @@ class ZoneController:
             n_bar = math.fsum(neighbors[m] for m in members) / len(members)
             if n_bar > 0.0:
                 # isolated zones keep the previous value so hop-count
-                # quantities stay finite; flood branching never drops below 1
+                # quantities stay finite
                 zone.phi = n_bar
-                zone.ng = max(1.0, n_bar)
         zone.reward_ri = zone_reward(
-            [reward_states[m].total() for m in members if m in reward_states],
+            [reward_states[m].total() for m in members],
             self.session_rewards.values(),
         )
         return [(m, nodes[m].min_power) for m in members]
 
 
-def session_reporter(src: int, zone: ZoneState, nodes: Mapping[int, NodeState]) -> int | None:
+def session_reporter(src: int, zone: ZoneState, nodes: Sequence[NodeState]) -> int | None:
     """Node that files the session reward: the source while it is still a
     member, else the zone's lowest-id peripheral member, else nobody."""
     if src in zone.member_nodes:
         return src
-    peripherals = sorted(
-        m for m in zone.member_nodes if nodes[m].is_peripheral and nodes[m].alive
-    )
-    return peripherals[0] if peripherals else None
+    return min((m for m in zone.member_nodes if nodes[m].is_peripheral and nodes[m].alive),
+               default=None)
 
 
 class NetworkController:

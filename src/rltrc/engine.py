@@ -3,9 +3,10 @@
 One logical clock, one master RNG, a single heap ordered by (fire_time,
 sequence). Each heap entry is (fire_time, sequence, handler, args): the run
 loop calls `handler(*args)`, where handler is a `Simulator._on_<kind>`
-method bound when the event is pushed. All iteration over node or zone
-collections is in sorted order so equal (config, seed) pairs replay the
-exact same trace.
+method bound when the event is pushed. Nodes, runtime records and sessions
+are lists indexed by id, so walking them (and the flood scopes filtered from
+them) is id order; zone member sets are sorted where they are iterated. So
+equal (config, seed) pairs replay the exact same trace.
 
 World model: signals travel at the configured speed vs, so a data packet
 sent over a hop of length d arrives after d/(2 vs) and its acknowledgement
@@ -250,8 +251,10 @@ class QueuedPacket:
 
 @dataclass
 class NodeRuntime:
+    motion: MobilityState | None = None  # None for static peripherals
     queue: list[QueuedPacket] = field(default_factory=list)
     inflight: AttemptRow | None = None   # the one attempt a node may have on the air
+    links: dict[int, CommCacheEntry] = field(default_factory=dict)  # successor -> link cache
     levels_used: dict[int, float] = field(default_factory=dict)  # successor -> last level
     seen: set[int] = field(default_factory=set)
 
@@ -303,31 +306,25 @@ class Simulator:
         cfg = self.cfg
         av_rad = (cfg.radio_range_min + cfg.radio_range_max) / 2.0
         self.zones = make_zones(cfg.arena_width, cfg.arena_height, cfg.zones, av_rad=av_rad)
-        self.nodes: dict[int, NodeState] = {}
-        nid = 0
+        self.nodes: list[NodeState] = []
         for z in self.zones:
             for spot in self._peripheral_spots(z, cfg.peripherals_per_zone):
-                self.nodes[nid] = self._make_node(nid, spot, peripheral=True)
-                nid += 1
-        self.mobile_ids = list(range(nid, cfg.nodes))
-        for _ in range(nid, cfg.nodes):
+                self.nodes.append(self._make_node(len(self.nodes), spot, peripheral=True))
+        self.mobile_ids = list(range(len(self.nodes), cfg.nodes))
+        for nid in self.mobile_ids:
             pos = (self.rng.uniform(0.0, cfg.arena_width), self.rng.uniform(0.0, cfg.arena_height))
-            self.nodes[nid] = self._make_node(nid, pos, peripheral=False)
-            nid += 1
+            self.nodes.append(self._make_node(nid, pos, peripheral=False))
         assign_zones(self.nodes, self.zones)
         # each node's last sighting by its zone controller, for destination lookup
         self.registry: dict[int, NodeTrack] = {}
         self.controllers = [ZoneController(z, self.registry) for z in self.zones]
         self.network = NetworkController(cfg.t_net)
-        self.reward_states = {n: NodeRewardState() for n in self.nodes}
-        self.caches: dict[int, dict[int, CommCacheEntry]] = {n: {} for n in self.nodes}
-        self.runtime = {n: NodeRuntime() for n in self.nodes}
-        self.mobility_states = {n: MobilityState() for n in self.mobile_ids}
-        self.sessions: dict[int, Session] = {}
-        for sid in range(cfg.sessions):
-            src, dst = self.rng.sample(self.mobile_ids, 2)
-            self.sessions[sid] = Session(id=sid, src=src, dst=dst)
-        self.ledger.initial_energy = {n: self.nodes[n].residual_energy for n in self.nodes}
+        self.reward_states = [NodeRewardState() for _ in self.nodes]
+        self.runtime = [NodeRuntime(motion=None if n.is_peripheral else MobilityState())
+                        for n in self.nodes]
+        self.sessions = [Session(sid, *self.rng.sample(self.mobile_ids, 2))
+                         for sid in range(cfg.sessions)]
+        self.ledger.initial_energy = {n.id: n.residual_energy for n in self.nodes}
 
     def _peripheral_spots(self, z: ZoneState, count: int) -> list[Point]:
         """Static relay positions just inside the zone's internal edges."""
@@ -392,9 +389,9 @@ class Simulator:
             self._push(cfg.mobility_dt, self._on_mobility_step)
             if cfg.policy == "beacon-prr-like":
                 self._push(cfg.beacon_period, self._on_beacon)
-            for sid in sorted(self.sessions):
+            for sn in self.sessions:
                 self._push(self.rng.uniform(0.0, cfg.session_start_max),
-                           self._on_session_start, sid)
+                           self._on_session_start, sn.id)
             events = self._events
             pop = heapq.heappop
             duration = cfg.duration
@@ -402,7 +399,7 @@ class Simulator:
                 t, _, handler, args = pop(events)
                 self.t = t
                 handler(*args)
-        self.ledger.final_energy = {n: self.nodes[n].residual_energy for n in self.nodes}
+        self.ledger.final_energy = {n.id: n.residual_energy for n in self.nodes}
         report = compute_metrics(self.ledger, policy=cfg.policy)
         if cfg.duration > 0.0:
             report.series = windowed_waste_series(self.ledger, cfg.duration / 20.0)
@@ -432,20 +429,22 @@ class Simulator:
         member; the counts are then taken again before the next controller
         so that later zones do not count the dead node.
 
+        Started, live sessions file their rewards first: a session reward
+        reads only its home zone's waste totals, which no sync charge changes.
+
         Sigma reads only a zone's reward and the network's cached reward, and
         a sender's zone changes only in `assign_zones`; all three change only
         here, so each zone's sigma is worked out once, at the end of the tick.
         """
         assign_zones(self.nodes, self.zones)
+        for sn in self.sessions:
+            if sn.started and sn.live:
+                self.controllers[sn.home_zone].record_session_reward(sn.id)
         airtime = self.cfg.airtime
         neighbors = None
         for ctl in self.controllers:
-            for sid in sorted(self.sessions):
-                sn = self.sessions[sid]
-                if sn.started and sn.live and sn.home_zone == ctl.zone.id:
-                    ctl.record_session_reward(sid)
             if neighbors is None:
-                neighbors = neighbor_counts([n for n in self.nodes.values() if n.alive])
+                neighbors = neighbor_counts([n for n in self.nodes if n.alive])
             charges = ctl.sync(self.t, self.nodes, self.reward_states, neighbors=neighbors)
             for member, level in charges:
                 self._debit(member, level * airtime, "zone-state", message=True)
@@ -460,19 +459,19 @@ class Simulator:
         model, dt, t_now, rng = cfg.mobility, cfg.mobility_dt, self.t, self.rng
         arena = (cfg.arena_width, cfg.arena_height)
         pause_max, accel = cfg.pause_max, cfg.gaussian_accel
-        nodes, states = self.nodes, self.mobility_states
+        nodes, runtime = self.nodes, self.runtime
         for nid in self.mobile_ids:
             node = nodes[nid]
             if node.alive:
-                mobility_step(node, states[nid], model, dt, t_now, rng, arena, pause_max, accel)
+                mobility_step(node, runtime[nid].motion, model, dt, t_now, rng, arena,
+                              pause_max, accel)
         self._push(t_now + dt, self._on_mobility_step)
 
     def _on_beacon(self) -> None:
         airtime = self.cfg.airtime
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for node in self.nodes:
             if node.alive:
-                self._debit(nid, node.min_power * airtime, "beacon", message=True)
+                self._debit(node.id, node.min_power * airtime, "beacon", message=True)
         self._push(self.t + self.cfg.beacon_period, self._on_beacon)
 
     # -- sessions and packets -----------------------------------------------
@@ -480,8 +479,7 @@ class Simulator:
     def _on_session_start(self, sid: int) -> None:
         sn = self.sessions[sid]
         sn.started = True
-        src = self.nodes[sn.src]
-        sn.home_zone = zone_of(src.position, self.zones)
+        sn.home_zone = zone_of(self.nodes[sn.src].position, self.zones)
         self._push(self.t, self._on_packet_gen, sid)
         self._request_route(sn, waste=None)
 
@@ -548,7 +546,7 @@ class Simulator:
                 return  # waiting for a route; install resolves this queue
             self._drop_head(node, rt, "route-invalidated")
             return
-        entry = self.caches[node][succ]  # made by the route reply that set next_hop
+        entry = rt.links[succ]  # made by the route reply that set next_hop
         if self.cfg.policy == "rl-trc":
             level = self._select_rltrc(node, succ, entry, sn)
             if level is None:
@@ -679,7 +677,7 @@ class Simulator:
         rt.inflight = None
         row.outcome = "ack"
         sender = self.nodes[node]
-        entry = self.caches[node][succ]
+        entry = rt.links[succ]
         linkcache.record_ack(
             entry,
             PacketRecord(t_msg=row.t, t_ack=self.t, tx_power=row.action, rss=rss),
@@ -737,7 +735,8 @@ class Simulator:
     def _flood_cost(self, z: ZoneState) -> float:
         """Messages a flood across zone z costs, at its average hop depth."""
         h = avg_hop_count(z.theta, z.phi, z.av_rad)
-        return broadcast_cost(z.ng, h, self.cfg.broadcast_cost_cap)
+        # flood branching never drops below 1
+        return broadcast_cost(max(1.0, z.phi), h, self.cfg.broadcast_cost_cap)
 
     def _flood(
         self, sn: Session, scope: list[int], zone_ids: Iterable[int]
@@ -765,7 +764,7 @@ class Simulator:
         rt = self.runtime[node]
         qp = rt.queue.pop(0)
         succ = sn.next_hop[node]
-        linkcache.mark_reliability(self.caches[node][succ], self.t)
+        linkcache.mark_reliability(rt.links[succ], self.t)
         if cfg.policy == "rl-trc":
             penalty = self._flood_cost(self.zones[self.nodes[node].zone_id])
             self.reward_states[node].apply_noack(succ, qp.turn, cfg.mx_atmpt, penalty)
@@ -791,40 +790,39 @@ class Simulator:
         self, sid: int, prev_e: float, prev_t: float, inv_e: float, inv_t: float
     ) -> None:
         sn = self.sessions[sid]
-        if not sn.live:
-            return
-        if not self.nodes[sn.src].alive:
-            self._fail_session(sn)
-            return
-        self._request_route(sn, waste=(prev_e, prev_t, inv_e, inv_t))
+        if sn.live:
+            self._request_route(sn, waste=(prev_e, prev_t, inv_e, inv_t))
 
     def _request_route(
         self, sn: Session, waste: tuple[float, float, float, float] | None
     ) -> None:
         """Flood a route request within the destination's broadcast circle.
 
-        When `waste` carries a failed hop's terms, the rediscovery books the
-        full write-off against the session's home zone.
+        A session whose source is dead fails without a request. When `waste`
+        carries a failed hop's terms, the rediscovery books the full
+        write-off against the session's home zone.
         """
         cfg = self.cfg
         nodes = self.nodes
+        if not nodes[sn.src].alive:
+            self._fail_session(sn)
+            return
         sn.discovering = True
-        alive = [n for n in sorted(nodes) if nodes[n].alive]
+        alive = [n.id for n in nodes if n.alive]
         circle = destination_lookup(sn.dst, self.t, self.registry, self.zones)
         corridor = self._corridor_zones(sn.src, circle)
-        scope = self._flood_scope(sn.src, circle, corridor, alive)
+        scope = self._flood_scope(circle, corridor, alive)
         flood_e, flood_t = self._flood(sn, scope, corridor)
         if waste is not None:
             prev_e, prev_t, inv_e, inv_t = waste
             self._book_waste(sn.home_zone, prev_e + flood_e + inv_e, prev_t + flood_t + inv_t)
         route = self._discover_route(sn.src, sn.dst, scope)
-        if route is None:
-            # the flood may have drained some of the nodes it reached
-            alive = [n for n in alive if nodes[n].alive]
-            if len(scope) < len(alive):
-                # the circle missed; fall back to one full flood
-                self._flood(sn, alive, range(len(self.zones)))
-                route = self._discover_route(sn.src, sn.dst, alive)
+        # the circle flood charged scope nodes only, so the nodes of `alive`
+        # outside the scope are still alive; a source it killed gets no route
+        if route is None and len(scope) < len(alive) and nodes[sn.src].alive:
+            # the circle missed; fall back to one full flood
+            self._flood(sn, alive, range(len(self.zones)))
+            route = self._discover_route(sn.src, sn.dst, alive)
         if route is None:
             self._fail_session(sn)
             return
@@ -851,15 +849,14 @@ class Simulator:
         )
 
     def _flood_scope(
-        self, src: int, circle: BroadcastCircle, corridor: tuple[int, ...], alive: list[int]
+        self, circle: BroadcastCircle, corridor: tuple[int, ...], alive: list[int]
     ) -> list[int]:
-        """src plus the nodes of `alive` in the corridor or the circle, sorted."""
-        scope = {src}
-        for nid in alive:
-            node = self.nodes[nid]
-            if node.zone_id in corridor or circle.contains(node.position):
-                scope.add(nid)
-        return sorted(scope)
+        """The nodes of `alive` in the corridor or the circle, in their order."""
+        nodes = self.nodes
+        return [
+            n for n in alive
+            if nodes[n].zone_id in corridor or circle.contains(nodes[n].position)
+        ]
 
     def _charge_flood(self, scope: list[int]) -> None:
         for nid in scope:
@@ -868,8 +865,8 @@ class Simulator:
                 self._debit(nid, node.max_power * self.cfg.airtime, "flood", message=True)
 
     def _discover_route(self, src: int, dst: int, scope: list[int]) -> tuple[int, ...] | None:
-        """Minimum-hop route over the live scope (its alive nodes plus src),
-        as `shortest_route` picks it.
+        """Minimum-hop route over the scope's alive nodes, as
+        `shortest_route` picks it; None when src or dst is dead.
 
         u -> v is a link when v lies within u's reach, its radio range less
         the route margin, and u's top power arrives above v's receive floor
@@ -893,7 +890,7 @@ class Simulator:
         entries = []
         for n in scope:
             nu = nodes[n]
-            if nu.alive or n == src:
+            if nu.alive:
                 # route links must leave slack for motion during their lifetime
                 p = nu.position
                 rec = (n, p[0], p[1], max(nu.radio_range - margin, 0.0), nu.max_power, nu.min_rcv)
@@ -905,14 +902,14 @@ class Simulator:
         hypot = math.hypot
         alpha = self.channel.alpha
         ceiling = self.channel.ceiling
-        caches = self.caches
+        runtime = self.runtime
         risky_ok = False
 
         def usable(u: int, v: int, top: float, rcv: float, d: float) -> bool:
             # the rest of the link test, for v within u's reach at distance d
             if top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
                 return False
-            entry = caches[u].get(v)
+            entry = runtime[u].links.get(v)
             return risky_ok or entry is None or entry.reliable
 
         def into(v: int, labelled: set[int]) -> Iterator[int]:
@@ -945,12 +942,12 @@ class Simulator:
             return
         sn.discovering = False
         sn.next_hop = dict(zip(route, route[1:]))
+        runtime = self.runtime
         for u, v in sn.next_hop.items():
-            entry = self.caches[u].setdefault(v, CommCacheEntry(sig_atn=self.cfg.prior_sig_atn))
+            entry = runtime[u].links.setdefault(v, CommCacheEntry(sig_atn=self.cfg.prior_sig_atn))
             linkcache.new_episode(entry, self.t)
         # forwarders still on the path resume; stranded holders give up
-        for nid in sorted(self.runtime):
-            rt = self.runtime[nid]
+        for nid, rt in enumerate(runtime):
             if not any(q.session == sid for q in rt.queue):
                 continue
             if nid not in sn.next_hop:
@@ -962,7 +959,7 @@ class Simulator:
         sn.live = False
         sn.discovering = False
         sn.next_hop = {}
-        for rt in self.runtime.values():
+        for rt in self.runtime:
             self._withdraw(rt, sn.id, "session-failed")
         self._push(self.t, self._on_session_end, sn.id)
 
@@ -991,8 +988,3 @@ class Simulator:
             else:
                 keep.append(q)
         rt.queue = keep
-
-
-def run(cfg: ScenarioConfig, seed: int | None = None) -> MetricsReport:
-    """Run one scenario to completion and summarize it."""
-    return Simulator(cfg, seed=seed).run()

@@ -107,7 +107,7 @@ class ZoneState:
 
     theta is the maximum inter-node distance (membership diameter, falling
     back to the rectangle diagonal when fewer than two members are present),
-    phi/ng the average downlink-neighbor count, av_rad the average radio
+    phi the average downlink-neighbor count, av_rad the average radio
     range, (ew, et) the cumulative wasted energy/time, reward_ri the zone
     reward.
     """
@@ -120,7 +120,6 @@ class ZoneState:
     theta: float = 1.0
     phi: float = 1.0
     av_rad: float = 1.0
-    ng: float = 1.0
     member_nodes: set[int] = field(default_factory=set)
     ew: float = 0.0
     et: float = 0.0
@@ -138,8 +137,8 @@ def make_zones(width: float, height: float, count: int, av_rad: float = 25.0) ->
     """Tile a width x height arena with `count` rectangular zones.
 
     The grid uses the most square factorization with columns >= rows, ids
-    assigned row-major. Initial theta is the rectangle diagonal and phi/ng
-    start at their invariant floors until the first controller sync.
+    assigned row-major. Initial theta is the rectangle diagonal and phi
+    starts at its invariant floor until the first controller sync.
     """
     if count < 1:
         raise ValueError("zone count must be >= 1")

@@ -165,17 +165,18 @@ def oracle_ledger_recheck(ledger, spy: LedgerSpy) -> tuple[float, float, float, 
     return ew, et, ec, awe, awt
 
 
-def oracle_route_links(nodes, scope, src, margin, alpha, caches):
+def oracle_route_links(nodes, scope, margin, alpha, links):
     """All-pairs scan for the links route discovery may use.
 
-    Live nodes are the scope's alive nodes plus src. u -> v is a link when
+    Live nodes are the scope's alive nodes. u -> v is a link when
     v lies within u's reach (radio range less margin, floored at zero) and
     u's top power still arrives above v's receive floor over the channel
     coefficient alpha(u, v), which is asked for in-reach pairs only. Links
-    whose cache entry is graded unreliable go to the risky map. Returns
-    (adjacency, risky) keyed in live order, adjacency lists sorted.
+    whose cache entry `links[u][v]` is graded unreliable go to the risky
+    map. Returns (adjacency, risky) keyed in live order, adjacency lists
+    sorted.
     """
-    live = [n for n in scope if nodes[n].residual_energy > 0.0 or n == src]
+    live = [n for n in scope if nodes[n].residual_energy > 0.0]
     adjacency = {u: [] for u in live}
     risky = {u: [] for u in live}
     for u in live:
@@ -187,7 +188,7 @@ def oracle_route_links(nodes, scope, src, margin, alpha, caches):
             nv = nodes[v]
             d = math.dist(nu.position, nv.position)
             if d <= reach and nu.power_levels[-1] - alpha(u, v) * d >= nv.min_rcv:
-                entry = caches[u].get(v)
+                entry = links[u].get(v)
                 if entry is not None and not entry.reliable:
                     risky[u].append(v)
                 else:
@@ -201,7 +202,7 @@ def oracle_neighbor_counts(nodes, members) -> dict[int, int]:
     return {
         m: sum(
             1
-            for other in nodes.values()
+            for other in nodes
             if other.id != m
             and other.residual_energy > 0.0
             and math.dist(nodes[m].position, other.position) <= nodes[m].radio_range

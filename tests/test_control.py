@@ -94,22 +94,16 @@ class TestCircleGeometry:
 class TestAssignZones:
     def test_membership_and_zone_ids(self):
         zones = make_zones(300.0, 200.0, 6)
-        nodes = {
-            1: node(1, (50.0, 50.0)),
-            2: node(2, (150.0, 50.0)),
-            3: node(3, (250.0, 150.0)),
-        }
+        nodes = [node(0, (50.0, 50.0)), node(1, (150.0, 50.0)), node(2, (250.0, 150.0))]
         assign_zones(nodes, zones)
-        assert nodes[1].zone_id == 0
-        assert nodes[2].zone_id == 1
-        assert nodes[3].zone_id == 5
-        assert zones[0].member_nodes == {1}
-        assert zones[5].member_nodes == {3}
+        assert [n.zone_id for n in nodes] == [0, 1, 5]
+        assert zones[0].member_nodes == {0}
+        assert zones[5].member_nodes == {2}
 
     def test_dead_nodes_drop_out(self):
         zones = make_zones(300.0, 200.0, 6)
-        dead = node(1, (50.0, 50.0), residual_energy=0.0)
-        assign_zones({1: dead}, zones)
+        dead = node(0, (50.0, 50.0), residual_energy=0.0)
+        assign_zones([dead], zones)
         assert zones[0].member_nodes == set()
         assert dead.zone_id == 0
 
@@ -145,49 +139,46 @@ def diameter_cases():
 
 def test_membership_diameter_is_exactly_the_all_pairs_value():
     for pts in diameter_cases():
-        nodes = {i: node(i, p) for i, p in enumerate(pts)}
-        assert _membership_diameter(sorted(nodes), nodes) == oracle_membership_diameter(pts)
+        nodes = [node(i, p) for i, p in enumerate(pts)]
+        assert _membership_diameter(range(len(nodes)), nodes) == oracle_membership_diameter(pts)
 
 
 class TestZoneControllerSync:
     def setup_method(self):
         self.zones = make_zones(300.0, 200.0, 6)
-        self.nodes = {
-            1: node(1, (40.0, 50.0)),
-            2: node(2, (70.0, 50.0)),
-        }
+        self.nodes = [node(0, (40.0, 50.0)), node(1, (70.0, 50.0))]
         assign_zones(self.nodes, self.zones)
         self.ctl = ZoneController(self.zones[0], {})
-        self.rewards = {1: NodeRewardState(), 2: NodeRewardState()}
+        self.rewards = [NodeRewardState(), NodeRewardState()]
 
     def sync(self, t_now, ctl=None):
-        alive = [n for n in self.nodes.values() if n.alive]
+        alive = [n for n in self.nodes if n.alive]
         return (ctl or self.ctl).sync(t_now, self.nodes, self.rewards,
                                       neighbors=neighbor_counts(alive))
 
     def test_registry_refresh(self):
         self.sync(10.0)
-        assert self.ctl.registry[1].position == (40.0, 50.0)
-        assert self.ctl.registry[1].last_seen == 10.0
-        assert 2 in self.ctl.registry
+        assert self.ctl.registry[0].position == (40.0, 50.0)
+        assert self.ctl.registry[0].last_seen == 10.0
+        assert 1 in self.ctl.registry
         # a node that leaves the zone keeps its last sighting
-        self.nodes[2].position = (150.0, 50.0)
+        self.nodes[1].position = (150.0, 50.0)
         assign_zones(self.nodes, self.zones)
         self.sync(20.0)
-        assert self.ctl.registry[1].last_seen == 20.0
-        assert self.ctl.registry[2].position == (70.0, 50.0)
-        assert self.ctl.registry[2].last_seen == 10.0
-        # the registry is shared: another zone's sync refreshes node 2
+        assert self.ctl.registry[0].last_seen == 20.0
+        assert self.ctl.registry[1].position == (70.0, 50.0)
+        assert self.ctl.registry[1].last_seen == 10.0
+        # the registry is shared: another zone's sync refreshes node 1
         self.sync(30.0, ZoneController(self.zones[1], self.ctl.registry))
-        assert self.ctl.registry[2].position == (150.0, 50.0)
-        assert self.ctl.registry[2].last_seen == 30.0
+        assert self.ctl.registry[1].position == (150.0, 50.0)
+        assert self.ctl.registry[1].last_seen == 30.0
 
     def test_theta_is_membership_diameter(self):
         self.sync(10.0)
         assert self.ctl.zone.theta == pytest.approx(30.0)
 
     def test_theta_falls_back_to_diagonal(self):
-        del self.nodes[2]
+        del self.nodes[1]
         assign_zones(self.nodes, self.zones)
         self.sync(10.0)
         assert self.ctl.zone.theta == pytest.approx(math.hypot(100.0, 100.0))
@@ -196,22 +187,21 @@ class TestZoneControllerSync:
         self.sync(10.0)
         assert self.ctl.zone.av_rad == 40.0
         assert self.ctl.zone.phi == 1.0  # each sees the other
-        assert self.ctl.zone.ng == 1.0
 
     def test_isolated_members_keep_previous_phi(self):
-        self.nodes[2].position = (70.0, 50.0)
+        self.nodes[1].position = (70.0, 50.0)
         self.sync(10.0)
         assert self.ctl.zone.phi == 1.0
         # move them out of mutual range, same zone
-        self.nodes[1].position = (5.0, 5.0)
-        self.nodes[2].position = (95.0, 95.0)
+        self.nodes[0].position = (5.0, 5.0)
+        self.nodes[1].position = (95.0, 95.0)
         assign_zones(self.nodes, self.zones)
         self.sync(20.0)
         assert self.ctl.zone.phi == 1.0
 
     def test_broadcast_charges_live_members_at_min_level(self):
         charges = self.sync(10.0)
-        assert charges == [(1, 5.0), (2, 5.0)]
+        assert charges == [(0, 5.0), (1, 5.0)]
 
     def test_empty_zone_free_and_zero_reward(self):
         ctl = ZoneController(self.zones[4], {})
@@ -220,19 +210,19 @@ class TestZoneControllerSync:
         assert ctl.zone.reward_ri == 0.0
 
     def test_ri_recomputed_every_sync(self):
-        self.rewards[1].apply_action(15.0, 10.0)
+        self.rewards[0].apply_action(15.0, 10.0)
         self.sync(10.0)
         assert self.ctl.zone.reward_ri == 5.0
         # reward accrued with no attempt completed and the same members
-        self.rewards[1].apply_action(15.0, 10.0)
+        self.rewards[0].apply_action(15.0, 10.0)
         self.sync(20.0)
         assert self.ctl.zone.reward_ri == 10.0
 
     def test_membership_change_forces_recompute(self):
         self.sync(10.0)
-        self.nodes[2].position = (150.0, 50.0)
+        self.nodes[1].position = (150.0, 50.0)
         assign_zones(self.nodes, self.zones)
-        self.rewards[1].apply_action(15.0, 5.0)
+        self.rewards[0].apply_action(15.0, 5.0)
         self.sync(20.0)
         assert self.ctl.zone.reward_ri == 10.0
 
@@ -249,29 +239,29 @@ class TestSessionRewards:
 
     def test_reporter_prefers_source(self):
         zones = make_zones(300.0, 200.0, 6)
-        nodes = {
-            1: node(1, (50.0, 50.0)),
-            2: node(2, (10.0, 10.0), is_peripheral=True),
-            3: node(3, (20.0, 10.0), is_peripheral=True),
-        }
+        nodes = [
+            node(0, (50.0, 50.0)),
+            node(1, (10.0, 10.0), is_peripheral=True),
+            node(2, (20.0, 10.0), is_peripheral=True),
+        ]
         assign_zones(nodes, zones)
-        assert session_reporter(1, zones[0], nodes) == 1
+        assert session_reporter(0, zones[0], nodes) == 0
 
     def test_reporter_falls_back_to_lowest_peripheral(self):
         zones = make_zones(300.0, 200.0, 6)
-        nodes = {
-            1: node(1, (150.0, 50.0)),  # source moved to zone 1
-            2: node(2, (10.0, 10.0), is_peripheral=True),
-            3: node(3, (20.0, 10.0), is_peripheral=True),
-        }
+        nodes = [
+            node(0, (150.0, 50.0)),  # source moved to zone 1
+            node(1, (10.0, 10.0), is_peripheral=True),
+            node(2, (20.0, 10.0), is_peripheral=True),
+        ]
         assign_zones(nodes, zones)
-        assert session_reporter(1, zones[0], nodes) == 2
+        assert session_reporter(0, zones[0], nodes) == 1
 
     def test_reporter_none_when_no_peripherals(self):
         zones = make_zones(300.0, 200.0, 6)
-        nodes = {1: node(1, (150.0, 50.0))}
+        nodes = [node(0, (150.0, 50.0))]
         assign_zones(nodes, zones)
-        assert session_reporter(1, zones[0], nodes) is None
+        assert session_reporter(0, zones[0], nodes) is None
 
 
 class TestNetworkController:

@@ -39,7 +39,7 @@ def scattered_sim(rng: random.Random) -> Simulator:
     sim = Simulator(cfg)
     nodes = sim.nodes
     top = rng.uniform(20.0, 40.0)
-    for n in nodes.values():
+    for n in nodes:
         n.radio_range = rng.uniform(10.0, top)
         n.min_rcv = rng.uniform(0.5, 8.0)
         n.residual_energy = 0.0 if rng.random() < 0.1 else 5.0
@@ -47,7 +47,7 @@ def scattered_sim(rng: random.Random) -> Simulator:
     nodes[0].residual_energy = 5.0
     sides = (max(top - margin, 0.0) + 1.0, top + 1.0)
     corners = [(0.0, 0.0), (WIDTH, 0.0), (0.0, HEIGHT), (WIDTH, HEIGHT)]
-    for nid in sorted(nodes):
+    for nid in range(NODES):
         kind = rng.random()
         if kind < 0.2:
             side = rng.choice(sides)
@@ -65,8 +65,8 @@ def scattered_sim(rng: random.Random) -> Simulator:
             pos = (rng.uniform(0.0, WIDTH), rng.uniform(0.0, HEIGHT))
         nodes[nid].position = pos
     for _ in range(10 * NODES):
-        u, v = rng.sample(sorted(nodes), 2)
-        sim.caches[u][v] = CommCacheEntry(sig_atn=0.14, reliable=rng.random() < 0.2)
+        u, v = rng.sample(range(NODES), 2)
+        sim.runtime[u].links[v] = CommCacheEntry(sig_atn=0.14, reliable=rng.random() < 0.2)
     return sim
 
 
@@ -87,7 +87,7 @@ def oracle_queries(sim, rng, alpha):
     """48 seeded discovery queries `(src, dst, scope, want, oracle_asked)`:
     the route the all-pairs oracle finds and the pairs it asks the channel
     about. The first query's source is dead unless it is node 0."""
-    ids = sorted(sim.nodes)
+    ids = list(range(NODES))
     for query in range(48):
         src, dst = rng.choice(ids), rng.choice(ids)
         if query == 0 and src:
@@ -95,8 +95,9 @@ def oracle_queries(sim, rng, alpha):
         scope = sorted(set(ids) - set(rng.sample(ids, rng.randrange(NODES // 2))) | {0, src})
         oracle_asked = set()
         adjacency, risky = oracle_route_links(
-            sim.nodes, scope, src, sim.cfg.route_margin,
-            lambda u, v: oracle_asked.add((u, v)) or alpha(u, v), sim.caches)
+            sim.nodes, scope, sim.cfg.route_margin,
+            lambda u, v: oracle_asked.add((u, v)) or alpha(u, v),
+            [rt.links for rt in sim.runtime])
         want = None
         if src in adjacency and dst in adjacency:
             want = oracle_route(adjacency, src, dst)
@@ -126,11 +127,11 @@ def recorded_link_tests(sim, monkeypatch) -> list[tuple[int, int]]:
     ordered pair.
     """
     nodes = sim.nodes
-    for nid, n in nodes.items():
-        n.position = (n.position[0], 2.0 ** nid / 1024.0)
+    for n in nodes:
+        n.position = (n.position[0], 2.0 ** n.id / 1024.0)
     pairs = {}
-    for u, nu in nodes.items():
-        for v, nv in nodes.items():
+    for u, nu in enumerate(nodes):
+        for v, nv in enumerate(nodes):
             if u != v:
                 pairs[(nv.position[0] - nu.position[0], nv.position[1] - nu.position[1])] = (u, v)
     hypot = math.hypot
@@ -152,8 +153,8 @@ def test_discovery_stops_at_the_source(monkeypatch):
     cfg = scenario("lossless-pair", nodes=8, sessions=1, arena_width=160.0,
                    arena_height=30.0, duration=0.0)
     sim = Simulator(cfg)
-    for nid, n in sim.nodes.items():
-        n.position = (20.0 * nid, 0.0)
+    for n in sim.nodes:
+        n.position = (20.0 * n.id, 0.0)
         n.radio_range = 35.0
     tested = recorded_link_tests(sim, monkeypatch)
     assert sim._discover_route(4, 7, list(range(8))) == (4, 5, 6, 7)
@@ -196,7 +197,7 @@ def test_discovery_with_undecided_links_matches_all_pairs_oracle(monkeypatch):
         rng = random.Random(layout_seed)
         sim = scattered_sim(rng)
         nodes, ceiling = sim.nodes, sim.channel.ceiling
-        for n in nodes.values():
+        for n in nodes:
             n.min_rcv = rng.uniform(16.0, 23.0)
         alpha = sim.channel.alpha
         asked = recorded_alpha(sim, monkeypatch)
@@ -225,7 +226,7 @@ def test_discovery_with_undecided_links_matches_all_pairs_oracle(monkeypatch):
 def test_sync_neighbor_counts_match_all_pairs_oracle(layout_seed):
     rng = random.Random(layout_seed)
     sim = scattered_sim(rng)
-    alive = [n for n in sim.nodes.values() if n.alive]
+    alive = [n for n in sim.nodes if n.alive]
     want = oracle_neighbor_counts(sim.nodes, [n.id for n in alive])
     neighbors = neighbor_counts(alive)
     assert neighbors == want
@@ -250,7 +251,7 @@ def test_sync_recounts_after_a_zone_state_death(share):
         sim.nodes[nid].position = pos
     doomed = sim.nodes[0]
     doomed.residual_energy = share * doomed.min_power * cfg.airtime
-    ids = sorted(sim.nodes)
+    ids = range(len(sim.nodes))
     before = oracle_neighbor_counts(sim.nodes, ids)
 
     sim._on_controller_sync()

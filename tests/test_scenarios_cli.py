@@ -135,6 +135,20 @@ class TestCli:
     def test_unreadable_config_is_runtime_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
+    @pytest.mark.parametrize("argv", [["run", "--seed", "abc"], ["bogus"]])
+    def test_usage_errors_exit_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 1
+        assert "usage: rltrc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        assert "usage: rltrc" in capsys.readouterr().out
+
 
 def test_summary_digest_helper_is_stable():
     a, _ = trace("lossless-pair", seed=1)
