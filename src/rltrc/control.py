@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import NodeGrid, NodeState, Point, ZoneState, distance, zone_of
+from .model import NodeState, Point, ZoneState, distance, grid_cells, zone_of
 from .rewards import NodeRewardState, session_reward, network_reward, zone_reward
 
 
@@ -117,36 +117,33 @@ _FORWARD = ((1, -1), (1, 0), (1, 1), (0, 1))
 def neighbor_counts(alive: list[NodeState]) -> dict[int, int]:
     """For each alive node, the other alive nodes within its radio range.
 
-    One pass over one `NodeGrid` whose cells are strictly wider than the
-    largest radio range, so every in-range pair lies in one cell or in two
-    adjacent ones even after float rounding at a cell border. Each cell is
-    paired with itself and with its four forward neighbours, so each
-    unordered pair is measured once: `d` is the `distance` of either order
-    (x - y is exactly -(y - x)), and it counts for each end whose range
-    covers it.
+    One pass over `grid_cells` of the records `(id, x, y, radio range)`,
+    with cells strictly wider than the largest radio range, so every
+    in-range pair lies in one cell or in two adjacent ones even after float
+    rounding at a cell border. Each cell is paired with itself and with its
+    four forward neighbours, so each unordered pair is measured once: `d`
+    is the `distance` of either order (x - y is exactly -(y - x)), and it
+    counts for each end whose range covers it.
     """
     if not alive:
         return {}
     side = max(n.radio_range for n in alive) + 1.0
-    cells = NodeGrid([(n.position, n) for n in alive], side).cells
+    cells = grid_cells([(n.id, n.position[0], n.position[1], n.radio_range) for n in alive], side)
     counts = dict.fromkeys([n.id for n in alive], 0)
     hypot = math.hypot
     for (i, j), cell in cells.items():
         near = cell[:]
         for di, dj in _FORWARD:
             near += cells.get((i + di, j + dj), ())
-        for k, u in enumerate(cell):
-            ux, uy = u.position
-            reach = u.radio_range
+        for k, (uid, ux, uy, reach) in enumerate(cell):
             got = 0
-            for v in near[k + 1:]:
-                vx, vy = v.position
+            for vid, vx, vy, v_reach in near[k + 1:]:
                 d = hypot(vx - ux, vy - uy)
                 if d <= reach:
                     got += 1
-                if d <= v.radio_range:
-                    counts[v.id] += 1
-            counts[u.id] += got
+                if d <= v_reach:
+                    counts[vid] += 1
+            counts[uid] += got
     return counts
 
 

@@ -5,8 +5,9 @@ sequence). Each heap entry is (fire_time, sequence, handler, args): the run
 loop calls `handler(*args)`, where handler is a `Simulator._on_<kind>`
 method bound when the event is pushed. Nodes, runtime records and sessions
 are lists indexed by id, so walking them (and the flood scopes filtered from
-them) is id order; zone member sets are sorted where they are iterated. So
-equal (config, seed) pairs replay the exact same trace.
+them) is id order; zone member sets and session holder sets are sorted
+where they are iterated. So equal (config, seed) pairs replay the exact same
+trace.
 
 World model: signals travel at the configured speed vs, so a data packet
 sent over a hop of length d arrives after d/(2 vs) and its acknowledgement
@@ -22,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linkcache, policy, rewards
 from .config import ConfigError, ScenarioConfig
@@ -46,11 +47,11 @@ from .metrics import (
     windowed_waste_series,
 )
 from .model import (
-    NodeGrid,
     NodeState,
     Point,
     ZoneState,
     distance,
+    grid_cells,
     make_zones,
     zone_of,
 )
@@ -122,15 +123,6 @@ class MobilityState:
     velocity: tuple[float, float] = (0.0, 0.0)
 
 
-def advance_toward(pos: Point, target: Point, step: float) -> Point:
-    """Move `step` meters toward target, stopping exactly on it."""
-    d = distance(pos, target)
-    if d <= step or d == 0.0:
-        return target
-    f = step / d
-    return (pos[0] + (target[0] - pos[0]) * f, pos[1] + (target[1] - pos[1]) * f)
-
-
 def _reflect(x: float, lo: float, hi: float) -> float:
     # fold back into [lo, hi]; each pass shrinks the excess
     while x < lo or x > hi:
@@ -142,8 +134,8 @@ def _reflect(x: float, lo: float, hi: float) -> float:
 
 
 def mobility_step(
-    node: NodeState,
-    state: MobilityState,
+    nodes: Sequence[NodeState],
+    states: Sequence[MobilityState],
     model: str,
     dt: float,
     t_now: float,
@@ -152,41 +144,68 @@ def mobility_step(
     pause_max: float,
     accel: float,
 ) -> None:
-    """Advance one mobile node by dt under the configured model."""
-    if node.max_velocity <= 0.0:
-        return
+    """Advance a node population by dt under the configured model.
+
+    `states[i]` is the motion state of `nodes[i]`. Nodes move one after
+    another in the given order, each drawing from `rng` in turn; static
+    nodes (`max_velocity <= 0`) and dead ones stay put and draw nothing.
+    """
     w, h = arena
+    uniform = rng.uniform
     if model == "random-waypoint":
-        if t_now < state.pause_until:
-            return
-        if state.speed <= 0.0 or node.position == state.waypoint:
-            state.waypoint = (rng.uniform(0.0, w), rng.uniform(0.0, h))
-            state.speed = rng.uniform(0.05 * node.max_velocity, node.max_velocity)
-        node.position = advance_toward(node.position, state.waypoint, state.speed * dt)
-        if node.position == state.waypoint:
-            state.pause_until = t_now + rng.uniform(0.0, pause_max)
-            state.speed = 0.0
+        # a node heads for its waypoint at its speed, stops exactly on it when
+        # this step would reach it, then pauses and later draws a new leg
+        hypot = math.hypot
+        for node, state in zip(nodes, states):
+            vmax = node.max_velocity
+            if vmax <= 0.0 or node.residual_energy <= 0.0 or t_now < state.pause_until:
+                continue
+            pos, target = node.position, state.waypoint
+            if state.speed <= 0.0 or pos == target:
+                target = state.waypoint = (uniform(0.0, w), uniform(0.0, h))
+                state.speed = uniform(0.05 * vmax, vmax)
+            step = state.speed * dt
+            x, y = pos
+            d = hypot(target[0] - x, target[1] - y)
+            if d <= step or d == 0.0:
+                pos = target
+            else:
+                f = step / d
+                pos = (x + (target[0] - x) * f, y + (target[1] - y) * f)
+            node.position = pos
+            if pos == target:
+                state.pause_until = t_now + uniform(0.0, pause_max)
+                state.speed = 0.0
     elif model == "random-walk":
-        heading = rng.uniform(0.0, 2.0 * math.pi)
-        nx = node.position[0] + node.max_velocity * dt * math.cos(heading)
-        ny = node.position[1] + node.max_velocity * dt * math.sin(heading)
-        node.position = (_reflect(nx, 0.0, w), _reflect(ny, 0.0, h))
+        for node in nodes:
+            vmax = node.max_velocity
+            if vmax <= 0.0 or node.residual_energy <= 0.0:
+                continue
+            heading = uniform(0.0, 2.0 * math.pi)
+            nx = node.position[0] + vmax * dt * math.cos(heading)
+            ny = node.position[1] + vmax * dt * math.sin(heading)
+            node.position = (_reflect(nx, 0.0, w), _reflect(ny, 0.0, h))
     elif model == "gaussian":
-        vx = state.velocity[0] + rng.gauss(0.0, accel)
-        vy = state.velocity[1] + rng.gauss(0.0, accel)
-        speed = math.hypot(vx, vy)
-        if speed > node.max_velocity:
-            scale = node.max_velocity / speed
-            vx, vy = vx * scale, vy * scale
-        nx = node.position[0] + vx * dt
-        ny = node.position[1] + vy * dt
-        rx, ry = _reflect(nx, 0.0, w), _reflect(ny, 0.0, h)
-        if rx != nx:
-            vx = -vx
-        if ry != ny:
-            vy = -vy
-        state.velocity = (vx, vy)
-        node.position = (rx, ry)
+        gauss = rng.gauss
+        for node, state in zip(nodes, states):
+            vmax = node.max_velocity
+            if vmax <= 0.0 or node.residual_energy <= 0.0:
+                continue
+            vx = state.velocity[0] + gauss(0.0, accel)
+            vy = state.velocity[1] + gauss(0.0, accel)
+            speed = math.hypot(vx, vy)
+            if speed > vmax:
+                scale = vmax / speed
+                vx, vy = vx * scale, vy * scale
+            nx = node.position[0] + vx * dt
+            ny = node.position[1] + vy * dt
+            rx, ry = _reflect(nx, 0.0, w), _reflect(ny, 0.0, h)
+            if rx != nx:
+                vx = -vx
+            if ry != ny:
+                vy = -vy
+            state.velocity = (vx, vy)
+            node.position = (rx, ry)
     else:
         raise ValueError("unknown mobility model %r" % model)
 
@@ -272,6 +291,9 @@ class Session:
     discovering: bool = False
     # the installed route as node -> successor, in route order; empty when none
     next_hop: dict[int, int] = field(default_factory=dict)
+    # every node that queues a packet of this session, and maybe some that
+    # no longer do: added to on each queue append, pruned when walked
+    holders: set[int] = field(default_factory=set)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +320,7 @@ class Simulator:
         # per zone, the exploration rate rl-trc uses until the next sync; the
         # sync at t = 0 is the first event, so it is set before any transmit
         self.zone_sigma: list[float] = []
+        self._link_terms: list[tuple[float, float, float, dict[int, CommCacheEntry]]] = []
         self._build_world()
 
     # -- construction -------------------------------------------------------
@@ -419,6 +442,36 @@ class Simulator:
             self.ledger.count_message()
         return ok
 
+    def _charge_messages(self, sends: Iterable[tuple[int, float]], kind: str) -> None:
+        """Charge each `(node, level)` of `sends` one message sent at that
+        power level for one airtime, in order.
+
+        Each charge is `_debit(node, level * airtime, kind, message=True)`:
+        the same drain rule, the same rows in the same order and the same
+        message count, with one batched ledger write and one message-count
+        add. A dead node pays nothing and books no row, as `_debit` would.
+        """
+        nodes, airtime = self.nodes, self.cfg.airtime
+        payers: list[int] = []
+        paid_col: list[float] = []
+        messages = 0
+        for nid, level in sends:
+            node = nodes[nid]
+            e = node.residual_energy
+            if e > 0.0:
+                joules = level * airtime
+                paid = e if e < joules else joules  # min(joules, e)
+                if paid > 0.0:
+                    node.residual_energy = e - paid
+                    payers.append(nid)
+                    paid_col.append(paid)
+                    # paid > 0 and paid >= joules: fully paid and joules > 0
+                    if paid >= joules:
+                        messages += 1
+        if payers:
+            self.ledger.record_debits(self.t, payers, kind, paid_col)
+            self.ledger.count_message(messages)
+
     # -- periodic events ----------------------------------------------------
 
     def _on_controller_sync(self) -> None:
@@ -440,14 +493,12 @@ class Simulator:
         for sn in self.sessions:
             if sn.started and sn.live:
                 self.controllers[sn.home_zone].record_session_reward(sn.id)
-        airtime = self.cfg.airtime
         neighbors = None
         for ctl in self.controllers:
             if neighbors is None:
                 neighbors = neighbor_counts([n for n in self.nodes if n.alive])
             charges = ctl.sync(self.t, self.nodes, self.reward_states, neighbors=neighbors)
-            for member, level in charges:
-                self._debit(member, level * airtime, "zone-state", message=True)
+            self._charge_messages(charges, "zone-state")
             if not all(self.nodes[m].alive for m, _ in charges):
                 neighbors = None
         cached = self.network.collect(self.t, self.zones)
@@ -456,22 +507,14 @@ class Simulator:
 
     def _on_mobility_step(self) -> None:
         cfg = self.cfg
-        model, dt, t_now, rng = cfg.mobility, cfg.mobility_dt, self.t, self.rng
-        arena = (cfg.arena_width, cfg.arena_height)
-        pause_max, accel = cfg.pause_max, cfg.gaussian_accel
-        nodes, runtime = self.nodes, self.runtime
-        for nid in self.mobile_ids:
-            node = nodes[nid]
-            if node.alive:
-                mobility_step(node, runtime[nid].motion, model, dt, t_now, rng, arena,
-                              pause_max, accel)
-        self._push(t_now + dt, self._on_mobility_step)
+        nodes, runtime, mobile = self.nodes, self.runtime, self.mobile_ids
+        mobility_step([nodes[nid] for nid in mobile], [runtime[nid].motion for nid in mobile],
+                      cfg.mobility, cfg.mobility_dt, self.t, self.rng,
+                      (cfg.arena_width, cfg.arena_height), cfg.pause_max, cfg.gaussian_accel)
+        self._push(self.t + cfg.mobility_dt, self._on_mobility_step)
 
     def _on_beacon(self) -> None:
-        airtime = self.cfg.airtime
-        for node in self.nodes:
-            if node.alive:
-                self._debit(node.id, node.min_power * airtime, "beacon", message=True)
+        self._charge_messages([(node.id, node.min_power) for node in self.nodes], "beacon")
         self._push(self.t + self.cfg.beacon_period, self._on_beacon)
 
     # -- sessions and packets -----------------------------------------------
@@ -494,6 +537,7 @@ class Simulator:
             self._fail_session(sn)
             return
         self.runtime[sn.src].queue.append(QueuedPacket(pid=pid, session=sid))
+        sn.holders.add(sn.src)
         self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, sn.src)
         gap = self._inter_arrival()
         if self.t + gap <= self.cfg.duration:
@@ -667,6 +711,7 @@ class Simulator:
             self.packet_invested.pop(pid, None)
             return
         rt.queue.append(QueuedPacket(pid=pid, session=row.session))
+        sn.holders.add(node)
         self._push(self.t + cfg.proc_delay, self._on_send_attempt, node)
 
     def _on_ack_arrival(self, row: AttemptRow, rss: float) -> None:
@@ -774,10 +819,8 @@ class Simulator:
         # breakage notice travels back to the source at max level
         hops = list(sn.next_hop)
         back_hops = hops.index(node)
-        for relay in hops[1 : back_hops + 1]:
-            if self.nodes[relay].alive:
-                self._debit(relay, self.nodes[relay].max_power * cfg.airtime,
-                            "control", message=True)
+        relays = hops[1 : back_hops + 1]
+        self._charge_messages([(r, self.nodes[r].max_power) for r in relays], "control")
         # queued packets stay put until the replacement route says whether
         # their holder is still on the path
         sn.next_hop = {}
@@ -808,7 +851,7 @@ class Simulator:
             self._fail_session(sn)
             return
         sn.discovering = True
-        alive = [n.id for n in nodes if n.alive]
+        alive = [n.id for n in nodes if n.residual_energy > 0.0]
         circle = destination_lookup(sn.dst, self.t, self.registry, self.zones)
         corridor = self._corridor_zones(sn.src, circle)
         scope = self._flood_scope(circle, corridor, alive)
@@ -827,10 +870,7 @@ class Simulator:
             self._fail_session(sn)
             return
         hops = len(route) - 1
-        for relay in reversed(route[1:]):
-            if nodes[relay].alive:
-                self._debit(relay, nodes[relay].max_power * cfg.airtime,
-                            "control", message=True)
+        self._charge_messages([(r, nodes[r].max_power) for r in reversed(route[1:])], "control")
         self._push(self.t + 2.0 * hops * cfg.t_hop, self._on_route_reply, sn.id, route)
 
     def _corridor_zones(self, src: int, circle: BroadcastCircle) -> tuple[int, ...]:
@@ -851,18 +891,29 @@ class Simulator:
     def _flood_scope(
         self, circle: BroadcastCircle, corridor: tuple[int, ...], alive: list[int]
     ) -> list[int]:
-        """The nodes of `alive` in the corridor or the circle, in their order."""
-        nodes = self.nodes
-        return [
-            n for n in alive
-            if nodes[n].zone_id in corridor or circle.contains(nodes[n].position)
-        ]
+        """The nodes of `alive` in the corridor or the circle, in their order.
+
+        The circle test is `circle.contains` inline, on the same `hypot`
+        operands."""
+        nodes, hypot = self.nodes, math.hypot
+        (cx, cy), radius = circle.center, circle.radius
+        scope = []
+        for n in alive:
+            node = nodes[n]
+            if node.zone_id in corridor:
+                scope.append(n)
+            else:
+                x, y = node.position
+                if hypot(x - cx, y - cy) <= radius:
+                    scope.append(n)
+        return scope
 
     def _charge_flood(self, scope: list[int]) -> None:
-        for nid in scope:
-            node = self.nodes[nid]
-            if node.alive:
-                self._debit(nid, node.max_power * self.cfg.airtime, "flood", message=True)
+        """Each node of `scope` relays the request once at its top level;
+        a node a charge before it killed pays nothing."""
+        nodes = self.nodes
+        # power_levels[-1] is max_power, read without the property call
+        self._charge_messages([(nid, nodes[nid].power_levels[-1]) for nid in scope], "flood")
 
     def _discover_route(self, src: int, dst: int, scope: list[int]) -> tuple[int, ...] | None:
         """Minimum-hop route over the scope's alive nodes, as
@@ -874,61 +925,94 @@ class Simulator:
         that leaves no route at all they are allowed back in as a last
         resort.
 
-        The search works on one record `(id, x, y, reach, top power,
-        receive floor)` per live node, bucketed into a NodeGrid whose cell
-        side is the largest reach plus 1 m. The cell is strictly wider than
-        any reach, so every in-reach pair sits in the 3x3 block around a
-        node's cell even after float rounding at a cell border, and the links
-        are exactly those of an all-pairs scan. Links are tested only when
-        `shortest_route` asks, so a search that reaches src early leaves the
-        rest of the scope untested. The channel coefficient is looked up only
-        for in-reach pairs whose budget its ceiling does not already clear.
+        The search works on one flat record `(id, x, y, reach, top power,
+        receive floor, link caches)` per live node, the last four from the
+        world's link table, bucketed by `grid_cells` into cells whose side
+        is the largest reach plus 1 m. The cell is strictly wider than
+        any reach, so every in-reach pair sits in the 3x3 block of cells
+        around a node's cell even after float rounding at a cell border, and
+        the links are exactly those of an all-pairs scan. A block lists its
+        cells from (x-1, y-1), (x-1, y), ... to (x+1, y+1), each in scope
+        order; it is gathered when a node of its centre cell first asks and
+        kept on that cell, which each node's entry in `cell_of` points to.
+        Links are tested only when `shortest_route` asks, so a search that
+        reaches src early leaves the rest of the scope untested. The channel
+        coefficient is looked up only for in-reach pairs whose budget its
+        ceiling does not already clear.
         """
         nodes = self.nodes
-        margin = self.cfg.route_margin
-        recs = {}
-        entries = []
+        terms = self._link_terms or self._build_link_terms()
+        live = []
+        side = 0.0
         for n in scope:
-            nu = nodes[n]
-            if nu.alive:
-                # route links must leave slack for motion during their lifetime
-                p = nu.position
-                rec = (n, p[0], p[1], max(nu.radio_range - margin, 0.0), nu.max_power, nu.min_rcv)
-                recs[n] = rec
-                entries.append((p, rec))
+            node = nodes[n]
+            if node.residual_energy > 0.0:
+                rec = terms[n]
+                x, y = node.position
+                live.append((n, x, y) + rec)
+                if rec[0] > side:
+                    side = rec[0]
+        cells = grid_cells(live, side + 1.0)
+        # each node's record, and its cell as [key, the block or None, records]
+        recs, cell_of = {}, {}
+        for key, members in cells.items():
+            cell = [key, None, members]
+            for rec in members:
+                recs[rec[0]] = rec
+                cell_of[rec[0]] = cell
         if src not in recs or dst not in recs:
             return None
-        block = NodeGrid(entries, max(r[3] for r in recs.values()) + 1.0).block
+
+        def block(cell: list) -> list:
+            cx, cy = cell[0]
+            got = []
+            for i in (cx - 1, cx, cx + 1):
+                for j in (cy - 1, cy, cy + 1):
+                    got += cells.get((i, j), ())
+            cell[1] = got
+            return got
+
         hypot = math.hypot
         alpha = self.channel.alpha
         ceiling = self.channel.ceiling
-        runtime = self.runtime
         risky_ok = False
 
-        def usable(u: int, v: int, top: float, rcv: float, d: float) -> bool:
-            # the rest of the link test, for v within u's reach at distance d
-            if top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
-                return False
-            entry = runtime[u].links.get(v)
-            return risky_ok or entry is None or entry.reliable
-
         def into(v: int, labelled: set[int]) -> Iterator[int]:
-            _, xv, yv, _, _, rcv = recs[v]
-            for u, xu, yu, reach, top, _ in block((xv, yv)):
-                if u in labelled:
+            _, xv, yv, _, _, rcv, _ = recs[v]
+            cell = cell_of[v]
+            for rec in cell[1] or block(cell):
+                if rec[0] in labelled:
                     continue
-                d = hypot(xv - xu, yv - yu)
-                if d <= reach and usable(u, v, top, rcv, d):
+                u, xu, yu, reach, top, _, links = rec
+                dx = xv - xu
+                # hypot(dx, dy) >= |dx|, so this skips no pair within reach
+                if dx > reach or -dx > reach:
+                    continue
+                d = hypot(dx, yv - yu)
+                if d > reach or top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
+                    continue
+                if risky_ok:
                     yield u
+                else:
+                    entry = links.get(v)
+                    if entry is None or entry.reliable:
+                        yield u
 
         def out_of(u: int, among: set[int]) -> Iterator[int]:
-            _, xu, yu, reach, top, _ = recs[u]
-            for v, xv, yv, _, _, rcv in block((xu, yu)):
+            _, xu, yu, reach, top, _, links = recs[u]
+            cell = cell_of[u]
+            for v, xv, yv, _, _, rcv, _ in cell[1] or block(cell):
                 if v not in among:
                     continue
                 d = hypot(xv - xu, yv - yu)
-                if d <= reach and usable(u, v, top, rcv, d):
+                if d > reach or top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
+                    continue
+                if risky_ok:
                     yield v
+                else:
+                    entry = links.get(v)
+                    if entry is None or entry.reliable:
+                        yield v
 
         route = shortest_route(into, out_of, src, dst)
         if route is None:
@@ -936,7 +1020,25 @@ class Simulator:
             route = shortest_route(into, out_of, src, dst)
         return route
 
+    def _build_link_terms(self) -> list[tuple[float, float, float, dict[int, CommCacheEntry]]]:
+        """Each node's `(reach, top power, receive floor, link caches)` for
+        the route search. Radio range, power levels and receive floor are
+        fixed when a node is made, and a runtime keeps its one `links` dict,
+        so the table is built once, at the first search."""
+        margin = self.cfg.route_margin
+        # route links must leave slack for motion during their lifetime
+        self._link_terms = [(max(n.radio_range - margin, 0.0), n.max_power, n.min_rcv, rt.links)
+                            for n, rt in zip(self.nodes, self.runtime)]
+        return self._link_terms
+
     def _on_route_reply(self, sid: int, route: tuple[int, ...]) -> None:
+        """Install `route` and settle the session's queued packets.
+
+        Only the session's holders can queue its packets, so only they are
+        visited, in id order: forwarders still on the path resume, and the
+        others withdraw the session's packets but the one on the air. A
+        holder that no longer queues any is dropped from the set.
+        """
         sn = self.sessions[sid]
         if not sn.live or not sn.discovering:
             return
@@ -946,9 +1048,10 @@ class Simulator:
         for u, v in sn.next_hop.items():
             entry = runtime[u].links.setdefault(v, CommCacheEntry(sig_atn=self.cfg.prior_sig_atn))
             linkcache.new_episode(entry, self.t)
-        # forwarders still on the path resume; stranded holders give up
-        for nid, rt in enumerate(runtime):
+        for nid in sorted(sn.holders):
+            rt = runtime[nid]
             if not any(q.session == sid for q in rt.queue):
+                sn.holders.discard(nid)
                 continue
             if nid not in sn.next_hop:
                 self._withdraw(rt, sid, "route-invalidated", rt.inflight and rt.inflight.pid)
@@ -959,8 +1062,10 @@ class Simulator:
         sn.live = False
         sn.discovering = False
         sn.next_hop = {}
-        for rt in self.runtime:
-            self._withdraw(rt, sn.id, "session-failed")
+        runtime = self.runtime
+        for nid in sorted(sn.holders):
+            self._withdraw(runtime[nid], sn.id, "session-failed")
+        sn.holders.clear()
         self._push(self.t, self._on_session_end, sn.id)
 
     def _on_session_end(self, sid: int) -> None:

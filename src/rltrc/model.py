@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Generic, Iterable, TypeVar
+from typing import Iterable, TypeVar
 
 Point = tuple[float, float]
-T = TypeVar("T")
+R = TypeVar("R", bound=tuple)
 
 
 def distance(a: Point, b: Point) -> float:
@@ -60,45 +60,25 @@ class NodeState:
         return self.power_levels[0]
 
 
-class NodeGrid(Generic[T]):
-    """Items bucketed by position into square cells, for fixed-radius
-    neighbor queries.
+def grid_cells(records: Iterable[R], side: float) -> dict[tuple[int, int], list[R]]:
+    """Records `(id, x, y, ...)` bucketed by position into square cells, for
+    fixed-radius neighbor queries.
 
     The standard uniform-grid scheme (Bentley, Stanat & Williams 1977): when
-    the cell side is larger than a query radius, every item within that
-    radius of a point lies in the 3x3 block of cells around the point's cell.
-    Items keep their insertion order within a cell.
+    the cell side is larger than a query radius, every record within that
+    radius of a point lies in the 3x3 block of cells around the point's
+    cell. Cells are keyed `(int(x // side), int(y // side))` and keep the
+    records in the order given.
     """
-
-    def __init__(self, entries: Iterable[tuple[Point, T]], side: float) -> None:
-        self.side = side
-        self.cells: dict[tuple[int, int], list[T]] = {}
-        self._blocks: dict[tuple[int, int], list[T]] = {}
-        cell, cells = self._cell, self.cells
-        for p, item in entries:
-            cells.setdefault(cell(p), []).append(item)
-
-    def _cell(self, p: Point) -> tuple[int, int]:
-        return int(p[0] // self.side), int(p[1] // self.side)
-
-    def block(self, p: Point) -> list[T]:
-        """The items of the 3x3 block of cells centred on p's cell, cell by
-        cell from (x-1, y-1), (x-1, y), ... to (x+1, y+1).
-
-        Each block is built once and then shared by every point of its
-        centre cell, so callers must not change it.
-        """
-        key = self._cell(p)
-        got = self._blocks.get(key)
-        if got is None:
-            cx, cy = key
-            cells = self.cells
-            got = []
-            for i in (cx - 1, cx, cx + 1):
-                for j in (cy - 1, cy, cy + 1):
-                    got += cells.get((i, j), ())
-            self._blocks[key] = got
-        return got
+    cells: dict[tuple[int, int], list[R]] = {}
+    for rec in records:
+        key = (int(rec[1] // side), int(rec[2] // side))
+        cell = cells.get(key)
+        if cell is None:
+            cells[key] = [rec]
+        else:
+            cell.append(rec)
+    return cells
 
 
 @dataclass

@@ -4,7 +4,8 @@ These deliberately avoid the package's own formulas: the disc-sampling oracle
 estimates the expected farthest neighbor by Monte Carlo, the path oracle
 enumerates simple paths, the route oracle runs a full breadth-first search,
 the ledger oracle re-adds the rows a ledger spy copied as the run booked
-them, and the link, neighbor and diameter oracles scan every pair of nodes. Test modules freeze the
+them, the mobility oracle moves one node at a time, and the link, neighbor
+and diameter oracles scan every pair of nodes. Test modules freeze the
 numbers these produce or compare against them; the oracles stay here so the
 derivation can be re-run.
 """
@@ -118,12 +119,14 @@ def oracle_energy_totals(initial: dict[int, float], debit_rows) -> dict[int, flo
 class LedgerSpy:
     """Copies of the rows a run books into one ledger, taken at its calls.
 
-    Wraps the ledger instance's `record_debit`, `record_waste` and
-    `record_invest`, so tests can replay and re-sum a run's rows without
-    reading how the ledger stores them. Each `*_calls` list holds the call
-    arguments as tuples in call order, `(t, node, kind, joules)` for debits
-    and `(t, zone, energy, seconds)` otherwise, including the all-zero
-    waste and investment calls the ledger itself keeps no row for.
+    Wraps the ledger instance's `record_debit`, `record_debits`,
+    `record_waste` and `record_invest`, so tests can replay and re-sum a
+    run's rows without reading how the ledger stores them. Each `*_calls`
+    list holds one tuple per row in booking order, `(t, node, kind, joules)`
+    for debits and `(t, zone, energy, seconds)` otherwise, including the
+    all-zero waste and investment calls the ledger itself keeps no row for.
+    A batched `record_debits(t, nodes, kind, joules)` call adds one debit
+    tuple per node, in the batch's order.
     """
 
     def __init__(self, ledger) -> None:
@@ -134,6 +137,14 @@ class LedgerSpy:
                            ("record_waste", self.waste_calls),
                            ("record_invest", self.invest_calls)):
             setattr(ledger, name, self._copying(getattr(ledger, name), rows))
+        record_debits, debit_calls = ledger.record_debits, self.debit_calls
+
+        def spy_batch(t, nodes, kind, joules):
+            assert len(nodes) == len(joules)
+            debit_calls.extend((t, node, kind, paid) for node, paid in zip(nodes, joules))
+            record_debits(t, nodes, kind, joules)
+
+        ledger.record_debits = spy_batch
 
     @staticmethod
     def _copying(record, rows):
@@ -218,3 +229,58 @@ def oracle_membership_diameter(points) -> float:
         for j in range(i + 1, len(points)):
             best = max(best, math.dist(points[i], points[j]))
     return best
+
+
+def oracle_mobility_tick(nodes, states, model, dt, t_now, rng, arena, pause_max, accel):
+    """One mobility tick as a per-node loop: each alive node with a positive
+    top speed takes its own step in turn, drawing from rng as it goes.
+
+    random-waypoint heads for the waypoint at the leg's speed, lands exactly
+    on it when the step would reach it, then pauses; a stopped node draws a
+    new waypoint and speed first. random-walk steps at top speed in a
+    uniform heading; gaussian adds Gaussian noise to the velocity and caps
+    its speed. Both fold a step that leaves the arena back in, and gaussian
+    reverses each velocity component that was folded.
+    """
+    w, h = arena
+
+    def fold(x, hi):
+        while x < 0.0 or x > hi:
+            x = -x if x < 0.0 else 2.0 * hi - x
+        return x
+
+    for node, state in zip(nodes, states):
+        vmax = node.max_velocity
+        if node.residual_energy <= 0.0 or vmax <= 0.0:
+            continue
+        x, y = node.position
+        if model == "random-waypoint":
+            if t_now < state.pause_until:
+                continue
+            if state.speed <= 0.0 or node.position == state.waypoint:
+                state.waypoint = (rng.uniform(0.0, w), rng.uniform(0.0, h))
+                state.speed = rng.uniform(0.05 * vmax, vmax)
+            tx, ty = state.waypoint
+            step = state.speed * dt
+            d = math.hypot(tx - x, ty - y)
+            if d <= step or d == 0.0:
+                node.position = state.waypoint
+            else:
+                node.position = (x + (tx - x) * (step / d), y + (ty - y) * (step / d))
+            if node.position == state.waypoint:
+                state.pause_until = t_now + rng.uniform(0.0, pause_max)
+                state.speed = 0.0
+        elif model == "random-walk":
+            heading = rng.uniform(0.0, 2.0 * math.pi)
+            node.position = (fold(x + vmax * dt * math.cos(heading), w),
+                             fold(y + vmax * dt * math.sin(heading), h))
+        else:
+            vx = state.velocity[0] + rng.gauss(0.0, accel)
+            vy = state.velocity[1] + rng.gauss(0.0, accel)
+            speed = math.hypot(vx, vy)
+            if speed > vmax:
+                vx, vy = vx * (vmax / speed), vy * (vmax / speed)
+            nx, ny = x + vx * dt, y + vy * dt
+            rx, ry = fold(nx, w), fold(ny, h)
+            state.velocity = (-vx if rx != nx else vx, -vy if ry != ny else vy)
+            node.position = (rx, ry)

@@ -11,7 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from bless_golden import GOLDEN_DIR, GOLDEN_TRACES
-from oracles import LedgerSpy, oracle_energy_totals, oracle_shortest_path
+from oracles import LedgerSpy, oracle_energy_totals, oracle_mobility_tick, oracle_shortest_path
 
 import rltrc
 from rltrc import policy
@@ -20,14 +20,14 @@ from rltrc.control import BroadcastCircle, NodeTrack, assign_zones
 from rltrc.engine import (
     MobilityState,
     QueuedPacket,
+    Session,
     Simulator,
     _reflect,
-    advance_toward,
     mobility_step,
     shortest_route,
 )
 from rltrc.linkcache import CommCacheEntry
-from rltrc.metrics import PacketStat, invariant_problems, render_csv
+from rltrc.metrics import AttemptRow, PacketStat, invariant_problems, render_csv
 from rltrc.model import NodeState
 from rltrc.policy import compute_sigma
 from rltrc.rewards import avg_hop_count, broadcast_cost
@@ -50,18 +50,24 @@ class TestMobility:
     def test_waypoint_step_moves_along_the_line(self):
         node = make_node(pos=(0.0, 0.0))
         state = MobilityState(waypoint=(3.0, 4.0), speed=1.0)
-        mobility_step(node, state, "random-waypoint", 1.0, 5.0,
+        mobility_step([node], [state], "random-waypoint", 1.0, 5.0,
                       random.Random(0), (10.0, 10.0), 2.0, 0.5)
         assert node.position[0] == pytest.approx(0.6)
         assert node.position[1] == pytest.approx(0.8)
 
     def test_overshoot_stops_on_target(self):
-        assert advance_toward((0.0, 0.0), (1.0, 0.0), 5.0) == (1.0, 0.0)
+        node = make_node(pos=(0.0, 0.0))
+        state = MobilityState(waypoint=(1.0, 0.0), speed=5.0)
+        mobility_step([node], [state], "random-waypoint", 1.0, 5.0,
+                      random.Random(0), (10.0, 10.0), 2.0, 0.5)
+        assert node.position == (1.0, 0.0)
+        # arriving starts a pause, and the next leg redraws the speed
+        assert state.speed == 0.0 and 5.0 <= state.pause_until <= 7.0
 
     def test_pause_freezes_the_node(self):
         node = make_node(pos=(2.0, 2.0))
         state = MobilityState(waypoint=(9.0, 9.0), speed=1.0, pause_until=7.0)
-        mobility_step(node, state, "random-waypoint", 1.0, 5.0,
+        mobility_step([node], [state], "random-waypoint", 1.0, 5.0,
                       random.Random(0), (10.0, 10.0), 2.0, 0.5)
         assert node.position == (2.0, 2.0)
 
@@ -69,7 +75,7 @@ class TestMobility:
         node = make_node(pos=(1.0, 1.0), vmax=0.0)
         state = MobilityState()
         for t in range(20):
-            mobility_step(node, state, "random-waypoint", 0.5, 0.5 * t,
+            mobility_step([node], [state], "random-waypoint", 0.5, 0.5 * t,
                           random.Random(t), (10.0, 10.0), 2.0, 0.5)
         assert node.position == (1.0, 1.0)
 
@@ -86,7 +92,7 @@ class TestMobility:
             state = MobilityState()
             prev = node.position
             for t in range(200):
-                mobility_step(node, state, model, 0.5, 0.5 * t,
+                mobility_step([node], [state], model, 0.5, 0.5 * t,
                               rng, (10.0, 10.0), 2.0, 0.5)
                 x, y = node.position
                 assert 0.0 <= x <= 10.0 and 0.0 <= y <= 10.0
@@ -96,8 +102,40 @@ class TestMobility:
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
-            mobility_step(make_node(), MobilityState(), "teleport", 1.0, 0.0,
+            mobility_step([make_node()], [MobilityState()], "teleport", 1.0, 0.0,
                           random.Random(0), (10.0, 10.0), 2.0, 0.5)
+
+    @pytest.mark.parametrize("model", VALID_MOBILITY)
+    def test_population_step_matches_the_per_node_oracle(self, model):
+        """50 ticks of desk-compare's population, peripherals and dead nodes
+        included (one more dies halfway): the one-call step leaves every
+        position, motion state and the generator as the per-node loop does."""
+        sim = Simulator(scenario("desk-compare", mobility=model, gaussian_accel=2.0))
+        cfg = sim.cfg
+        for n in sim.nodes[sim.mobile_ids[0]::5]:
+            n.residual_energy = 0.0
+        states = [rt.motion for rt in sim.runtime]
+        want_nodes, want_states = copy.deepcopy((sim.nodes, states))
+        want_rng = random.Random()
+        want_rng.setstate(sim.rng.getstate())
+        args = (cfg.mobility_dt, (cfg.arena_width, cfg.arena_height), cfg.pause_max,
+                cfg.gaussian_accel)
+        moved = 0
+        for tick in range(1, 51):
+            if tick == 25:
+                sim.nodes[-1].residual_energy = want_nodes[-1].residual_energy = 0.0
+            t = tick * cfg.mobility_dt
+            before = [n.position for n in sim.nodes]
+            mobility_step(sim.nodes, states, model, cfg.mobility_dt, t, sim.rng, *args[1:])
+            oracle_mobility_tick(want_nodes, want_states, model, cfg.mobility_dt, t, want_rng,
+                                 *args[1:])
+            assert [n.position for n in sim.nodes] == [n.position for n in want_nodes]
+            assert states == want_states
+            assert sim.rng.getstate() == want_rng.getstate()
+            moved += sum(a != b for a, b in zip(before, (n.position for n in sim.nodes)))
+            assert all(sim.nodes[i].position == before[i] for i, n in enumerate(sim.nodes)
+                       if not n.alive or n.is_peripheral)
+        assert moved > 0
 
     def test_waypoint_speed_resamples_within_band(self):
         node = make_node(pos=(0.0, 0.0), vmax=2.0)
@@ -105,7 +143,7 @@ class TestMobility:
         rng = random.Random(4)
         seen = []
         for t in range(300):
-            mobility_step(node, state, "random-waypoint", 0.5, 0.5 * t,
+            mobility_step([node], [state], "random-waypoint", 0.5, 0.5 * t,
                           rng, (50.0, 50.0), 0.0, 0.5)
             if state.speed > 0.0:
                 seen.append(state.speed)
@@ -302,6 +340,108 @@ class TestRouteRequest:
         assert not sim.nodes[1].alive
         assert sn.live
         assert [(h, a) for _, _, h, a in sim._events] == [(sim._on_route_reply, (0, (0, 2, 3)))]
+
+
+class TestMessageCharge:
+    def world(self):
+        """Five nodes at top level 25: node 1 holds exactly one relay's
+        cost, node 2 half of it, node 3 is already dead."""
+        sim = discovery_sim(5, [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0), (60.0, 0.0), (80.0, 0.0)])
+        cost = sim.nodes[1].max_power * sim.cfg.airtime
+        sim.nodes[1].residual_energy = cost
+        sim.nodes[2].residual_energy = 0.5 * sim.nodes[2].max_power * sim.cfg.airtime
+        sim.nodes[3].residual_energy = 0.0
+        sim.t = 4.5
+        return sim
+
+    def test_batched_flood_charge_matches_per_node_debits(self):
+        batched, single = self.world(), self.world()
+        spy_batched, spy_single = LedgerSpy(batched.ledger), LedgerSpy(single.ledger)
+        scope = [0, 1, 2, 3, 4]
+        batched._charge_flood(scope)
+        for nid in scope:
+            node = single.nodes[nid]
+            if node.alive:
+                single._debit(nid, node.max_power * single.cfg.airtime, "flood", message=True)
+        assert spy_batched.debit_calls == spy_single.debit_calls
+        assert ([n.residual_energy for n in batched.nodes]
+                == [n.residual_energy for n in single.nodes])
+        assert batched.ledger.message_count == single.ledger.message_count
+        assert batched.ledger.energy_by_node() == single.ledger.energy_by_node()
+        # the dead node books no row; the drained and the partial payer each
+        # book one, but only full payments count a message
+        assert [(r[0], r[1], r[2]) for r in spy_batched.debit_calls] == [
+            (4.5, nid, "flood") for nid in (0, 1, 2, 4)]
+        assert batched.ledger.debit_count == 4
+        assert batched.nodes[1].residual_energy == 0.0 == batched.nodes[2].residual_energy
+        assert batched.ledger.message_count == 3
+
+    def test_nothing_paid_writes_nothing(self):
+        sim = self.world()
+        spy = LedgerSpy(sim.ledger)
+        sim._charge_flood([3])
+        sim._charge_messages([], "zone-state")
+        assert spy.debit_calls == [] and sim.ledger.message_count == 0
+
+
+class TestRouteReply:
+    def test_reply_withdraws_stranded_packets_and_resumes_the_path(self):
+        """Holders off the new path drop the session's packets as
+        route-invalidated but keep the one on the air; holders on it, and
+        every holder still queuing, try to send again, in id order."""
+        positions = [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0), (60.0, 0.0), (20.0, 15.0)]
+        sim, sn = route_request_sim(positions, 0, 3)
+        sn.started = sn.discovering = True
+        sim.sessions.append(Session(1, 0, 3))
+        held = {0: [(1, 0)], 1: [(2, 0), (3, 1)], 4: [(4, 0), (5, 0), (6, 1)]}
+        for nid, packets in held.items():
+            for pid, sid in packets:
+                sim.ledger.packets[pid] = PacketStat(session=sid, generated_at=0.0)
+                sim.runtime[nid].queue.append(QueuedPacket(pid=pid, session=sid))
+                sim.sessions[sid].holders.add(nid)
+        sn.holders.add(2)  # a holder whose packets have all left
+        sim.runtime[4].inflight = AttemptRow(0.0, 4, 0, 4, 2, 1, 5.0, "pending")
+        sim._on_route_reply(sn.id, (0, 1, 2, 3))
+        status = {pid: stat.status for pid, stat in sim.ledger.packets.items()}
+        assert status == {1: "pending", 2: "pending", 3: "pending", 4: "pending",
+                          5: "dropped-route-invalidated", 6: "pending"}
+        assert [q.pid for q in sim.runtime[4].queue] == [4, 6]
+        assert [(h, a) for _, _, h, a in sim._events] == [
+            (sim._on_send_attempt, (nid,)) for nid in (0, 1, 4)]
+        assert sn.holders == {0, 1, 4}
+        assert sn.next_hop == {0: 1, 1: 2, 2: 3}
+
+    def test_holders_cover_every_queued_packet(self):
+        """After every event of desk-converge at seed 1, each node that
+        queues a packet of a session is among that session's holders."""
+        sim = Simulator(scenario("desk-converge"), seed=1)
+        sessions, runtime = sim.sessions, sim.runtime
+        push = sim._push
+        checked, pruned = [], []
+
+        def check(handler, *args):
+            handler(*args)
+            for nid, rt in enumerate(runtime):
+                for q in rt.queue:
+                    assert nid in sessions[q.session].holders, (handler.__name__, nid, q)
+            checked.append(handler)
+
+        def checked_push(t, handler, *args):
+            push(t, check, handler, *args)
+
+        reply = sim._on_route_reply
+
+        def counted_reply(sid, route):
+            before = set(sessions[sid].holders)
+            reply(sid, route)
+            pruned.append(before - sessions[sid].holders)
+
+        sim._push = checked_push
+        sim._on_route_reply = counted_reply
+        report = sim.run()
+        assert invariant_problems(sim.ledger, report) == []
+        assert len(checked) > 10_000
+        assert any(pruned)  # holders that had sent everything on were dropped
 
 
 def rejection_gap(rng, lo, hi):
@@ -668,6 +808,18 @@ class TestEndToEnd:
 
         with pytest.raises(ConfigError):
             Simulator(scenario("desk-conserve", nodes=7, peripherals_per_zone=2))
+
+
+def test_scale_smoke_800_nodes_keeps_the_run_invariants():
+    """One N=800 world at desk-converge density (arena scaled by sqrt(8),
+    N // 16 sessions) for 10 s."""
+    side = 8 ** 0.5
+    cfg = scenario("desk-converge", nodes=800, arena_width=140.0 * side,
+                   arena_height=105.0 * side, sessions=50, duration=10.0, seed=7)
+    sim = Simulator(cfg)
+    report = sim.run()
+    assert invariant_problems(sim.ledger, report) == []
+    assert report.ntg is not None and sim.ledger.debit_count > 0
 
 
 FUZZ_DRAWS = 60

@@ -93,6 +93,12 @@ class TestRowLog:
         assert list(rows) == self.ROWS
         assert list(rows) == self.ROWS  # iterating again starts over
 
+    def test_extend_matches_appending_each_row(self):
+        rows = RowLog(("d", "i", None, "d"))
+        rows.extend(*(list(column) for column in zip(*self.ROWS)))
+        rows.extend([], [], [], [])
+        assert list(rows) == list(self.table()) == self.ROWS
+
     def test_deepcopy_is_equal_and_independent(self):
         rows = self.table()
         clone = copy.deepcopy(rows)
@@ -154,6 +160,15 @@ class TestLedgerAnswers:
                 z: tuple(math.fsum(r[col] for r in rows if r[1] == z)
                          for rows in (waste, invest) for col in (2, 3))
                 for z in zones}
+
+    def test_batched_debits_book_the_rows_of_single_debits(self):
+        nodes, joules = [4, 0, 9, 4], [0.25, 1e-9, 3.0e4, 0.5]
+        single, batched = MetricsLedger(), MetricsLedger()
+        for node, paid in zip(nodes, joules):
+            single.record_debit(2.5, node, "flood", paid)
+        batched.record_debits(2.5, nodes, "flood", joules)
+        assert list(batched.debits) == list(single.debits)
+        assert batched.energy_by_node() == single.energy_by_node()
 
     def test_outcome_counts(self):
         led = MetricsLedger()
