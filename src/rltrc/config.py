@@ -8,6 +8,7 @@ rest of the contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 VALID_ZONE_COUNTS = (3, 6, 9, 12)
@@ -95,6 +96,8 @@ class ScenarioConfig:
             hard.append("policy must be one of %s, got %r" % (list(VALID_POLICIES), self.policy))
         if self.duration < 0.0:
             hard.append("duration must be >= 0, got %g" % self.duration)
+        elif not math.isfinite(self.duration):
+            hard.append("duration must be finite, got %g" % self.duration)
         if self.nodes < 1:
             hard.append("nodes must be >= 1, got %d" % self.nodes)
         if self.sessions < 0:
@@ -123,6 +126,25 @@ class ScenarioConfig:
             hard.append("vmax bounds must satisfy 0 <= min <= max")
         if self.tau_a <= 0.0 or self.vs <= 0.0 or self.mobility_dt <= 0.0:
             hard.append("tau_a, vs and mobility_dt must be positive")
+        # a period or packet gap too short to move the clock at `duration`
+        # would repeat its event forever at one instant
+        if math.isfinite(self.duration):
+            timers = ["t_sync", "mobility_dt", "tau_a", "inter_arrival_min"]
+            if self.policy == "beacon-prr-like":
+                timers.append("beacon_period")
+            for name in timers:
+                p = getattr(self, name)
+                if not (p < math.inf and self.duration + p > self.duration):
+                    hard.append("%s must be finite and move the clock at duration %g, got %g"
+                                % (name, self.duration, p))
+        for name in ("proc_delay", "t_hop", "session_start_max"):
+            p = getattr(self, name)
+            if not 0.0 <= p < math.inf:
+                hard.append("%s must be finite and >= 0, got %g" % (name, p))
+        for name in ("bitrate", "payload_bytes"):
+            p = getattr(self, name)
+            if not 0.0 < p < math.inf:
+                hard.append("%s must be finite and positive, got %g" % (name, p))
         if self.alpha_min <= 0.0 or self.alpha_min > self.alpha_max:
             hard.append("alpha range must satisfy 0 < min <= max")
         if self.zones in VALID_ZONE_COUNTS and self.nodes >= 1:

@@ -50,7 +50,6 @@ from .model import (
     NodeState,
     Point,
     ZoneState,
-    distance,
     grid_cells,
     make_zones,
     zone_of,
@@ -109,7 +108,8 @@ class Channel:
 def propagate(tx_power: float, dist: float, alpha: float, noise_spread: float, rng: Random) -> float:
     """Received strength over the linear channel; never above the sent power."""
     noise = rng.uniform(-noise_spread, noise_spread) if noise_spread > 0.0 else 0.0
-    return min(tx_power, tx_power - alpha * dist + noise)
+    rss = tx_power - alpha * dist + noise
+    return rss if rss < tx_power else tx_power  # min(tx_power, rss)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def shortest_route(
 # ---------------------------------------------------------------------------
 # per-node runtime
 
-@dataclass
+@dataclass(slots=True)
 class QueuedPacket:
     pid: int
     session: int
@@ -321,6 +321,14 @@ class Simulator:
         # sync at t = 0 is the first event, so it is set before any transmit
         self.zone_sigma: list[float] = []
         self._link_terms: list[tuple[float, float, float, dict[int, CommCacheEntry]]] = []
+        # per-world constants of the hop cycle, read on every packet
+        self._airtime = cfg.airtime
+        self._rltrc = cfg.policy == "rl-trc"
+        lo, hi = cfg.inter_arrival_min, cfg.inter_arrival_max
+        mean = (lo + hi) / 2.0
+        lambd = 1.0 / mean
+        self._gap_band = (lo, hi, mean, lambd,
+                          -math.expm1(-lo * lambd) - 1e-9, -math.expm1(-hi * lambd) + 1e-9)
         self._build_world()
 
     # -- construction -------------------------------------------------------
@@ -433,9 +441,10 @@ class Simulator:
     def _debit(self, node_id: int, joules: float, kind: str, message: bool) -> bool:
         """Apply the drain rule; count the message only when fully paid."""
         node = self.nodes[node_id]
-        paid = min(joules, node.residual_energy)
+        e = node.residual_energy
+        paid = e if e < joules else joules  # min(joules, e)
         if paid > 0.0:
-            node.residual_energy -= paid
+            node.residual_energy = e - paid
             self.ledger.record_debit(self.t, node_id, kind, paid)
         ok = paid >= joules and joules > 0.0
         if ok and message:
@@ -451,7 +460,7 @@ class Simulator:
         message count, with one batched ledger write and one message-count
         add. A dead node pays nothing and books no row, as `_debit` would.
         """
-        nodes, airtime = self.nodes, self.cfg.airtime
+        nodes, airtime = self.nodes, self._airtime
         payers: list[int] = []
         paid_col: list[float] = []
         messages = 0
@@ -530,18 +539,19 @@ class Simulator:
         sn = self.sessions[sid]
         if not sn.live:
             return
+        t, src = self.t, sn.src
         pid = next(self._pids)
-        self.ledger.packets[pid] = PacketStat(session=sid, generated_at=self.t)
-        if not self.nodes[sn.src].alive:
+        self.ledger.packets[pid] = PacketStat(sid, t)
+        if self.nodes[src].residual_energy <= 0.0:
             self._drop_packet(pid, "node-death")
             self._fail_session(sn)
             return
-        self.runtime[sn.src].queue.append(QueuedPacket(pid=pid, session=sid))
-        sn.holders.add(sn.src)
-        self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, sn.src)
+        self.runtime[src].queue.append(QueuedPacket(pid, sid))
+        sn.holders.add(src)
+        self._push(t + self.cfg.proc_delay, self._on_send_attempt, src)
         gap = self._inter_arrival()
-        if self.t + gap <= self.cfg.duration:
-            self._push(self.t + gap, self._on_packet_gen, sid)
+        if t + gap <= self.cfg.duration:
+            self._push(t + gap, self._on_packet_gen, sid)
 
     def _inter_arrival(self) -> float:
         """Bounded Poisson arrivals: exponential gaps with the band's mean,
@@ -551,14 +561,9 @@ class Simulator:
         `random()`, so the gaps and the generator state are those of calling
         it. The gap lies in [lo, hi] only for u in [1 - e^(-lo lambd),
         1 - e^(-hi lambd)], so the log is taken only for u in that window
-        widened by 1e-9 against rounding.
+        widened by 1e-9 against rounding (`_gap_band`, set per world).
         """
-        cfg = self.cfg
-        lo, hi = cfg.inter_arrival_min, cfg.inter_arrival_max
-        mean = (lo + hi) / 2.0
-        lambd = 1.0 / mean
-        u_lo = -math.expm1(-lo * lambd) - 1e-9
-        u_hi = -math.expm1(-hi * lambd) + 1e-9
+        lo, hi, mean, lambd, u_lo, u_hi = self._gap_band
         random = self.rng.random
         for _ in range(1000):
             u = random()
@@ -571,8 +576,17 @@ class Simulator:
     # -- transmission -------------------------------------------------------
 
     def _on_send_attempt(self, node: int) -> None:
+        """Send the head packet of node's queue to its successor.
+
+        Under rl-trc the link cache first decides whether the hop can still
+        be made: a successor predicted to have moved beyond twice the radio
+        range, or a threshold no power level clears, gives the hop up as a
+        link failure. Otherwise the sender picks a level epsilon-greedily
+        from the usable ones at its zone's sigma.
+        """
         rt = self.runtime[node]
-        if not self.nodes[node].alive:
+        sender = self.nodes[node]
+        if sender.residual_energy <= 0.0:
             for qp in rt.queue:
                 self._drop_packet(qp.pid, "node-death")
             rt.queue.clear()
@@ -591,37 +605,30 @@ class Simulator:
             self._drop_head(node, rt, "route-invalidated")
             return
         entry = rt.links[succ]  # made by the route reply that set next_hop
-        if self.cfg.policy == "rl-trc":
-            level = self._select_rltrc(node, succ, entry, sn)
-            if level is None:
-                return  # escalated to link failure
+        if self._rltrc:
+            dist_est = 0.0
+            last_two = entry.last_two
+            if len(last_two) == 2:
+                dist_est = linkcache.predict_displacement(
+                    entry.approx_velocity, self.t, last_two[1].t_ack
+                )
+                if linkcache.should_drop(dist_est, sender.radio_range):
+                    self._link_failure(node, sn, 0.0, 0.0)
+                    return
+            p_thres = linkcache.power_threshold(
+                entry.sig_atn, dist_est, self.nodes[succ].min_rcv
+            )
+            avail = linkcache.available_levels(sender.power_levels, p_thres)
+            if not avail:
+                self._link_failure(node, sn, 0.0, 0.0)
+                return
+            level = policy.select_power_level(
+                avail, self.zone_sigma[sender.zone_id], entry.reliable, self.rng
+            )
         else:
             level = self._select_baseline(node, succ, entry, rt)
         rt.levels_used[succ] = level
         self._transmit(node, succ, level, entry, rt, qp, sn)
-
-    def _select_rltrc(
-        self, node: int, succ: int, entry: CommCacheEntry, sn: Session
-    ) -> float | None:
-        sender = self.nodes[node]
-        dist_est = 0.0
-        if len(entry.last_two) == 2:
-            dist_est = linkcache.predict_displacement(
-                entry.approx_velocity, self.t, entry.last_ack_time
-            )
-            if linkcache.should_drop(dist_est, sender.radio_range):
-                self._link_failure(node, sn, 0.0, 0.0)
-                return None
-        p_thres = linkcache.power_threshold(
-            entry.sig_atn, dist_est, self.nodes[succ].min_rcv
-        )
-        avail = linkcache.available_levels(sender.power_levels, p_thres)
-        if not avail:
-            self._link_failure(node, sn, 0.0, 0.0)
-            return None
-        return policy.select_power_level(
-            avail, self.zone_sigma[sender.zone_id], entry.reliable, self.rng
-        )
 
     def _select_baseline(
         self, node: int, succ: int, entry: CommCacheEntry, rt: NodeRuntime
@@ -651,66 +658,65 @@ class Simulator:
         qp: QueuedPacket,
         sn: Session,
     ) -> None:
-        cfg = self.cfg
-        sender = self.nodes[node]
-        sent = self._debit(node, level * cfg.airtime, "tx", message=True)
-        action = level if sent else 0.0
-        row = AttemptRow(self.t, qp.pid, sn.id, node, succ, qp.turn, action,
+        sent = self._debit(node, level * self._airtime, "tx", message=True)
+        t, pid, ledger = self.t, qp.pid, self.ledger
+        row = AttemptRow(t, pid, sn.id, node, succ, qp.turn, level if sent else 0.0,
                          "pending" if sent else "blocked")
-        self.ledger.attempts.append(row)
+        ledger.attempts.append(row)
         rt.inflight = row
-        self.ledger.packets[qp.pid].attempts += 1
+        ledger.packets[pid].attempts += 1
+        cfg = self.cfg
         if sent:
+            sender, receiver = self.nodes[node], self.nodes[succ]
             # self-reward accrues per action actually transmitted
-            self.reward_states[node].apply_action(sender.max_power, level)
+            self.reward_states[node].apply_action(sender.power_levels[-1], level)
             linkcache.record_tx(entry)
-            receiver = self.nodes[succ]
-            d = distance(sender.position, receiver.position)
-            rss = propagate(level, d, self.channel.alpha(node, succ),
-                            cfg.noise_spread, self.rng)
-            if receiver.alive and d <= sender.radio_range and rss >= receiver.min_rcv:
-                self._push(self.t + 0.5 * d / cfg.vs, self._on_packet_arrival, row, rss, d)
-        self._push(self.t + cfg.tau_a, self._on_ack_timeout, row)
-
-    def _ack_level(self, receiver_id: int, sender_id: int, data_level: float, data_rss: float) -> float:
-        """Reverse-link level sized from the measured loss of the data just
-        heard, with a noise-spread margin; maximum when nothing clears."""
-        receiver = self.nodes[receiver_id]
-        loss = data_level - data_rss
-        thres = loss + self.nodes[sender_id].min_rcv + self.cfg.noise_spread
-        avail = linkcache.available_levels(receiver.power_levels, thres)
-        return avail[0] if avail else receiver.max_power
+            (xs, ys), (xr, yr) = sender.position, receiver.position
+            d = math.hypot(xr - xs, yr - ys)  # model.distance(sender, receiver)
+            rss = propagate(level, d, self.channel.alpha(node, succ), cfg.noise_spread, self.rng)
+            if (receiver.residual_energy > 0.0 and d <= sender.radio_range
+                    and rss >= receiver.min_rcv):
+                self._push(t + 0.5 * d / cfg.vs, self._on_packet_arrival, row, rss, d)
+        self._push(t + cfg.tau_a, self._on_ack_timeout, row)
 
     def _on_packet_arrival(self, row: AttemptRow, rss: float, dist: float) -> None:
         """Data of `row` reaches its successor; only sent rows are queued
-        here, so `row.action` is the level it went out at."""
-        cfg = self.cfg
+        here, so `row.action` is the level it went out at.
+
+        The receiver pays for listening, then acknowledges across the same
+        hop at the lowest level whose margin over the measured loss clears
+        the sender's receive floor plus the noise spread, or at its maximum
+        when none does; the ack is as lossy as any signal.
+        """
+        cfg, nodes = self.cfg, self.nodes
         node, sender, pid = row.successor, row.node, row.pid
-        receiver = self.nodes[node]
-        if not receiver.alive:
+        receiver = nodes[node]
+        if receiver.residual_energy <= 0.0:
             return
-        rx_cost = cfg.rx_cost_fraction * receiver.min_power * cfg.airtime
-        if not self._debit(node, rx_cost, "rx", message=False):
+        levels = receiver.power_levels
+        if not self._debit(node, cfg.rx_cost_fraction * levels[0] * self._airtime, "rx",
+                           message=False):
             return
-        # acknowledgement back across the same hop, lossy like any signal
-        ack_level = self._ack_level(node, sender, row.action, rss)
+        floor = nodes[sender].min_rcv
+        avail = linkcache.available_levels(levels, row.action - rss + floor + cfg.noise_spread)
+        ack_level = avail[0] if avail else levels[-1]
         self.ledger.count_message()
         ack_rss = propagate(ack_level, dist, self.channel.alpha(node, sender),
                             cfg.noise_spread, self.rng)
-        if ack_rss >= self.nodes[sender].min_rcv and dist <= receiver.radio_range:
+        if ack_rss >= floor and dist <= receiver.radio_range:
             self._push(row.t + dist / cfg.vs, self._on_ack_arrival, row, rss)
         rt = self.runtime[node]
         if pid in rt.seen:
             return
         rt.seen.add(pid)
         sn = self.sessions[row.session]
-        stat = self.ledger.packets[pid]
         if node == sn.dst:
+            stat = self.ledger.packets[pid]
             stat.status = "delivered"
             stat.delivered_at = self.t
             self.packet_invested.pop(pid, None)
             return
-        rt.queue.append(QueuedPacket(pid=pid, session=row.session))
+        rt.queue.append(QueuedPacket(pid, row.session))
         sn.holders.add(node)
         self._push(self.t + cfg.proc_delay, self._on_send_attempt, node)
 
@@ -721,27 +727,24 @@ class Simulator:
             return  # the attempt timed out first
         rt.inflight = None
         row.outcome = "ack"
-        sender = self.nodes[node]
+        t, action, pid = self.t, row.action, row.pid
         entry = rt.links[succ]
-        linkcache.record_ack(
-            entry,
-            PacketRecord(t_msg=row.t, t_ack=self.t, tx_power=row.action, rss=rss),
-            self.cfg.vs,
-            sender.radio_range,
-        )
-        if self.cfg.policy == "rl-trc":
+        linkcache.record_ack(entry, PacketRecord(row.t, t, action, rss), self.cfg.vs,
+                             self.nodes[node].radio_range)
+        if self._rltrc:
             self.reward_states[node].apply_ack(
                 succ, entry.prr, entry.rss_over_tpl, entry.recent_trend
             )
-        sn = self.sessions[row.session]
-        rtt = self.t - row.t
-        self.ledger.record_invest(self.t, sn.home_zone, row.action, rtt)
-        inv_e, inv_t = self.packet_invested.get(row.pid, (0.0, 0.0))
-        self.packet_invested[row.pid] = (inv_e + row.action, inv_t + rtt)
-        if rt.queue and rt.queue[0].pid == row.pid:
-            rt.queue.pop(0)
-        if rt.queue:
-            self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, node)
+        rtt = t - row.t
+        self.ledger.record_invest(t, self.sessions[row.session].home_zone, action, rtt)
+        invested = self.packet_invested
+        inv_e, inv_t = invested.get(pid, (0.0, 0.0))
+        invested[pid] = (inv_e + action, inv_t + rtt)
+        queue = rt.queue
+        if queue and queue[0].pid == pid:
+            queue.pop(0)
+        if queue:
+            self._push(t + self.cfg.proc_delay, self._on_send_attempt, node)
 
     def _on_ack_timeout(self, row: AttemptRow) -> None:
         cfg, node = self.cfg, row.node
@@ -810,7 +813,7 @@ class Simulator:
         qp = rt.queue.pop(0)
         succ = sn.next_hop[node]
         linkcache.mark_reliability(rt.links[succ], self.t)
-        if cfg.policy == "rl-trc":
+        if self._rltrc:
             penalty = self._flood_cost(self.zones[self.nodes[node].zone_id])
             self.reward_states[node].apply_noack(succ, qp.turn, cfg.mx_atmpt, penalty)
         # claim the packet's acked-hop investment exactly once

@@ -27,7 +27,7 @@ class VelocityUnobservableError(ValueError):
     """Equal round trips (or undefined attenuation) carry no velocity signal."""
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     """One acknowledged packet: send/ack times, transmit power, received strength.
 
@@ -76,11 +76,12 @@ class CommCacheEntry:
     @property
     def rss_over_tpl(self) -> float:
         """avg_rss / avg_tpl in [0,1]; 1.0 while no ack has been received."""
-        return self.avg_rss / self.avg_tpl if self.packets_rx and self.avg_tpl > 0 else 1.0
-
-    @property
-    def last_ack_time(self) -> float:
-        return self.last_two[-1].t_ack if self.last_two else self.timestamp_begin
+        n = self.packets_rx
+        if n:
+            avg_tpl = self.sum_tpl / n
+            if avg_tpl > 0:
+                return (self.sum_rss / n) / avg_tpl
+        return 1.0
 
 
 def record_tx(entry: CommCacheEntry) -> None:
@@ -95,34 +96,47 @@ def record_ack(entry: CommCacheEntry, rec: PacketRecord, vs: float, radio_range:
     (evicting the oldest), and re-derives sig_atn, trend, velocity and the
     expected link end once two records exist. Estimates that are undefined on
     this pair (zero travel time, equal round trips) keep their previous value.
+
+    The four estimates are worked out in one pass over the pair, with the
+    same float expressions and the same undefined cases as
+    `estimate_attenuation`, `detect_trend`, `estimate_velocity` and
+    `expected_link_end`, called in that order: the results are the floats
+    those functions return.
     """
-    if rec.rss > rec.tx_power:
+    t_msg, t_ack, tx_power, rss = rec.t_msg, rec.t_ack, rec.tx_power, rec.rss
+    if rss > tx_power:
         raise MalformedAckError(
-            "ack reports RSS %.6g above transmit power %.6g" % (rec.rss, rec.tx_power)
+            "ack reports RSS %.6g above transmit power %.6g" % (rss, tx_power)
         )
-    if rec.t_ack <= rec.t_msg:
+    if t_ack <= t_msg:
         raise ValueError("ack time must follow send time")
-    entry.packets_rx += 1
-    entry.sum_rss += rec.rss
-    entry.sum_tpl += rec.tx_power
-    rec.avg_rss_after = entry.sum_rss / entry.packets_rx
-    entry.last_two.append(rec)
-    if len(entry.last_two) > 2:
-        entry.last_two.pop(0)
-    if len(entry.last_two) == 2:
-        rec1, rec2 = entry.last_two
-        try:
-            entry.sig_atn = estimate_attenuation(rec1, rec2, vs)
-        except UndefinedAttenuationError:
-            pass
-        entry.recent_trend = detect_trend(rec1, rec2)
-        try:
-            entry.approx_velocity = estimate_velocity(rec1, rec2, entry.sig_atn)
-        except VelocityUnobservableError:
-            pass
-        entry.expected_timestamp_end = expected_link_end(
-            radio_range, entry.approx_velocity, rec2.t_ack
-        )
+    rx = entry.packets_rx + 1
+    entry.packets_rx = rx
+    entry.sum_rss += rss
+    entry.sum_tpl += tx_power
+    rec.avg_rss_after = entry.sum_rss / rx
+    last_two = entry.last_two
+    last_two.append(rec)
+    if len(last_two) < 2:
+        return entry
+    if len(last_two) > 2:
+        del last_two[0]
+    rec1 = last_two[0]
+    rtt1, rtt2 = rec1.t_ack - rec1.t_msg, t_ack - t_msg
+    ff1, ff2 = rec1.tx_power - rec1.rss, tx_power - rss
+    d1, d2 = vs * rtt1, vs * rtt2
+    if not (d1 <= 0.0 or d2 <= 0.0):
+        entry.sig_atn = (ff1 / d1 + ff2 / d2) / 2.0
+    rtt_ok = rtt2 <= rtt1
+    if rtt_ok == (rec1.avg_rss_after <= rec.avg_rss_after):
+        entry.recent_trend = 1 if rtt_ok else -1
+    else:
+        entry.recent_trend = 0
+    tm, sig_atn = t_ack - rec1.t_ack, entry.sig_atn
+    if not (tm <= 0.0 or sig_atn <= 0.0):
+        entry.approx_velocity = abs(ff2 - ff1) / (sig_atn * tm)
+    vel = entry.approx_velocity
+    entry.expected_timestamp_end = math.inf if vel <= 0.0 else 2.0 * radio_range / vel + t_ack
     return entry
 
 

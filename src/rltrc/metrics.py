@@ -138,8 +138,13 @@ class MetricsLedger:
             self.waste_rows.append(t, zone, energy, time)
 
     def record_invest(self, t: float, zone: int, energy: float, time: float) -> None:
+        # booked on every acknowledged hop, so it skips `RowLog.append`'s call
         if energy or time:
-            self.invest_rows.append(t, zone, energy, time)
+            ct, cz, ce, cs = self.invest_rows.columns
+            ct.append(t)
+            cz.append(zone)
+            ce.append(energy)
+            cs.append(time)
 
     def total_debits(self) -> float:
         return math.fsum(self.debits.columns[3])
@@ -264,18 +269,18 @@ def windowed_waste_series(
     waste_t = [0.0] * n_windows
     invest_e = [0.0] * n_windows
     invest_t = [0.0] * n_windows
-
-    def windex(t: float) -> int:
-        return min(n_windows - 1, max(0, int(t / window_len)))
-
-    for t, _zone, e, tm in ledger.waste_rows:
-        w = windex(t)
-        waste_e[w] += e
-        waste_t[w] += tm
-    for t, _zone, e, tm in ledger.invest_rows:
-        w = windex(t)
-        invest_e[w] += e
-        invest_t[w] += tm
+    last = n_windows - 1
+    for rows, energy, seconds in ((ledger.waste_rows, waste_e, waste_t),
+                                  (ledger.invest_rows, invest_e, invest_t)):
+        ct, _zone, ce, cs = rows.columns
+        for t, e, tm in zip(ct, ce, cs):
+            w = int(t / window_len)  # clamped into [0, last]
+            if w > last:
+                w = last
+            elif w < 0:
+                w = 0
+            energy[w] += e
+            seconds[w] += tm
     out = []
     for w in range(n_windows):
         awe = 100.0 * waste_e[w] / invest_e[w] if invest_e[w] > 0.0 else 0.0

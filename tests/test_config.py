@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rltrc.config import ConfigError, ScenarioConfig, load_config, parse_config
@@ -99,6 +101,30 @@ class TestRangeValidation:
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]
         assert ScenarioConfig(**overrides).validate() == expected
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"t_sync": 0.0}, "t_sync must be finite and move the clock at duration 60, got 0"),
+        ({"t_sync": math.nan}, "t_sync must be finite and move the clock at duration 60, got nan"),
+        ({"policy": "beacon-prr-like", "beacon_period": 0.0},
+         "beacon_period must be finite and move the clock at duration 60, got 0"),
+        ({"mobility_dt": 1e-300},
+         "mobility_dt must be finite and move the clock at duration 60, got 1e-300"),
+        ({"tau_a": math.inf}, "tau_a must be finite and move the clock at duration 60, got inf"),
+        ({"inter_arrival_min": 1e-300, "inter_arrival_max": 1e-300, "override": True},
+         "inter_arrival_min must be finite and move the clock at duration 60, got 1e-300"),
+        ({"duration": math.inf}, "duration must be finite, got inf"),
+        ({"duration": math.nan}, "duration must be finite, got nan"),
+        ({"session_start_max": -1.0}, "session_start_max must be finite and >= 0, got -1"),
+        ({"proc_delay": -0.001}, "proc_delay must be finite and >= 0, got -0.001"),
+        ({"proc_delay": math.nan}, "proc_delay must be finite and >= 0, got nan"),
+        ({"t_hop": -0.001}, "t_hop must be finite and >= 0, got -0.001"),
+        ({"bitrate": 0.0}, "bitrate must be finite and positive, got 0"),
+        ({"payload_bytes": math.inf}, "payload_bytes must be finite and positive, got inf"),
+    ])
+    def test_timer_that_cannot_run_is_rejected(self, overrides, message):
+        # each config passes the older checks, then hangs, raises or
+        # schedules events in the past when run; only validate runs here
+        assert ScenarioConfig(**overrides).validate() == [message]
 
     def test_all_violations_reported(self):
         errs = ScenarioConfig(

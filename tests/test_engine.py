@@ -30,7 +30,7 @@ from rltrc.linkcache import CommCacheEntry
 from rltrc.metrics import AttemptRow, PacketStat, invariant_problems, render_csv
 from rltrc.model import NodeState
 from rltrc.policy import compute_sigma
-from rltrc.rewards import avg_hop_count, broadcast_cost
+from rltrc.rewards import avg_hop_count, broadcast_cost, successor_reward_ack
 from rltrc.scenarios import scenario
 
 
@@ -440,6 +440,8 @@ class TestRouteReply:
         sim._on_route_reply = counted_reply
         report = sim.run()
         assert invariant_problems(sim.ledger, report) == []
+        # every dispatched event went through `_push`, and so was checked
+        assert len(checked) == next(sim._seq) - len(sim._events)
         assert len(checked) > 10_000
         assert any(pruned)  # holders that had sent everything on were dropped
 
@@ -508,11 +510,12 @@ class TestInterArrival:
 def test_sigma_per_tick_equals_sigma_recomputed_at_each_decision(monkeypatch):
     sim = Simulator(scenario("desk-converge"))
     senders = []
-    select_rltrc = sim._select_rltrc
+    # handlers are bound when pushed, so this sees every send attempt
+    send_attempt = sim._on_send_attempt
 
-    def tracked(node, *args):
+    def tracked(node):
         senders.append(node)
-        return select_rltrc(node, *args)
+        return send_attempt(node)
 
     select = policy.select_power_level
     used = []
@@ -522,12 +525,40 @@ def test_sigma_per_tick_equals_sigma_recomputed_at_each_decision(monkeypatch):
         used.append((sigma, compute_sigma(zone.reward_ri, sim.network.cached)))
         return select(available, sigma, reliable, rng)
 
-    sim._select_rltrc = tracked
+    sim._on_send_attempt = tracked
     monkeypatch.setattr(policy, "select_power_level", checked)
     sim.run()
     assert len(used) > 1000
     assert len({want for _, want in used}) > 1
     assert all(got == want for got, want in used)
+
+
+@pytest.mark.parametrize("name", ["desk-compare", "desk-converge"])
+def test_successor_grade_after_every_ack_reads_the_link_cache(name):
+    """After each acknowledged hop the sender's grade of its successor is
+    `successor_reward_ack` of the link cache just updated, with the inputs
+    worked out here from the cache's counters: the reception rate rx/tx and
+    the ratio of the average RSS to the average transmit level."""
+    sim = Simulator(scenario(name), seed=1)
+    assert sim.cfg.policy == "rl-trc"
+    ack_arrival = sim._on_ack_arrival
+    checked = []
+
+    def checked_ack(row, rss):
+        acked = sim.runtime[row.node].inflight is row
+        ack_arrival(row, rss)
+        if acked:
+            entry = sim.runtime[row.node].links[row.successor]
+            n = entry.packets_rx
+            prr = n / entry.packets_tx
+            rss_over_tpl = (entry.sum_rss / n) / (entry.sum_tpl / n)
+            want = successor_reward_ack(prr, rss_over_tpl, entry.recent_trend)
+            assert sim.reward_states[row.node].successor_rewards[row.successor] == want
+            checked.append(row)
+
+    sim._on_ack_arrival = checked_ack
+    sim.run()
+    assert len(checked) == sim.ledger.outcome_counts()["ack"] > 500
 
 
 class TestAttemptRows:

@@ -1,4 +1,4 @@
-import math
+import dataclasses
 import math
 import random
 
@@ -301,3 +301,73 @@ def test_record_ack_keeps_an_attenuation_it_cannot_estimate():
         record_ack(e, r, vs=0.0, radio_range=10.0)
     assert e.sig_atn == 9.9
     assert e.approx_velocity == (6.0 - 4.0) / (9.9 * (14.0 - 2.0))
+
+
+def record_ack_by_estimators(entry, rec, vs, radio_range):
+    """`record_ack` as the four public estimators spell it, called in turn,
+    each undefined estimate keeping the entry's previous value."""
+    entry.packets_rx += 1
+    entry.sum_rss += rec.rss
+    entry.sum_tpl += rec.tx_power
+    rec.avg_rss_after = entry.sum_rss / entry.packets_rx
+    entry.last_two.append(rec)
+    if len(entry.last_two) > 2:
+        entry.last_two.pop(0)
+    if len(entry.last_two) == 2:
+        rec1, rec2 = entry.last_two
+        try:
+            entry.sig_atn = estimate_attenuation(rec1, rec2, vs)
+        except UndefinedAttenuationError:
+            pass
+        entry.recent_trend = detect_trend(rec1, rec2)
+        try:
+            entry.approx_velocity = estimate_velocity(rec1, rec2, entry.sig_atn)
+        except VelocityUnobservableError:
+            pass
+        entry.expected_timestamp_end = expected_link_end(
+            radio_range, entry.approx_velocity, rec2.t_ack
+        )
+
+
+def test_record_ack_equals_the_four_estimators():
+    """Seeded random ack streams, rich in the edge cases: zero travel
+    distance (vs = 0, or a product that underflows), equal ack times, equal
+    round trips, equal average RSS, lossless acks (sig_atn 0), non-positive
+    priors and equal fades (zero velocity). After every ack each cache
+    field equals the estimators' value exactly."""
+    rng = random.Random(2024)
+    pairs = 0
+    seen = dict.fromkeys(("zero-travel", "one-zero-travel", "equal-acks", "equal-rss", "sig<=0",
+                          "zero-velocity"), 0)
+    for _ in range(400):
+        prior = rng.choice([0.0, -0.5, 0.3, rng.uniform(0.01, 2.0)])
+        # at 1e-322 the travel distance of a round trip underflows to 0 or not
+        vs = rng.choice([0.0, 1e-322, 1000.0, rng.uniform(0.1, 2000.0)])
+        radio_range = rng.uniform(10.0, 40.0)
+        got, want = CommCacheEntry(sig_atn=prior), CommCacheEntry(sig_atn=prior)
+        t_ack, rtt, tx, fade = rng.uniform(0.0, 100.0), rng.uniform(1e-4, 0.1), 10.0, 0.0
+        for k in range(rng.choice([2, 3, 4])):
+            if k:
+                t_ack = rng.choice([t_ack, t_ack + rng.uniform(0.0, 5.0)])
+                rtt = rng.choice([rtt, rng.uniform(1e-4, 0.1)])
+            tx = rng.choice([tx, rng.uniform(1.0, 25.0)])
+            fade = rng.choice([0.0, fade, rng.uniform(0.0, 1.0) * tx])
+            rss = tx - fade if fade <= tx else 0.0
+            values = (t_ack - rtt, t_ack, tx, rss)
+            if values[0] >= t_ack:
+                continue  # rtt lost to rounding: record_ack rejects such an ack
+            for entry, fold in ((got, record_ack), (want, record_ack_by_estimators)):
+                record_tx(entry)
+                fold(entry, PacketRecord(*values), vs, radio_range)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            if len(want.last_two) == 2:
+                pairs += 1
+                rec1, rec2 = want.last_two
+                seen["zero-travel"] += vs * rec1.rtt <= 0.0
+                seen["one-zero-travel"] += (vs * rec1.rtt <= 0.0) != (vs * rec2.rtt <= 0.0)
+                seen["equal-acks"] += rec1.t_ack == rec2.t_ack
+                seen["equal-rss"] += rec1.avg_rss_after == rec2.avg_rss_after
+                seen["sig<=0"] += want.sig_atn <= 0.0
+                seen["zero-velocity"] += want.expected_timestamp_end == math.inf
+    assert pairs >= 500
+    assert min(seen.values()) >= 25, seen
