@@ -141,10 +141,17 @@ class ScenarioConfig:
             p = getattr(self, name)
             if not 0.0 <= p < math.inf:
                 hard.append("%s must be finite and >= 0, got %g" % (name, p))
-        for name in ("bitrate", "payload_bytes"):
+        # a receiver pays rx_cost_fraction of a minimum-level send to listen,
+        # and a charge of 0 J or less counts as unpaid, so nothing is received
+        for name in ("bitrate", "payload_bytes", "rx_cost_fraction"):
             p = getattr(self, name)
             if not 0.0 < p < math.inf:
                 hard.append("%s must be finite and positive, got %g" % (name, p))
+        # a NaN or +inf receive floor or attenuation prior clears no link budget
+        for name in ("min_rcv", "prior_sig_atn"):
+            p = getattr(self, name)
+            if not p < math.inf:
+                hard.append("%s must be a number below inf, got %g" % (name, p))
         if self.alpha_min <= 0.0 or self.alpha_min > self.alpha_max:
             hard.append("alpha range must satisfy 0 < min <= max")
         if self.zones in VALID_ZONE_COUNTS and self.nodes >= 1:

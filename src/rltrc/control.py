@@ -4,9 +4,12 @@ Controllers are infrastructure: no battery, no mobility. Each zone controller
 writes its members' last-reported position and top speed into one
 network-wide registry, which the destination lookup turns into a broadcast
 circle; a node keeps its last sighting after it leaves a zone. At every sync it
-rebroadcasts zone state and recomputes the zone's geometry statistics and its
-reward RI from the members' rewards and the filed session rewards. The
-network controller sums zone rewards on a slower timer.
+rebroadcasts zone state and recomputes the zone's reward RI from the members'
+rewards and the filed session rewards. The zone's geometry (membership
+diameter and mean neighbour count) is computed on first read: a sync keeps
+the members and a `Tick`, a snapshot of the nodes at that moment, and
+`ZoneController.geometry` works the values out from them when a flood asks.
+The network controller sums zone rewards on a slower timer.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ def assign_zones(nodes: Iterable[NodeState], zones: list[ZoneState]) -> None:
 _EXTENTS = (lambda p: p[0], lambda p: p[1], lambda p: p[0] + p[1], lambda p: p[0] - p[1])
 
 
-def _membership_diameter(members: Iterable[int], nodes: Sequence[NodeState]) -> float:
-    """Largest distance between two members, by an exactly pruned pair scan.
+def _membership_diameter(pts: list[Point]) -> float:
+    """Largest distance between two of the points, by an exactly pruned pair
+    scan.
 
     The distance between the extreme points along x, y, x+y and x-y is a
     lower bound on the diameter. A point whose farthest bounding-box corner,
@@ -92,7 +96,6 @@ def _membership_diameter(members: Iterable[int], nodes: Sequence[NodeState]) -> 
     through the same `distance` calls as the full scan, and both points of
     the farthest pair survive, so the float returned is the full scan's.
     """
-    pts = [nodes[m].position for m in members]
     if len(pts) < 2:
         return 0.0
     ends = [(min(pts, key=k), max(pts, key=k)) for k in _EXTENTS]
@@ -114,22 +117,23 @@ def _membership_diameter(members: Iterable[int], nodes: Sequence[NodeState]) -> 
 _FORWARD = ((1, -1), (1, 0), (1, 1), (0, 1))
 
 
-def neighbor_counts(alive: list[NodeState]) -> dict[int, int]:
-    """For each alive node, the other alive nodes within its radio range.
+def neighbor_counts(records: list[tuple[int, float, float, float]]) -> dict[int, int]:
+    """For each record `(id, x, y, radio range)`, the other records within
+    that range.
 
-    One pass over `grid_cells` of the records `(id, x, y, radio range)`,
-    with cells strictly wider than the largest radio range, so every
-    in-range pair lies in one cell or in two adjacent ones even after float
-    rounding at a cell border. Each cell is paired with itself and with its
-    four forward neighbours, so each unordered pair is measured once: `d`
-    is the `distance` of either order (x - y is exactly -(y - x)), and it
-    counts for each end whose range covers it.
+    One pass over `grid_cells` of the records, with cells strictly wider
+    than the largest radio range, so every in-range pair lies in one cell or
+    in two adjacent ones even after float rounding at a cell border. Each
+    cell is paired with itself and with its four forward neighbours, so
+    each unordered pair is measured once: `d` is the `distance` of either
+    order (x - y is exactly -(y - x)), and it counts for each end whose
+    range covers it.
     """
-    if not alive:
+    if not records:
         return {}
-    side = max(n.radio_range for n in alive) + 1.0
-    cells = grid_cells([(n.id, n.position[0], n.position[1], n.radio_range) for n in alive], side)
-    counts = dict.fromkeys([n.id for n in alive], 0)
+    side = max(rec[3] for rec in records) + 1.0
+    cells = grid_cells(records, side)
+    counts = dict.fromkeys([rec[0] for rec in records], 0)
     hypot = math.hypot
     for (i, j), cell in cells.items():
         near = cell[:]
@@ -147,6 +151,44 @@ def neighbor_counts(alive: list[NodeState]) -> dict[int, int]:
     return counts
 
 
+class Tick:
+    """The nodes as one sync saw them: every node's position and the ids
+    of the alive ones, in id order.
+
+    The neighbour counts over the alive nodes are worked out on first ask
+    and kept, so the zones that share a tick share one pass. Radio ranges
+    are fixed for a node's life and are read from the nodes when needed.
+    """
+
+    __slots__ = ("positions", "alive", "_counts")
+
+    def __init__(self, nodes: Sequence[NodeState]) -> None:
+        self.positions = [n.position for n in nodes]
+        self.alive = [n.id for n in nodes if n.residual_energy > 0.0]
+        self._counts: dict[int, int] | None = None
+
+    def neighbor_counts(self, nodes: Sequence[NodeState]) -> dict[int, int]:
+        if self._counts is None:
+            pos = self.positions
+            self._counts = neighbor_counts(
+                [(i, pos[i][0], pos[i][1], nodes[i].radio_range) for i in self.alive])
+        return self._counts
+
+    def sees_anyone(self, members: list[int], nodes: Sequence[NodeState]) -> bool:
+        """True when some member has another alive node within its radio
+        range, that is when some member's neighbour count is above 0; the
+        same `hypot` test as `neighbor_counts`, stopping at the first hit."""
+        pos, alive, hypot = self.positions, self.alive, math.hypot
+        for m in members:
+            ux, uy = pos[m]
+            reach = nodes[m].radio_range
+            for v in alive:
+                vx, vy = pos[v]
+                if hypot(vx - ux, vy - uy) <= reach and v != m:
+                    return True
+        return False
+
+
 class ZoneController:
     """Single-writer actor owning one zone's stats and reward RI, and its
     members' entries in the shared node registry."""
@@ -155,6 +197,10 @@ class ZoneController:
         self.zone = zone
         self.registry = registry
         self.session_rewards: dict[int, float] = {}
+        # the (members, tick) that theta and phi are still to be worked out
+        # from; None once the zone holds the value
+        self.theta_from: tuple[list[int], Tick] | None = None
+        self.phi_from: tuple[list[int], Tick] | None = None
 
     def record_session_reward(self, session_id: int) -> float:
         """File a session's reward from the zone's cumulative waste totals."""
@@ -168,15 +214,22 @@ class ZoneController:
         nodes: Sequence[NodeState],
         reward_states: Sequence[NodeRewardState],
         *,
-        neighbors: Mapping[int, int],
+        tick: Tick,
     ) -> list[tuple[int, float]]:
-        """On every sync: refresh the registry and geometry stats, recompute RI.
+        """On every sync: refresh the registry and av_rad, recompute RI, and
+        keep what the geometry is to be computed from on first read.
 
         Members are alive when their zone syncs: `assign_zones` drops dead
         nodes at the start of the tick, and a node can only die from its own
-        zone's charges, which are debited after its sync. `neighbors` holds
-        each alive node's neighbour count from `neighbor_counts`, taken over
-        the nodes alive now.
+        zone's charges, which are debited after its sync. `tick` is the
+        snapshot of the nodes as they are now.
+
+        theta comes from the newest sync: the membership diameter of its
+        members, or the zone diagonal when fewer than two. phi, the members'
+        mean neighbour count, keeps its value through a sync whose members
+        see nobody (hop-count quantities stay finite), so the sync replaces
+        its source only when some member sees another alive node. `geometry`
+        applies both.
 
         Returns the per-node relay charges for the zone-state broadcast (one
         transmission per member at its minimum level, in power units; the
@@ -185,26 +238,41 @@ class ZoneController:
         """
         zone = self.zone
         members = sorted(zone.member_nodes)
+        registry = self.registry
         for m in members:
             n = nodes[m]
-            self.registry[m] = NodeTrack(n.position, t_now, n.max_velocity)
+            registry[m] = NodeTrack(n.position, t_now, n.max_velocity)
 
         if len(members) >= 2:
-            zone.theta = _membership_diameter(members, nodes)
+            self.theta_from = (members, tick)
         else:
             zone.theta = zone.diagonal
+            self.theta_from = None
         if members:
             zone.av_rad = math.fsum(nodes[m].radio_range for m in members) / len(members)
-            n_bar = math.fsum(neighbors[m] for m in members) / len(members)
-            if n_bar > 0.0:
-                # isolated zones keep the previous value so hop-count
-                # quantities stay finite
-                zone.phi = n_bar
+            if tick.sees_anyone(members, nodes):
+                self.phi_from = (members, tick)
         zone.reward_ri = zone_reward(
             [reward_states[m].total() for m in members],
             self.session_rewards.values(),
         )
         return [(m, nodes[m].min_power) for m in members]
+
+    def geometry(self, nodes: Sequence[NodeState]) -> ZoneState:
+        """The zone with theta and phi brought up to its last sync: what the
+        syncs since the last read left pending is computed and cleared."""
+        zone = self.zone
+        if self.theta_from is not None:
+            members, tick = self.theta_from
+            pos = tick.positions
+            zone.theta = _membership_diameter([pos[m] for m in members])
+            self.theta_from = None
+        if self.phi_from is not None:
+            members, tick = self.phi_from
+            counts = tick.neighbor_counts(nodes)
+            zone.phi = math.fsum(counts[m] for m in members) / len(members)
+            self.phi_from = None
+        return zone
 
 
 def session_reporter(src: int, zone: ZoneState, nodes: Sequence[NodeState]) -> int | None:

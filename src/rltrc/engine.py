@@ -31,10 +31,10 @@ from .control import (
     BroadcastCircle,
     NetworkController,
     NodeTrack,
+    Tick,
     ZoneController,
     assign_zones,
     destination_lookup,
-    neighbor_counts,
     session_reporter,
 )
 from .linkcache import CommCacheEntry, PacketRecord
@@ -115,7 +115,7 @@ def propagate(tx_power: float, dist: float, alpha: float, noise_spread: float, r
 # ---------------------------------------------------------------------------
 # mobility
 
-@dataclass
+@dataclass(slots=True)
 class MobilityState:
     waypoint: Point = (0.0, 0.0)
     speed: float = 0.0
@@ -157,21 +157,23 @@ def mobility_step(
         # this step would reach it, then pauses and later draws a new leg
         hypot = math.hypot
         for node, state in zip(nodes, states):
-            vmax = node.max_velocity
-            if vmax <= 0.0 or node.residual_energy <= 0.0 or t_now < state.pause_until:
+            if (node.residual_energy <= 0.0 or node.max_velocity <= 0.0
+                    or t_now < state.pause_until):
                 continue
-            pos, target = node.position, state.waypoint
-            if state.speed <= 0.0 or pos == target:
+            pos, target, speed = node.position, state.waypoint, state.speed
+            if speed <= 0.0 or pos == target:
+                vmax = node.max_velocity
                 target = state.waypoint = (uniform(0.0, w), uniform(0.0, h))
-                state.speed = uniform(0.05 * vmax, vmax)
-            step = state.speed * dt
+                speed = state.speed = uniform(0.05 * vmax, vmax)
+            step = speed * dt
             x, y = pos
-            d = hypot(target[0] - x, target[1] - y)
+            tx, ty = target
+            d = hypot(tx - x, ty - y)
             if d <= step or d == 0.0:
                 pos = target
             else:
                 f = step / d
-                pos = (x + (target[0] - x) * f, y + (target[1] - y) * f)
+                pos = (x + (tx - x) * f, y + (ty - y) * f)
             node.position = pos
             if pos == target:
                 state.pause_until = t_now + uniform(0.0, pause_max)
@@ -321,6 +323,8 @@ class Simulator:
         # sync at t = 0 is the first event, so it is set before any transmit
         self.zone_sigma: list[float] = []
         self._link_terms: list[tuple[float, float, float, dict[int, CommCacheEntry]]] = []
+        # the nodes a mobility tick moves and their motion states; set by run()
+        self._movers: tuple[list[NodeState], list[MobilityState]] = ([], [])
         # per-world constants of the hop cycle, read on every packet
         self._airtime = cfg.airtime
         self._rltrc = cfg.policy == "rl-trc"
@@ -416,6 +420,11 @@ class Simulator:
     def run(self) -> MetricsReport:
         cfg = self.cfg
         if cfg.duration > 0.0:
+            # the nodes that can move and their motion states, in id order;
+            # a mobile node with no top speed never draws and never moves
+            nodes, runtime = self.nodes, self.runtime
+            movers = [nid for nid in self.mobile_ids if nodes[nid].max_velocity > 0.0]
+            self._movers = ([nodes[nid] for nid in movers], [runtime[nid].motion for nid in movers])
             self._push(0.0, self._on_controller_sync)
             self._push(cfg.mobility_dt, self._on_mobility_step)
             if cfg.policy == "beacon-prr-like":
@@ -486,9 +495,9 @@ class Simulator:
     def _on_controller_sync(self) -> None:
         """Sync every zone controller in zone order and charge its broadcast.
 
-        Neighbour counts are taken once per tick, one pass over the alive
-        nodes that measures each pair once. A zone-state charge can kill a
-        member; the counts are then taken again before the next controller
+        The controllers share one `Tick`, the snapshot their geometry is
+        computed from when a flood first reads it. A zone-state charge can
+        kill a member; a new tick is then taken before the next controller
         so that later zones do not count the dead node.
 
         Started, live sessions file their rewards first: a session reward
@@ -502,23 +511,22 @@ class Simulator:
         for sn in self.sessions:
             if sn.started and sn.live:
                 self.controllers[sn.home_zone].record_session_reward(sn.id)
-        neighbors = None
+        tick = None
         for ctl in self.controllers:
-            if neighbors is None:
-                neighbors = neighbor_counts([n for n in self.nodes if n.alive])
-            charges = ctl.sync(self.t, self.nodes, self.reward_states, neighbors=neighbors)
+            if tick is None:
+                tick = Tick(self.nodes)
+            charges = ctl.sync(self.t, self.nodes, self.reward_states, tick=tick)
             self._charge_messages(charges, "zone-state")
             if not all(self.nodes[m].alive for m, _ in charges):
-                neighbors = None
+                tick = None
         cached = self.network.collect(self.t, self.zones)
         self.zone_sigma = [policy.compute_sigma(z.reward_ri, cached) for z in self.zones]
         self._push(self.t + self.cfg.t_sync, self._on_controller_sync)
 
     def _on_mobility_step(self) -> None:
         cfg = self.cfg
-        nodes, runtime, mobile = self.nodes, self.runtime, self.mobile_ids
-        mobility_step([nodes[nid] for nid in mobile], [runtime[nid].motion for nid in mobile],
-                      cfg.mobility, cfg.mobility_dt, self.t, self.rng,
+        movers, motions = self._movers
+        mobility_step(movers, motions, cfg.mobility, cfg.mobility_dt, self.t, self.rng,
                       (cfg.arena_width, cfg.arena_height), cfg.pause_max, cfg.gaussian_accel)
         self._push(self.t + cfg.mobility_dt, self._on_mobility_step)
 
@@ -781,7 +789,8 @@ class Simulator:
             self.ledger.record_waste(self.t, zone_id, we, wt)
 
     def _flood_cost(self, z: ZoneState) -> float:
-        """Messages a flood across zone z costs, at its average hop depth."""
+        """Messages a flood across zone z costs, at its average hop depth;
+        z comes from `ZoneController.geometry`."""
         h = avg_hop_count(z.theta, z.phi, z.av_rad)
         # flood branching never drops below 1
         return broadcast_cost(max(1.0, z.phi), h, self.cfg.broadcast_cost_cap)
@@ -792,7 +801,8 @@ class Simulator:
         """Charge a flood over `scope`; book and return its investment, the
         cost and minimum-hop time summed over the zones `zone_ids`."""
         self._charge_flood(scope)
-        zones, t_hop = [self.zones[zid] for zid in zone_ids], self.cfg.t_hop
+        ctls, nodes, t_hop = self.controllers, self.nodes, self.cfg.t_hop
+        zones = [ctls[zid].geometry(nodes) for zid in zone_ids]
         cost = math.fsum([self._flood_cost(z) for z in zones])
         time = math.fsum([min_hop_count(z.theta, z.phi, z.av_rad) * t_hop for z in zones])
         self.ledger.record_invest(self.t, sn.home_zone, cost, time)
@@ -814,7 +824,8 @@ class Simulator:
         succ = sn.next_hop[node]
         linkcache.mark_reliability(rt.links[succ], self.t)
         if self._rltrc:
-            penalty = self._flood_cost(self.zones[self.nodes[node].zone_id])
+            zone = self.controllers[self.nodes[node].zone_id].geometry(self.nodes)
+            penalty = self._flood_cost(zone)
             self.reward_states[node].apply_noack(succ, qp.turn, cfg.mx_atmpt, penalty)
         # claim the packet's acked-hop investment exactly once
         inv_e, inv_t = self.packet_invested.pop(qp.pid, (0.0, 0.0))
@@ -1050,7 +1061,7 @@ class Simulator:
         runtime = self.runtime
         for u, v in sn.next_hop.items():
             entry = runtime[u].links.setdefault(v, CommCacheEntry(sig_atn=self.cfg.prior_sig_atn))
-            linkcache.new_episode(entry, self.t)
+            linkcache.new_episode(entry)
         for nid in sorted(sn.holders):
             rt = runtime[nid]
             if not any(q.session == sid for q in rt.queue):

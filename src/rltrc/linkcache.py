@@ -55,7 +55,6 @@ class CommCacheEntry:
     sum_tpl: float = 0.0
     recent_trend: int = 0               # -1 receding, 0 unknown, +1 approaching
     approx_velocity: float = 0.0
-    timestamp_begin: float = 0.0
     expected_timestamp_end: float = math.inf
     last_two: list[PacketRecord] = field(default_factory=list)
     reliable: bool = True
@@ -234,14 +233,13 @@ def mark_reliability(entry: CommCacheEntry, actual_break_time: float) -> CommCac
     return entry
 
 
-def new_episode(entry: CommCacheEntry, t_now: float) -> CommCacheEntry:
+def new_episode(entry: CommCacheEntry) -> CommCacheEntry:
     """Reset per-episode motion state when a route (re)installs this link.
 
     PRR counters, sig_atn and the reliability flag persist across episodes;
     the record pair, velocity and predicted end do not. Without the reset a
     long idle gap would keep predict_displacement above 2R forever.
     """
-    entry.timestamp_begin = t_now
     entry.expected_timestamp_end = math.inf
     entry.approx_velocity = 0.0
     entry.recent_trend = 0

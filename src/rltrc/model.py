@@ -89,7 +89,10 @@ class ZoneState:
     back to the rectangle diagonal when fewer than two members are present),
     phi the average downlink-neighbor count, av_rad the average radio
     range, (ew, et) the cumulative wasted energy/time, reward_ri the zone
-    reward.
+    reward. theta and phi hold the values as of the last read, av_rad
+    as of the last sync: the controller computes theta and phi from its
+    last syncs when `ZoneController.geometry` reads the zone, so read the
+    geometry through it.
     """
 
     id: int

@@ -126,6 +126,21 @@ class TestRangeValidation:
         # schedules events in the past when run; only validate runs here
         assert ScenarioConfig(**overrides).validate() == [message]
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"rx_cost_fraction": -0.5}, "rx_cost_fraction must be finite and positive, got -0.5"),
+        ({"rx_cost_fraction": 0.0}, "rx_cost_fraction must be finite and positive, got 0"),
+        ({"rx_cost_fraction": math.nan}, "rx_cost_fraction must be finite and positive, got nan"),
+        ({"rx_cost_fraction": math.inf}, "rx_cost_fraction must be finite and positive, got inf"),
+        ({"min_rcv": math.nan}, "min_rcv must be a number below inf, got nan"),
+        ({"min_rcv": math.inf}, "min_rcv must be a number below inf, got inf"),
+        ({"prior_sig_atn": math.nan}, "prior_sig_atn must be a number below inf, got nan"),
+        ({"prior_sig_atn": math.inf}, "prior_sig_atn must be a number below inf, got inf"),
+    ])
+    def test_config_that_delivers_nothing_is_rejected(self, overrides, message):
+        # each config passes the older checks, then runs with no packet
+        # received or none sent at all; only validate runs here
+        assert ScenarioConfig(**overrides).validate() == [message]
+
     def test_all_violations_reported(self):
         errs = ScenarioConfig(
             zones=5, mobility="teleport", duration=-1.0, radio_range_min=0.0

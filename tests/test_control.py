@@ -12,13 +12,13 @@ from rltrc.control import (
     BroadcastCircle,
     NetworkController,
     NodeTrack,
+    Tick,
     ZoneController,
     _membership_diameter,
     assign_zones,
     circle_intersects_rect,
     circle_spans,
     destination_lookup,
-    neighbor_counts,
     session_reporter,
 )
 from rltrc.model import NodeState, make_zones
@@ -139,8 +139,7 @@ def diameter_cases():
 
 def test_membership_diameter_is_exactly_the_all_pairs_value():
     for pts in diameter_cases():
-        nodes = [node(i, p) for i, p in enumerate(pts)]
-        assert _membership_diameter(range(len(nodes)), nodes) == oracle_membership_diameter(pts)
+        assert _membership_diameter(pts) == oracle_membership_diameter(pts)
 
 
 class TestZoneControllerSync:
@@ -152,9 +151,10 @@ class TestZoneControllerSync:
         self.rewards = [NodeRewardState(), NodeRewardState()]
 
     def sync(self, t_now, ctl=None):
-        alive = [n for n in self.nodes if n.alive]
-        return (ctl or self.ctl).sync(t_now, self.nodes, self.rewards,
-                                      neighbors=neighbor_counts(alive))
+        return (ctl or self.ctl).sync(t_now, self.nodes, self.rewards, tick=Tick(self.nodes))
+
+    def read(self):
+        return self.ctl.geometry(self.nodes)
 
     def test_registry_refresh(self):
         self.sync(10.0)
@@ -175,29 +175,30 @@ class TestZoneControllerSync:
 
     def test_theta_is_membership_diameter(self):
         self.sync(10.0)
-        assert self.ctl.zone.theta == pytest.approx(30.0)
+        assert self.read().theta == pytest.approx(30.0)
 
     def test_theta_falls_back_to_diagonal(self):
         del self.nodes[1]
         assign_zones(self.nodes, self.zones)
         self.sync(10.0)
-        assert self.ctl.zone.theta == pytest.approx(math.hypot(100.0, 100.0))
+        assert self.read().theta == pytest.approx(math.hypot(100.0, 100.0))
 
     def test_phi_and_av_rad(self):
         self.sync(10.0)
-        assert self.ctl.zone.av_rad == 40.0
-        assert self.ctl.zone.phi == 1.0  # each sees the other
+        zone = self.read()
+        assert zone.av_rad == 40.0
+        assert zone.phi == 1.0  # each sees the other
 
     def test_isolated_members_keep_previous_phi(self):
         self.nodes[1].position = (70.0, 50.0)
         self.sync(10.0)
-        assert self.ctl.zone.phi == 1.0
+        assert self.read().phi == 1.0
         # move them out of mutual range, same zone
         self.nodes[0].position = (5.0, 5.0)
         self.nodes[1].position = (95.0, 95.0)
         assign_zones(self.nodes, self.zones)
         self.sync(20.0)
-        assert self.ctl.zone.phi == 1.0
+        assert self.read().phi == 1.0
 
     def test_broadcast_charges_live_members_at_min_level(self):
         charges = self.sync(10.0)

@@ -267,13 +267,15 @@ def test_new_episode_resets_motion_state_only():
     record_ack(e, rec(0.0, 1.0, 10.0, 8.0), vs=1.0, radio_range=10.0)
     record_tx(e)
     record_ack(e, rec(2.0, 3.5, 10.0, 6.0), vs=1.0, radio_range=10.0)
+    assert e.expected_timestamp_end < math.inf
     mark_reliability(e, 4.0)
     assert e.last_two and e.approx_velocity > 0.0
-    new_episode(e, 50.0)
+    e.recent_trend = -1
+    new_episode(e)
     assert e.last_two == []
     assert e.approx_velocity == 0.0
     assert e.expected_timestamp_end == math.inf
-    assert e.timestamp_begin == 50.0
+    assert e.recent_trend == 0
     # history that should persist
     assert e.packets_tx == 2 and e.packets_rx == 2
     assert not e.reliable

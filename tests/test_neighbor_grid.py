@@ -16,7 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import oracle_neighbor_counts, oracle_route, oracle_route_links
 
-from rltrc.control import ZoneController, neighbor_counts
+from rltrc.control import Tick, ZoneController, neighbor_counts
 from rltrc.engine import Channel, Simulator
 from rltrc.linkcache import CommCacheEntry
 from rltrc.scenarios import scenario
@@ -228,13 +228,14 @@ def test_sync_neighbor_counts_match_all_pairs_oracle(layout_seed):
     sim = scattered_sim(rng)
     alive = [n for n in sim.nodes if n.alive]
     want = oracle_neighbor_counts(sim.nodes, [n.id for n in alive])
-    neighbors = neighbor_counts(alive)
-    assert neighbors == want
+    records = [(n.id, n.position[0], n.position[1], n.radio_range) for n in alive]
+    assert neighbor_counts(records) == want
     members = set(rng.sample([n.id for n in alive], rng.randrange(1, len(alive)))) | {0}
     zone = sim.zones[0]
     zone.member_nodes = members
-    ZoneController(zone, {}).sync(0.0, sim.nodes, sim.reward_states, neighbors=neighbors)
-    assert zone.phi == math.fsum(want[m] for m in members) / len(members)
+    ctl = ZoneController(zone, {})
+    ctl.sync(0.0, sim.nodes, sim.reward_states, tick=Tick(sim.nodes))
+    assert ctl.geometry(sim.nodes).phi == math.fsum(want[m] for m in members) / len(members)
     assert neighbor_counts([]) == {}
 
 
@@ -259,7 +260,7 @@ def test_sync_recounts_after_a_zone_state_death(share):
     assert not doomed.alive
     zone0, zone1 = sim.zones[0], sim.zones[1]
     assert zone0.member_nodes == {0, 1} and zone1.member_nodes == {2, 3}
-    assert zone0.phi == math.fsum(before[m] for m in (0, 1)) / 2
+    assert sim.controllers[0].geometry(sim.nodes).phi == math.fsum(before[m] for m in (0, 1)) / 2
     after = oracle_neighbor_counts(sim.nodes, ids)
     assert after[2] < before[2] and after[3] < before[3]
-    assert zone1.phi == math.fsum(after[m] for m in (2, 3)) / 2
+    assert sim.controllers[1].geometry(sim.nodes).phi == math.fsum(after[m] for m in (2, 3)) / 2
