@@ -39,9 +39,6 @@ class BroadcastCircle:
     radius: float
     spans_zones: tuple[int, ...]
 
-    def contains(self, p: Point) -> bool:
-        return distance(self.center, p) <= self.radius
-
 
 def circle_intersects_rect(center: Point, radius: float, zone: ZoneState) -> bool:
     """True when the circle touches the zone rectangle (closed sets)."""

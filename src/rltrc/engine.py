@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import linkcache, policy, rewards
 from .config import ConfigError, ScenarioConfig
@@ -216,33 +216,55 @@ def mobility_step(
 # routing
 
 def shortest_route(
-    into: Callable[[int, set[int]], Iterable[int]],
-    out_of: Callable[[int, set[int]], Iterable[int]],
+    place: dict[int, tuple[tuple, list]],
+    cells: dict[tuple[int, int], list[tuple]],
+    channel: Channel,
     src: int,
     dst: int,
+    risky_ok: bool,
 ) -> tuple[int, ...] | None:
-    """Lexicographically smallest minimum-hop path from src to dst.
+    """Lexicographically smallest minimum-hop path from src to dst over the
+    links among `_discover_route`'s records, or None.
 
-    `into(v, labelled)` yields the nodes u outside the set `labelled` with a
-    link u -> v, and `out_of(u, among)` the nodes v inside the set `among`
-    with a link u -> v, so links are only looked at when asked for and only
-    for the nodes that can matter. `labelled` grows while `into` runs, since
-    each yielded node is labelled before the next is asked for.
+    `place` maps each live node to its record and its cell `[key, block or
+    None, records]`, and `cells` holds each cell's records. A node's
+    candidates are the records of the 3x3 block around its cell, gathered
+    when the cell is first asked and kept on it. Links graded unreliable
+    count only when `risky_ok`. The channel coefficient is looked up only
+    for in-reach pairs whose budget its ceiling does not already clear.
 
     Breadth-first levels run backward from dst and stop as soon as src is
-    labelled: src then sits at level L and every level below L is complete.
-    A greedy descent then picks, among the nodes one level closer, the
-    lowest-id one the current node links to; this is equivalent to
-    minimizing (hops, sequence).
+    labelled: src then sits at level L and every level below L is complete,
+    and the links into the rest of the scope are never tested. A greedy
+    descent then picks, among the nodes one level closer, the lowest-id one
+    the current node links to; this is equivalent to minimizing (hops,
+    sequence).
     """
     if src == dst:
         return (src,)
+    hypot = math.hypot
+    alpha = channel.alpha
+    ceiling = channel.ceiling
     labelled = {dst}
     levels = [[dst]]
     while src not in labelled:
         nxt = []
         for v in levels[-1]:
-            for u in into(v, labelled):
+            (_, xv, yv, _, _, rcv, _), cell = place[v]
+            for u, xu, yu, reach, top, _, links in cell[1] or _block(cells, cell):
+                if u in labelled:
+                    continue
+                dx = xv - xu
+                # hypot(dx, dy) >= |dx|, so this skips no pair within reach
+                if dx > reach or -dx > reach:
+                    continue
+                d = hypot(dx, yv - yu)
+                if d > reach or top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
+                    continue
+                if not risky_ok:
+                    entry = links.get(v)
+                    if entry is not None and not entry.reliable:
+                        continue
                 labelled.add(u)
                 nxt.append(u)
                 if u == src:
@@ -253,9 +275,38 @@ def shortest_route(
             return None
         levels.append(nxt)
     path = [src]
+    u = src
     for level in reversed(levels[:-1]):
-        path.append(min(out_of(path[-1], set(level))))
+        among = set(level)
+        (_, xu, yu, reach, top, _, links), cell = place[u]
+        best = None
+        for v, xv, yv, _, _, rcv, _ in cell[1] or _block(cells, cell):
+            if v not in among:
+                continue
+            d = hypot(xv - xu, yv - yu)
+            if d > reach or top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
+                continue
+            if not risky_ok:
+                entry = links.get(v)
+                if entry is not None and not entry.reliable:
+                    continue
+            if best is None or v < best:
+                best = v
+        path.append(best)
+        u = best
     return tuple(path)
+
+
+def _block(cells: dict[tuple[int, int], list[tuple]], cell: list) -> list[tuple]:
+    """The records of the 3x3 block of cells around `cell`, listed from
+    (x-1, y-1), (x-1, y), ... to (x+1, y+1); kept on the cell."""
+    cx, cy = cell[0]
+    got = []
+    for i in (cx - 1, cx, cx + 1):
+        for j in (cy - 1, cy, cy + 1):
+            got += cells.get((i, j), ())
+    cell[1] = got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -906,9 +957,8 @@ class Simulator:
         self, circle: BroadcastCircle, corridor: tuple[int, ...], alive: list[int]
     ) -> list[int]:
         """The nodes of `alive` in the corridor or the circle, in their order.
-
-        The circle test is `circle.contains` inline, on the same `hypot`
-        operands."""
+        A node is in the circle when its distance to the centre is at most
+        the radius."""
         nodes, hypot = self.nodes, math.hypot
         (cx, cy), radius = circle.center, circle.radius
         scope = []
@@ -935,24 +985,16 @@ class Simulator:
 
         u -> v is a link when v lies within u's reach, its radio range less
         the route margin, and u's top power arrives above v's receive floor
-        over the channel. Links already graded unreliable are avoided; when
-        that leaves no route at all they are allowed back in as a last
-        resort.
+        over the channel. The search runs over the links not graded
+        unreliable, and again over every link when that finds no route.
 
-        The search works on one flat record `(id, x, y, reach, top power,
-        receive floor, link caches)` per live node, the last four from the
-        world's link table, bucketed by `grid_cells` into cells whose side
-        is the largest reach plus 1 m. The cell is strictly wider than
-        any reach, so every in-reach pair sits in the 3x3 block of cells
-        around a node's cell even after float rounding at a cell border, and
-        the links are exactly those of an all-pairs scan. A block lists its
-        cells from (x-1, y-1), (x-1, y), ... to (x+1, y+1), each in scope
-        order; it is gathered when a node of its centre cell first asks and
-        kept on that cell, which each node's entry in `cell_of` points to.
-        Links are tested only when `shortest_route` asks, so a search that
-        reaches src early leaves the rest of the scope untested. The channel
-        coefficient is looked up only for in-reach pairs whose budget its
-        ceiling does not already clear.
+        Each live node has one flat record `(id, x, y, reach, top power,
+        receive floor, link caches)`, the last four from the world's link
+        table, bucketed in scope order by `grid_cells` into cells whose side
+        is the largest reach plus 1 m. The cell is strictly wider than any
+        reach, so every in-reach pair sits in the 3x3 block of cells around
+        a node's cell even after float rounding at a cell border, and the
+        links are exactly those of an all-pairs scan.
         """
         nodes = self.nodes
         terms = self._link_terms or self._build_link_terms()
@@ -967,72 +1009,17 @@ class Simulator:
                 if rec[0] > side:
                     side = rec[0]
         cells = grid_cells(live, side + 1.0)
-        # each node's record, and its cell as [key, the block or None, records]
-        recs, cell_of = {}, {}
+        # each node's record and its cell, as [key, the block or None, records]
+        place = {}
         for key, members in cells.items():
             cell = [key, None, members]
             for rec in members:
-                recs[rec[0]] = rec
-                cell_of[rec[0]] = cell
-        if src not in recs or dst not in recs:
+                place[rec[0]] = (rec, cell)
+        if src not in place or dst not in place:
             return None
-
-        def block(cell: list) -> list:
-            cx, cy = cell[0]
-            got = []
-            for i in (cx - 1, cx, cx + 1):
-                for j in (cy - 1, cy, cy + 1):
-                    got += cells.get((i, j), ())
-            cell[1] = got
-            return got
-
-        hypot = math.hypot
-        alpha = self.channel.alpha
-        ceiling = self.channel.ceiling
-        risky_ok = False
-
-        def into(v: int, labelled: set[int]) -> Iterator[int]:
-            _, xv, yv, _, _, rcv, _ = recs[v]
-            cell = cell_of[v]
-            for rec in cell[1] or block(cell):
-                if rec[0] in labelled:
-                    continue
-                u, xu, yu, reach, top, _, links = rec
-                dx = xv - xu
-                # hypot(dx, dy) >= |dx|, so this skips no pair within reach
-                if dx > reach or -dx > reach:
-                    continue
-                d = hypot(dx, yv - yu)
-                if d > reach or top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
-                    continue
-                if risky_ok:
-                    yield u
-                else:
-                    entry = links.get(v)
-                    if entry is None or entry.reliable:
-                        yield u
-
-        def out_of(u: int, among: set[int]) -> Iterator[int]:
-            _, xu, yu, reach, top, _, links = recs[u]
-            cell = cell_of[u]
-            for v, xv, yv, _, _, rcv, _ in cell[1] or block(cell):
-                if v not in among:
-                    continue
-                d = hypot(xv - xu, yv - yu)
-                if d > reach or top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
-                    continue
-                if risky_ok:
-                    yield v
-                else:
-                    entry = links.get(v)
-                    if entry is None or entry.reliable:
-                        yield v
-
-        route = shortest_route(into, out_of, src, dst)
-        if route is None:
-            risky_ok = True
-            route = shortest_route(into, out_of, src, dst)
-        return route
+        channel = self.channel
+        return (shortest_route(place, cells, channel, src, dst, False)
+                or shortest_route(place, cells, channel, src, dst, True))
 
     def _build_link_terms(self) -> list[tuple[float, float, float, dict[int, CommCacheEntry]]]:
         """Each node's `(reach, top power, receive floor, link caches)` for

@@ -19,14 +19,6 @@ class MalformedAckError(ValueError):
     """An acknowledgement reported a received strength above the transmit power."""
 
 
-class UndefinedAttenuationError(ValueError):
-    """Attenuation cannot be derived from a record with zero travel time."""
-
-
-class VelocityUnobservableError(ValueError):
-    """Equal round trips (or undefined attenuation) carry no velocity signal."""
-
-
 @dataclass(slots=True)
 class PacketRecord:
     """One acknowledged packet: send/ack times, transmit power, received strength.
@@ -65,14 +57,6 @@ class CommCacheEntry:
         return self.packets_rx / self.packets_tx if self.packets_tx else 1.0
 
     @property
-    def avg_rss(self) -> float:
-        return self.sum_rss / self.packets_rx if self.packets_rx else 0.0
-
-    @property
-    def avg_tpl(self) -> float:
-        return self.sum_tpl / self.packets_rx if self.packets_rx else 0.0
-
-    @property
     def rss_over_tpl(self) -> float:
         """avg_rss / avg_tpl in [0,1]; 1.0 while no ack has been received."""
         n = self.packets_rx
@@ -93,14 +77,20 @@ def record_ack(entry: CommCacheEntry, rec: PacketRecord, vs: float, radio_range:
 
     Updates counters and running averages, appends the record to last_two
     (evicting the oldest), and re-derives sig_atn, trend, velocity and the
-    expected link end once two records exist. Estimates that are undefined on
-    this pair (zero travel time, equal round trips) keep their previous value.
+    expected link end once two records exist. With each packet's fade
+    tx_power - rss over a travelled distance vs * rtt:
+    - sig_atn is the mean fade per meter of the two packets;
+    - the trend is +1 (closer) when the round trip did not grow and the
+      running average RSS did not drop, -1 when both did, else 0;
+    - the velocity is the fade difference, as meters at sig_atn, over the
+      time between the two acks, taken absolute;
+    - the link ends 2 * radio_range / velocity after the last ack.
 
-    The four estimates are worked out in one pass over the pair, with the
-    same float expressions and the same undefined cases as
-    `estimate_attenuation`, `detect_trend`, `estimate_velocity` and
-    `expected_link_end`, called in that order: the results are the floats
-    those functions return.
+    Estimates that are undefined on this pair (zero travel time, equal ack
+    times) keep their previous value. The reference, one function per
+    estimate with the same float expressions and the same undefined cases,
+    lives in `tests/oracles.py`: called in that order, those functions
+    return the floats stored here.
     """
     t_msg, t_ack, tx_power, rss = rec.t_msg, rec.t_ack, rec.tx_power, rec.rss
     if rss > tx_power:
@@ -139,54 +129,6 @@ def record_ack(entry: CommCacheEntry, rec: PacketRecord, vs: float, radio_range:
     return entry
 
 
-def estimate_attenuation(rec1: PacketRecord, rec2: PacketRecord, vs: float) -> float:
-    """Signal attenuation per meter from two acknowledged packets.
-
-    Each packet's travelled distance is vs * (t_ack - t_msg); the per-packet
-    fade is tx_power - rss. The estimate is the mean of fade/distance over
-    both records.
-    """
-    d1 = vs * rec1.rtt
-    d2 = vs * rec2.rtt
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise UndefinedAttenuationError("record with zero travel time")
-    ff1 = rec1.tx_power - rec1.rss
-    ff2 = rec2.tx_power - rec2.rss
-    return (ff1 / d1 + ff2 / d2) / 2.0
-
-
-def detect_trend(rec1: PacketRecord, rec2: PacketRecord) -> int:
-    """+1 when the successor is getting closer, -1 when receding, else 0.
-
-    Closer: the later packet's round trip did not grow and the running
-    average RSS did not drop. Receding: round trip grew and average RSS
-    dropped. Mixed signals give 0.
-    """
-    rtt_ok = rec2.rtt <= rec1.rtt
-    rss_ok = rec1.avg_rss_after <= rec2.avg_rss_after
-    if rtt_ok and rss_ok:
-        return 1
-    if not rtt_ok and not rss_ok:
-        return -1
-    return 0
-
-
-def estimate_velocity(rec1: PacketRecord, rec2: PacketRecord, sig_atn: float) -> float:
-    """Approximate successor speed from the fade difference of two acks.
-
-    The extra fade (FF2 - FF1) converts to extra distance at sig_atn per
-    meter; that distance was covered over the wall-clock gap between the two
-    acknowledgements. The fade difference is taken absolute so approaching
-    and receding movers both yield a speed >= 0.
-    """
-    tm = rec2.t_ack - rec1.t_ack
-    if tm <= 0.0 or sig_atn <= 0.0:
-        raise VelocityUnobservableError("no usable velocity signal in this pair")
-    ff1 = rec1.tx_power - rec1.rss
-    ff2 = rec2.tx_power - rec2.rss
-    return abs(ff2 - ff1) / (sig_atn * tm)
-
-
 def predict_displacement(vel: float, t_now: float, t_ack2: float) -> float:
     """Distance the successor may have moved since its last acknowledgement."""
     return vel * (t_now - t_ack2)
@@ -209,16 +151,6 @@ def available_levels(levels: tuple[float, ...], p_thres: float) -> tuple[float, 
     caller must treat the link as unusable for this attempt.
     """
     return levels[bisect_right(levels, p_thres):]
-
-
-def expected_link_end(radio_range: float, vel: float, t_ack2: float) -> float:
-    """Predicted time the successor exits reach: 2R/vel past the last ack.
-
-    A zero velocity yields +inf (the link never expires by motion).
-    """
-    if vel <= 0.0:
-        return math.inf
-    return 2.0 * radio_range / vel + t_ack2
 
 
 def mark_reliability(entry: CommCacheEntry, actual_break_time: float) -> CommCacheEntry:

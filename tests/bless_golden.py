@@ -16,7 +16,7 @@ way the script exits 1.
 Besides every canned scenario at seed 1, the digests cover desk-compare at
 seed 1 under the settings no canned scenario uses: each baseline policy,
 the other two mobility models, a nonzero noise spread and batteries that
-run flat; and desk-converge at seed 1 on a 9-zone grid.
+run flat; and desk-converge at seed 1 on 6-, 9- and 12-zone grids.
 """
 
 from __future__ import annotations
@@ -45,8 +45,10 @@ GOLDEN_TRACES.update({
     "desk-compare-noise": ("desk-compare", {"noise_spread": 0.1}),
     # batteries low enough that nodes die mid-run
     "desk-compare-low-energy": ("desk-compare", {"energy_min": 0.3, "energy_max": 1.0}),
-    # a 3 x 3 zone grid, so corridors span rows and columns
+    # 6-, 9- and 12-zone grids, so corridors span rows and columns
+    "desk-converge-6-zones": ("desk-converge", {"zones": 6}),
     "desk-converge-9-zones": ("desk-converge", {"zones": 9}),
+    "desk-converge-12-zones": ("desk-converge", {"zones": 12}),
 })
 
 

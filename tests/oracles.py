@@ -8,6 +8,11 @@ them, the mobility oracle moves one node at a time, and the link, neighbor
 and diameter oracles scan every pair of nodes. Test modules freeze the
 numbers these produce or compare against them; the oracles stay here so the
 derivation can be re-run.
+
+The link-estimator references are here too: one function per estimate that
+`linkcache.record_ack` folds into a cache entry in one pass, the running
+averages it keeps as sums, and the broadcast-circle membership test that
+`Simulator._flood_scope` makes inline.
 """
 
 from __future__ import annotations
@@ -284,3 +289,85 @@ def oracle_mobility_tick(nodes, states, model, dt, t_now, rng, arena, pause_max,
             rx, ry = fold(nx, w), fold(ny, h)
             state.velocity = (-vx if rx != nx else vx, -vy if ry != ny else vy)
             node.position = (rx, ry)
+
+
+class UndefinedAttenuationError(ValueError):
+    """Attenuation cannot be derived from a record with zero travel time."""
+
+
+class VelocityUnobservableError(ValueError):
+    """Simultaneous acks (or undefined attenuation) carry no velocity signal."""
+
+
+def estimate_attenuation(rec1, rec2, vs: float) -> float:
+    """Signal attenuation per meter from two acknowledged packets.
+
+    Each packet's travelled distance is vs * (t_ack - t_msg); the per-packet
+    fade is tx_power - rss. The estimate is the mean of fade/distance over
+    both records.
+    """
+    d1 = vs * rec1.rtt
+    d2 = vs * rec2.rtt
+    if d1 <= 0.0 or d2 <= 0.0:
+        raise UndefinedAttenuationError("record with zero travel time")
+    ff1 = rec1.tx_power - rec1.rss
+    ff2 = rec2.tx_power - rec2.rss
+    return (ff1 / d1 + ff2 / d2) / 2.0
+
+
+def detect_trend(rec1, rec2) -> int:
+    """+1 when the successor is getting closer, -1 when receding, else 0.
+
+    Closer: the later packet's round trip did not grow and the running
+    average RSS did not drop. Receding: round trip grew and average RSS
+    dropped. Mixed signals give 0.
+    """
+    rtt_ok = rec2.rtt <= rec1.rtt
+    rss_ok = rec1.avg_rss_after <= rec2.avg_rss_after
+    if rtt_ok and rss_ok:
+        return 1
+    if not rtt_ok and not rss_ok:
+        return -1
+    return 0
+
+
+def estimate_velocity(rec1, rec2, sig_atn: float) -> float:
+    """Approximate successor speed from the fade difference of two acks.
+
+    The extra fade (FF2 - FF1) converts to extra distance at sig_atn per
+    meter; that distance was covered over the wall-clock gap between the two
+    acknowledgements. The fade difference is taken absolute so approaching
+    and receding movers both yield a speed >= 0.
+    """
+    tm = rec2.t_ack - rec1.t_ack
+    if tm <= 0.0 or sig_atn <= 0.0:
+        raise VelocityUnobservableError("no usable velocity signal in this pair")
+    ff1 = rec1.tx_power - rec1.rss
+    ff2 = rec2.tx_power - rec2.rss
+    return abs(ff2 - ff1) / (sig_atn * tm)
+
+
+def expected_link_end(radio_range: float, vel: float, t_ack2: float) -> float:
+    """Predicted time the successor exits reach: 2R/vel past the last ack.
+
+    A zero velocity yields +inf (the link never expires by motion).
+    """
+    if vel <= 0.0:
+        return math.inf
+    return 2.0 * radio_range / vel + t_ack2
+
+
+def avg_rss(entry) -> float:
+    """A link cache's mean received strength over its acknowledged packets."""
+    return entry.sum_rss / entry.packets_rx if entry.packets_rx else 0.0
+
+
+def avg_tpl(entry) -> float:
+    """A link cache's mean transmit power over its acknowledged packets."""
+    return entry.sum_tpl / entry.packets_rx if entry.packets_rx else 0.0
+
+
+def circle_contains(circle, p) -> bool:
+    """True when point p lies in the closed broadcast circle."""
+    (cx, cy), radius = circle.center, circle.radius
+    return math.hypot(p[0] - cx, p[1] - cy) <= radius

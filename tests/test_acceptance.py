@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import LedgerSpy, oracle_ledger_recheck, oracle_max_distance
 
 from rltrc.engine import Simulator
-from rltrc.linkcache import PacketRecord, estimate_attenuation, estimate_velocity
+from rltrc.linkcache import CommCacheEntry, PacketRecord, record_ack, record_tx
 from rltrc.metrics import invariant_problems, render_csv
 from rltrc.policy import compute_sigma, select_power_level
 from rltrc.rewards import broadcast_cost, per_hop_progress, successor_reward_ack
@@ -105,8 +105,13 @@ def test_criterion_06_estimator_recovery():
                         tx_power=power, rss=power - alpha * d1)
     rec2 = PacketRecord(t_msg=t_ack2 - d2 / vs, t_ack=t_ack2,
                         tx_power=power, rss=power - alpha * d2)
-    assert estimate_attenuation(rec1, rec2, vs) == pytest.approx(alpha, rel=1e-9)
-    assert estimate_velocity(rec1, rec2, alpha) == pytest.approx(3.0, rel=0.10)
+    # the engine's own path: a link cache folding both acks in turn
+    entry = CommCacheEntry(sig_atn=0.14)
+    for rec in (rec1, rec2):
+        record_tx(entry)
+        record_ack(entry, rec, vs, radio_range=35.0)
+    assert entry.sig_atn == pytest.approx(alpha, rel=1e-9)
+    assert entry.approx_velocity == pytest.approx(3.0, rel=0.10)
 
 
 def test_criterion_07_energy_conservation_and_recheck():

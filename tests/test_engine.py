@@ -11,7 +11,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from bless_golden import GOLDEN_DIR, GOLDEN_TRACES
-from oracles import LedgerSpy, oracle_energy_totals, oracle_mobility_tick, oracle_shortest_path
+from oracles import (
+    LedgerSpy,
+    circle_contains,
+    oracle_energy_totals,
+    oracle_mobility_tick,
+    oracle_route,
+    oracle_route_links,
+    oracle_shortest_path,
+)
 
 import rltrc
 from rltrc import policy
@@ -24,7 +32,6 @@ from rltrc.engine import (
     Simulator,
     _reflect,
     mobility_step,
-    shortest_route,
 )
 from rltrc.linkcache import CommCacheEntry
 from rltrc.metrics import AttemptRow, PacketStat, invariant_problems, render_csv
@@ -151,51 +158,6 @@ class TestMobility:
         assert all(0.05 * 2.0 <= s <= 2.0 for s in seen)
 
 
-def route_over(adjacency, src, dst):
-    """shortest_route over a dict of out-lists."""
-    preds = {}
-    for u, outs in adjacency.items():
-        for v in outs:
-            preds.setdefault(v, []).append(u)
-    return shortest_route(lambda v, labelled: [u for u in preds.get(v, ()) if u not in labelled],
-                          lambda u, among: [v for v in adjacency.get(u, ()) if v in among],
-                          src, dst)
-
-
-class TestRouting:
-    def test_line_graph(self):
-        adj = {0: [1], 1: [0, 2], 2: [1]}
-        assert route_over(adj, 0, 2) == (0, 1, 2)
-
-    def test_complete_graph_is_one_hop(self):
-        adj = {i: [j for j in range(4) if j != i] for i in range(4)}
-        assert route_over(adj, 1, 3) == (1, 3)
-
-    def test_disconnected_returns_none(self):
-        adj = {0: [1], 1: [0], 2: [3], 3: [2]}
-        assert route_over(adj, 0, 3) is None
-
-    def test_src_equals_dst(self):
-        assert route_over({0: []}, 0, 0) == (0,)
-
-    def test_matches_exhaustive_oracle(self):
-        rng = random.Random(21)
-        for _ in range(60):
-            n = rng.randint(2, 9)
-            adj = {i: set() for i in range(n)}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.35:
-                        adj[i].add(j)
-                        adj[j].add(i)
-            got = route_over({k: sorted(v) for k, v in adj.items()}, 0, n - 1)
-            want = oracle_shortest_path(adj, 0, n - 1)
-            if want is None:
-                assert got is None
-            else:
-                assert list(got) == want
-
-
 def discovery_sim(nodes, positions, **overrides):
     """Simulator with hand-placed static nodes for route discovery tests."""
     cfg = scenario(
@@ -212,6 +174,74 @@ def discovery_sim(nodes, positions, **overrides):
         sim.nodes[nid].position = pos
         sim.nodes[nid].radio_range = 35.0
     return sim
+
+
+class TestRouting:
+    """Route choice of `_discover_route` on hand-placed layouts, with 35 m
+    of radio range and no route margin."""
+
+    def test_line_graph(self):
+        sim = discovery_sim(3, [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0)])
+        assert sim._discover_route(0, 2, [0, 1, 2]) == (0, 1, 2)
+        assert sim._discover_route(2, 0, [0, 1, 2]) == (2, 1, 0)
+
+    def test_complete_graph_is_one_hop(self):
+        sim = discovery_sim(4, [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)])
+        assert sim._discover_route(1, 3, [0, 1, 2, 3]) == (1, 3)
+
+    def test_disconnected_returns_none(self):
+        sim = discovery_sim(4, [(0.0, 0.0), (20.0, 0.0), (80.0, 0.0), (100.0, 0.0)])
+        assert sim._discover_route(0, 1, [0, 1, 2, 3]) == (0, 1)
+        assert sim._discover_route(0, 3, [0, 1, 2, 3]) is None
+
+    def test_src_equals_dst(self):
+        sim = discovery_sim(2, [(0.0, 0.0), (100.0, 0.0)])
+        assert sim._discover_route(0, 0, [0, 1]) == (0,)
+
+    def test_matches_exhaustive_oracle(self):
+        """60 seeded layouts of 2-9 nodes with radio ranges of 15-40 m, so
+        some links run one way only: the route is the one the brute-force
+        oracle finds over the links an all-pairs scan sees."""
+        rng = random.Random(21)
+        shapes = {"none": 0, "one hop": 0, "multi-hop": 0}
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            sim = discovery_sim(n, [(rng.uniform(0.0, 120.0), rng.uniform(0.0, 30.0))
+                                    for _ in range(n)])
+            for node in sim.nodes:
+                node.radio_range = rng.uniform(15.0, 40.0)
+            scope = list(range(n))
+            adjacency, _ = oracle_route_links(sim.nodes, scope, sim.cfg.route_margin,
+                                              sim.channel.alpha,
+                                              [rt.links for rt in sim.runtime])
+            want = oracle_shortest_path({u: set(vs) for u, vs in adjacency.items()}, 0, n - 1)
+            got = sim._discover_route(0, n - 1, scope)
+            if want is None:
+                assert got is None
+                shapes["none"] += 1
+            else:
+                assert list(got) == want
+                shapes["one hop" if len(want) == 2 else "multi-hop"] += 1
+        assert min(shapes.values()) >= 5, shapes
+
+    def test_oracle_route_matches_exhaustive_oracle(self):
+        """The full-search route oracle the discovery tests compare with
+        agrees with path enumeration on random undirected graphs."""
+        rng = random.Random(21)
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            adj = {i: set() for i in range(n)}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.35:
+                        adj[i].add(j)
+                        adj[j].add(i)
+            got = oracle_route({k: sorted(v) for k, v in adj.items()}, 0, n - 1)
+            want = oracle_shortest_path(adj, 0, n - 1)
+            if want is None:
+                assert got is None
+            else:
+                assert list(got) == want
 
 
 class TestDiscovery:
@@ -279,6 +309,14 @@ class TestDiscovery:
         # corridor limited to zone 0: zone-members 0,1 plus node 3 via the circle
         scope = sim._flood_scope(circle, (0,), [0, 1, 2, 3])
         assert scope == [0, 1, 3]
+
+    def test_flood_scope_circle_is_closed(self):
+        # a node on the rim is in the circle, as in the oracle's closed disc
+        sim = discovery_sim(4, [(10.0, 0.0), (20.0, 0.0), (50.0, 0.0), (70.1, 0.0)])
+        assign_zones(sim.nodes, sim.zones)
+        circle = BroadcastCircle(center=(60.0, 0.0), radius=10.0, spans_zones=(1,))
+        assert sim._flood_scope(circle, (0,), [0, 1, 2, 3]) == [0, 1, 2]
+        assert [circle_contains(circle, sim.nodes[n].position) for n in (2, 3)] == [True, False]
 
     def test_flood_cost_branches_at_least_once(self):
         # members that see 0.5 neighbours on average still flood with
