@@ -137,21 +137,22 @@ class ScenarioConfig:
                 if not (p < math.inf and self.duration + p > self.duration):
                     hard.append("%s must be finite and move the clock at duration %g, got %g"
                                 % (name, self.duration, p))
-        for name in ("proc_delay", "t_hop", "session_start_max"):
+        # a NaN or +inf receive floor clears no link budget, and one below 0
+        # accepts a received strength outside the rewards' [0, 1] ratio
+        for name in ("proc_delay", "t_hop", "session_start_max", "min_rcv"):
             p = getattr(self, name)
             if not 0.0 <= p < math.inf:
                 hard.append("%s must be finite and >= 0, got %g" % (name, p))
         # a receiver pays rx_cost_fraction of a minimum-level send to listen,
-        # and a charge of 0 J or less counts as unpaid, so nothing is received
-        for name in ("bitrate", "payload_bytes", "rx_cost_fraction"):
+        # and a charge of 0 J or less counts as unpaid, so nothing is received;
+        # a flood books min(its messages, broadcast_cost_cap) as investment
+        for name in ("bitrate", "payload_bytes", "rx_cost_fraction", "broadcast_cost_cap"):
             p = getattr(self, name)
             if not 0.0 < p < math.inf:
                 hard.append("%s must be finite and positive, got %g" % (name, p))
-        # a NaN or +inf receive floor or attenuation prior clears no link budget
-        for name in ("min_rcv", "prior_sig_atn"):
-            p = getattr(self, name)
-            if not p < math.inf:
-                hard.append("%s must be a number below inf, got %g" % (name, p))
+        # a NaN or +inf attenuation prior clears no link budget
+        if not self.prior_sig_atn < math.inf:
+            hard.append("prior_sig_atn must be a number below inf, got %g" % self.prior_sig_atn)
         if self.alpha_min <= 0.0 or self.alpha_min > self.alpha_max:
             hard.append("alpha range must satisfy 0 < min <= max")
         if self.zones in VALID_ZONE_COUNTS and self.nodes >= 1:

@@ -233,26 +233,27 @@ def shortest_route(
     count only when `risky_ok`. The channel coefficient is looked up only
     for in-reach pairs whose budget its ceiling does not already clear.
 
-    Breadth-first levels run backward from dst and stop as soon as src is
-    labelled: src then sits at level L and every level below L is complete,
-    and the links into the rest of the scope are never tested. A greedy
-    descent then picks, among the nodes one level closer, the lowest-id one
-    the current node links to; this is equivalent to minimizing (hops,
-    sequence).
+    Breadth-first levels run backward from dst, each expanded in ascending
+    id order, and a node records as its next hop the node that labels it
+    (E. F. Moore, 1959). The search stops as soon as src is labelled, so
+    the links into the rest of the scope are never tested. Every level
+    below src's is then complete, and a cell is wider than any reach, so
+    a node's next hop is the lowest-id node one level closer that it links
+    to; the path so read minimizes (hops, sequence).
     """
     if src == dst:
         return (src,)
     hypot = math.hypot
     alpha = channel.alpha
     ceiling = channel.ceiling
-    labelled = {dst}
-    levels = [[dst]]
-    while src not in labelled:
+    next_hop = {dst: dst}
+    level = [dst]
+    while level:
         nxt = []
-        for v in levels[-1]:
+        for v in level:
             (_, xv, yv, _, _, rcv, _), cell = place[v]
             for u, xu, yu, reach, top, _, links in cell[1] or _block(cells, cell):
-                if u in labelled:
+                if u in next_hop:
                     continue
                 dx = xv - xu
                 # hypot(dx, dy) >= |dx|, so this skips no pair within reach
@@ -265,36 +266,17 @@ def shortest_route(
                     entry = links.get(v)
                     if entry is not None and not entry.reliable:
                         continue
-                labelled.add(u)
-                nxt.append(u)
+                next_hop[u] = v
                 if u == src:
-                    break
-            if src in labelled:
-                break
-        if not nxt:
-            return None
-        levels.append(nxt)
-    path = [src]
-    u = src
-    for level in reversed(levels[:-1]):
-        among = set(level)
-        (_, xu, yu, reach, top, _, links), cell = place[u]
-        best = None
-        for v, xv, yv, _, _, rcv, _ in cell[1] or _block(cells, cell):
-            if v not in among:
-                continue
-            d = hypot(xv - xu, yv - yu)
-            if d > reach or top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
-                continue
-            if not risky_ok:
-                entry = links.get(v)
-                if entry is not None and not entry.reliable:
-                    continue
-            if best is None or v < best:
-                best = v
-        path.append(best)
-        u = best
-    return tuple(path)
+                    path = [u]
+                    while u != dst:
+                        u = next_hop[u]
+                        path.append(u)
+                    return tuple(path)
+                nxt.append(u)
+        nxt.sort()
+        level = nxt
+    return None
 
 
 def _block(cells: dict[tuple[int, int], list[tuple]], cell: list) -> list[tuple]:
@@ -323,11 +305,10 @@ class QueuedPacket:
 
 @dataclass
 class NodeRuntime:
-    motion: MobilityState | None = None  # None for static peripherals
     queue: list[QueuedPacket] = field(default_factory=list)
     inflight: AttemptRow | None = None   # the one attempt a node may have on the air
     links: dict[int, CommCacheEntry] = field(default_factory=dict)  # successor -> link cache
-    levels_used: dict[int, float] = field(default_factory=dict)  # successor -> last level
+    levels_used: dict[int, float] = field(default_factory=dict)  # successor -> last baseline level
     seen: set[int] = field(default_factory=set)
 
 
@@ -406,8 +387,7 @@ class Simulator:
         self.controllers = [ZoneController(z, self.registry) for z in self.zones]
         self.network = NetworkController(cfg.t_net)
         self.reward_states = [NodeRewardState() for _ in self.nodes]
-        self.runtime = [NodeRuntime(motion=None if n.is_peripheral else MobilityState())
-                        for n in self.nodes]
+        self.runtime = [NodeRuntime() for _ in self.nodes]
         self.sessions = [Session(sid, *self.rng.sample(self.mobile_ids, 2))
                          for sid in range(cfg.sessions)]
         self.ledger.initial_energy = {n.id: n.residual_energy for n in self.nodes}
@@ -472,10 +452,9 @@ class Simulator:
         cfg = self.cfg
         if cfg.duration > 0.0:
             # the nodes that can move and their motion states, in id order;
-            # a mobile node with no top speed never draws and never moves
-            nodes, runtime = self.nodes, self.runtime
-            movers = [nid for nid in self.mobile_ids if nodes[nid].max_velocity > 0.0]
-            self._movers = ([nodes[nid] for nid in movers], [runtime[nid].motion for nid in movers])
+            # a peripheral, or a mobile node with no top speed, never moves
+            movers = [n for n in self.nodes if n.max_velocity > 0.0]
+            self._movers = (movers, [MobilityState() for _ in movers])
             self._push(0.0, self._on_controller_sync)
             self._push(cfg.mobility_dt, self._on_mobility_step)
             if cfg.policy == "beacon-prr-like":
@@ -600,7 +579,7 @@ class Simulator:
             return
         t, src = self.t, sn.src
         pid = next(self._pids)
-        self.ledger.packets[pid] = PacketStat(sid, t)
+        self.ledger.packets[pid] = PacketStat(t)
         if self.nodes[src].residual_energy <= 0.0:
             self._drop_packet(pid, "node-death")
             self._fail_session(sn)
@@ -685,8 +664,7 @@ class Simulator:
                 avail, self.zone_sigma[sender.zone_id], entry.reliable, self.rng
             )
         else:
-            level = self._select_baseline(node, succ, entry, rt)
-        rt.levels_used[succ] = level
+            level = rt.levels_used[succ] = self._select_baseline(node, succ, entry, rt)
         self._transmit(node, succ, level, entry, rt, qp, sn)
 
     def _select_baseline(
@@ -719,7 +697,7 @@ class Simulator:
     ) -> None:
         sent = self._debit(node, level * self._airtime, "tx", message=True)
         t, pid, ledger = self.t, qp.pid, self.ledger
-        row = AttemptRow(t, pid, sn.id, node, succ, qp.turn, level if sent else 0.0,
+        row = AttemptRow(t, pid, sn.id, node, succ, level if sent else 0.0,
                          "pending" if sent else "blocked")
         ledger.attempts.append(row)
         rt.inflight = row
@@ -980,8 +958,9 @@ class Simulator:
         self._charge_messages([(nid, nodes[nid].power_levels[-1]) for nid in scope], "flood")
 
     def _discover_route(self, src: int, dst: int, scope: list[int]) -> tuple[int, ...] | None:
-        """Minimum-hop route over the scope's alive nodes, as
-        `shortest_route` picks it; None when src or dst is dead.
+        """The lexicographically smallest minimum-hop route over the
+        scope's alive nodes, found by `shortest_route`; None when src or dst
+        is dead or no route exists.
 
         u -> v is a link when v lies within u's reach, its radio range less
         the route margin, and u's top power arrives above v's receive floor

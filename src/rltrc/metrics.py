@@ -25,7 +25,6 @@ CSV_VERSION_HEADER = "# rltrc metrics v1"
 
 @dataclass(slots=True)
 class PacketStat:
-    session: int
     generated_at: float
     delivered_at: float | None = None
     attempts: int = 0
@@ -53,7 +52,6 @@ class AttemptRow:
     session: int
     node: int
     successor: int
-    turn: int
     action: float             # power level actually paid for, 0 when blocked
     outcome: str              # pending | ack | timeout | blocked
 

@@ -4,6 +4,7 @@ import pytest
 
 from rltrc.config import ConfigError, ScenarioConfig, load_config, parse_config
 from rltrc.engine import Simulator
+from rltrc.scenarios import scenario
 
 
 class TestDefaults:
@@ -97,6 +98,18 @@ class TestRangeValidation:
         ({"inter_arrival_max": 0.3},
          "inter-arrival bounds must lie in [0.05, 0.2] s, got [0.05, 0.3]"),
         ({"mx_atmpt": 5}, "mx_atmpt must be 3 or 4, got 5"),
+        # a negative receive floor accepts a received strength below 0, and
+        # the ack reward then raises on a strength ratio outside [0, 1]
+        ({"min_rcv": -20.0}, "min_rcv must be finite and >= 0, got -20"),
+        ({"min_rcv": -1e-9}, "min_rcv must be finite and >= 0, got -1e-09"),
+        # a NaN or non-positive cap books flood investment of NaN or below 0,
+        # which no run invariant catches
+        ({"broadcast_cost_cap": math.nan},
+         "broadcast_cost_cap must be finite and positive, got nan"),
+        ({"broadcast_cost_cap": -1.0}, "broadcast_cost_cap must be finite and positive, got -1"),
+        ({"broadcast_cost_cap": 0.0}, "broadcast_cost_cap must be finite and positive, got 0"),
+        ({"broadcast_cost_cap": math.inf},
+         "broadcast_cost_cap must be finite and positive, got inf"),
     ])
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]
@@ -131,8 +144,8 @@ class TestRangeValidation:
         ({"rx_cost_fraction": 0.0}, "rx_cost_fraction must be finite and positive, got 0"),
         ({"rx_cost_fraction": math.nan}, "rx_cost_fraction must be finite and positive, got nan"),
         ({"rx_cost_fraction": math.inf}, "rx_cost_fraction must be finite and positive, got inf"),
-        ({"min_rcv": math.nan}, "min_rcv must be a number below inf, got nan"),
-        ({"min_rcv": math.inf}, "min_rcv must be a number below inf, got inf"),
+        ({"min_rcv": math.nan}, "min_rcv must be finite and >= 0, got nan"),
+        ({"min_rcv": math.inf}, "min_rcv must be finite and >= 0, got inf"),
         ({"prior_sig_atn": math.nan}, "prior_sig_atn must be a number below inf, got nan"),
         ({"prior_sig_atn": math.inf}, "prior_sig_atn must be a number below inf, got inf"),
     ])
@@ -140,6 +153,17 @@ class TestRangeValidation:
         # each config passes the older checks, then runs with no packet
         # received or none sent at all; only validate runs here
         assert ScenarioConfig(**overrides).validate() == [message]
+
+    def test_zero_receive_floor_and_small_cap_pass(self):
+        assert ScenarioConfig(min_rcv=0.0, broadcast_cost_cap=1e-9).validate() == []
+
+    def test_negative_receive_floor_is_rejected_before_the_run(self):
+        # validate used to pass this config, and its run then raised
+        # "rss_over_tpl -0.552064 outside [0, 1]" in the ack reward
+        cfg = scenario("desk-compare", seed=1, min_rcv=-20.0, alpha_min=0.5, alpha_max=0.9)
+        with pytest.raises(ConfigError) as err:
+            Simulator(cfg).run()
+        assert err.value.violations == ["min_rcv must be finite and >= 0, got -20"]
 
     def test_all_violations_reported(self):
         errs = ScenarioConfig(

@@ -173,7 +173,7 @@ class TestLedgerAnswers:
     def test_outcome_counts(self):
         led = MetricsLedger()
         for k, outcome in enumerate(["ack", "timeout", "ack", "blocked", "pending", "ack"]):
-            led.attempts.append(AttemptRow(t=k, pid=k, session=0, node=0, successor=1, turn=1,
+            led.attempts.append(AttemptRow(t=k, pid=k, session=0, node=0, successor=1,
                                            action=0.0 if outcome == "blocked" else 5.0,
                                            outcome=outcome))
         assert led.outcome_counts() == {"ack": 3, "timeout": 1, "blocked": 1, "pending": 1}
@@ -190,10 +190,10 @@ def balanced_run(zone_of_waste=0, debit_node=1, status="dropped-link-breakage", 
     one booking so that exactly one check of `invariant_problems` fails.
     """
     led = ledger_with(
-        packets=[PacketStat(session=0, generated_at=0.0, delivered_at=1.5, attempts=1,
+        packets=[PacketStat(generated_at=0.0, delivered_at=1.5, attempts=1,
                             status="delivered"),
-                 PacketStat(session=0, generated_at=2.0)]
-        + [PacketStat(session=0, generated_at=1.0, attempts=2, status=known)
+                 PacketStat(generated_at=2.0)]
+        + [PacketStat(generated_at=1.0, attempts=2, status=known)
            for known in [status, "dropped-node-death", "dropped-session-failed",
                          "dropped-route-invalidated"]],
         waste=[(1.0, zone_of_waste, 2.0, waste_time)],
@@ -205,7 +205,7 @@ def balanced_run(zone_of_waste=0, debit_node=1, status="dropped-link-breakage", 
         led.record_debit(*row)
     for k, known in enumerate([outcome, "timeout", "blocked", "pending"]):
         led.attempts.append(AttemptRow(t=0.5 + k, pid=2, session=0, node=1, successor=2,
-                                       turn=k + 1, action=5.0, outcome=known))
+                                       action=5.0, outcome=known))
     return led, compute_metrics(led)
 
 
@@ -251,11 +251,11 @@ class TestComputeMetrics:
 
     def test_ntg_is_delivered_over_transmitted(self):
         packets = [
-            PacketStat(session=0, generated_at=0.0, attempts=1, status="delivered",
+            PacketStat(generated_at=0.0, attempts=1, status="delivered",
                        delivered_at=1.0)
             for _ in range(80)
         ] + [
-            PacketStat(session=0, generated_at=0.0, attempts=2, status="dropped-x")
+            PacketStat(generated_at=0.0, attempts=2, status="dropped-x")
             for _ in range(20)
         ]
         rep = compute_metrics(ledger_with(packets=packets, initial={1: 1.0}))
@@ -263,8 +263,8 @@ class TestComputeMetrics:
 
     def test_untransmitted_packets_not_counted(self):
         packets = [
-            PacketStat(session=0, generated_at=0.0, attempts=0, status="pending"),
-            PacketStat(session=0, generated_at=0.0, attempts=1, status="delivered",
+            PacketStat(generated_at=0.0, attempts=0, status="pending"),
+            PacketStat(generated_at=0.0, attempts=1, status="delivered",
                        delivered_at=2.5),
         ]
         rep = compute_metrics(ledger_with(packets=packets, initial={1: 1.0}))
@@ -272,11 +272,11 @@ class TestComputeMetrics:
 
     def test_adl_averages_delivered_only(self):
         packets = [
-            PacketStat(session=0, generated_at=1.0, attempts=1, status="delivered",
+            PacketStat(generated_at=1.0, attempts=1, status="delivered",
                        delivered_at=2.0),
-            PacketStat(session=0, generated_at=1.0, attempts=1, status="delivered",
+            PacketStat(generated_at=1.0, attempts=1, status="delivered",
                        delivered_at=4.0),
-            PacketStat(session=0, generated_at=0.0, attempts=3, status="dropped-x"),
+            PacketStat(generated_at=0.0, attempts=3, status="dropped-x"),
         ]
         rep = compute_metrics(ledger_with(packets=packets, initial={1: 1.0}))
         assert rep.adl == pytest.approx((1.0 + 3.0) / 2.0)

@@ -146,10 +146,10 @@ def recorded_link_tests(sim, monkeypatch) -> list[tuple[int, int]]:
 
 
 def test_discovery_stops_at_the_source(monkeypatch):
-    """On a chain, a search from the middle tests only links into nodes
-    strictly between the source and the destination: the backward search
-    never labels beyond the source, and the descent only tries nodes one
-    hop closer to the destination."""
+    """On a chain, a search from the middle tests only links into the
+    destination and the nodes between it and the source: the backward
+    search stops when it labels the source, and the route is read off the
+    next hops it recorded, with no link tested again."""
     cfg = scenario("lossless-pair", nodes=8, sessions=1, arena_width=160.0,
                    arena_height=30.0, duration=0.0)
     sim = Simulator(cfg)
