@@ -104,8 +104,8 @@ class ScenarioConfig:
             hard.append("sessions must be >= 0, got %d" % self.sessions)
         if not 0 < self.level_count_min <= self.level_count_max:
             hard.append("level counts must satisfy 0 < min <= max")
-        if not 0.0 < self.level_value_min < self.level_value_max:
-            hard.append("level values must satisfy 0 < min < max")
+        if not 0.0 < self.level_value_min < self.level_value_max < math.inf:
+            hard.append("level values must satisfy 0 < min < max < inf")
         if not 0.0 < self.radio_range_min <= self.radio_range_max:
             hard.append("radio ranges must satisfy 0 < min <= max")
         # every zone of a multi-zone arena has an internal edge to hold its
@@ -116,16 +116,18 @@ class ScenarioConfig:
                 "nodes=%d leaves fewer than 2 mobile nodes after %d peripherals"
                 % (self.nodes, peripherals)
             )
-        if self.route_margin < 0.0:
-            hard.append("route_margin must be >= 0, got %g" % self.route_margin)
-        if not 0.0 < self.energy_min <= self.energy_max:
-            hard.append("energies must satisfy 0 < min <= max")
+        if not 0.0 < self.energy_min <= self.energy_max < math.inf:
+            hard.append("energies must satisfy 0 < min <= max < inf")
         if not 0.0 < self.inter_arrival_min <= self.inter_arrival_max:
             hard.append("inter-arrival bounds must satisfy 0 < min <= max")
-        if not 0.0 <= self.vmax_min <= self.vmax_max:
-            hard.append("vmax bounds must satisfy 0 <= min <= max")
+        if not 0.0 <= self.vmax_min <= self.vmax_max < math.inf:
+            hard.append("vmax bounds must satisfy 0 <= min <= max < inf")
         if self.tau_a <= 0.0 or self.vs <= 0.0 or self.mobility_dt <= 0.0:
             hard.append("tau_a, vs and mobility_dt must be positive")
+        # every hop takes d / vs: NaN delivers nothing, and at inf an ack
+        # lands at the instant of its send
+        if not self.vs < math.inf:
+            hard.append("vs must be finite, got %g" % self.vs)
         # a period or packet gap too short to move the clock at `duration`
         # would repeat its event forever at one instant
         if math.isfinite(self.duration):
@@ -138,23 +140,29 @@ class ScenarioConfig:
                     hard.append("%s must be finite and move the clock at duration %g, got %g"
                                 % (name, self.duration, p))
         # a NaN or +inf receive floor clears no link budget, and one below 0
-        # accepts a received strength outside the rewards' [0, 1] ratio
-        for name in ("proc_delay", "t_hop", "session_start_max", "min_rcv"):
+        # accepts a received strength outside the rewards' [0, 1] ratio; a
+        # NaN or +inf route margin leaves no link to route over; a NaN or
+        # infinite gaussian_accel moves a node to (nan, nan)
+        for name in ("proc_delay", "t_hop", "session_start_max", "min_rcv", "route_margin",
+                     "gaussian_accel"):
             p = getattr(self, name)
             if not 0.0 <= p < math.inf:
                 hard.append("%s must be finite and >= 0, got %g" % (name, p))
         # a receiver pays rx_cost_fraction of a minimum-level send to listen,
         # and a charge of 0 J or less counts as unpaid, so nothing is received;
-        # a flood books min(its messages, broadcast_cost_cap) as investment
-        for name in ("bitrate", "payload_bytes", "rx_cost_fraction", "broadcast_cost_cap"):
+        # a flood books min(its messages, broadcast_cost_cap) as investment;
+        # zones tile the arena, so it must have an area
+        for name in ("bitrate", "payload_bytes", "rx_cost_fraction", "broadcast_cost_cap",
+                     "arena_width", "arena_height"):
             p = getattr(self, name)
             if not 0.0 < p < math.inf:
                 hard.append("%s must be finite and positive, got %g" % (name, p))
-        # a NaN or +inf attenuation prior clears no link budget
-        if not self.prior_sig_atn < math.inf:
-            hard.append("prior_sig_atn must be a number below inf, got %g" % self.prior_sig_atn)
-        if self.alpha_min <= 0.0 or self.alpha_min > self.alpha_max:
-            hard.append("alpha range must satisfy 0 < min <= max")
+        # a NaN or infinite attenuation prior, or an infinite channel
+        # coefficient, clears no link budget
+        if not -math.inf < self.prior_sig_atn < math.inf:
+            hard.append("prior_sig_atn must be finite, got %g" % self.prior_sig_atn)
+        if not 0.0 < self.alpha_min <= self.alpha_max < math.inf:
+            hard.append("alpha range must satisfy 0 < min <= max < inf")
         if self.zones in VALID_ZONE_COUNTS and self.nodes >= 1:
             per_zone = self.nodes / self.zones
             if not 5.0 <= per_zone <= 150.0:

@@ -9,6 +9,11 @@ them) is id order; zone member sets and session holder sets are sorted
 where they are iterated. So equal (config, seed) pairs replay the exact same
 trace.
 
+A packet's forwarding state (the nodes it reached, its acked-hop investment)
+is one `Carried` record per pid, kept only while some node holds the pid:
+queues it, or has it on the air toward the next node. Once nothing can send
+the pid again, the record goes.
+
 World model: signals travel at the configured speed vs, so a data packet
 sent over a hop of length d arrives after d/(2 vs) and its acknowledgement
 returns d/vs after the send; the round trip therefore encodes the hop
@@ -303,13 +308,30 @@ class QueuedPacket:
     turn: int = 1
 
 
+@dataclass(slots=True)
+class Carried:
+    """What the network keeps of a packet while some node holds it.
+
+    Each queue entry of the pid is one hold, and so is each arrival of it on
+    the air. `reached` is every node its data reached, so a node never
+    queues a pid twice; `(inv_e, inv_t)` is the acked-hop investment still
+    eligible for write-off, zeroed when written off so waste can never
+    exceed investment. Once no hold is left no node can send the pid again,
+    and the record goes.
+    """
+
+    holds: int = 1
+    reached: set[int] = field(default_factory=set)
+    inv_e: float = 0.0
+    inv_t: float = 0.0
+
+
 @dataclass
 class NodeRuntime:
     queue: list[QueuedPacket] = field(default_factory=list)
     inflight: AttemptRow | None = None   # the one attempt a node may have on the air
     links: dict[int, CommCacheEntry] = field(default_factory=dict)  # successor -> link cache
     levels_used: dict[int, float] = field(default_factory=dict)  # successor -> last baseline level
-    seen: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -348,9 +370,8 @@ class Simulator:
         self.channel = Channel(self.seed, cfg.alpha_min, cfg.alpha_max)
         self.ledger = MetricsLedger(duration=cfg.duration)
         self.waste_ledger = WasteLedger()
-        # per-packet acked-hop investment still eligible for write-off;
-        # zeroed when written off so waste can never exceed investment
-        self.packet_invested: dict[int, tuple[float, float]] = {}
+        # pid -> its record, while some node holds the pid
+        self.carried: dict[int, Carried] = {}
         # per zone, the exploration rate rl-trc uses until the next sync; the
         # sync at t = 0 is the first event, so it is set before any transmit
         self.zone_sigma: list[float] = []
@@ -581,10 +602,11 @@ class Simulator:
         pid = next(self._pids)
         self.ledger.packets[pid] = PacketStat(t)
         if self.nodes[src].residual_energy <= 0.0:
-            self._drop_packet(pid, "node-death")
+            self.ledger.packets[pid].status = "dropped-node-death"
             self._fail_session(sn)
             return
         self.runtime[src].queue.append(QueuedPacket(pid, sid))
+        self.carried[pid] = Carried()
         sn.holders.add(src)
         self._push(t + self.cfg.proc_delay, self._on_send_attempt, src)
         gap = self._inter_arrival()
@@ -626,7 +648,7 @@ class Simulator:
         sender = self.nodes[node]
         if sender.residual_energy <= 0.0:
             for qp in rt.queue:
-                self._drop_packet(qp.pid, "node-death")
+                self._drop_queued(qp.pid, "node-death")
             rt.queue.clear()
             return
         if rt.inflight is not None or not rt.queue:
@@ -713,6 +735,7 @@ class Simulator:
             rss = propagate(level, d, self.channel.alpha(node, succ), cfg.noise_spread, self.rng)
             if (receiver.residual_energy > 0.0 and d <= sender.radio_range
                     and rss >= receiver.min_rcv):
+                self.carried[pid].holds += 1
                 self._push(t + 0.5 * d / cfg.vs, self._on_packet_arrival, row, rss, d)
         self._push(t + cfg.tau_a, self._on_ack_timeout, row)
 
@@ -729,10 +752,12 @@ class Simulator:
         node, sender, pid = row.successor, row.node, row.pid
         receiver = nodes[node]
         if receiver.residual_energy <= 0.0:
+            self._release(pid)
             return
         levels = receiver.power_levels
         if not self._debit(node, cfg.rx_cost_fraction * levels[0] * self._airtime, "rx",
                            message=False):
+            self._release(pid)
             return
         floor = nodes[sender].min_rcv
         avail = linkcache.available_levels(levels, row.action - rss + floor + cfg.noise_spread)
@@ -742,18 +767,21 @@ class Simulator:
                             cfg.noise_spread, self.rng)
         if ack_rss >= floor and dist <= receiver.radio_range:
             self._push(row.t + dist / cfg.vs, self._on_ack_arrival, row, rss)
-        rt = self.runtime[node]
-        if pid in rt.seen:
+        rec = self.carried[pid]
+        if node in rec.reached:
+            self._release(pid)
             return
-        rt.seen.add(pid)
+        rec.reached.add(node)
         sn = self.sessions[row.session]
         if node == sn.dst:
             stat = self.ledger.packets[pid]
             stat.status = "delivered"
             stat.delivered_at = self.t
-            self.packet_invested.pop(pid, None)
+            rec.inv_e = rec.inv_t = 0.0
+            self._release(pid)
             return
-        rt.queue.append(QueuedPacket(pid, row.session))
+        # the arrival's hold passes to the queue entry
+        self.runtime[node].queue.append(QueuedPacket(pid, row.session))
         sn.holders.add(node)
         self._push(self.t + cfg.proc_delay, self._on_send_attempt, node)
 
@@ -774,12 +802,19 @@ class Simulator:
             )
         rtt = t - row.t
         self.ledger.record_invest(t, self.sessions[row.session].home_zone, action, rtt)
-        invested = self.packet_invested
-        inv_e, inv_t = invested.get(pid, (0.0, 0.0))
-        invested[pid] = (inv_e + action, inv_t + rtt)
         queue = rt.queue
-        if queue and queue[0].pid == pid:
-            queue.pop(0)
+        carried = self.carried
+        rec = carried.get(pid)
+        # a queued pid always has a record; with none left, no holder is
+        # left who could write this hop off, so it is not kept
+        if rec is not None:
+            rec.inv_e += action
+            rec.inv_t += rtt
+            if queue and queue[0].pid == pid:
+                queue.pop(0)
+                rec.holds -= 1
+                if not rec.holds:
+                    del carried[pid]
         if queue:
             self._push(t + self.cfg.proc_delay, self._on_send_attempt, node)
 
@@ -857,8 +892,10 @@ class Simulator:
             penalty = self._flood_cost(zone)
             self.reward_states[node].apply_noack(succ, qp.turn, cfg.mx_atmpt, penalty)
         # claim the packet's acked-hop investment exactly once
-        inv_e, inv_t = self.packet_invested.pop(qp.pid, (0.0, 0.0))
-        self._drop_packet(qp.pid, "link-breakage")
+        rec = self.carried[qp.pid]
+        inv_e, inv_t = rec.inv_e, rec.inv_t
+        rec.inv_e = rec.inv_t = 0.0
+        self._drop_queued(qp.pid, "link-breakage")
         # breakage notice travels back to the source at max level
         hops = list(sn.next_hop)
         back_hops = hops.index(node)
@@ -1054,14 +1091,24 @@ class Simulator:
         if session_reporter(sn.src, ctl.zone, self.nodes) is not None:
             ctl.record_session_reward(sid)
 
-    def _drop_packet(self, pid: int, cause: str) -> None:
+    def _release(self, pid: int) -> None:
+        """Give up one hold on pid; its record goes with the last one."""
+        rec = self.carried[pid]
+        rec.holds -= 1
+        if not rec.holds:
+            del self.carried[pid]
+
+    def _drop_queued(self, pid: int, cause: str) -> None:
+        """A holder drops its queue entry of pid; a packet not yet final
+        ends dropped for `cause`."""
         stat = self.ledger.packets[pid]
         if stat.status == "pending":
             stat.status = "dropped-" + cause
+        self._release(pid)
 
     def _drop_head(self, node: int, rt: NodeRuntime, cause: str) -> None:
         """Drop the packet at the head of node's queue and try the next one."""
-        self._drop_packet(rt.queue.pop(0).pid, cause)
+        self._drop_queued(rt.queue.pop(0).pid, cause)
         self._push(self.t, self._on_send_attempt, node)
 
     def _withdraw(self, rt: NodeRuntime, sid: int, cause: str, held: int | None = None) -> None:
@@ -1069,7 +1116,7 @@ class Simulator:
         keep = []
         for q in rt.queue:
             if q.session == sid and q.pid != held:
-                self._drop_packet(q.pid, cause)
+                self._drop_queued(q.pid, cause)
             else:
                 keep.append(q)
         rt.queue = keep

@@ -6,8 +6,10 @@ itself: a digest mismatch is a failure, never an auto-bless.
 
 `python tests/bless_golden.py --check` writes nothing: it reruns every
 golden, reports each one whose file would change and exits 1 if any would.
-It needs only the standard library, so it checks the digests on
-interpreters without pytest.
+It also reports, and exits 1 on, any JSON file in the golden directory that
+no golden trace produces, such as one left behind by a rename. It needs
+only the standard library, so it checks the digests on interpreters
+without pytest.
 
 Every golden run must also pass `metrics.invariant_problems`. Blessing
 writes no golden whose run breaks one, `--check` reports it, and either
@@ -52,6 +54,17 @@ GOLDEN_TRACES.update({
 })
 
 
+def golden_path(golden: str) -> Path:
+    return GOLDEN_DIR / ("%s-seed1.json" % golden)
+
+
+def stray_goldens() -> list[str]:
+    """Names of the JSON files in the golden directory that no entry of
+    `GOLDEN_TRACES` produces, sorted."""
+    produced = {golden_path(golden).name for golden in GOLDEN_TRACES}
+    return sorted(p.name for p in GOLDEN_DIR.glob("*.json") if p.name not in produced)
+
+
 def trace(name: str, seed: int, **overrides) -> tuple[dict, list[str]]:
     """The golden payload of one run, and the run's invariant problems."""
     sim = Simulator(scenario(name, seed=seed, **overrides))
@@ -82,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     for golden, (name, overrides) in GOLDEN_TRACES.items():
         payload, problems = trace(name, seed=1, **overrides)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        path = GOLDEN_DIR / ("%s-seed1.json" % golden)
+        path = golden_path(golden)
         if problems:
             broken += 1
             print("BROKEN %s: %s" % (path.name, "; ".join(problems)))
@@ -95,11 +108,15 @@ def main(argv: list[str] | None = None) -> int:
         elif not problems:
             path.write_text(text, encoding="utf-8")
             print("blessed %s" % path.name)
+    stray = []
     if args.check:
+        stray = stray_goldens()
+        for name in stray:
+            print("STRAY %s: no golden trace produces it" % name)
         print("%d of %d goldens mismatch" % (mismatched, len(GOLDEN_TRACES)))
     if broken:
         print("%d of %d golden runs break an invariant" % (broken, len(GOLDEN_TRACES)))
-    return 1 if mismatched or broken else 0
+    return 1 if mismatched or broken or stray else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields
 
 import pytest
 
 from rltrc.config import ConfigError, ScenarioConfig, load_config, parse_config
 from rltrc.engine import Simulator
+from rltrc.metrics import invariant_problems
 from rltrc.scenarios import scenario
 
 
@@ -80,16 +82,16 @@ class TestRangeValidation:
                         "nodes=0 leaves fewer than 2 mobile nodes after 6 peripherals"]),
         ({"sessions": -1}, "sessions must be >= 0, got -1"),
         ({"level_count_min": 11}, "level counts must satisfy 0 < min <= max"),
-        ({"level_value_min": 30.0}, "level values must satisfy 0 < min < max"),
+        ({"level_value_min": 30.0}, "level values must satisfy 0 < min < max < inf"),
         ({"radio_range_min": 45.0}, "radio ranges must satisfy 0 < min <= max"),
         ({"nodes": 7, "override": True},
          "nodes=7 leaves fewer than 2 mobile nodes after 6 peripherals"),
-        ({"route_margin": -1.0}, "route_margin must be >= 0, got -1"),
-        ({"energy_min": 60.0}, "energies must satisfy 0 < min <= max"),
+        ({"route_margin": -1.0}, "route_margin must be finite and >= 0, got -1"),
+        ({"energy_min": 60.0}, "energies must satisfy 0 < min <= max < inf"),
         ({"inter_arrival_min": 0.3}, "inter-arrival bounds must satisfy 0 < min <= max"),
-        ({"vmax_min": 5.0}, "vmax bounds must satisfy 0 <= min <= max"),
+        ({"vmax_min": 5.0}, "vmax bounds must satisfy 0 <= min <= max < inf"),
         ({"vs": 0.0}, "tau_a, vs and mobility_dt must be positive"),
-        ({"alpha_min": 0.0}, "alpha range must satisfy 0 < min <= max"),
+        ({"alpha_min": 0.0}, "alpha range must satisfy 0 < min <= max < inf"),
         ({"nodes": 500}, "nodes per zone must lie in [5, 150], got 167 (500 nodes / 3 zones)"),
         ({"arena_width": 500.0}, "arena must be 2000x2000 m, got 500x2000"),
         ({"radio_range_max": 50.0}, "radio range must lie in [10, 40] m, got [10, 50]"),
@@ -110,6 +112,26 @@ class TestRangeValidation:
         ({"broadcast_cost_cap": 0.0}, "broadcast_cost_cap must be finite and positive, got 0"),
         ({"broadcast_cost_cap": math.inf},
          "broadcast_cost_cap must be finite and positive, got inf"),
+        # each of these raised or broke a run invariant when run: zones
+        # cannot tile an arena without area, an infinite battery or top
+        # level gives NaN energies, an infinite top speed or gaussian_accel
+        # moves nodes to (nan, nan), and at vs = inf an ack lands at its send
+        ({"arena_width": math.nan, "override": True},
+         "arena_width must be finite and positive, got nan"),
+        ({"arena_width": math.inf, "override": True},
+         "arena_width must be finite and positive, got inf"),
+        ({"arena_width": 0.0, "override": True}, "arena_width must be finite and positive, got 0"),
+        ({"arena_height": -1.0, "override": True},
+         "arena_height must be finite and positive, got -1"),
+        ({"arena_height": -math.inf, "override": True},
+         "arena_height must be finite and positive, got -inf"),
+        ({"energy_max": math.inf, "override": True}, "energies must satisfy 0 < min <= max < inf"),
+        ({"level_value_max": math.inf}, "level values must satisfy 0 < min < max < inf"),
+        ({"vmax_max": math.inf}, "vmax bounds must satisfy 0 <= min <= max < inf"),
+        ({"gaussian_accel": math.nan}, "gaussian_accel must be finite and >= 0, got nan"),
+        ({"gaussian_accel": -math.inf}, "gaussian_accel must be finite and >= 0, got -inf"),
+        ({"gaussian_accel": -1.0}, "gaussian_accel must be finite and >= 0, got -1"),
+        ({"vs": math.inf}, "vs must be finite, got inf"),
     ])
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]
@@ -146,8 +168,13 @@ class TestRangeValidation:
         ({"rx_cost_fraction": math.inf}, "rx_cost_fraction must be finite and positive, got inf"),
         ({"min_rcv": math.nan}, "min_rcv must be finite and >= 0, got nan"),
         ({"min_rcv": math.inf}, "min_rcv must be finite and >= 0, got inf"),
-        ({"prior_sig_atn": math.nan}, "prior_sig_atn must be a number below inf, got nan"),
-        ({"prior_sig_atn": math.inf}, "prior_sig_atn must be a number below inf, got inf"),
+        ({"prior_sig_atn": math.nan}, "prior_sig_atn must be finite, got nan"),
+        ({"prior_sig_atn": math.inf}, "prior_sig_atn must be finite, got inf"),
+        ({"prior_sig_atn": -math.inf}, "prior_sig_atn must be finite, got -inf"),
+        ({"vs": math.nan}, "vs must be finite, got nan"),
+        ({"route_margin": math.nan}, "route_margin must be finite and >= 0, got nan"),
+        ({"route_margin": math.inf}, "route_margin must be finite and >= 0, got inf"),
+        ({"alpha_max": math.inf}, "alpha range must satisfy 0 < min <= max < inf"),
     ])
     def test_config_that_delivers_nothing_is_rejected(self, overrides, message):
         # each config passes the older checks, then runs with no packet
@@ -164,6 +191,36 @@ class TestRangeValidation:
         with pytest.raises(ConfigError) as err:
             Simulator(cfg).run()
         assert err.value.violations == ["min_rcv must be finite and >= 0, got -20"]
+
+    # the policy or mobility model that reads a field, where the default does not
+    READER = {"gaussian_accel": {"mobility": "gaussian"},
+              "beacon_period": {"policy": "beacon-prr-like"},
+              "rssi_high": {"policy": "beacon-rssi-like"},
+              "rssi_low": {"policy": "beacon-rssi-like"}}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig) if f.type == "float"])
+    def test_extreme_float_is_rejected_or_runs_clean(self, name):
+        """desk-compare at seed 1 for 10 s with one float field at NaN,
+        +inf, -inf, -1 or 0: validate rejects the config, or the run
+        raises nothing, keeps every run invariant, reports only finite
+        floats and, when it lasts, delivers a packet."""
+        for value in (math.nan, math.inf, -math.inf, -1.0, 0.0):
+            overrides = {"duration": 10.0, **self.READER.get(name, {}), name: value}
+            cfg = scenario("desk-compare", seed=1, **overrides)
+            if cfg.validate():
+                continue
+            sim = Simulator(cfg)
+            report = sim.run()
+            assert invariant_problems(sim.ledger, report) == [], value
+            floats = [report.ec, report.adl, report.paln, report.awe, report.awt]
+            floats += [x for row in report.series for x in row]
+            if report.ntg is not None:
+                floats.append(report.ntg)
+            assert all(math.isfinite(x) for x in floats), (value, report)
+            if cfg.duration > 0.0:
+                assert any(p.status == "delivered" for p in sim.ledger.packets.values()), value
+        # the field's default does run
+        assert scenario("desk-compare", **self.READER.get(name, {})).validate() == []
 
     def test_all_violations_reported(self):
         errs = ScenarioConfig(

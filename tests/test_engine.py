@@ -27,6 +27,7 @@ from rltrc import policy
 from rltrc.config import VALID_MOBILITY, VALID_POLICIES, VALID_ZONE_COUNTS
 from rltrc.control import BroadcastCircle, NodeTrack, assign_zones
 from rltrc.engine import (
+    Carried,
     MobilityState,
     QueuedPacket,
     Session,
@@ -437,6 +438,7 @@ class TestRouteReply:
             for pid, sid in packets:
                 sim.ledger.packets[pid] = PacketStat(generated_at=0.0)
                 sim.runtime[nid].queue.append(QueuedPacket(pid=pid, session=sid))
+                sim.carried[pid] = Carried()
                 sim.sessions[sid].holders.add(nid)
         sn.holders.add(2)  # a holder whose packets have all left
         sim.runtime[4].inflight = AttemptRow(0.0, 4, 0, 4, 2, 5.0, "pending")
@@ -445,6 +447,8 @@ class TestRouteReply:
         assert status == {1: "pending", 2: "pending", 3: "pending", 4: "pending",
                           5: "dropped-route-invalidated", 6: "pending"}
         assert [q.pid for q in sim.runtime[4].queue] == [4, 6]
+        # the dropped entry was pid 5's one hold, so its record went with it
+        assert sorted(sim.carried) == [1, 2, 3, 4, 6]
         assert [(h, a) for _, _, h, a in sim._events] == [
             (sim._on_send_attempt, (nid,)) for nid in (0, 1, 4)]
         assert sn.holders == {0, 1, 4}
@@ -483,6 +487,78 @@ class TestRouteReply:
         assert len(checked) == next(sim._seq) - len(sim._events)
         assert len(checked) > 10_000
         assert any(pruned)  # holders that had sent everything on were dropped
+
+
+# (canned scenario, seed, overrides): every policy, every mobility model,
+# noise, batteries that run flat, a 6-zone grid and nearly still nodes; at
+# these seeds both flat-battery runs send to a dead receiver and to one that
+# cannot pay rx
+CARRIED_CONFIGS = [
+    ("lossless-pair", 1, {}),
+    ("desk-conserve", 2, {}),
+    ("desk-compare", 3, {}),
+    ("desk-compare", 4, {"policy": "fixed-max"}),
+    ("desk-compare", 5, {"policy": "odtpc-like"}),
+    ("desk-compare", 6, {"policy": "beacon-rssi-like"}),
+    ("desk-compare", 7, {"policy": "beacon-prr-like"}),
+    ("desk-compare", 8, {"mobility": "random-walk"}),
+    ("desk-compare", 9, {"mobility": "gaussian"}),
+    ("desk-compare", 10, {"noise_spread": 0.1}),
+    ("desk-compare", 14, {"energy_min": 0.3, "energy_max": 1.0}),
+    ("desk-compare", 4, {"energy_min": 0.5, "energy_max": 2.0, "policy": "fixed-max",
+                         "mobility": "gaussian", "noise_spread": 0.2}),
+    ("desk-compare", 13, {"vmax_min": 0.0, "vmax_max": 0.3, "sessions": 12}),
+    ("desk-converge", 14, {"duration": 100.0, "zones": 6}),
+]
+
+
+@pytest.mark.parametrize("name, seed, overrides", CARRIED_CONFIGS)
+def test_carried_records_are_exactly_the_held_pids(name, seed, overrides):
+    """After every event, `sim.carried` has a record for exactly the pids
+    that some node queues or that an arrival event still carries, and each
+    record's hold count is that pid's queue entries plus its pending
+    arrivals, counted here from scratch. A pid queued away from its source
+    has reached the node that queues it, and no node queues a pid twice."""
+    sim = Simulator(scenario(name, **overrides), seed=seed)
+    runtime, sessions, carried = sim.runtime, sim.sessions, sim.carried
+    arrival = Simulator._on_packet_arrival
+    push, debit = sim._push, sim._debit
+    checked, dead, unpaid = [], [], []
+
+    def held():
+        """Each held pid's holds, from the queues and the heap."""
+        holds = Counter(q.pid for rt in runtime for q in rt.queue)
+        holds.update(args[1].pid for _, _, _, args in sim._events
+                     if args[0].__func__ is arrival)
+        return holds
+
+    def check(handler, *args):
+        if handler.__func__ is arrival and not sim.nodes[args[0].successor].alive:
+            dead.append(args[0])
+        handler(*args)
+        assert {pid: rec.holds for pid, rec in carried.items()} == held(), handler.__name__
+        for nid, rt in enumerate(runtime):
+            assert len({q.pid for q in rt.queue}) == len(rt.queue)
+            for q in rt.queue:
+                assert nid == sessions[q.session].src or nid in carried[q.pid].reached
+        checked.append(handler)
+
+    def checked_push(t, handler, *args):
+        push(t, check, handler, *args)
+
+    def counted_debit(node, joules, kind, message):
+        paid = debit(node, joules, kind, message)
+        if kind == "rx" and not paid:
+            unpaid.append(node)
+        return paid
+
+    sim._push, sim._debit = checked_push, counted_debit
+    report = sim.run()
+    assert invariant_problems(sim.ledger, report) == []
+    assert len(checked) == next(sim._seq) - len(sim._events) > 100
+    assert set(carried) == set(held())
+    flat = sim.cfg.energy_max <= 2.0
+    assert bool(dead) == bool(unpaid) == flat
 
 
 def rejection_gap(rng, lo, hi):
@@ -635,26 +711,27 @@ class TestAttemptRows:
             sim._on_ack_timeout(row)
             assert row.outcome == "timeout"
             before = copy.deepcopy(
-                (sim.runtime, sim.reward_states, spy.invest_calls, sim.packet_invested)
+                (sim.runtime, sim.reward_states, spy.invest_calls, sim.carried)
             )
             on_ack(row, rss)
             raced.append(row)
             assert row.outcome == "timeout"
-            assert (sim.runtime, sim.reward_states, spy.invest_calls, sim.packet_invested) == before
+            assert (sim.runtime, sim.reward_states, spy.invest_calls, sim.carried) == before
 
         sim._on_ack_arrival = timeout_first
         sim.run()
         assert raced
 
 
-def hopeless_hop(reason, turn=1):
+def hopeless_hop(reason, turn=1, holds=1):
     """A finished lossless-pair run with one packet queued again at the
     source, its link cache rigged so that rl-trc gives the hop up unsent.
 
     "displacement": the successor seems to have moved past twice the radio
     range since the last ack. "no-level": no level of the sender clears the
     successor's receive threshold. The packet carries an acked-hop
-    investment of (7, 0.25) from earlier hops.
+    investment of (7, 0.25) from earlier hops; `holds` counts its queue
+    entry and any other hold on it, such as a copy on the air elsewhere.
     """
     sim = Simulator(scenario("lossless-pair"), seed=1)
     sim.run()
@@ -672,7 +749,7 @@ def hopeless_hop(reason, turn=1):
     pid = max(sim.ledger.packets) + 1
     sim.ledger.packets[pid] = PacketStat(generated_at=sim.t)
     rt.queue = [QueuedPacket(pid=pid, session=sn.id, turn=turn)]
-    sim.packet_invested[pid] = (7.0, 0.25)
+    sim.carried[pid] = Carried(holds=holds, inv_e=7.0, inv_t=0.25)
     return sim, sn, pid
 
 
@@ -691,11 +768,18 @@ class TestImmediateLinkFailure:
         assert not sim.runtime[sn.src].links[sn.dst].reliable
         # a turn within the retry budget costs the successor no grade
         assert sim.reward_states[sn.src].successor_rewards[sn.dst] == grade
-        assert pid not in sim.packet_invested
+        # the queue entry was the packet's last hold, so its record went
+        assert pid not in sim.carried
         # nothing was sent, so the notice carries no last attempt to write off
         assert [(handler, args) for _, _, handler, args in sim._events] == [
             (sim._on_link_breakage, (sn.id, 0.0, 0.0, 7.0, 0.25))
         ]
+
+    def test_claim_zeroes_a_record_still_held(self, reason):
+        sim, sn, pid = hopeless_hop(reason, holds=2)
+        sim._on_send_attempt(sn.src)
+        assert sim.carried[pid] == Carried(holds=1, inv_e=0.0, inv_t=0.0)
+        assert [args for _, _, _, args in sim._events] == [(sn.id, 0.0, 0.0, 7.0, 0.25)]
 
     def test_rediscovery_books_the_write_off(self, reason):
         sim, sn, _ = hopeless_hop(reason)
@@ -748,6 +832,7 @@ class TestUnpaidOrLateEvents:
             receiver = sim.nodes[row.successor]
             receiver.residual_energy = 1e-15
             messages, queued = sim.ledger.message_count, len(sim._events)
+            holds = sim.carried[row.pid].holds
             arrive(row, rss, dist)
             starved.append(row)
             # the partial payment drains the receiver and is booked as rx
@@ -755,7 +840,10 @@ class TestUnpaidOrLateEvents:
             assert spy.debit_calls[-1] == (sim.t, row.successor, "rx", 1e-15)
             assert sim.ledger.message_count == messages
             assert len(sim._events) == queued
-            assert row.pid not in sim.runtime[row.successor].seen
+            # the arrival gives up its hold; the sender's queue entry keeps
+            # the record, which the receiver never reached
+            assert sim.carried[row.pid].holds == holds - 1 >= 1
+            assert row.successor not in sim.carried[row.pid].reached
             assert sim.ledger.packets[row.pid].status == "pending"
 
         sim._on_packet_arrival = starve_first

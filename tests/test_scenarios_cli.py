@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from bless_golden import GOLDEN_DIR, GOLDEN_TRACES, trace
+import bless_golden
+from bless_golden import GOLDEN_DIR, GOLDEN_TRACES, stray_goldens, trace
 
 from rltrc.cli import main
 from rltrc.config import ScenarioConfig
@@ -59,6 +60,25 @@ class TestGoldenTraces:
             % golden
         )
         assert problems == []
+
+    def test_every_golden_file_has_a_trace(self):
+        assert stray_goldens() == []
+
+    def test_check_fails_on_a_stray_golden(self, tmp_path, monkeypatch, capsys):
+        """`--check` reports a golden file that no trace produces, and
+        exits 1 on it though every produced golden matches."""
+        golden = "lossless-pair"
+        name = "%s-seed1.json" % golden
+        (tmp_path / name).write_bytes((GOLDEN_DIR / name).read_bytes())
+        monkeypatch.setattr(bless_golden, "GOLDEN_DIR", tmp_path)
+        monkeypatch.setattr(bless_golden, "GOLDEN_TRACES", {golden: GOLDEN_TRACES[golden]})
+        assert bless_golden.main(["--check"]) == 0
+        (tmp_path / "lossless-pair-renamed-seed1.json").write_text("{}\n", encoding="utf-8")
+        assert bless_golden.main(["--check"]) == 1
+        out = capsys.readouterr().out
+        assert "ok %s" % name in out
+        assert "STRAY lossless-pair-renamed-seed1.json" in out
+        assert "0 of 1 goldens mismatch" in out
 
 
 class TestCli:
@@ -118,6 +138,13 @@ class TestCli:
         bad.write_text("zones = 5\n", encoding="utf-8")
         assert main(["run", "--config", str(bad)]) == 1
         assert "zones" in capsys.readouterr().err
+
+    def test_nan_arena_width_exits_one(self, tmp_path, capsys):
+        # validate used to pass it, and the run then divided by zero
+        bad = tmp_path / "nan.cfg"
+        bad.write_text("arena_width = nan\noverride = true\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad)]) == 1
+        assert "arena_width must be finite and positive, got nan" in capsys.readouterr().err
 
     def test_unknown_scenario_exits_one(self, capsys):
         assert main(["run", "--scenario", "nope"]) == 1
