@@ -24,6 +24,56 @@ class ConfigError(ValueError):
         super().__init__("; ".join(violations))
 
 
+# The range a run needs of each numeric field outside the pairs and timers
+# below, as (what the message says, its test, the fields): outside it a run
+# raises, breaks a run invariant, delivers nothing or has no physical
+# meaning, e.g. a NaN hop delay or an infinite noise spread. `zones` is one
+# of VALID_ZONE_COUNTS and `seed` may be any integer.
+_FIELD_RANGES = (
+    (">= 1", lambda v: v >= 1, ("nodes", "mx_atmpt")),
+    (">= 0", lambda v: v >= 0, ("sessions", "peripherals_per_zone")),
+    ("finite", lambda v: -math.inf < v < math.inf, ("prior_sig_atn", "rssi_high", "rssi_low")),
+    ("finite and >= 0", lambda v: 0.0 <= v < math.inf,
+     ("duration", "route_margin", "pause_max", "gaussian_accel", "session_start_max", "t_net",
+      "proc_delay", "t_hop", "noise_spread", "min_rcv")),
+    ("finite and positive", lambda v: 0.0 < v < math.inf,
+     ("arena_width", "arena_height", "vs", "broadcast_cost_cap", "bitrate", "payload_bytes",
+      "rx_cost_fraction")),
+)
+
+# Nodes, links and packets draw their values between a (min, max) pair, so the
+# pair must be ordered and finite. Each row: the two fields, the rule a run
+# needs, and the published range that override=true waives, as (name, low,
+# high, unit).
+_PAIR_RULES = {
+    "0 < min <= max < inf": lambda lo, hi: 0 < lo <= hi < math.inf,
+    "0 < min < max < inf": lambda lo, hi: 0 < lo < hi < math.inf,
+    "0 <= min <= max < inf": lambda lo, hi: 0 <= lo <= hi < math.inf,
+}
+_PAIRS = (
+    ("level_count_min", "level_count_max", "level counts", "0 < min <= max < inf",
+     ("power level count", 1, 25, "")),
+    ("level_value_min", "level_value_max", "level values", "0 < min < max < inf", None),
+    ("radio_range_min", "radio_range_max", "radio ranges", "0 < min <= max < inf",
+     ("radio range", 10, 40, " m")),
+    ("energy_min", "energy_max", "energies", "0 < min <= max < inf",
+     ("initial energy", 20, 50, " J")),
+    ("inter_arrival_min", "inter_arrival_max", "inter-arrival bounds", "0 < min <= max < inf",
+     ("inter-arrival bounds", 0.05, 0.2, " s")),
+    ("vmax_min", "vmax_max", "vmax bounds", "0 <= min <= max < inf", None),
+    ("alpha_min", "alpha_max", "alpha range", "0 < min <= max < inf", None),
+)
+
+# Periods and the shortest packet gap: one too short to move the clock at a
+# finite `duration` would repeat its event forever at one instant.
+_TIMERS = ("t_sync", "mobility_dt", "tau_a", "inter_arrival_min", "beacon_period")
+
+
+def _show(value) -> str:
+    # "%g" overflows on an int beyond float range
+    return str(value) if isinstance(value, int) else "%g" % value
+
+
 @dataclass
 class ScenarioConfig:
     name: str = "scenario"
@@ -83,86 +133,45 @@ class ScenarioConfig:
     def validate(self) -> list[str]:
         """All range violations, empty when the config is runnable.
 
-        Structural problems are always errors; published-range problems are
-        waived by override=true.
+        Every field is checked against its row in _FIELD_RANGES, _PAIRS or
+        _TIMERS, plus the few rules that join fields. Published-range
+        problems are waived by override=true; the rest are always errors.
         """
         hard: list[str] = []
         soft: list[str] = []
-        if self.zones not in VALID_ZONE_COUNTS:
-            hard.append("zones must be one of %s, got %d" % (list(VALID_ZONE_COUNTS), self.zones))
-        if self.mobility not in VALID_MOBILITY:
-            hard.append("mobility must be one of %s, got %r" % (list(VALID_MOBILITY), self.mobility))
-        if self.policy not in VALID_POLICIES:
-            hard.append("policy must be one of %s, got %r" % (list(VALID_POLICIES), self.policy))
-        if self.duration < 0.0:
-            hard.append("duration must be >= 0, got %g" % self.duration)
-        elif not math.isfinite(self.duration):
-            hard.append("duration must be finite, got %g" % self.duration)
-        if self.nodes < 1:
-            hard.append("nodes must be >= 1, got %d" % self.nodes)
-        if self.sessions < 0:
-            hard.append("sessions must be >= 0, got %d" % self.sessions)
-        if not 0 < self.level_count_min <= self.level_count_max:
-            hard.append("level counts must satisfy 0 < min <= max")
-        if not 0.0 < self.level_value_min < self.level_value_max < math.inf:
-            hard.append("level values must satisfy 0 < min < max < inf")
-        if not 0.0 < self.radio_range_min <= self.radio_range_max:
-            hard.append("radio ranges must satisfy 0 < min <= max")
+        for name, choices in (("zones", VALID_ZONE_COUNTS), ("mobility", VALID_MOBILITY),
+                              ("policy", VALID_POLICIES)):
+            value = getattr(self, name)
+            if value not in choices:
+                hard.append("%s must be one of %s, got %r" % (name, list(choices), value))
+        for domain, holds, names in _FIELD_RANGES:
+            for name in names:
+                value = getattr(self, name)
+                if not holds(value):
+                    hard.append("%s must be %s, got %s" % (name, domain, _show(value)))
+        for lo_name, hi_name, label, rule, published in _PAIRS:
+            lo, hi = getattr(self, lo_name), getattr(self, hi_name)
+            if not _PAIR_RULES[rule](lo, hi):
+                hard.append("%s must satisfy %s" % (label, rule))
+            if published:
+                what, low, high, unit = published
+                if lo < low or hi > high:
+                    soft.append("%s must lie in [%g, %g]%s, got [%s, %s]"
+                                % (what, low, high, unit, _show(lo), _show(hi)))
+        if math.isfinite(self.duration):
+            for name in _TIMERS:
+                p = getattr(self, name)
+                if not (p < math.inf and self.duration + p > self.duration):
+                    hard.append("%s must be finite and move the clock at duration %g, got %g"
+                                % (name, self.duration, p))
         # every zone of a multi-zone arena has an internal edge to hold its
         # peripherals; a single zone has none
-        peripherals = self.zones * max(self.peripherals_per_zone, 0) if self.zones > 1 else 0
+        peripherals = self.zones * self.peripherals_per_zone if self.zones > 1 else 0
         if self.nodes - peripherals < 2:
             hard.append(
                 "nodes=%d leaves fewer than 2 mobile nodes after %d peripherals"
                 % (self.nodes, peripherals)
             )
-        if not 0.0 < self.energy_min <= self.energy_max < math.inf:
-            hard.append("energies must satisfy 0 < min <= max < inf")
-        if not 0.0 < self.inter_arrival_min <= self.inter_arrival_max:
-            hard.append("inter-arrival bounds must satisfy 0 < min <= max")
-        if not 0.0 <= self.vmax_min <= self.vmax_max < math.inf:
-            hard.append("vmax bounds must satisfy 0 <= min <= max < inf")
-        if self.tau_a <= 0.0 or self.vs <= 0.0 or self.mobility_dt <= 0.0:
-            hard.append("tau_a, vs and mobility_dt must be positive")
-        # every hop takes d / vs: NaN delivers nothing, and at inf an ack
-        # lands at the instant of its send
-        if not self.vs < math.inf:
-            hard.append("vs must be finite, got %g" % self.vs)
-        # a period or packet gap too short to move the clock at `duration`
-        # would repeat its event forever at one instant
-        if math.isfinite(self.duration):
-            timers = ["t_sync", "mobility_dt", "tau_a", "inter_arrival_min"]
-            if self.policy == "beacon-prr-like":
-                timers.append("beacon_period")
-            for name in timers:
-                p = getattr(self, name)
-                if not (p < math.inf and self.duration + p > self.duration):
-                    hard.append("%s must be finite and move the clock at duration %g, got %g"
-                                % (name, self.duration, p))
-        # a NaN or +inf receive floor clears no link budget, and one below 0
-        # accepts a received strength outside the rewards' [0, 1] ratio; a
-        # NaN or +inf route margin leaves no link to route over; a NaN or
-        # infinite gaussian_accel moves a node to (nan, nan)
-        for name in ("proc_delay", "t_hop", "session_start_max", "min_rcv", "route_margin",
-                     "gaussian_accel"):
-            p = getattr(self, name)
-            if not 0.0 <= p < math.inf:
-                hard.append("%s must be finite and >= 0, got %g" % (name, p))
-        # a receiver pays rx_cost_fraction of a minimum-level send to listen,
-        # and a charge of 0 J or less counts as unpaid, so nothing is received;
-        # a flood books min(its messages, broadcast_cost_cap) as investment;
-        # zones tile the arena, so it must have an area
-        for name in ("bitrate", "payload_bytes", "rx_cost_fraction", "broadcast_cost_cap",
-                     "arena_width", "arena_height"):
-            p = getattr(self, name)
-            if not 0.0 < p < math.inf:
-                hard.append("%s must be finite and positive, got %g" % (name, p))
-        # a NaN or infinite attenuation prior, or an infinite channel
-        # coefficient, clears no link budget
-        if not -math.inf < self.prior_sig_atn < math.inf:
-            hard.append("prior_sig_atn must be finite, got %g" % self.prior_sig_atn)
-        if not 0.0 < self.alpha_min <= self.alpha_max < math.inf:
-            hard.append("alpha range must satisfy 0 < min <= max < inf")
         if self.zones in VALID_ZONE_COUNTS and self.nodes >= 1:
             per_zone = self.nodes / self.zones
             if not 5.0 <= per_zone <= 150.0:
@@ -173,26 +182,6 @@ class ScenarioConfig:
         if (self.arena_width, self.arena_height) != (2000.0, 2000.0):
             soft.append(
                 "arena must be 2000x2000 m, got %gx%g" % (self.arena_width, self.arena_height)
-            )
-        if self.radio_range_min < 10.0 or self.radio_range_max > 40.0:
-            soft.append(
-                "radio range must lie in [10, 40] m, got [%g, %g]"
-                % (self.radio_range_min, self.radio_range_max)
-            )
-        if self.energy_min < 20.0 or self.energy_max > 50.0:
-            soft.append(
-                "initial energy must lie in [20, 50] J, got [%g, %g]"
-                % (self.energy_min, self.energy_max)
-            )
-        if self.level_count_min < 1 or self.level_count_max > 25:
-            soft.append(
-                "power level count must lie in [1, 25], got [%d, %d]"
-                % (self.level_count_min, self.level_count_max)
-            )
-        if self.inter_arrival_min < 0.05 or self.inter_arrival_max > 0.2:
-            soft.append(
-                "inter-arrival bounds must lie in [0.05, 0.2] s, got [%g, %g]"
-                % (self.inter_arrival_min, self.inter_arrival_max)
             )
         if self.mx_atmpt not in (3, 4):
             soft.append("mx_atmpt must be 3 or 4, got %d" % self.mx_atmpt)

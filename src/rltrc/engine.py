@@ -648,7 +648,7 @@ class Simulator:
         sender = self.nodes[node]
         if sender.residual_energy <= 0.0:
             for qp in rt.queue:
-                self._drop_queued(qp.pid, "node-death")
+                self._drop_queued(qp.pid, "dropped-node-death")
             rt.queue.clear()
             return
         if rt.inflight is not None or not rt.queue:
@@ -656,13 +656,13 @@ class Simulator:
         qp = rt.queue[0]
         sn = self.sessions[qp.session]
         if not sn.live:
-            self._drop_head(node, rt, "session-failed")
+            self._drop_head(node, rt, "dropped-session-failed")
             return
         succ = sn.next_hop.get(node)
         if succ is None:
             if node == sn.src or not sn.next_hop:
                 return  # waiting for a route; install resolves this queue
-            self._drop_head(node, rt, "route-invalidated")
+            self._drop_head(node, rt, "dropped-route-invalidated")
             return
         entry = rt.links[succ]  # made by the route reply that set next_hop
         if self._rltrc:
@@ -841,7 +841,7 @@ class Simulator:
         elif node in sn.next_hop:
             self._link_failure(node, sn, row.action, cfg.tau_a)
         else:
-            self._drop_head(node, rt, "route-invalidated")
+            self._drop_head(node, rt, "dropped-route-invalidated")
 
     # -- failure / discovery ------------------------------------------------
 
@@ -895,7 +895,7 @@ class Simulator:
         rec = self.carried[qp.pid]
         inv_e, inv_t = rec.inv_e, rec.inv_t
         rec.inv_e = rec.inv_t = 0.0
-        self._drop_queued(qp.pid, "link-breakage")
+        self._drop_queued(qp.pid, "dropped-link-breakage")
         # breakage notice travels back to the source at max level
         hops = list(sn.next_hop)
         back_hops = hops.index(node)
@@ -1071,7 +1071,8 @@ class Simulator:
                 sn.holders.discard(nid)
                 continue
             if nid not in sn.next_hop:
-                self._withdraw(rt, sid, "route-invalidated", rt.inflight and rt.inflight.pid)
+                held = rt.inflight and rt.inflight.pid
+                self._withdraw(rt, sid, "dropped-route-invalidated", held)
             if rt.queue:
                 self._push(self.t + self.cfg.proc_delay, self._on_send_attempt, nid)
 
@@ -1081,7 +1082,7 @@ class Simulator:
         sn.next_hop = {}
         runtime = self.runtime
         for nid in sorted(sn.holders):
-            self._withdraw(runtime[nid], sn.id, "session-failed")
+            self._withdraw(runtime[nid], sn.id, "dropped-session-failed")
         sn.holders.clear()
         self._push(self.t, self._on_session_end, sn.id)
 
@@ -1098,25 +1099,25 @@ class Simulator:
         if not rec.holds:
             del self.carried[pid]
 
-    def _drop_queued(self, pid: int, cause: str) -> None:
+    def _drop_queued(self, pid: int, status: str) -> None:
         """A holder drops its queue entry of pid; a packet not yet final
-        ends dropped for `cause`."""
+        ends in `status`, one of the dropped-* PACKET_STATUSES."""
         stat = self.ledger.packets[pid]
         if stat.status == "pending":
-            stat.status = "dropped-" + cause
+            stat.status = status
         self._release(pid)
 
-    def _drop_head(self, node: int, rt: NodeRuntime, cause: str) -> None:
+    def _drop_head(self, node: int, rt: NodeRuntime, status: str) -> None:
         """Drop the packet at the head of node's queue and try the next one."""
-        self._drop_queued(rt.queue.pop(0).pid, cause)
+        self._drop_queued(rt.queue.pop(0).pid, status)
         self._push(self.t, self._on_send_attempt, node)
 
-    def _withdraw(self, rt: NodeRuntime, sid: int, cause: str, held: int | None = None) -> None:
+    def _withdraw(self, rt: NodeRuntime, sid: int, status: str, held: int | None = None) -> None:
         """Drop every packet of session sid from a queue but the pid `held`."""
         keep = []
         for q in rt.queue:
             if q.session == sid and q.pid != held:
-                self._drop_queued(q.pid, cause)
+                self._drop_queued(q.pid, status)
             else:
                 keep.append(q)
         rt.queue = keep

@@ -3,7 +3,8 @@ from dataclasses import fields
 
 import pytest
 
-from rltrc.config import ConfigError, ScenarioConfig, load_config, parse_config
+from rltrc.config import (_FIELD_RANGES, _PAIRS, _TIMERS, ConfigError, ScenarioConfig, load_config,
+                          parse_config)
 from rltrc.engine import Simulator
 from rltrc.metrics import invariant_problems
 from rltrc.scenarios import scenario
@@ -76,21 +77,22 @@ class TestRangeValidation:
         ({"policy": "greedy"},
          "policy must be one of ['rl-trc', 'fixed-max', 'odtpc-like', 'beacon-rssi-like',"
          " 'beacon-prr-like'], got 'greedy'"),
-        ({"duration": -1.0}, "duration must be >= 0, got -1"),
+        ({"duration": -1.0}, "duration must be finite and >= 0, got -1"),
         # no node count below 1 leaves 2 mobile nodes, so both messages show
         ({"nodes": 0}, ["nodes must be >= 1, got 0",
                         "nodes=0 leaves fewer than 2 mobile nodes after 6 peripherals"]),
         ({"sessions": -1}, "sessions must be >= 0, got -1"),
-        ({"level_count_min": 11}, "level counts must satisfy 0 < min <= max"),
+        ({"level_count_min": 11}, "level counts must satisfy 0 < min <= max < inf"),
         ({"level_value_min": 30.0}, "level values must satisfy 0 < min < max < inf"),
-        ({"radio_range_min": 45.0}, "radio ranges must satisfy 0 < min <= max"),
+        ({"radio_range_min": 45.0}, "radio ranges must satisfy 0 < min <= max < inf"),
         ({"nodes": 7, "override": True},
          "nodes=7 leaves fewer than 2 mobile nodes after 6 peripherals"),
         ({"route_margin": -1.0}, "route_margin must be finite and >= 0, got -1"),
         ({"energy_min": 60.0}, "energies must satisfy 0 < min <= max < inf"),
-        ({"inter_arrival_min": 0.3}, "inter-arrival bounds must satisfy 0 < min <= max"),
+        ({"inter_arrival_min": 0.3},
+         "inter-arrival bounds must satisfy 0 < min <= max < inf"),
         ({"vmax_min": 5.0}, "vmax bounds must satisfy 0 <= min <= max < inf"),
-        ({"vs": 0.0}, "tau_a, vs and mobility_dt must be positive"),
+        ({"vs": 0.0}, "vs must be finite and positive, got 0"),
         ({"alpha_min": 0.0}, "alpha range must satisfy 0 < min <= max < inf"),
         ({"nodes": 500}, "nodes per zone must lie in [5, 150], got 167 (500 nodes / 3 zones)"),
         ({"arena_width": 500.0}, "arena must be 2000x2000 m, got 500x2000"),
@@ -131,7 +133,7 @@ class TestRangeValidation:
         ({"gaussian_accel": math.nan}, "gaussian_accel must be finite and >= 0, got nan"),
         ({"gaussian_accel": -math.inf}, "gaussian_accel must be finite and >= 0, got -inf"),
         ({"gaussian_accel": -1.0}, "gaussian_accel must be finite and >= 0, got -1"),
-        ({"vs": math.inf}, "vs must be finite, got inf"),
+        ({"vs": math.inf}, "vs must be finite and positive, got inf"),
     ])
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]
@@ -147,14 +149,18 @@ class TestRangeValidation:
         ({"tau_a": math.inf}, "tau_a must be finite and move the clock at duration 60, got inf"),
         ({"inter_arrival_min": 1e-300, "inter_arrival_max": 1e-300, "override": True},
          "inter_arrival_min must be finite and move the clock at duration 60, got 1e-300"),
-        ({"duration": math.inf}, "duration must be finite, got inf"),
-        ({"duration": math.nan}, "duration must be finite, got nan"),
+        ({"duration": math.inf}, "duration must be finite and >= 0, got inf"),
+        ({"duration": math.nan}, "duration must be finite and >= 0, got nan"),
         ({"session_start_max": -1.0}, "session_start_max must be finite and >= 0, got -1"),
         ({"proc_delay": -0.001}, "proc_delay must be finite and >= 0, got -0.001"),
         ({"proc_delay": math.nan}, "proc_delay must be finite and >= 0, got nan"),
         ({"t_hop": -0.001}, "t_hop must be finite and >= 0, got -0.001"),
         ({"bitrate": 0.0}, "bitrate must be finite and positive, got 0"),
         ({"payload_bytes": math.inf}, "payload_bytes must be finite and positive, got inf"),
+        # tau_a and mobility_dt at or below 0 were once one grouped message
+        ({"tau_a": 0.0}, "tau_a must be finite and move the clock at duration 60, got 0"),
+        ({"mobility_dt": -1.0},
+         "mobility_dt must be finite and move the clock at duration 60, got -1"),
     ])
     def test_timer_that_cannot_run_is_rejected(self, overrides, message):
         # each config passes the older checks, then hangs, raises or
@@ -171,7 +177,7 @@ class TestRangeValidation:
         ({"prior_sig_atn": math.nan}, "prior_sig_atn must be finite, got nan"),
         ({"prior_sig_atn": math.inf}, "prior_sig_atn must be finite, got inf"),
         ({"prior_sig_atn": -math.inf}, "prior_sig_atn must be finite, got -inf"),
-        ({"vs": math.nan}, "vs must be finite, got nan"),
+        ({"vs": math.nan}, "vs must be finite and positive, got nan"),
         ({"route_margin": math.nan}, "route_margin must be finite and >= 0, got nan"),
         ({"route_margin": math.inf}, "route_margin must be finite and >= 0, got inf"),
         ({"alpha_max": math.inf}, "alpha range must satisfy 0 < min <= max < inf"),
@@ -180,6 +186,44 @@ class TestRangeValidation:
         # each config passes the older checks, then runs with no packet
         # received or none sent at all; only validate runs here
         assert ScenarioConfig(**overrides).validate() == [message]
+
+    @pytest.mark.parametrize("overrides, message", [
+        # at inf every signal arrives at full power at any distance
+        ({"noise_spread": math.nan}, "noise_spread must be finite and >= 0, got nan"),
+        ({"noise_spread": math.inf}, "noise_spread must be finite and >= 0, got inf"),
+        ({"noise_spread": -1.0}, "noise_spread must be finite and >= 0, got -1"),
+        ({"pause_max": math.nan}, "pause_max must be finite and >= 0, got nan"),
+        ({"pause_max": -1.0}, "pause_max must be finite and >= 0, got -1"),
+        ({"t_net": math.nan}, "t_net must be finite and >= 0, got nan"),
+        ({"t_net": -1.0}, "t_net must be finite and >= 0, got -1"),
+        ({"rssi_high": math.nan}, "rssi_high must be finite, got nan"),
+        ({"rssi_low": math.inf}, "rssi_low must be finite, got inf"),
+        ({"radio_range_max": math.inf, "override": True},
+         "radio ranges must satisfy 0 < min <= max < inf"),
+        ({"inter_arrival_max": math.inf, "override": True},
+         "inter-arrival bounds must satisfy 0 < min <= max < inf"),
+        ({"peripherals_per_zone": -1}, "peripherals_per_zone must be >= 0, got -1"),
+        ({"mx_atmpt": 0, "override": True}, "mx_atmpt must be >= 1, got 0"),
+        ({"beacon_period": math.nan},
+         "beacon_period must be finite and move the clock at duration 60, got nan"),
+    ])
+    def test_value_without_physical_meaning_is_rejected(self, overrides, message):
+        # validate used to pass each of these, and desk-compare then ran
+        # without an error
+        assert ScenarioConfig(**overrides).validate() == [message]
+
+    def test_collect_at_every_sync_stays_valid(self):
+        assert ScenarioConfig(t_net=0.0).validate() == []
+
+    def test_every_numeric_field_has_one_range(self):
+        singles = [name for _, _, names in _FIELD_RANGES for name in names]
+        pairs = [name for row in _PAIRS for name in row[:2]]
+        ranged = set(singles) | set(pairs) | set(_TIMERS)
+        numeric = {f.name for f in fields(ScenarioConfig) if f.type in ("int", "float")}
+        assert ranged <= numeric
+        assert len(singles + pairs) == len(set(singles + pairs))
+        # zones is checked against VALID_ZONE_COUNTS; every seed is valid
+        assert numeric - ranged == {"zones", "seed"}
 
     def test_zero_receive_floor_and_small_cap_pass(self):
         assert ScenarioConfig(min_rcv=0.0, broadcast_cost_cap=1e-9).validate() == []

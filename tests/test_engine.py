@@ -1022,3 +1022,12 @@ def test_random_configs_keep_the_run_invariants():
         deaths += sum(p.status == "dropped-node-death" for p in sim.ledger.packets.values())
     # the near-zero batteries really reach the node-death branch
     assert deaths > 0
+
+
+# the second run's small batteries reach every drop status, node deaths included
+@pytest.mark.parametrize("overrides", [{}, {"energy_min": 0.05, "energy_max": 3.0}])
+def test_each_packet_status_is_one_shared_string(overrides):
+    sim = Simulator(scenario("desk-converge", seed=1, **overrides))
+    sim.run()
+    statuses = [p.status for p in sim.ledger.packets.values()]
+    assert len({id(s) for s in statuses}) == len(set(statuses)) >= 4

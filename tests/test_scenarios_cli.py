@@ -139,12 +139,18 @@ class TestCli:
         assert main(["run", "--config", str(bad)]) == 1
         assert "zones" in capsys.readouterr().err
 
-    def test_nan_arena_width_exits_one(self, tmp_path, capsys):
-        # validate used to pass it, and the run then divided by zero
-        bad = tmp_path / "nan.cfg"
-        bad.write_text("arena_width = nan\noverride = true\n", encoding="utf-8")
+    @pytest.mark.parametrize("text, message", [
+        # validate used to pass these: the first run divided by zero, and
+        # the second received every signal at full power at any distance
+        ("arena_width = nan\noverride = true\n",
+         "arena_width must be finite and positive, got nan"),
+        ("noise_spread = inf\n", "noise_spread must be finite and >= 0, got inf"),
+    ], ids=["arena_width", "noise_spread"])
+    def test_nan_arena_width_exits_one(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(bad)]) == 1
-        assert "arena_width must be finite and positive, got nan" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_unknown_scenario_exits_one(self, capsys):
         assert main(["run", "--scenario", "nope"]) == 1
