@@ -173,10 +173,12 @@ class ScenarioConfig:
                 % (self.nodes, peripherals)
             )
         if self.zones in VALID_ZONE_COUNTS and self.nodes >= 1:
-            per_zone = self.nodes / self.zones
-            if not 5.0 <= per_zone <= 150.0:
+            # in integers: nodes / zones overflows a float beyond float range
+            if not 5 * self.zones <= self.nodes <= 150 * self.zones:
+                per_zone = ("%.3g" % (self.nodes / self.zones) if self.nodes < 1e300
+                            else _show(self.nodes // self.zones))
                 soft.append(
-                    "nodes per zone must lie in [5, 150], got %.3g (%d nodes / %d zones)"
+                    "nodes per zone must lie in [5, 150], got %s (%d nodes / %d zones)"
                     % (per_zone, self.nodes, self.zones)
                 )
         if (self.arena_width, self.arena_height) != (2000.0, 2000.0):

@@ -1,23 +1,28 @@
 """Run ledger, the seven summary metrics, windowed waste series, CSV output.
 
-The ledger is append-only during a run. Energy rows are joules and drive EC
-plus the conservation check. Waste and investment rows are in the protocol's
+The ledger is append-only during a run. Debits are joules and drive the
+conservation check. Waste and investment rows are in the protocol's
 abstract units (power levels, broadcast message counts, seconds) and drive
 AWE/AWT; utilized = invested - wasted, so AWE = 100 * wasted / invested.
 
-The three row logs are stored column by column (`RowLog`): floats in
-`array('d')`, ids in `array('i')` and debit kinds as a list of the engine's
-interned strings, so a row costs a few dozen bytes and no object per field.
-Readers ask the ledger for counts and exact sums instead of iterating its
-rows, and `invariant_problems` checks that a finished run's books balance.
+Debits are not kept as rows: the `DebitBook` holds their count and, per
+node, a few floats whose exact sum is the exact sum of the joules booked to
+that node, so it stays the same size however long the run. The two zone
+logs are stored column by column (`RowLog`): times, energies and seconds in
+`array('d')` and zone ids in `array('i')`, so a row costs 28 bytes and no
+object per field. Readers ask the ledger for counts and exact sums instead
+of iterating its rows, and `invariant_problems` checks that a finished
+run's books balance.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 
 CSV_VERSION_HEADER = "# rltrc metrics v1"
@@ -60,33 +65,22 @@ ATTEMPT_OUTCOMES = frozenset(("pending", "ack", "timeout", "blocked"))
 
 
 class RowLog:
-    """An append-only table of 4-field rows, stored one column per field.
-
-    `typecodes` gives each column's `array` typecode; None makes the column
-    a list (for strings). `len` counts rows and iteration yields each row as
-    a tuple in append order.
+    """An append-only table of (t, zone, energy, seconds) rows, stored one
+    column per field. `len` counts rows and iteration yields each row as a
+    tuple in append order.
     """
 
     __slots__ = ("columns",)
 
-    def __init__(self, typecodes: tuple[str | None, ...]):
-        self.columns = tuple(array(tc) if tc else [] for tc in typecodes)
+    def __init__(self):
+        self.columns = (array("d"), array("i"), array("d"), array("d"))
 
-    def append(self, a, b, c, d) -> None:
-        ca, cb, cc, cd = self.columns
-        ca.append(a)
-        cb.append(b)
-        cc.append(c)
-        cd.append(d)
-
-    def extend(self, a: list, b: list, c: list, d: list) -> None:
-        """Append the rows (a[i], b[i], c[i], d[i]) in order; the four
-        lists have one entry per row."""
-        for column, values in zip(self.columns, (a, b, c, d)):
-            if isinstance(column, array):
-                column.fromlist(values)  # array.extend takes each item in turn, 2x slower
-            else:
-                column.extend(values)
+    def append(self, t: float, zone: int, energy: float, seconds: float) -> None:
+        ct, cz, ce, cs = self.columns
+        ct.append(t)
+        cz.append(zone)
+        ce.append(energy)
+        cs.append(seconds)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -95,38 +89,81 @@ class RowLog:
         return zip(*self.columns)
 
 
-def _debit_log() -> RowLog:
-    return RowLog(("d", "i", None, "d"))     # t, node, kind, joules
+# debits booked between two folds of a `DebitBook`: at most 512 KB of
+# buffered joules. A fold sums each buffered debit about three times (some
+# 70 ns a debit), so folds are kept rare: a run that books fewer debits
+# never folds.
+DEBIT_FOLD = 1 << 16
 
 
-def _zone_log() -> RowLog:
-    return RowLog(("d", "i", "d", "d"))      # t, zone, energy, seconds
+class DebitBook:
+    """How many debits a run booked, and the exact joules per node.
+
+    `paid[node]` is an `array('d')` that the ledger appends each of the
+    node's debits to. `fold` replaces every buffer by the partials of its
+    exact sum (Shewchuk, "Adaptive Precision Floating-Point Arithmetic",
+    1997): s = fsum(buf), keep s, append -s to buf and repeat until the
+    fsum is 0. The kept floats sum exactly to what the buffer held, and
+    `fsum` rounds the exact sum once, so an fsum over a node's buffer, or
+    over all of them, gives the float an fsum over every debit row would.
+    `len` counts debits.
+    """
+
+    __slots__ = ("count", "due", "paid")
+
+    def __init__(self):
+        self.count = 0
+        self.due = DEBIT_FOLD     # the count at which the ledger calls `fold`
+        self.paid: defaultdict[int, array] = defaultdict(partial(array, "d"))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def fold(self) -> None:
+        paid = self.paid
+        for node, buf in paid.items():
+            parts = []
+            s = math.fsum(buf)
+            if not math.isfinite(s):
+                continue    # inf or nan has no partials; the buffer keeps it
+            while s:
+                parts.append(s)
+                buf.append(-s)
+                s = math.fsum(buf)
+            paid[node] = array("d", parts)
+        self.due = self.count + DEBIT_FOLD
 
 
 @dataclass
 class MetricsLedger:
     initial_energy: dict[int, float] = field(default_factory=dict)
     final_energy: dict[int, float] = field(default_factory=dict)
-    debits: RowLog = field(default_factory=_debit_log)
+    debits: DebitBook = field(default_factory=DebitBook)
     message_count: int = 0
     packets: dict[int, PacketStat] = field(default_factory=dict)
     attempts: list[AttemptRow] = field(default_factory=list)
-    waste_rows: RowLog = field(default_factory=_zone_log)
-    invest_rows: RowLog = field(default_factory=_zone_log)
+    waste_rows: RowLog = field(default_factory=RowLog)
+    invest_rows: RowLog = field(default_factory=RowLog)
     duration: float = 0.0
 
     def record_debit(self, t: float, node: int, kind: str, joules: float) -> None:
-        # the hottest append of a run, so it skips `RowLog.append`'s call
-        ct, cn, ck, cj = self.debits.columns
-        ct.append(t)
-        cn.append(node)
-        ck.append(kind)
-        cj.append(joules)
+        # the hottest call of a run: one lookup, one append, one add, one
+        # compare; the book keeps neither `t` nor `kind`
+        book = self.debits
+        book.paid[node].append(joules)
+        book.count += 1
+        if book.count >= book.due:
+            book.fold()
 
     def record_debits(self, t: float, nodes: list[int], kind: str, joules: list[float]) -> None:
         """`record_debit(t, nodes[i], kind, joules[i])` for each i in order."""
-        n = len(nodes)
-        self.debits.extend([t] * n, nodes, [kind] * n, joules)
+        book = self.debits
+        # paid[nodes[i]].append(joules[i]) for each i, looped in C (the
+        # `consume` recipe of itertools); a Python loop is a third slower
+        deque(map(array.append, map(book.paid.__getitem__, nodes), joules), maxlen=0)
+        book.count += len(nodes)
+        if book.count >= book.due:
+            book.fold()
 
     def count_message(self, n: int = 1) -> None:
         self.message_count += n
@@ -145,18 +182,15 @@ class MetricsLedger:
             cs.append(time)
 
     def total_debits(self) -> float:
-        return math.fsum(self.debits.columns[3])
+        return math.fsum(chain.from_iterable(self.debits.paid.values()))
 
     @property
     def debit_count(self) -> int:
-        return len(self.debits)
+        return self.debits.count
 
     def energy_by_node(self) -> dict[int, float]:
         """Joules debited from each node that paid any, an exact sum each."""
-        paid = defaultdict(list)
-        for _t, node, _kind, joules in self.debits:
-            paid[node].append(joules)
-        return {node: math.fsum(js) for node, js in paid.items()}
+        return {node: math.fsum(buf) for node, buf in self.debits.paid.items()}
 
     def zone_sums(self) -> dict[int, tuple[float, float, float, float]]:
         """Per zone with any row: (waste energy, waste time, investment

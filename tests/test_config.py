@@ -134,6 +134,10 @@ class TestRangeValidation:
         ({"gaussian_accel": -math.inf}, "gaussian_accel must be finite and >= 0, got -inf"),
         ({"gaussian_accel": -1.0}, "gaussian_accel must be finite and >= 0, got -1"),
         ({"vs": math.inf}, "vs must be finite and positive, got inf"),
+        # nodes / zones overflowed a float and raised OverflowError
+        pytest.param({"nodes": 10 ** 400},
+                     "nodes per zone must lie in [5, 150], got %d (%d nodes / 3 zones)"
+                     % (10 ** 400 // 3, 10 ** 400), id="nodes-beyond-float-range"),
     ])
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]

@@ -9,11 +9,14 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import oracle_waste_fraction
+from oracles import LedgerSpy, oracle_waste_fraction
 
+from rltrc import metrics
 from rltrc.metrics import (
     CSV_VERSION_HEADER,
+    DEBIT_FOLD,
     AttemptRow,
+    DebitBook,
     MetricsLedger,
     PacketStat,
     RowLog,
@@ -47,10 +50,10 @@ def ledger_with(
     return led
 
 
-def awkward_amount(rng):
-    """A positive float of any magnitude, often a decimal with no exact
-    binary form, so that summation order and rounding show."""
-    return rng.choice([0.1, 0.3, 0.7, rng.random()]) * 10.0 ** rng.randint(-9, 9)
+def awkward_amount(rng, low=-9, high=9):
+    """A positive float of magnitude 10**low to 10**high, often a decimal
+    with no exact binary form, so that summation order and rounding show."""
+    return rng.choice([0.1, 0.3, 0.7, rng.random()]) * 10.0 ** rng.randint(low, high)
 
 
 def random_rows(rng, n, duration):
@@ -79,31 +82,25 @@ def series_of_rows(waste, invest, duration, window_len):
 
 
 class TestRowLog:
-    ROWS = [(0.5, 3, "tx", 0.1), (1.25, 0, "rx", 2e-9), (1.25, 7, "flood", 3.0e4)]
+    ROWS = [(0.5, 3, 0.1, 2.0), (1.25, 0, 2e-9, 0.0), (1.25, 7, 3.0e4, 0.25)]
 
     def table(self):
-        rows = RowLog(("d", "i", None, "d"))
+        rows = RowLog()
         for row in self.ROWS:
             rows.append(*row)
         return rows
 
     def test_len_and_iteration(self):
         rows = self.table()
-        assert len(rows) == 3 and len(RowLog(("d", "i", "d", "d"))) == 0
+        assert len(rows) == 3 and len(RowLog()) == 0
         assert list(rows) == self.ROWS
         assert list(rows) == self.ROWS  # iterating again starts over
-
-    def test_extend_matches_appending_each_row(self):
-        rows = RowLog(("d", "i", None, "d"))
-        rows.extend(*(list(column) for column in zip(*self.ROWS)))
-        rows.extend([], [], [], [])
-        assert list(rows) == list(self.table()) == self.ROWS
 
     def test_deepcopy_is_equal_and_independent(self):
         rows = self.table()
         clone = copy.deepcopy(rows)
         assert list(clone) == list(rows)
-        clone.append(9.0, 1, "beacon", 1.0)
+        clone.append(9.0, 1, 1.0, 0.5)
         assert len(clone) == 4 and list(rows) == self.ROWS
 
     def test_sums_match_fsum_over_tuples_bit_for_bit(self):
@@ -126,18 +123,76 @@ class TestRowLog:
             assert windowed_waste_series(led, window) == series_of_rows(
                 waste, invest, duration, window)
 
-    def test_a_debit_row_costs_at_most_48_bytes(self):
+
+def book_debits(led, rng, count, nodes, magnitudes):
+    """Book at least `count` debits of awkward amounts to `nodes`, as a mix
+    of single debits and batches of 1-40 (a node may repeat in a batch)."""
+    booked = 0
+    while booked < count:
+        t = booked * 0.01
+        if rng.random() < 0.5:
+            led.record_debit(t, rng.choice(nodes), "tx", awkward_amount(rng, *magnitudes))
+            booked += 1
+        else:
+            batch = [rng.choice(nodes) for _ in range(rng.randint(1, 40))]
+            led.record_debits(t, batch, "flood",
+                              [awkward_amount(rng, *magnitudes) for _ in batch])
+            booked += len(batch)
+
+
+class TestDebitBook:
+    def test_answers_stay_exact_across_folds(self, monkeypatch):
+        """Count, total and per-node joules equal len and fsum over every
+        row booked, bit for bit, after at least three folds. Most trials
+        fold every 64 debits; the last uses the ledger's own spacing."""
+        folds = []
+        fold = DebitBook.fold
+        monkeypatch.setattr(DebitBook, "fold", lambda book: (folds.append(book), fold(book)))
+        rng = random.Random(22)
+        for trial in range(31):
+            real = trial == 30
+            monkeypatch.setattr(metrics, "DEBIT_FOLD", DEBIT_FOLD if real else 64)
+            led = MetricsLedger()
+            spy = LedgerSpy(led)
+            nodes = rng.sample(range(50), 4)
+            interval = metrics.DEBIT_FOLD
+            folds.clear()
+            # a batch overshoots a fold by at most 39 debits
+            book_debits(led, rng, 3 * (interval + 40) + rng.randrange(interval), nodes, (-12, 12))
+            assert len(folds) >= 3
+            rows = spy.debit_calls
+            assert led.debit_count == len(led.debits) == len(rows)
+            assert led.total_debits() == math.fsum(r[3] for r in rows)
+            paid = led.energy_by_node()
+            assert paid == {n: math.fsum(r[3] for r in rows if r[1] == n) for n in nodes}
+            assert list(paid) == list(dict.fromkeys(r[1] for r in rows))  # first-paid order
+
+    def test_memory_stays_flat_past_the_first_folds(self):
+        """100 000 to 300 000 debits over 100 nodes: the book's heap grows by
+        less than a fixed bound, where a row per debit took 5.6 MB. The
+        buffers never hold DEBIT_FOLD joules (512 KB) at once."""
+        rng = random.Random(23)
+        amounts = [awkward_amount(rng) for _ in range(997)]
+        batch_nodes = [rng.randrange(100) for _ in range(30)]
+        batch_joules = amounts[:30]
         led = MetricsLedger()
+
+        def book(start, stop):
+            for i in range(start, stop, 50):  # 20 single debits and a batch of 30
+                for k in range(i, i + 20):
+                    led.record_debit(0.0, k % 100, "tx", amounts[k % 997])
+                led.record_debits(0.0, batch_nodes, "flood", batch_joules)
+
         tracemalloc.start()
         try:
+            book(0, 100_000)
             before = tracemalloc.get_traced_memory()[0]
-            for i in range(10_000):
-                led.record_debit(i * 0.01, i % 100, "tx", i * 1e-6 + 0.1)
+            book(100_000, 300_000)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert led.debit_count == 10_000
-        assert grown <= 48 * 10_000
+        assert led.debit_count == 300_000
+        assert grown < 600_000
 
 
 class TestLedgerAnswers:
@@ -164,11 +219,15 @@ class TestLedgerAnswers:
     def test_batched_debits_book_the_rows_of_single_debits(self):
         nodes, joules = [4, 0, 9, 4], [0.25, 1e-9, 3.0e4, 0.5]
         single, batched = MetricsLedger(), MetricsLedger()
+        single_spy, batched_spy = LedgerSpy(single), LedgerSpy(batched)
         for node, paid in zip(nodes, joules):
             single.record_debit(2.5, node, "flood", paid)
         batched.record_debits(2.5, nodes, "flood", joules)
-        assert list(batched.debits) == list(single.debits)
-        assert batched.energy_by_node() == single.energy_by_node()
+        assert batched_spy.debit_calls == single_spy.debit_calls
+        assert batched.debit_count == single.debit_count == 4
+        assert batched.total_debits() == single.total_debits() == math.fsum(joules)
+        assert batched.energy_by_node() == single.energy_by_node() == {
+            4: 0.75, 0: 1e-9, 9: 3.0e4}
 
     def test_outcome_counts(self):
         led = MetricsLedger()

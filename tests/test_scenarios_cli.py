@@ -145,7 +145,9 @@ class TestCli:
         ("arena_width = nan\noverride = true\n",
          "arena_width must be finite and positive, got nan"),
         ("noise_spread = inf\n", "noise_spread must be finite and >= 0, got inf"),
-    ], ids=["arena_width", "noise_spread"])
+        # nodes / zones used to overflow a float and raise OverflowError
+        ("nodes = 1" + "0" * 400 + "\n", "nodes per zone must lie in [5, 150], got 3333"),
+    ], ids=["arena_width", "noise_spread", "nodes"])
     def test_nan_arena_width_exits_one(self, text, message, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text, encoding="utf-8")
