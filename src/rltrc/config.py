@@ -68,6 +68,13 @@ _PAIRS = (
 # finite `duration` would repeat its event forever at one instant.
 _TIMERS = ("t_sync", "mobility_dt", "tau_a", "inter_arrival_min", "beacon_period")
 
+# Counts the world builds one object or power level each for, capped far
+# above every canned and scale world (3 200 nodes with 200 sessions, 10
+# levels) so that an accepted config fits in memory, 10^7 power levels at
+# most; override=true keeps the caps. Node and session ids then also fit
+# the ledger's 32-bit columns.
+_CAPS = (("nodes", 100_000), ("sessions", 10_000), ("level_count_max", 100))
+
 
 def _show(value) -> str:
     # "%g" overflows on an int beyond float range
@@ -134,8 +141,9 @@ class ScenarioConfig:
         """All range violations, empty when the config is runnable.
 
         Every field is checked against its row in _FIELD_RANGES, _PAIRS or
-        _TIMERS, plus the few rules that join fields. Published-range
-        problems are waived by override=true; the rest are always errors.
+        _TIMERS, and the counts against _CAPS, plus the few rules that join
+        fields. Published-range problems are waived by override=true; the
+        rest are always errors.
         """
         hard: list[str] = []
         soft: list[str] = []
@@ -149,6 +157,10 @@ class ScenarioConfig:
                 value = getattr(self, name)
                 if not holds(value):
                     hard.append("%s must be %s, got %s" % (name, domain, _show(value)))
+        for name, cap in _CAPS:
+            value = getattr(self, name)
+            if value > cap:
+                hard.append("%s must be <= %d, got %s" % (name, cap, _show(value)))
         for lo_name, hi_name, label, rule, published in _PAIRS:
             lo, hi = getattr(self, lo_name), getattr(self, hi_name)
             if not _PAIR_RULES[rule](lo, hi):

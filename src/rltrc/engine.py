@@ -557,6 +557,7 @@ class Simulator:
         Sigma reads only a zone's reward and the network's cached reward, and
         a sender's zone changes only in `assign_zones`; all three change only
         here, so each zone's sigma is worked out once, at the end of the tick.
+        Last, the ledger folds the hop attempts that have settled.
         """
         assign_zones(self.nodes, self.zones)
         for sn in self.sessions:
@@ -572,6 +573,7 @@ class Simulator:
                 tick = None
         cached = self.network.collect(self.t, self.zones)
         self.zone_sigma = [policy.compute_sigma(z.reward_ri, cached) for z in self.zones]
+        self.ledger.attempts.fold()
         self._push(self.t + self.cfg.t_sync, self._on_controller_sync)
 
     def _on_mobility_step(self) -> None:

@@ -10,9 +10,11 @@ node, a few floats whose exact sum is the exact sum of the joules booked to
 that node, so it stays the same size however long the run. The two zone
 logs are stored column by column (`RowLog`): times, energies and seconds in
 `array('d')` and zone ids in `array('i')`, so a row costs 28 bytes and no
-object per field. Readers ask the ledger for counts and exact sums instead
-of iterating its rows, and `invariant_problems` checks that a finished
-run's books balance.
+object per field. Hop attempts (`AttemptLog`) stay `AttemptRow` objects
+only until they settle: each controller sync folds the settled ones into
+typed columns, 37 bytes a row. Readers ask the ledger for counts and exact
+sums instead of iterating its rows, and `invariant_problems` checks that a
+finished run's books balance.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter
 
 
 CSV_VERSION_HEADER = "# rltrc metrics v1"
@@ -49,7 +52,8 @@ class AttemptRow:
     A sent row starts `pending` and becomes `ack` or `timeout`, whichever
     event reaches the sender first; one whose debit could not be paid is
     `blocked` and stays so. A row still `pending` at the end of the run had
-    its timeout fall past the duration.
+    its timeout fall past the duration. The ledger holds the row itself
+    only until a controller sync finds it settled (`AttemptLog.fold`).
     """
 
     t: float
@@ -62,6 +66,70 @@ class AttemptRow:
 
 
 ATTEMPT_OUTCOMES = frozenset(("pending", "ack", "timeout", "blocked"))
+
+# the settled outcomes, indexed by the code `AttemptLog` stores for each;
+# an attempt that is still pending can yet change, so it is never folded
+_SETTLED = ("ack", "timeout", "blocked")
+_SETTLED_CODE = {outcome: code for code, outcome in enumerate(_SETTLED)}
+_UNSETTLED = 255
+
+
+class AttemptLog:
+    """Every hop attempt of a run, in append order.
+
+    The engine appends each new `AttemptRow` to `recent` through the bound
+    `append`. `fold` moves the settled prefix of `recent`, every row up to
+    the first one that is still pending or has an outcome outside
+    ATTEMPT_OUTCOMES, into one typed column per field: t and action in
+    `array('d')`, pid in `array('q')`, session, node and successor in
+    `array('i')`, and the outcome's code in a `bytearray`. That is 37 bytes
+    a row instead of an object of about 120, so only the rows of attempts
+    that may still be on the air stay objects. `len` counts every row, and
+    iteration yields each as an `AttemptRow`, the folded ones rebuilt.
+    """
+
+    __slots__ = ("columns", "outcomes", "recent", "append")
+
+    def __init__(self):
+        self.columns = (array("d"), array("q"), array("i"), array("i"), array("i"), array("d"))
+        self.outcomes = bytearray()
+        self.recent: list[AttemptRow] = []
+        self.append = self.recent.append
+
+    # a copy's `append` must be its own list's, not the original's
+    def __getstate__(self):
+        return self.columns, self.outcomes, self.recent
+
+    def __setstate__(self, state) -> None:
+        self.columns, self.outcomes, self.recent = state
+        self.append = self.recent.append
+
+    def __len__(self) -> int:
+        return len(self.outcomes) + len(self.recent)
+
+    def __iter__(self):
+        outcomes = map(_SETTLED.__getitem__, self.outcomes)
+        return chain(map(AttemptRow, *self.columns, outcomes), self.recent)
+
+    def fold(self) -> None:
+        # the codes in one C loop, then a list comprehension per column; a
+        # Python loop with seven appends a row measured about a third slower
+        recent = self.recent
+        codes = bytes(map(_SETTLED_CODE.get, map(attrgetter("outcome"), recent),
+                          repeat(_UNSETTLED)))
+        settled = codes.find(_UNSETTLED)
+        if settled < 0:
+            settled = len(codes)
+        rows = recent[:settled]
+        del recent[:settled]
+        self.outcomes += codes[:settled]
+        ct, cp, cs, cn, cu, ca = self.columns
+        ct.fromlist([row.t for row in rows])
+        cp.fromlist([row.pid for row in rows])
+        cs.fromlist([row.session for row in rows])
+        cn.fromlist([row.node for row in rows])
+        cu.fromlist([row.successor for row in rows])
+        ca.fromlist([row.action for row in rows])
 
 
 class RowLog:
@@ -95,15 +163,21 @@ class RowLog:
 # never folds.
 DEBIT_FOLD = 1 << 16
 
+# a fold leaves a buffer shorter than this as it is: at scale most nodes pay
+# a few debits between two folds, and the fsum calls and new array of a
+# short buffer cost more than its floats. Short buffers hold under 1 KB of
+# joules per node.
+FOLD_MIN = 128
+
 
 class DebitBook:
     """How many debits a run booked, and the exact joules per node.
 
     `paid[node]` is an `array('d')` that the ledger appends each of the
-    node's debits to. `fold` replaces every buffer by the partials of its
-    exact sum (Shewchuk, "Adaptive Precision Floating-Point Arithmetic",
-    1997): s = fsum(buf), keep s, append -s to buf and repeat until the
-    fsum is 0. The kept floats sum exactly to what the buffer held, and
+    node's debits to. `fold` replaces every buffer of FOLD_MIN floats or
+    more by the partials of its exact sum (Shewchuk, "Adaptive Precision
+    Floating-Point Arithmetic", 1997): s = fsum(buf), keep s, append -s to
+    buf and repeat until the fsum is 0. The kept floats sum exactly to what the buffer held, and
     `fsum` rounds the exact sum once, so an fsum over a node's buffer, or
     over all of them, gives the float an fsum over every debit row would.
     `len` counts debits.
@@ -122,6 +196,8 @@ class DebitBook:
     def fold(self) -> None:
         paid = self.paid
         for node, buf in paid.items():
+            if len(buf) < FOLD_MIN:
+                continue
             parts = []
             s = math.fsum(buf)
             if not math.isfinite(s):
@@ -141,7 +217,7 @@ class MetricsLedger:
     debits: DebitBook = field(default_factory=DebitBook)
     message_count: int = 0
     packets: dict[int, PacketStat] = field(default_factory=dict)
-    attempts: list[AttemptRow] = field(default_factory=list)
+    attempts: AttemptLog = field(default_factory=AttemptLog)
     waste_rows: RowLog = field(default_factory=RowLog)
     invest_rows: RowLog = field(default_factory=RowLog)
     duration: float = 0.0
@@ -204,7 +280,13 @@ class MetricsLedger:
 
     def outcome_counts(self) -> Counter:
         """Hop attempts per outcome."""
-        return Counter(row.outcome for row in self.attempts)
+        log = self.attempts
+        counts = Counter(row.outcome for row in log.recent)
+        for code, outcome in enumerate(_SETTLED):
+            n = log.outcomes.count(code)
+            if n:
+                counts[outcome] += n
+        return counts
 
 
 @dataclass
@@ -306,11 +388,9 @@ def windowed_waste_series(
                                   (ledger.invest_rows, invest_e, invest_t)):
         ct, _zone, ce, cs = rows.columns
         for t, e, tm in zip(ct, ce, cs):
-            w = int(t / window_len)  # clamped into [0, last]
+            w = int(t / window_len)  # t >= 0; a row at t = duration joins the last window
             if w > last:
                 w = last
-            elif w < 0:
-                w = 0
             energy[w] += e
             seconds[w] += tm
     out = []

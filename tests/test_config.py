@@ -136,8 +136,19 @@ class TestRangeValidation:
         ({"vs": math.inf}, "vs must be finite and positive, got inf"),
         # nodes / zones overflowed a float and raised OverflowError
         pytest.param({"nodes": 10 ** 400},
-                     "nodes per zone must lie in [5, 150], got %d (%d nodes / 3 zones)"
-                     % (10 ** 400 // 3, 10 ** 400), id="nodes-beyond-float-range"),
+                     ["nodes must be <= 100000, got %d" % 10 ** 400,
+                      "nodes per zone must lie in [5, 150], got %d (%d nodes / 3 zones)"
+                      % (10 ** 400 // 3, 10 ** 400)], id="nodes-beyond-float-range"),
+        # the world builds one object per node or session and one level per
+        # power level of each node; override=true does not waive the caps
+        pytest.param({"nodes": 100_001, "override": True}, "nodes must be <= 100000, got 100001",
+                     id="nodes-over-cap"),
+        pytest.param({"sessions": 10_001, "override": True},
+                     "sessions must be <= 10000, got 10001", id="sessions-over-cap"),
+        pytest.param({"sessions": 10 ** 400},
+                     "sessions must be <= 10000, got %d" % 10 ** 400, id="sessions-beyond-float-range"),
+        pytest.param({"level_count_max": 101, "override": True},
+                     "level_count_max must be <= 100, got 101", id="level-count-over-cap"),
     ])
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]
@@ -231,6 +242,10 @@ class TestRangeValidation:
 
     def test_zero_receive_floor_and_small_cap_pass(self):
         assert ScenarioConfig(min_rcv=0.0, broadcast_cost_cap=1e-9).validate() == []
+
+    def test_counts_at_their_caps_pass(self):
+        assert ScenarioConfig(nodes=100_000, sessions=10_000, level_count_max=100,
+                              override=True).validate() == []
 
     def test_negative_receive_floor_is_rejected_before_the_run(self):
         # validate used to pass this config, and its run then raised

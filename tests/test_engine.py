@@ -699,6 +699,25 @@ class TestAttemptRows:
             if row.outcome == "pending":
                 assert row.t + cfg.tau_a > cfg.duration
 
+    def test_only_attempts_on_the_air_at_the_last_sync_stay_rows(self):
+        """Each sync folds the settled attempts, so every `AttemptRow` the
+        log still holds was sent after the oldest attempt that was on the
+        air, at most tau_a before the last sync."""
+        cfg = scenario("desk-converge")
+        sim = Simulator(cfg, seed=1)
+        sync, syncs = sim._on_controller_sync, []
+
+        def record_sync():
+            syncs.append(sim.t)
+            sync()
+
+        sim._on_controller_sync = record_sync
+        sim.run()
+        log = sim.ledger.attempts
+        assert len(syncs) == 61 and len(log) > 5000
+        assert 0 < len(log.recent) < 50
+        assert all(row.t + cfg.tau_a >= syncs[-1] for row in log.recent)
+
     def test_ack_after_timeout_is_ignored(self):
         sim = Simulator(scenario("lossless-pair"), seed=1)
         spy = LedgerSpy(sim.ledger)

@@ -147,7 +147,9 @@ class TestCli:
         ("noise_spread = inf\n", "noise_spread must be finite and >= 0, got inf"),
         # nodes / zones used to overflow a float and raise OverflowError
         ("nodes = 1" + "0" * 400 + "\n", "nodes per zone must lie in [5, 150], got 3333"),
-    ], ids=["arena_width", "noise_spread", "nodes"])
+        # a count over its hard cap, which override=true does not waive
+        ("sessions = 10001\noverride = true\n", "sessions must be <= 10000, got 10001"),
+    ], ids=["arena_width", "noise_spread", "nodes", "sessions"])
     def test_nan_arena_width_exits_one(self, text, message, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text, encoding="utf-8")
