@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .policy import BASELINE_KINDS
+
 VALID_ZONE_COUNTS = (3, 6, 9, 12)
 VALID_MOBILITY = ("random-waypoint", "random-walk", "gaussian")
-VALID_POLICIES = ("rl-trc", "fixed-max", "odtpc-like", "beacon-rssi-like", "beacon-prr-like")
+VALID_POLICIES = ("rl-trc",) + BASELINE_KINDS
 
 
 class ConfigError(ValueError):

@@ -11,8 +11,8 @@ that node, so it stays the same size however long the run. The two zone
 logs are stored column by column (`RowLog`): times, energies and seconds in
 `array('d')` and zone ids in `array('i')`, so a row costs 28 bytes and no
 object per field. Hop attempts (`AttemptLog`) stay `AttemptRow` objects
-only until they settle: each controller sync folds the settled ones into
-typed columns, 37 bytes a row. Readers ask the ledger for counts and exact
+only until they settle: each controller sync counts the settled ones per
+outcome and drops them. Readers ask the ledger for counts and exact
 sums instead of iterating its rows, and `invariant_problems` checks that a
 finished run's books balance.
 """
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, repeat, takewhile
 from operator import attrgetter
 
 
@@ -67,69 +67,56 @@ class AttemptRow:
 
 ATTEMPT_OUTCOMES = frozenset(("pending", "ack", "timeout", "blocked"))
 
-# the settled outcomes, indexed by the code `AttemptLog` stores for each;
 # an attempt that is still pending can yet change, so it is never folded
-_SETTLED = ("ack", "timeout", "blocked")
-_SETTLED_CODE = {outcome: code for code, outcome in enumerate(_SETTLED)}
-_UNSETTLED = 255
+_SETTLED = ATTEMPT_OUTCOMES - {"pending"}
+
+# what iterating an `AttemptLog` yields for a folded attempt: its outcome,
+# the one field of an attempt the ledger keeps once it has settled
+SettledAttempt = namedtuple("SettledAttempt", "outcome")
 
 
 class AttemptLog:
-    """Every hop attempt of a run, in append order.
+    """Every hop attempt of a run.
 
     The engine appends each new `AttemptRow` to `recent` through the bound
-    `append`. `fold` moves the settled prefix of `recent`, every row up to
+    `append`. `fold` counts the settled prefix of `recent`, every row up to
     the first one that is still pending or has an outcome outside
-    ATTEMPT_OUTCOMES, into one typed column per field: t and action in
-    `array('d')`, pid in `array('q')`, session, node and successor in
-    `array('i')`, and the outcome's code in a `bytearray`. That is 37 bytes
-    a row instead of an object of about 120, so only the rows of attempts
-    that may still be on the air stay objects. `len` counts every row, and
-    iteration yields each as an `AttemptRow`, the folded ones rebuilt.
+    ATTEMPT_OUTCOMES, into `settled`, one count per outcome, and drops
+    those rows, so a settled attempt costs no memory and only the rows of
+    attempts that may still be on the air stay objects. `len` counts every
+    attempt. Iteration yields one record per attempt with its `outcome`:
+    the folded ones grouped by outcome, one shared `SettledAttempt` per
+    outcome, then the rows of `recent` in append order.
     """
 
-    __slots__ = ("columns", "outcomes", "recent", "append")
+    __slots__ = ("settled", "recent", "append")
 
     def __init__(self):
-        self.columns = (array("d"), array("q"), array("i"), array("i"), array("i"), array("d"))
-        self.outcomes = bytearray()
+        self.settled: Counter = Counter()
         self.recent: list[AttemptRow] = []
         self.append = self.recent.append
 
     # a copy's `append` must be its own list's, not the original's
     def __getstate__(self):
-        return self.columns, self.outcomes, self.recent
+        return self.settled, self.recent
 
     def __setstate__(self, state) -> None:
-        self.columns, self.outcomes, self.recent = state
+        self.settled, self.recent = state
         self.append = self.recent.append
 
     def __len__(self) -> int:
-        return len(self.outcomes) + len(self.recent)
+        return self.settled.total() + len(self.recent)
 
     def __iter__(self):
-        outcomes = map(_SETTLED.__getitem__, self.outcomes)
-        return chain(map(AttemptRow, *self.columns, outcomes), self.recent)
+        settled = (repeat(SettledAttempt(outcome), n) for outcome, n in self.settled.items())
+        return chain(chain.from_iterable(settled), self.recent)
 
     def fold(self) -> None:
-        # the codes in one C loop, then a list comprehension per column; a
-        # Python loop with seven appends a row measured about a third slower
+        # counted in C; a Python loop over the rows took about three times as long
         recent = self.recent
-        codes = bytes(map(_SETTLED_CODE.get, map(attrgetter("outcome"), recent),
-                          repeat(_UNSETTLED)))
-        settled = codes.find(_UNSETTLED)
-        if settled < 0:
-            settled = len(codes)
-        rows = recent[:settled]
-        del recent[:settled]
-        self.outcomes += codes[:settled]
-        ct, cp, cs, cn, cu, ca = self.columns
-        ct.fromlist([row.t for row in rows])
-        cp.fromlist([row.pid for row in rows])
-        cs.fromlist([row.session for row in rows])
-        cn.fromlist([row.node for row in rows])
-        cu.fromlist([row.successor for row in rows])
-        ca.fromlist([row.action for row in rows])
+        counts = Counter(takewhile(_SETTLED.__contains__, map(attrgetter("outcome"), recent)))
+        del recent[:counts.total()]
+        self.settled.update(counts)
 
 
 class RowLog:
@@ -281,12 +268,7 @@ class MetricsLedger:
     def outcome_counts(self) -> Counter:
         """Hop attempts per outcome."""
         log = self.attempts
-        counts = Counter(row.outcome for row in log.recent)
-        for code, outcome in enumerate(_SETTLED):
-            n = log.outcomes.count(code)
-            if n:
-                counts[outcome] += n
-        return counts
+        return log.settled + Counter(map(attrgetter("outcome"), log.recent))
 
 
 @dataclass

@@ -116,12 +116,13 @@ class ZoneState:
         return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
 
 
-def make_zones(width: float, height: float, count: int, av_rad: float = 25.0) -> list[ZoneState]:
+def make_zones(width: float, height: float, count: int, av_rad: float) -> list[ZoneState]:
     """Tile a width x height arena with `count` rectangular zones.
 
     The grid uses the most square factorization with columns >= rows, ids
-    assigned row-major. Initial theta is the rectangle diagonal and phi
-    starts at its invariant floor until the first controller sync.
+    assigned row-major. Initial theta is the rectangle diagonal, phi
+    starts at its invariant floor until the first controller sync, and
+    av_rad holds `av_rad` until a sync finds the zone with members.
     """
     if count < 1:
         raise ValueError("zone count must be >= 1")

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-BROADCAST_COST_CAP = 1e12
-
 
 class InvalidActionError(ValueError):
     """Transmit action outside (0, p_max]."""
@@ -75,7 +73,7 @@ def avg_hop_count(theta: float, phi: float, av_rad: float) -> float:
     return theta * (1.0 + (2.0 * phi + 1.0) / (2.0 * phi * av_rad)) / 2.0
 
 
-def broadcast_cost(ng: float, h_avg: float, cap: float = BROADCAST_COST_CAP) -> float:
+def broadcast_cost(ng: float, h_avg: float, cap: float) -> float:
     """Messages a flood of depth floor(h_avg) costs with branching factor ng.
 
     Sum of ng^i for i = 1..floor(h_avg), saturated at `cap`. Integral ng is

@@ -18,7 +18,8 @@ way the script exits 1.
 Besides every canned scenario at seed 1, the digests cover desk-compare at
 seed 1 under the settings no canned scenario uses: each baseline policy,
 the other two mobility models, a nonzero noise spread and batteries that
-run flat; and desk-converge at seed 1 on 6-, 9- and 12-zone grids.
+run flat; and desk-converge at seed 1 on 6-, 9- and 12-zone grids and
+with the flood-cost cap at its config default.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import json
 import sys
 from pathlib import Path
 
+from rltrc.config import ScenarioConfig
 from rltrc.engine import Simulator
 from rltrc.metrics import invariant_problems, render_csv
 from rltrc.scenarios import names, scenario
@@ -51,6 +53,9 @@ GOLDEN_TRACES.update({
     "desk-converge-6-zones": ("desk-converge", {"zones": 6}),
     "desk-converge-9-zones": ("desk-converge", {"zones": 9}),
     "desk-converge-12-zones": ("desk-converge", {"zones": 12}),
+    # flood costs capped at the config default, not the canned 30 messages
+    "desk-converge-uncapped": ("desk-converge",
+                               {"broadcast_cost_cap": ScenarioConfig.broadcast_cost_cap}),
 })
 
 

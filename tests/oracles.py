@@ -131,7 +131,10 @@ class LedgerSpy:
     for debits and `(t, zone, energy, seconds)` otherwise, including the
     all-zero waste and investment calls the ledger itself keeps no row for.
     A batched `record_debits(t, nodes, kind, joules)` call adds one debit
-    tuple per node, in the batch's order.
+    tuple per node, in the batch's order. It also wraps the ledger's
+    `attempts.append`: `attempt_rows` keeps every `AttemptRow` the run
+    appends, in order, as the object itself, so its outcome reads as the
+    run left it after the ledger has folded the row into a count.
     """
 
     def __init__(self, ledger) -> None:
@@ -150,6 +153,14 @@ class LedgerSpy:
             record_debits(t, nodes, kind, joules)
 
         ledger.record_debits = spy_batch
+        attempt_rows, append = [], ledger.attempts.append
+        self.attempt_rows = attempt_rows
+
+        def spy_attempt(row):
+            attempt_rows.append(row)
+            append(row)
+
+        ledger.attempts.append = spy_attempt
 
     @staticmethod
     def _copying(record, rows):

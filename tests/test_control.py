@@ -33,7 +33,7 @@ def node(nid, pos, **kw):
 
 class TestDestinationLookup:
     def setup_method(self):
-        self.zones = make_zones(300.0, 200.0, 6)  # 100x100 rects, 3 cols
+        self.zones = make_zones(300.0, 200.0, 6, av_rad=25.0)  # 100x100 rects, 3 cols
 
     def test_radius_from_elapsed_time(self):
         reg = {7: NodeTrack((50.0, 50.0), 90.0, 2.0)}
@@ -72,20 +72,20 @@ class TestDestinationLookup:
 
 class TestCircleGeometry:
     def test_intersects_when_overlapping(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         assert circle_intersects_rect((50.0, 50.0), 5.0, zones[0])
         assert not circle_intersects_rect((50.0, 50.0), 5.0, zones[1])
         # touches the shared edge at x=100
         assert circle_intersects_rect((95.0, 50.0), 5.0, zones[1])
 
     def test_corner_touch(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         d = math.hypot(3.0, 4.0)
         assert circle_intersects_rect((103.0, 104.0), d, zones[0])
         assert not circle_intersects_rect((103.0, 104.0), d - 1e-9, zones[0])
 
     def test_spans_sorted_ids(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         got = circle_spans((150.0, 100.0), 60.0, zones)
         assert got == tuple(sorted(got))
         assert len(got) >= 2
@@ -93,7 +93,7 @@ class TestCircleGeometry:
 
 class TestAssignZones:
     def test_membership_and_zone_ids(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         nodes = [node(0, (50.0, 50.0)), node(1, (150.0, 50.0)), node(2, (250.0, 150.0))]
         assign_zones(nodes, zones)
         assert [n.zone_id for n in nodes] == [0, 1, 5]
@@ -101,7 +101,7 @@ class TestAssignZones:
         assert zones[5].member_nodes == {2}
 
     def test_dead_nodes_drop_out(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         dead = node(0, (50.0, 50.0), residual_energy=0.0)
         assign_zones([dead], zones)
         assert zones[0].member_nodes == set()
@@ -144,7 +144,7 @@ def test_membership_diameter_is_exactly_the_all_pairs_value():
 
 class TestZoneControllerSync:
     def setup_method(self):
-        self.zones = make_zones(300.0, 200.0, 6)
+        self.zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         self.nodes = [node(0, (40.0, 50.0)), node(1, (70.0, 50.0))]
         assign_zones(self.nodes, self.zones)
         self.ctl = ZoneController(self.zones[0], {})
@@ -230,7 +230,7 @@ class TestZoneControllerSync:
 
 class TestSessionRewards:
     def test_report_uses_zone_waste(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         ctl = ZoneController(zones[0], {})
         assert ctl.record_session_reward(1) == 1.0
         ctl.zone.ew = 1.0
@@ -239,7 +239,7 @@ class TestSessionRewards:
         assert set(ctl.session_rewards) == {1, 2}
 
     def test_reporter_prefers_source(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         nodes = [
             node(0, (50.0, 50.0)),
             node(1, (10.0, 10.0), is_peripheral=True),
@@ -249,7 +249,7 @@ class TestSessionRewards:
         assert session_reporter(0, zones[0], nodes) == 0
 
     def test_reporter_falls_back_to_lowest_peripheral(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         nodes = [
             node(0, (150.0, 50.0)),  # source moved to zone 1
             node(1, (10.0, 10.0), is_peripheral=True),
@@ -259,7 +259,7 @@ class TestSessionRewards:
         assert session_reporter(0, zones[0], nodes) == 1
 
     def test_reporter_none_when_no_peripherals(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         nodes = [node(0, (150.0, 50.0))]
         assign_zones(nodes, zones)
         assert session_reporter(0, zones[0], nodes) is None
@@ -267,14 +267,14 @@ class TestSessionRewards:
 
 class TestNetworkController:
     def test_collect_sums_zone_rewards(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         zones[0].reward_ri = 3.5
         zones[1].reward_ri = -1.0
         net = NetworkController(t_net=20.0)
         assert net.collect(0.0, zones) == 2.5
 
     def test_cached_between_collections(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         zones[0].reward_ri = 3.5
         net = NetworkController(t_net=20.0)
         assert net.collect(0.0, zones) == 3.5

@@ -311,6 +311,11 @@ class TestDiscovery:
         # corridor limited to zone 0: zone-members 0,1 plus node 3 via the circle
         scope = sim._flood_scope(circle, (0,), [0, 1, 2, 3])
         assert scope == [0, 1, 3]
+        # centred off the x-axis, where y - cy and y + cy differ
+        sim.nodes[3].position = (110.0, 20.0)
+        assign_zones(sim.nodes, sim.zones)
+        circle = BroadcastCircle(center=(110.0, 20.0), radius=5.0, spans_zones=(2,))
+        assert sim._flood_scope(circle, (0,), [0, 1, 2, 3]) == [0, 1, 3]
 
     def test_flood_scope_circle_is_closed(self):
         # a node on the rim is in the circle, as in the oracle's closed disc
@@ -684,14 +689,16 @@ class TestAttemptRows:
         name, overrides = GOLDEN_TRACES[golden]
         cfg = scenario(name, **overrides)
         sim = Simulator(cfg, seed=1)
+        rows = LedgerSpy(sim.ledger).attempt_rows
         sim.run()
         led = sim.ledger
-        assert led.attempts
-        assert len(led.attempts) == sum(p.attempts for p in led.packets.values())
+        assert rows
+        assert len(led.attempts) == len(rows) == sum(p.attempts for p in led.packets.values())
+        assert led.outcome_counts() == Counter(row.outcome for row in rows)
         # a node queues a pid at most once and sends it at most mx_atmpt times
-        sent = Counter((row.pid, row.node) for row in led.attempts)
+        sent = Counter((row.pid, row.node) for row in rows)
         assert max(sent.values()) <= cfg.mx_atmpt
-        for row in led.attempts:
+        for row in rows:
             assert row.outcome in ("ack", "timeout", "blocked", "pending")
             assert (row.outcome == "blocked") == (row.action == 0.0)
             if row.outcome == "ack":
@@ -886,9 +893,11 @@ class TestEndToEnd:
     def test_single_level_nodes_send_at_the_top_value(self):
         cfg = scenario("lossless-pair", level_count_min=1, level_count_max=1)
         sim = Simulator(cfg)
+        rows = LedgerSpy(sim.ledger).attempt_rows
         sim.run()
         assert all(n.power_levels == (cfg.level_value_max,) for n in sim.nodes)
-        assert {row.action for row in sim.ledger.attempts} == {cfg.level_value_max}
+        assert len(rows) == len(sim.ledger.attempts)
+        assert {row.action for row in rows} == {cfg.level_value_max}
 
     def test_lossless_pair_delivers_everything(self):
         rep = Simulator(scenario("lossless-pair")).run()

@@ -169,6 +169,20 @@ class TestDebitBook:
             assert paid == {n: math.fsum(r[3] for r in rows if r[1] == n) for n in nodes}
             assert list(paid) == list(dict.fromkeys(r[1] for r in rows))  # first-paid order
 
+    def test_a_buffer_that_sums_to_inf_is_kept_as_it_is(self):
+        """inf has no partials: the fold leaves that buffer as it was, folds
+        the buffers after it and ends; the total stays inf."""
+        n = metrics.FOLD_MIN
+        led = MetricsLedger()
+        led.record_debits(0.0, [0] * n + [1] * n, "tx", [1.0] * (n - 1) + [math.inf] + [0.5] * n)
+        book = led.debits
+        kept = book.paid[0]
+        book.fold()
+        assert book.paid[0] is kept and list(kept) == [1.0] * (n - 1) + [math.inf]
+        assert list(book.paid[1]) == [0.5 * n]
+        assert book.due == 2 * n + DEBIT_FOLD
+        assert led.total_debits() == math.inf
+
     def test_memory_stays_flat_past_the_first_folds(self):
         """100 000 to 300 000 debits over 100 nodes: the book's heap grows by
         less than a fixed bound, where a row per debit took 5.6 MB. The
@@ -198,7 +212,7 @@ class TestDebitBook:
 
 
 def attempt_row(rng, outcome):
-    """A row with awkward values in every field the log stores typed."""
+    """A row with awkward values in every field and the given outcome."""
     return AttemptRow(t=awkward_amount(rng, -3, 4), pid=rng.randrange(1, 1 << 40),
                       session=rng.randrange(10_000), node=rng.randrange(100_000),
                       successor=rng.randrange(100_000),
@@ -207,10 +221,14 @@ def attempt_row(rng, outcome):
 
 
 class TestAttemptLog:
-    def test_iteration_equals_the_appended_rows_across_folds(self):
+    def test_iteration_yields_each_appended_outcome_across_folds(self):
         """Rows start pending or blocked and settle later, as the engine's
-        do; after every fold the log yields every row appended, in order
-        and field by field, and `len` counts them."""
+        do. After every fold the log still holds, as the objects appended,
+        exactly the rows from the first pending one on, and counts the
+        outcomes of the rows before it; `len` counts every row, and
+        iteration yields one record per row with its outcome: the folded
+        ones as one shared read-only record per outcome, then the rows the
+        log still holds, in order."""
         rng = random.Random(24)
         log = AttemptLog()
         appended = []
@@ -223,14 +241,21 @@ class TestAttemptLog:
                 log.append(row)
                 appended.append(row)
             log.fold()
-            assert len(log) == len(appended)
-            rebuilt = list(log)
-            assert [dataclasses.astuple(r) for r in rebuilt] == [
-                dataclasses.astuple(r) for r in appended]
-            assert [type(v) for r in rebuilt for v in dataclasses.astuple(r)] == [
-                type(v) for r in appended for v in dataclasses.astuple(r)]
-        assert len(log.outcomes) > len(appended) // 2  # most rows were folded
-        assert all(row.outcome != "pending" for row in appended[:len(log.outcomes)])
+            folded = next((k for k, row in enumerate(appended) if row.outcome == "pending"),
+                          len(appended))
+            assert len(log.recent) == len(appended) - folded
+            assert all(a is b for a, b in zip(log.recent, appended[folded:]))
+            assert log.settled == Counter(row.outcome for row in appended[:folded])
+            yielded = list(log)
+            assert len(log) == len(yielded) == len(appended)
+            assert Counter(r.outcome for r in yielded) == Counter(r.outcome for r in appended)
+            assert all(a is b for a, b in zip(yielded[folded:], log.recent))
+            shared = {id(r): r for r in yielded[:folded]}.values()
+            assert sorted(r.outcome for r in shared) == sorted(log.settled)
+            for record in shared:
+                with pytest.raises(AttributeError):
+                    record.outcome = "pending"
+        assert folded > len(appended) // 2  # most rows were folded
 
     def test_pending_row_stops_the_fold(self):
         rng = random.Random(25)
@@ -239,12 +264,13 @@ class TestAttemptLog:
         for row in rows:
             log.append(row)
         log.fold()
-        assert len(log.outcomes) == 1 and log.recent == rows[1:]
+        assert log.settled == {"ack": 1} and log.recent == rows[1:]
         assert log.recent[0] is rows[1]
         rows[1].outcome = "ack"
         log.fold()
         assert log.recent == [] and len(log) == 4
-        assert list(log) == rows
+        assert log.settled == {"ack": 2, "timeout": 1, "blocked": 1}
+        assert Counter(r.outcome for r in log) == Counter(r.outcome for r in rows)
 
     def test_unknown_outcome_stays_an_object_and_is_reported(self):
         led, rep = balanced_run(outcome="nack")
@@ -280,34 +306,39 @@ class TestAttemptLog:
     def test_outcome_counts_equal_a_counter_over_the_rows(self):
         rng = random.Random(27)
         led = MetricsLedger()
+        appended = []
         outcomes = ["ack"] * 6 + ["timeout", "blocked", "pending"]
         for _ in range(20):
             for _ in range(rng.randrange(30)):
-                led.attempts.append(attempt_row(rng, rng.choice(outcomes)))
+                appended.append(attempt_row(rng, rng.choice(outcomes)))
+                led.attempts.append(appended[-1])
             for row in led.attempts.recent[:5]:
                 if row.outcome == "pending":
                     row.outcome = "timeout"
             led.attempts.fold()
+            assert led.outcome_counts() == Counter(row.outcome for row in appended)
             assert led.outcome_counts() == Counter(row.outcome for row in led.attempts)
-        assert len(led.attempts.outcomes) > 100
+        assert led.attempts.settled.total() > 100
 
-    def test_a_folded_attempt_costs_at_most_44_bytes(self):
-        """37 bytes of columns a row, plus the arrays' spare room; an
-        `AttemptRow` with its floats took about 120."""
-        rng = random.Random(28)
+    def test_a_folded_attempt_costs_no_memory(self):
+        """100 000 settled rows, folded 2 000 at a time, grow the heap by a
+        few counts and the list's spare room, under a tenth of a byte a
+        row; typed columns took 37 bytes a row, an `AttemptRow` with its
+        floats about 120."""
         log = AttemptLog()
+        outcomes = ["ack", "timeout", "blocked"] * 667
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for _ in range(10):
-                for _ in range(2_000):
-                    log.append(attempt_row(rng, rng.choice(["ack", "timeout", "blocked"])))
+            for k in range(50):
+                for outcome in outcomes[:2_000]:
+                    log.append(AttemptRow(float(k), k, 0, 1, 2, 5.0, outcome))
                 log.fold()
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(log) == len(log.outcomes) == 20_000
-        assert grown / 20_000 < 44
+        assert len(log) == log.settled.total() == 100_000 and log.recent == []
+        assert grown < 10_000
 
 
 class TestLedgerAnswers:
@@ -498,6 +529,15 @@ class TestWindowedSeries:
         assert series[0] == (0.0, 25.0, 25.0)
         assert series[1] == (10.0, 0.0, 0.0)
         assert series[2] == (20.0, 0.0, 0.0)
+
+    def test_a_row_at_the_duration_joins_the_last_window(self):
+        led = ledger_with(
+            waste=[(30.0, 0, 1.0, 0.5)],
+            invest=[(25.0, 0, 2.0, 1.0), (30.0, 0, 2.0, 1.0)],
+            duration=30.0,
+        )
+        assert windowed_waste_series(led, 10.0) == [
+            (0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (20.0, 25.0, 25.0)]
 
     def test_matches_flat_per_window_summation(self):
         rng = random.Random(11)

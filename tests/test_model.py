@@ -46,7 +46,7 @@ class TestNodeState:
 class TestZones:
     @pytest.mark.parametrize("count,rows,cols", [(3, 1, 3), (6, 2, 3), (9, 3, 3), (12, 3, 4)])
     def test_grid_shape(self, count, rows, cols):
-        zones = make_zones(300.0, 200.0, count)
+        zones = make_zones(300.0, 200.0, count, av_rad=25.0)
         assert len(zones) == count
         assert max(z.x1 for z in zones) == 300.0
         assert max(z.y1 for z in zones) == 200.0
@@ -56,19 +56,20 @@ class TestZones:
         assert heights == {round(200.0 / rows, 9)}
 
     def test_ids_row_major(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         assert [z.id for z in zones] == list(range(6))
         assert zones[0].x0 == 0.0 and zones[0].y0 == 0.0
         assert zones[1].x0 == 100.0 and zones[1].y0 == 0.0
         assert zones[3].x0 == 0.0 and zones[3].y0 == 100.0
 
     def test_theta_starts_at_diagonal(self):
-        zones = make_zones(300.0, 300.0, 9)
+        zones = make_zones(300.0, 300.0, 9, av_rad=25.0)
         for z in zones:
             assert z.theta == pytest.approx(math.hypot(100.0, 100.0))
+            assert z.av_rad == 25.0
 
     def test_zone_of_interior_and_boundary(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         assert zone_of((50.0, 50.0), zones) == 0
         assert zone_of((250.0, 150.0), zones) == 5
         # shared edge goes to the lowest id
@@ -76,7 +77,7 @@ class TestZones:
         assert zone_of((150.0, 100.0), zones) == 1
 
     def test_zone_of_outside_raises(self):
-        zones = make_zones(300.0, 200.0, 6)
+        zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         with pytest.raises(ValueError):
             zone_of((301.0, 50.0), zones)
         with pytest.raises(ValueError):
@@ -84,7 +85,7 @@ class TestZones:
 
     def test_bad_count(self):
         with pytest.raises(ValueError):
-            make_zones(100.0, 100.0, 0)
+            make_zones(100.0, 100.0, 0, av_rad=25.0)
 
     def test_geometry_helpers(self):
         z = ZoneState(id=0, x0=0, y0=0, x1=30, y1=40)

@@ -132,12 +132,12 @@ class TestHopQuantities:
 
 class TestBroadcastCost:
     def test_worked_examples(self):
-        assert broadcast_cost(2.0, 3.0) == 14.0
-        assert broadcast_cost(3.0, 2.0) == 12.0
+        assert broadcast_cost(2.0, 3.0, cap=math.inf) == 14.0
+        assert broadcast_cost(3.0, 2.0, cap=math.inf) == 12.0
 
     def test_unit_branching(self):
-        assert broadcast_cost(1.0, 5.7) == 5.0
-        assert broadcast_cost(1.0, 0.3) == 0.0
+        assert broadcast_cost(1.0, 5.7, cap=math.inf) == 5.0
+        assert broadcast_cost(1.0, 0.3, cap=math.inf) == 0.0
 
     def test_closed_form_matches_direct_sum(self):
         # cap lifted: this checks the closed form, not the saturation rule
@@ -145,19 +145,24 @@ class TestBroadcastCost:
             for m in range(1, 21):
                 direct = float(sum(ng**i for i in range(1, m + 1)))
                 assert broadcast_cost(float(ng), float(m), cap=math.inf) == direct
+        # a fractional branching factor takes the float closed form
+        for ng in (1.5, 2.5, 17.34375):
+            for m in range(1, 21):
+                direct = math.fsum(ng**i for i in range(1, m + 1))
+                assert broadcast_cost(ng, float(m), cap=math.inf) == pytest.approx(direct, rel=1e-12)
 
     def test_fractional_depth_floors(self):
-        assert broadcast_cost(2.0, 3.9) == 14.0
+        assert broadcast_cost(2.0, 3.9, cap=math.inf) == 14.0
 
     def test_cap(self):
         assert broadcast_cost(3.0, 100.0, cap=30.0) == 30.0
-        assert broadcast_cost(2.5, 500.0) == 1e12
+        assert broadcast_cost(2.5, 500.0, cap=1e12) == 1e12
         # 2.5 ** 1001 overflows a float; the cost saturates instead
-        assert broadcast_cost(2.5, 1000.0) == 1e12
+        assert broadcast_cost(2.5, 1000.0, cap=1e12) == 1e12
 
     def test_bad_branching(self):
         with pytest.raises(ValueError):
-            broadcast_cost(0.5, 3.0)
+            broadcast_cost(0.5, 3.0, cap=math.inf)
 
 
 class TestTransmissionWaste:

@@ -1,12 +1,14 @@
-"""Every function, method and property in `src/rltrc` has a caller there.
+"""Every function, method, property, module-level constant and module-level
+class in `src/rltrc` has a reader there.
 
 A helper that only tests call belongs in `tests/oracles.py`, not in the
 package. The check parses the package with `ast` and looks for a use of
 each defined name (a `name` or an `obj.name` that is read) anywhere in
-`src/rltrc` outside the definition's own body. Names are matched as
-spelled, not resolved: a method counts as used when any attribute of that
-name is read, and dunder methods, which the language calls, are skipped.
-The public API, which only users and tests call, is listed in PUBLIC.
+`src/rltrc` outside the definition's own body; an import is not a read.
+Names are matched as spelled, not resolved: a method counts as used when
+any attribute of that name is read, and dunder names, which the language
+reads, are skipped. The public API, which only users and tests call, is
+listed in PUBLIC.
 """
 
 import ast
@@ -26,16 +28,24 @@ PUBLIC = {
 
 
 def definitions(tree: ast.Module):
-    """(qualified name, def node) for every function, method and property."""
+    """(qualified name, name, first line, last line) for every function,
+    method and property, and for every class and assigned name at module
+    level; the lines span the definition with its decorators."""
     found = []
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.append((prefix + child.name, child))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                if not isinstance(child, ast.ClassDef) or node is tree:
+                    found.append((prefix + child.name, child.name, first, child.end_lineno))
                 visit(child, prefix + child.name + ".")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
+            elif node is tree and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                            found.append((name.id, name.id, child.lineno, child.end_lineno))
             else:
                 visit(child, prefix)
 
@@ -56,12 +66,10 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
                 reads.setdefault(node.attr, []).append((module, node.lineno))
     unused = []
     for module, tree in trees.items():
-        for qualname, node in definitions(tree):
-            name = node.name
+        for qualname, name, first, last in definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            if not any(where != module or not first <= line <= node.end_lineno
+            if not any(where != module or not first <= line <= last
                        for where, line in reads.get(name, ())):
                 unused.append("%s.%s" % (module, qualname))
     return unused
@@ -79,15 +87,18 @@ def test_every_definition_in_src_has_a_caller_in_src():
 def test_public_list_names_existing_definitions():
     defined = {"%s.%s" % (module, qualname)
                for module, text in package_sources().items()
-               for qualname, _ in definitions(ast.parse(text))}
+               for qualname, *_ in definitions(ast.parse(text))}
     assert set(PUBLIC) <= defined, sorted(set(PUBLIC) - defined)
 
 
 def test_checker_flags_a_definition_only_its_own_body_uses():
     sources = {
-        "a": "def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n - 1)\n",
-        "b": "from .a import used\n\n\nclass C:\n    @property\n    def size(self):\n"
+        "a": "LIMIT = 3\nUNUSED = 4\n\n\ndef used():\n    return LIMIT\n\n\n"
+             "def recursive(n):\n    return recursive(n - 1)\n",
+        "b": "from .a import UNUSED, used\n\n\nclass C:\n    @property\n    def size(self):\n"
              "        return used()\n\n    def grow(self):\n        return self.size\n\n"
-             "    def __len__(self):\n        return 0\n",
+             "    def __len__(self):\n        return 0\n\n\nclass D:\n    def make(self):\n"
+             "        return D()\n\n\nTABLE = {k: C for k in (1, 2)}\n",
     }
-    assert unreferenced(sources) == ["a.recursive", "b.C.grow"]
+    assert unreferenced(sources) == ["a.UNUSED", "a.recursive", "b.C.grow", "b.D", "b.D.make",
+                                     "b.TABLE"]

@@ -16,13 +16,13 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import oracle_membership_diameter, oracle_neighbor_counts
+from oracles import LedgerSpy, oracle_membership_diameter, oracle_neighbor_counts
 
 from rltrc.control import Tick, ZoneController, assign_zones
 from rltrc.engine import Simulator
 from rltrc.metrics import render_csv
 from rltrc.model import NodeState, make_zones
-from rltrc.rewards import NodeRewardState
+from rltrc.rewards import NodeRewardState, avg_hop_count, broadcast_cost, min_hop_count
 from rltrc.scenarios import scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -85,7 +85,7 @@ class TestUnreadTicks:
 
     def setup_method(self):
         # zone 0 is the 100 x 100 square at the origin; ranges are 40 m
-        self.zones = make_zones(300.0, 200.0, 6)
+        self.zones = make_zones(300.0, 200.0, 6, av_rad=25.0)
         self.nodes = [NodeState(i, pos, power_levels=(5.0, 10.0), radio_range=40.0)
                       for i, pos in enumerate([(10.0, 50.0), (40.0, 50.0), (70.0, 50.0)])]
         self.ctl = ZoneController(self.zones[0], {})
@@ -163,3 +163,26 @@ def test_unread_ticks_hold_at_most_two_ticks_per_zone():
             # and nothing else a tick could hide in
             assert not set(vars(ctl)) - {"zone", "registry", "session_rewards",
                                          "theta_from", "phi_from"}
+
+
+def test_a_zone_no_node_joins_floods_at_the_mid_radio_range():
+    """`_build_world` starts every zone's av_rad at the middle of the radio
+    range band. A sync overwrites it only from members, so a zone that no
+    node joins keeps it for the whole run, and a flood over that zone reads
+    it."""
+    sim = Simulator(scenario("lossless-pair", radio_range_min=35.0, radio_range_max=45.0))
+    spy = LedgerSpy(sim.ledger)
+    sim.run()
+    # two still nodes and no peripherals leave a zone of the three empty
+    empty = [z for z in sim.zones if z.id not in {n.zone_id for n in sim.nodes}]
+    assert sim.cfg.peripherals_per_zone == 0 and empty
+    sn, cfg = sim.sessions[0], sim.cfg
+    for zone in empty:
+        assert zone.av_rad == 40.0
+        spy.invest_calls.clear()
+        sim._flood(sn, [], [zone.id])
+        theta = zone.diagonal
+        assert spy.invest_calls == [(
+            sim.t, sn.home_zone,
+            broadcast_cost(1.0, avg_hop_count(theta, 1.0, 40.0), cfg.broadcast_cost_cap),
+            min_hop_count(theta, 1.0, 40.0) * cfg.t_hop)]
