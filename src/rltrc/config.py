@@ -125,6 +125,9 @@ class ScenarioConfig:
     min_rcv: float = 1.0
     vs: float = 1000.0
     prior_sig_atn: float = 0.3
+    # at this default every flood of a desk zone (17 to 48 branches, 29 to
+    # 56 hops deep) costs the cap, which swamps every power level booked:
+    # AWE then measures nothing. The canned scenarios set 30.
     broadcast_cost_cap: float = 1e12
     bitrate: float = 250000.0
     payload_bytes: float = 50.0

@@ -317,7 +317,7 @@ class Carried:
     queues a pid twice; `(inv_e, inv_t)` is the acked-hop investment still
     eligible for write-off, zeroed when written off so waste can never
     exceed investment. Once no hold is left no node can send the pid again,
-    and the record goes.
+    and the record goes: the pid's ledger stat is final, and retires.
     """
 
     holds: int = 1
@@ -493,7 +493,7 @@ class Simulator:
         self.ledger.final_energy = {n.id: n.residual_energy for n in self.nodes}
         report = compute_metrics(self.ledger, policy=cfg.policy)
         if cfg.duration > 0.0:
-            report.series = windowed_waste_series(self.ledger, cfg.duration / 20.0)
+            report.series = windowed_waste_series(self.ledger)
         return report
 
     # -- energy -------------------------------------------------------------
@@ -602,9 +602,12 @@ class Simulator:
             return
         t, src = self.t, sn.src
         pid = next(self._pids)
-        self.ledger.packets[pid] = PacketStat(t)
+        packets = self.ledger.packets
+        stat = packets.live[pid] = PacketStat(t)
         if self.nodes[src].residual_energy <= 0.0:
-            self.ledger.packets[pid].status = "dropped-node-death"
+            # never held, so final at once
+            stat.status = "dropped-node-death"
+            packets.retire(pid)
             self._fail_session(sn)
             return
         self.runtime[src].queue.append(QueuedPacket(pid, sid))
@@ -725,7 +728,7 @@ class Simulator:
                          "pending" if sent else "blocked")
         ledger.attempts.append(row)
         rt.inflight = row
-        ledger.packets[pid].attempts += 1
+        ledger.packets.live[pid].attempts += 1
         cfg = self.cfg
         if sent:
             sender, receiver = self.nodes[node], self.nodes[succ]
@@ -776,7 +779,7 @@ class Simulator:
         rec.reached.add(node)
         sn = self.sessions[row.session]
         if node == sn.dst:
-            stat = self.ledger.packets[pid]
+            stat = self.ledger.packets.live[pid]
             stat.status = "delivered"
             stat.delivered_at = self.t
             rec.inv_e = rec.inv_t = 0.0
@@ -817,6 +820,7 @@ class Simulator:
                 rec.holds -= 1
                 if not rec.holds:
                     del carried[pid]
+                    self.ledger.packets.retire(pid)
         if queue:
             self._push(t + self.cfg.proc_delay, self._on_send_attempt, node)
 
@@ -1095,16 +1099,18 @@ class Simulator:
             ctl.record_session_reward(sid)
 
     def _release(self, pid: int) -> None:
-        """Give up one hold on pid; its record goes with the last one."""
+        """Give up one hold on pid; its record goes with the last one, and
+        its ledger stat, final then, retires."""
         rec = self.carried[pid]
         rec.holds -= 1
         if not rec.holds:
             del self.carried[pid]
+            self.ledger.packets.retire(pid)
 
     def _drop_queued(self, pid: int, status: str) -> None:
         """A holder drops its queue entry of pid; a packet not yet final
         ends in `status`, one of the dropped-* PACKET_STATUSES."""
-        stat = self.ledger.packets[pid]
+        stat = self.ledger.packets.live[pid]
         if stat.status == "pending":
             stat.status = status
         self._release(pid)

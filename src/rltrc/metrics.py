@@ -5,16 +5,22 @@ conservation check. Waste and investment rows are in the protocol's
 abstract units (power levels, broadcast message counts, seconds) and drive
 AWE/AWT; utilized = invested - wasted, so AWE = 100 * wasted / invested.
 
-Debits are not kept as rows: the `DebitBook` holds their count and, per
-node, a few floats whose exact sum is the exact sum of the joules booked to
-that node, so it stays the same size however long the run. The two zone
-logs are stored column by column (`RowLog`): times, energies and seconds in
-`array('d')` and zone ids in `array('i')`, so a row costs 28 bytes and no
-object per field. Hop attempts (`AttemptLog`) stay `AttemptRow` objects
-only until they settle: each controller sync counts the settled ones per
-outcome and drops them. Readers ask the ledger for counts and exact
-sums instead of iterating its rows, and `invariant_problems` checks that a
-finished run's books balance.
+No book of the ledger grows with the length of a run. Each keeps counts
+and, where a reader needs a sum, the partials of its exact sum
+(`exact_partials`), and holds records only while they can still change:
+
+- `DebitBook`: the debit count and, per node, the joules booked to it.
+- `PacketBook`: a `PacketStat` per pid while some node holds the pid; once
+  no node does, a count per status, the transmitted count and their
+  attempts, and the delivered latencies.
+- `AttemptLog`: an `AttemptRow` per hop attempt that may still be on the
+  air; each controller sync counts the settled ones per outcome.
+- `ZoneBook`, one for waste and one for investment: the row count, per
+  zone the energy and the seconds booked, and per window of the series
+  their running sums.
+
+Readers ask the ledger for counts and exact sums instead of iterating its
+rows, and `invariant_problems` checks that a finished run's books balance.
 """
 
 from __future__ import annotations
@@ -24,11 +30,43 @@ from array import array
 from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat, takewhile
+from itertools import chain, repeat, takewhile, zip_longest
 from operator import attrgetter
 
 
 CSV_VERSION_HEADER = "# rltrc metrics v1"
+
+# the windowed series splits [0, duration) into this many windows
+SERIES_WINDOWS = 20
+
+# the floats a buffer of a zone book, or of delivered latencies, holds
+# before it folds: 4 KB
+ROW_FOLD = 512
+
+
+def exact_partials(buf: array) -> array:
+    """Floats whose exact sum is the exact sum of `buf`'s, most often one
+    or two (Shewchuk, "Adaptive Precision Floating-Point Arithmetic",
+    1997): s = fsum(buf), keep s, append -s to buf and repeat until the
+    fsum is 0. `fsum` rounds the exact sum once, so an fsum over the
+    partials, alone or among other floats, gives the float an fsum over
+    every float of `buf` would. `buf` is used up, but a buffer that sums
+    to inf or nan has no partials and is returned as it is.
+    """
+    s = math.fsum(buf)
+    if not math.isfinite(s):
+        return buf
+    parts = array("d")
+    while s:
+        parts.append(s)
+        buf.append(-s)
+        s = math.fsum(buf)
+    return parts
+
+
+def _settled_records(record, counts: Counter):
+    """One shared `record(key)` per key of `counts`, repeated by its count."""
+    return chain.from_iterable(repeat(record(key), n) for key, n in counts.items())
 
 
 @dataclass(slots=True)
@@ -42,6 +80,54 @@ class PacketStat:
 # every status a packet can end a run in; the engine drops for four causes
 PACKET_STATUSES = frozenset(("delivered", "pending", "dropped-node-death", "dropped-session-failed",
                              "dropped-route-invalidated", "dropped-link-breakage"))
+
+# what iterating `PacketBook.values()` yields for a retired packet: its
+# status, the one field of a packet the book keeps once it is final
+SettledPacket = namedtuple("SettledPacket", "status")
+
+
+class PacketBook:
+    """Every packet of a run.
+
+    The engine adds each new packet's `PacketStat` to `live` under its pid.
+    Every later write to the stat comes from a node that holds the pid, so
+    when its last hold goes the stat is final and the engine calls
+    `retire`. That folds the stat into `settled`, a count per status,
+    `transmitted`, the count of retired packets sent at least once,
+    `attempts`, the sum of their attempts, and `latency`, the exact
+    partials of `delivered_at - generated_at` over the retired delivered
+    ones (folded every ROW_FOLD latencies). `len` counts every packet.
+    `values()` yields one record per packet with its `status`: one shared
+    read-only `SettledPacket` per status of the retired ones, repeated by
+    its count, then the live stats. A retired pid has no record to look up.
+    """
+
+    __slots__ = ("live", "settled", "transmitted", "attempts", "latency")
+
+    def __init__(self):
+        self.live: dict[int, PacketStat] = {}
+        self.settled: Counter = Counter()
+        self.transmitted = 0
+        self.attempts = 0
+        self.latency = array("d")
+
+    def __len__(self) -> int:
+        return self.settled.total() + len(self.live)
+
+    def values(self):
+        return chain(_settled_records(SettledPacket, self.settled), self.live.values())
+
+    def retire(self, pid: int) -> None:
+        stat = self.live.pop(pid)
+        self.settled[stat.status] += 1
+        if stat.attempts:
+            self.transmitted += 1
+            self.attempts += stat.attempts
+        if stat.status == "delivered":
+            latency = self.latency
+            latency.append(stat.delivered_at - stat.generated_at)
+            if len(latency) >= ROW_FOLD:
+                self.latency = exact_partials(latency)
 
 
 @dataclass(slots=True)
@@ -108,8 +194,7 @@ class AttemptLog:
         return self.settled.total() + len(self.recent)
 
     def __iter__(self):
-        settled = (repeat(SettledAttempt(outcome), n) for outcome, n in self.settled.items())
-        return chain(chain.from_iterable(settled), self.recent)
+        return chain(_settled_records(SettledAttempt, self.settled), self.recent)
 
     def fold(self) -> None:
         # counted in C; a Python loop over the rows took about three times as long
@@ -119,29 +204,64 @@ class AttemptLog:
         self.settled.update(counts)
 
 
-class RowLog:
-    """An append-only table of (t, zone, energy, seconds) rows, stored one
-    column per field. `len` counts rows and iteration yields each row as a
-    tuple in append order.
+class ZoneBook:
+    """The (t, zone, energy, seconds) rows of one kind, waste or investment,
+    kept as a count and sums that do not grow with the run.
+
+    `append` books a row unless its energy and seconds are both 0. It adds
+    them to `window_energy[w]` and `window_seconds[w]`, the running sums of
+    window w = int(t / window) of the series (the last window also takes
+    the rows at or past its end), so each is the float a sequential sum
+    over its rows in append order gives. It appends them as a pair to the
+    zone's buffer `zones[zone]`; a buffer of ROW_FOLD floats is replaced by
+    the partials of its energies' exact sum paired with those of its
+    seconds' (`exact_partials`), the shorter side padded with 0.0. `len`
+    counts rows. Iteration yields, per zone with any row, its pairs as rows
+    (nan, zone, energy, seconds): a buffered row has no one time, and an
+    fsum per zone and column of what it yields is the exact sum of what
+    was booked.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("count", "window", "window_energy", "window_seconds", "zones")
 
-    def __init__(self):
-        self.columns = (array("d"), array("i"), array("d"), array("d"))
+    def __init__(self, window: float):
+        self.count = 0
+        self.window = window
+        self.window_energy = [0.0] * SERIES_WINDOWS
+        self.window_seconds = [0.0] * SERIES_WINDOWS
+        self.zones: defaultdict[int, array] = defaultdict(partial(array, "d"))
 
     def append(self, t: float, zone: int, energy: float, seconds: float) -> None:
-        ct, cz, ce, cs = self.columns
-        ct.append(t)
-        cz.append(zone)
-        ce.append(energy)
-        cs.append(seconds)
+        # the ledger's `record_waste` and `record_invest`, called on every
+        # acknowledged hop: kept to this one call
+        if energy or seconds:
+            self.count += 1
+            w = int(t / self.window)  # t >= 0
+            if w >= SERIES_WINDOWS:
+                w = SERIES_WINDOWS - 1
+            self.window_energy[w] += energy
+            self.window_seconds[w] += seconds
+            buf = self.zones[zone]
+            buf.append(energy)
+            buf.append(seconds)
+            if len(buf) >= ROW_FOLD:
+                pairs = zip_longest(exact_partials(buf[0::2]), exact_partials(buf[1::2]),
+                                    fillvalue=0.0)
+                self.zones[zone] = array("d", chain.from_iterable(pairs))
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return self.count
 
     def __iter__(self):
-        return zip(*self.columns)
+        for zone, buf in self.zones.items():
+            for energy, seconds in zip(buf[0::2], buf[1::2]):
+                yield math.nan, zone, energy, seconds
+
+    def totals(self) -> tuple[float, float]:
+        """(energy, seconds) over every row, each an exact sum."""
+        bufs = self.zones.values()
+        return (math.fsum(chain.from_iterable(buf[0::2] for buf in bufs)),
+                math.fsum(chain.from_iterable(buf[1::2] for buf in bufs)))
 
 
 # debits booked between two folds of a `DebitBook`: at most 512 KB of
@@ -162,12 +282,9 @@ class DebitBook:
 
     `paid[node]` is an `array('d')` that the ledger appends each of the
     node's debits to. `fold` replaces every buffer of FOLD_MIN floats or
-    more by the partials of its exact sum (Shewchuk, "Adaptive Precision
-    Floating-Point Arithmetic", 1997): s = fsum(buf), keep s, append -s to
-    buf and repeat until the fsum is 0. The kept floats sum exactly to what the buffer held, and
-    `fsum` rounds the exact sum once, so an fsum over a node's buffer, or
-    over all of them, gives the float an fsum over every debit row would.
-    `len` counts debits.
+    more by the partials of its exact sum (`exact_partials`), so an fsum
+    over a node's buffer, or over all of them, gives the float an fsum over
+    every debit row would. `len` counts debits.
     """
 
     __slots__ = ("count", "due", "paid")
@@ -183,17 +300,8 @@ class DebitBook:
     def fold(self) -> None:
         paid = self.paid
         for node, buf in paid.items():
-            if len(buf) < FOLD_MIN:
-                continue
-            parts = []
-            s = math.fsum(buf)
-            if not math.isfinite(s):
-                continue    # inf or nan has no partials; the buffer keeps it
-            while s:
-                parts.append(s)
-                buf.append(-s)
-                s = math.fsum(buf)
-            paid[node] = array("d", parts)
+            if len(buf) >= FOLD_MIN:
+                paid[node] = exact_partials(buf)
         self.due = self.count + DEBIT_FOLD
 
 
@@ -203,11 +311,22 @@ class MetricsLedger:
     final_energy: dict[int, float] = field(default_factory=dict)
     debits: DebitBook = field(default_factory=DebitBook)
     message_count: int = 0
-    packets: dict[int, PacketStat] = field(default_factory=dict)
+    packets: PacketBook = field(default_factory=PacketBook)
     attempts: AttemptLog = field(default_factory=AttemptLog)
-    waste_rows: RowLog = field(default_factory=RowLog)
-    invest_rows: RowLog = field(default_factory=RowLog)
+    # made from `duration`, whose windows they sum over
+    waste_rows: ZoneBook = field(init=False)
+    invest_rows: ZoneBook = field(init=False)
     duration: float = 0.0
+
+    def __post_init__(self):
+        # with no duration there is no series, and every row joins window 0
+        window = self.duration / SERIES_WINDOWS if self.duration > 0.0 else math.inf
+        self.waste_rows = ZoneBook(window)
+        self.invest_rows = ZoneBook(window)
+        # record_waste(t, zone, energy, seconds) and record_invest(...): a
+        # row of the book, none when energy and seconds are both 0
+        self.record_waste = self.waste_rows.append
+        self.record_invest = self.invest_rows.append
 
     def record_debit(self, t: float, node: int, kind: str, joules: float) -> None:
         # the hottest call of a run: one lookup, one append, one add, one
@@ -231,19 +350,6 @@ class MetricsLedger:
     def count_message(self, n: int = 1) -> None:
         self.message_count += n
 
-    def record_waste(self, t: float, zone: int, energy: float, time: float) -> None:
-        if energy or time:
-            self.waste_rows.append(t, zone, energy, time)
-
-    def record_invest(self, t: float, zone: int, energy: float, time: float) -> None:
-        # booked on every acknowledged hop, so it skips `RowLog.append`'s call
-        if energy or time:
-            ct, cz, ce, cs = self.invest_rows.columns
-            ct.append(t)
-            cz.append(zone)
-            ce.append(energy)
-            cs.append(time)
-
     def total_debits(self) -> float:
         return math.fsum(chain.from_iterable(self.debits.paid.values()))
 
@@ -258,12 +364,16 @@ class MetricsLedger:
     def zone_sums(self) -> dict[int, tuple[float, float, float, float]]:
         """Per zone with any row: (waste energy, waste time, investment
         energy, investment time), each an exact sum."""
-        parts = defaultdict(lambda: ([], [], [], []))
-        for rows, first in ((self.waste_rows, 0), (self.invest_rows, 2)):
-            for _t, zone, energy, seconds in rows:
-                parts[zone][first].append(energy)
-                parts[zone][first + 1].append(seconds)
-        return {zone: tuple(map(math.fsum, cols)) for zone, cols in parts.items()}
+        waste, invest = self.waste_rows.zones, self.invest_rows.zones
+        none = array("d")
+        return {zone: tuple(math.fsum(buf[side::2]) for buf in
+                            (waste.get(zone, none), invest.get(zone, none)) for side in (0, 1))
+                for zone in dict.fromkeys(chain(waste, invest))}
+
+    def status_counts(self) -> Counter:
+        """Packets per status."""
+        book = self.packets
+        return book.settled + Counter(map(attrgetter("status"), book.live.values()))
 
     def outcome_counts(self) -> Counter:
         """Hop attempts per outcome."""
@@ -288,26 +398,30 @@ def compute_metrics(ledger: MetricsLedger, policy: str = "rl-trc") -> MetricsRep
     """Summarize a finished run. Pure: same ledger, same report.
 
     NTG is None (reported as an empty CSV field) when nothing was ever
-    transmitted; ADL averages delivered packets only.
+    transmitted; ADL averages delivered packets only. Retired packets count
+    through the book's running state, live ones stat by stat.
     """
     ec = math.fsum(
         ledger.initial_energy[n] - ledger.final_energy.get(n, ledger.initial_energy[n])
         for n in ledger.initial_energy
     )
-    transmitted = [p for p in ledger.packets.values() if p.attempts > 0]
-    delivered = [p for p in ledger.packets.values() if p.status == "delivered"]
-    ntg = 100.0 * len(delivered) / len(transmitted) if transmitted else None
+    book = ledger.packets
+    live = book.live.values()
+    transmitted = book.transmitted + sum(1 for p in live if p.attempts > 0)
+    delivered = [p for p in live if p.status == "delivered"]
+    n_delivered = book.settled["delivered"] + len(delivered)
+    ntg = 100.0 * n_delivered / transmitted if transmitted else None
     adl = (
-        math.fsum(p.delivered_at - p.generated_at for p in delivered) / len(delivered)
-        if delivered
+        math.fsum(chain(book.latency, (p.delivered_at - p.generated_at for p in delivered)))
+        / n_delivered
+        if n_delivered
         else 0.0
     )
     total = len(ledger.initial_energy)
     alive = sum(1 for n in ledger.initial_energy if ledger.final_energy.get(n, 1.0) > 0.0)
     paln = 100.0 * alive / total if total else 100.0
-    waste, invest = ledger.waste_rows.columns, ledger.invest_rows.columns
-    we, wt = math.fsum(waste[2]), math.fsum(waste[3])
-    ie, it = math.fsum(invest[2]), math.fsum(invest[3])
+    we, wt = ledger.waste_rows.totals()
+    ie, it = ledger.invest_rows.totals()
     awe = 100.0 * we / ie if ie > 0.0 else 0.0
     awt = 100.0 * wt / it if it > 0.0 else 0.0
     return MetricsReport(
@@ -327,8 +441,9 @@ def invariant_problems(ledger: MetricsLedger, report: MetricsReport) -> list[str
     """Every way a finished run's books fail to balance; empty when sound.
 
     The debits re-sum to `report.ec` and to each node's energy drop, every
-    packet status and attempt outcome is known, and no zone wastes more
-    energy or time than it invested."""
+    packet status and attempt outcome is known, the packets' attempts add
+    up to the hop attempts booked, and no zone wastes more energy or time
+    than it invested."""
     problems = []
     debits = ledger.total_debits()
     if not math.isclose(debits, report.ec, rel_tol=1e-9, abs_tol=1e-9):
@@ -338,12 +453,17 @@ def invariant_problems(ledger: MetricsLedger, report: MetricsReport) -> list[str
         drop, debited = start - ledger.final_energy.get(node, start), paid.get(node, 0.0)
         if not math.isclose(debited, drop, rel_tol=1e-9, abs_tol=1e-9):
             problems.append("node %d paid %r J but its energy dropped %r J" % (node, debited, drop))
-    unknown = sorted({p.status for p in ledger.packets.values()} - PACKET_STATUSES)
+    unknown = sorted(ledger.status_counts().keys() - PACKET_STATUSES)
     if unknown:
         problems.append("packet statuses outside the known set: %s" % unknown)
     unknown = sorted(ledger.outcome_counts().keys() - ATTEMPT_OUTCOMES)
     if unknown:
         problems.append("attempt outcomes outside the known set: %s" % unknown)
+    book = ledger.packets
+    sent = book.attempts + sum(p.attempts for p in book.live.values())
+    if sent != len(ledger.attempts):
+        problems.append("the packets were sent %d times but %d hop attempts were booked"
+                        % (sent, len(ledger.attempts)))
     for zone, (we, wt, ie, it) in sorted(ledger.zone_sums().items()):
         for label, w, i in (("energy", we, ie), ("time", wt, it)):
             if w > i * (1.0 + 1e-9) + 1e-12:
@@ -351,35 +471,24 @@ def invariant_problems(ledger: MetricsLedger, report: MetricsReport) -> list[str
     return problems
 
 
-def windowed_waste_series(
-    ledger: MetricsLedger, window_len: float
-) -> list[tuple[float, float, float]]:
+def windowed_waste_series(ledger: MetricsLedger) -> list[tuple[float, float, float]]:
     """(window start, AWE, AWT) per window, each from that window's rows only.
 
-    Windows tile [0, duration); a window with no investment reports zeros.
+    The SERIES_WINDOWS windows of duration / SERIES_WINDOWS seconds tile
+    [0, duration), and a row at the duration joins the last one; a window
+    with no investment reports zeros. A ledger with no duration has no
+    windows and raises ValueError.
     """
-    if window_len <= 0.0:
-        raise ValueError("window_len must be positive")
-    n_windows = max(1, math.ceil(ledger.duration / window_len - 1e-12))
-    waste_e = [0.0] * n_windows
-    waste_t = [0.0] * n_windows
-    invest_e = [0.0] * n_windows
-    invest_t = [0.0] * n_windows
-    last = n_windows - 1
-    for rows, energy, seconds in ((ledger.waste_rows, waste_e, waste_t),
-                                  (ledger.invest_rows, invest_e, invest_t)):
-        ct, _zone, ce, cs = rows.columns
-        for t, e, tm in zip(ct, ce, cs):
-            w = int(t / window_len)  # t >= 0; a row at t = duration joins the last window
-            if w > last:
-                w = last
-            energy[w] += e
-            seconds[w] += tm
+    if not ledger.duration > 0.0:
+        raise ValueError("a ledger with no duration has no windows")
+    waste, invest = ledger.waste_rows, ledger.invest_rows
+    window = invest.window
     out = []
-    for w in range(n_windows):
-        awe = 100.0 * waste_e[w] / invest_e[w] if invest_e[w] > 0.0 else 0.0
-        awt = 100.0 * waste_t[w] / invest_t[w] if invest_t[w] > 0.0 else 0.0
-        out.append((w * window_len, awe, awt))
+    for w, (we, wt, ie, it) in enumerate(zip(waste.window_energy, waste.window_seconds,
+                                             invest.window_energy, invest.window_seconds)):
+        awe = 100.0 * we / ie if ie > 0.0 else 0.0
+        awt = 100.0 * wt / it if it > 0.0 else 0.0
+        out.append((w * window, awe, awt))
     return out
 
 

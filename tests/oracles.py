@@ -4,9 +4,10 @@ These deliberately avoid the package's own formulas: the disc-sampling oracle
 estimates the expected farthest neighbor by Monte Carlo, the path oracle
 enumerates simple paths, the route oracle runs a full breadth-first search,
 the ledger oracle re-adds the rows a ledger spy copied as the run booked
-them, the mobility oracle moves one node at a time, and the link, neighbor
-and diameter oracles scan every pair of nodes. Test modules freeze the
-numbers these produce or compare against them; the oracles stay here so the
+them, the packet oracle recounts every packet stat the spy kept, the
+mobility oracle moves one node at a time, and the link, neighbor and
+diameter oracles scan every pair of nodes. Test modules freeze the numbers
+these produce or compare against them; the oracles stay here so the
 derivation can be re-run.
 
 The link-estimator references are here too: one function per estimate that
@@ -18,6 +19,7 @@ averages it keeps as sums, and the broadcast-circle membership test that
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -134,7 +136,10 @@ class LedgerSpy:
     tuple per node, in the batch's order. It also wraps the ledger's
     `attempts.append`: `attempt_rows` keeps every `AttemptRow` the run
     appends, in order, as the object itself, so its outcome reads as the
-    run left it after the ledger has folded the row into a count.
+    run left it after the ledger has folded the row into a count. Likewise
+    `packet_stats` keeps every `PacketStat` put in the ledger's live
+    packets, in order, so its fields read as the run left them after the
+    ledger has retired the packet into its counts.
     """
 
     def __init__(self, ledger) -> None:
@@ -161,6 +166,8 @@ class LedgerSpy:
             append(row)
 
         ledger.attempts.append = spy_attempt
+        self.packet_stats: list = list(ledger.packets.live.values())
+        ledger.packets.live = _KeepingDict(ledger.packets.live, self.packet_stats)
 
     @staticmethod
     def _copying(record, rows):
@@ -168,6 +175,33 @@ class LedgerSpy:
             rows.append(row)
             record(*row)
         return spy
+
+
+class _KeepingDict(dict):
+    """A dict that also appends every value stored under a key to `kept`."""
+
+    def __init__(self, items, kept: list) -> None:
+        super().__init__(items)
+        self.kept = kept
+
+    def __setitem__(self, key, value) -> None:
+        self.kept.append(value)
+        super().__setitem__(key, value)
+
+
+def oracle_packet_metrics(stats) -> tuple[Counter, float | None, float]:
+    """(packets per status, NTG, ADL) over every packet stat of a run.
+
+    NTG is 100 * delivered / transmitted over the stats sent at least once,
+    None when none was; ADL is the fsum of the delivered stats' latencies
+    over their count, 0.0 when none was delivered.
+    """
+    transmitted = [p for p in stats if p.attempts > 0]
+    delivered = [p for p in stats if p.status == "delivered"]
+    ntg = 100.0 * len(delivered) / len(transmitted) if transmitted else None
+    adl = (math.fsum(p.delivered_at - p.generated_at for p in delivered) / len(delivered)
+           if delivered else 0.0)
+    return Counter(p.status for p in stats), ntg, adl
 
 
 def oracle_ledger_recheck(ledger, spy: LedgerSpy) -> tuple[float, float, float, float, float]:

@@ -17,6 +17,7 @@ from oracles import (
     circle_contains,
     oracle_energy_totals,
     oracle_mobility_tick,
+    oracle_packet_metrics,
     oracle_route,
     oracle_route_links,
     oracle_shortest_path,
@@ -441,19 +442,21 @@ class TestRouteReply:
         held = {0: [(1, 0)], 1: [(2, 0), (3, 1)], 4: [(4, 0), (5, 0), (6, 1)]}
         for nid, packets in held.items():
             for pid, sid in packets:
-                sim.ledger.packets[pid] = PacketStat(generated_at=0.0)
+                sim.ledger.packets.live[pid] = PacketStat(generated_at=0.0)
                 sim.runtime[nid].queue.append(QueuedPacket(pid=pid, session=sid))
                 sim.carried[pid] = Carried()
                 sim.sessions[sid].holders.add(nid)
         sn.holders.add(2)  # a holder whose packets have all left
         sim.runtime[4].inflight = AttemptRow(0.0, 4, 0, 4, 2, 5.0, "pending")
         sim._on_route_reply(sn.id, (0, 1, 2, 3))
-        status = {pid: stat.status for pid, stat in sim.ledger.packets.items()}
-        assert status == {1: "pending", 2: "pending", 3: "pending", 4: "pending",
-                          5: "dropped-route-invalidated", 6: "pending"}
+        packets = sim.ledger.packets
+        status = {pid: stat.status for pid, stat in packets.live.items()}
+        assert status == {1: "pending", 2: "pending", 3: "pending", 4: "pending", 6: "pending"}
         assert [q.pid for q in sim.runtime[4].queue] == [4, 6]
-        # the dropped entry was pid 5's one hold, so its record went with it
+        # the dropped entry was pid 5's one hold, so its record went with
+        # it, and its stat retired in the status it was dropped with
         assert sorted(sim.carried) == [1, 2, 3, 4, 6]
+        assert packets.settled == {"dropped-route-invalidated": 1}
         assert [(h, a) for _, _, h, a in sim._events] == [
             (sim._on_send_attempt, (nid,)) for nid in (0, 1, 4)]
         assert sn.holders == {0, 1, 4}
@@ -653,6 +656,24 @@ def test_sigma_per_tick_equals_sigma_recomputed_at_each_decision(monkeypatch):
     assert all(got == want for got, want in used)
 
 
+def test_default_flood_cost_cap_saturates_every_desk_flood(monkeypatch):
+    """At its config default of 1e12, `broadcast_cost_cap` caps the cost of
+    every flood of a desk zone, so AWE from a config that leaves the cap at
+    its default measures nothing. Pinned as it is, not changed."""
+    name, overrides = GOLDEN_TRACES["desk-converge-uncapped"]
+    cfg = scenario(name, duration=30.0, **overrides)
+    assert cfg.broadcast_cost_cap == 1e12
+    costs = []
+
+    def recorded(ng, h_avg, cap):
+        costs.append(broadcast_cost(ng, h_avg, cap))
+        return costs[-1]
+
+    monkeypatch.setattr(rltrc.engine, "broadcast_cost", recorded)
+    Simulator(cfg, seed=1).run()
+    assert len(costs) > 10 and set(costs) == {cfg.broadcast_cost_cap}
+
+
 @pytest.mark.parametrize("name", ["desk-compare", "desk-converge"])
 def test_successor_grade_after_every_ack_reads_the_link_cache(name):
     """After each acknowledged hop the sender's grade of its successor is
@@ -690,10 +711,12 @@ class TestAttemptRows:
         cfg = scenario(name, **overrides)
         sim = Simulator(cfg, seed=1)
         rows = LedgerSpy(sim.ledger).attempt_rows
-        sim.run()
+        report = sim.run()
         led = sim.ledger
         assert rows
-        assert len(led.attempts) == len(rows) == sum(p.attempts for p in led.packets.values())
+        assert len(led.attempts) == len(rows)
+        # among them: the packets' attempts add up to the attempts booked
+        assert invariant_problems(led, report) == []
         assert led.outcome_counts() == Counter(row.outcome for row in rows)
         # a node queues a pid at most once and sends it at most mx_atmpt times
         sent = Counter((row.pid, row.node) for row in rows)
@@ -749,6 +772,21 @@ class TestAttemptRows:
         assert raced
 
 
+@pytest.mark.parametrize("golden", sorted(GOLDEN_TRACES))
+def test_retired_packets_answer_as_every_stat(golden):
+    """The status counts and the report's NTG and ADL equal an oracle over
+    every stat the run made, bit for bit, though most packets retired."""
+    name, overrides = GOLDEN_TRACES[golden]
+    sim = Simulator(scenario(name, seed=1, **overrides))
+    stats = LedgerSpy(sim.ledger).packet_stats
+    report = sim.run()
+    book = sim.ledger.packets
+    statuses, ntg, adl = oracle_packet_metrics(stats)
+    assert sim.ledger.status_counts() == statuses
+    assert (report.ntg, report.adl) == (ntg, adl)
+    assert len(book) == len(stats) and book.settled.total() > len(book.live)
+
+
 def hopeless_hop(reason, turn=1, holds=1):
     """A finished lossless-pair run with one packet queued again at the
     source, its link cache rigged so that rl-trc gives the hop up unsent.
@@ -772,8 +810,8 @@ def hopeless_hop(reason, turn=1, holds=1):
     sim._events.clear()
     rt = sim.runtime[sn.src]
     rt.inflight = None
-    pid = max(sim.ledger.packets) + 1
-    sim.ledger.packets[pid] = PacketStat(generated_at=sim.t)
+    pid = next(sim._pids)
+    sim.ledger.packets.live[pid] = PacketStat(generated_at=sim.t)
     rt.queue = [QueuedPacket(pid=pid, session=sn.id, turn=turn)]
     sim.carried[pid] = Carried(holds=holds, inv_e=7.0, inv_t=0.25)
     return sim, sn, pid
@@ -785,10 +823,13 @@ class TestImmediateLinkFailure:
         sim, sn, pid = hopeless_hop(reason, turn=3)
         assert sim.cfg.mx_atmpt == 3
         grade = sim.reward_states[sn.src].successor_rewards[sn.dst]
-        attempts = len(sim.ledger.attempts)
+        packets = sim.ledger.packets
+        attempts, settled = len(sim.ledger.attempts), packets.settled.copy()
         sim._on_send_attempt(sn.src)
         assert len(sim.ledger.attempts) == attempts
-        assert sim.ledger.packets[pid].status == "dropped-link-breakage"
+        # the queue entry was the pid's last hold: its stat retired as a breakage
+        assert pid not in packets.live
+        assert packets.settled - settled == {"dropped-link-breakage": 1}
         assert sim.runtime[sn.src].queue == []
         assert sn.next_hop == {}
         assert not sim.runtime[sn.src].links[sn.dst].reliable
@@ -832,8 +873,8 @@ def test_stale_route_reply_changes_nothing(stale):
         sim._fail_session(sn)
     assert not sn.discovering
     sim._events.clear()
-    pid = max(sim.ledger.packets) + 1
-    sim.ledger.packets[pid] = PacketStat(generated_at=sim.t)
+    pid = next(sim._pids)
+    sim.ledger.packets.live[pid] = PacketStat(generated_at=sim.t)
     queued = QueuedPacket(pid=pid, session=sn.id)
     sim.runtime[sn.dst].queue = [queued]
     next_hop, links = dict(sn.next_hop), copy.deepcopy([rt.links for rt in sim.runtime])
@@ -842,7 +883,7 @@ def test_stale_route_reply_changes_nothing(stale):
     assert [rt.links for rt in sim.runtime] == links
     assert sim._events == []
     assert sim.runtime[sn.dst].queue == [queued]
-    assert sim.ledger.packets[pid].status == "pending"
+    assert sim.ledger.packets.live[pid].status == "pending"
 
 
 class TestUnpaidOrLateEvents:
@@ -870,7 +911,7 @@ class TestUnpaidOrLateEvents:
             # the record, which the receiver never reached
             assert sim.carried[row.pid].holds == holds - 1 >= 1
             assert row.successor not in sim.carried[row.pid].reached
-            assert sim.ledger.packets[row.pid].status == "pending"
+            assert sim.ledger.packets.live[row.pid].status == "pending"
 
         sim._on_packet_arrival = starve_first
         sim.run()
@@ -923,8 +964,10 @@ class TestEndToEnd:
 
     def test_packet_statuses_are_consistent(self):
         sim = Simulator(scenario("desk-conserve"))
+        stats = LedgerSpy(sim.ledger).packet_stats
         assert invariant_problems(sim.ledger, sim.run()) == []
-        for stat in sim.ledger.packets.values():
+        assert len(stats) == len(sim.ledger.packets) > 0
+        for stat in stats:
             if stat.status == "delivered":
                 assert stat.delivered_at is not None
                 assert stat.delivered_at >= stat.generated_at
@@ -1056,6 +1099,7 @@ def test_random_configs_keep_the_run_invariants():
 @pytest.mark.parametrize("overrides", [{}, {"energy_min": 0.05, "energy_max": 3.0}])
 def test_each_packet_status_is_one_shared_string(overrides):
     sim = Simulator(scenario("desk-converge", seed=1, **overrides))
+    stats = LedgerSpy(sim.ledger).packet_stats
     sim.run()
-    statuses = [p.status for p in sim.ledger.packets.values()]
+    statuses = [p.status for p in stats]
     assert len({id(s) for s in statuses}) == len(set(statuses)) >= 4

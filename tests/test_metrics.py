@@ -10,18 +10,21 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import LedgerSpy, oracle_waste_fraction
+from oracles import LedgerSpy, oracle_packet_metrics, oracle_waste_fraction
 
 from rltrc import metrics
 from rltrc.metrics import (
     CSV_VERSION_HEADER,
     DEBIT_FOLD,
+    ROW_FOLD,
+    SERIES_WINDOWS,
     AttemptLog,
     AttemptRow,
     DebitBook,
     MetricsLedger,
+    PacketBook,
     PacketStat,
-    RowLog,
+    ZoneBook,
     compute_metrics,
     emit_csv,
     invariant_problems,
@@ -44,7 +47,7 @@ def ledger_with(
     led.final_energy = dict(final if final is not None else led.initial_energy)
     led.message_count = messages
     for pid, stat in enumerate(packets, start=1):
-        led.packets[pid] = stat
+        led.packets.live[pid] = stat
     for row in waste:
         led.record_waste(*row)
     for row in invest:
@@ -83,47 +86,113 @@ def series_of_rows(waste, invest, duration, window_len):
     ]
 
 
-class TestRowLog:
-    ROWS = [(0.5, 3, 0.1, 2.0), (1.25, 0, 2e-9, 0.0), (1.25, 7, 3.0e4, 0.25)]
+def rows_with_borders(rng, n, duration):
+    """`random_rows`, plus rows at t = 0, on window borders and at the
+    duration itself, which joins the last window; in ascending time."""
+    window = duration / SERIES_WINDOWS
+    times = [0.0, window, 7 * window, duration]
+    rows = [(t, rng.randrange(12), awkward_amount(rng), awkward_amount(rng)) for t in times]
+    return sorted(rows + random_rows(rng, n, duration), key=lambda row: row[0])
 
-    def table(self):
-        rows = RowLog()
+
+class TestZoneBook:
+    ROWS = [(0.5, 3, 0.1, 2.0), (1.25, 0, 2e-9, 0.0), (1.25, 7, 3.0e4, 0.25), (2.0, 3, 0.2, 0.0),
+            (2.5, 7, 0.0, 0.0)]
+
+    def book(self):
+        book = ZoneBook(1.0)
         for row in self.ROWS:
-            rows.append(*row)
-        return rows
+            book.append(*row)
+        return book
 
-    def test_len_and_iteration(self):
-        rows = self.table()
-        assert len(rows) == 3 and len(RowLog()) == 0
-        assert list(rows) == self.ROWS
-        assert list(rows) == self.ROWS  # iterating again starts over
+    def test_len_and_iteration(self, monkeypatch):
+        """`len` counts rows but the all-zero one; iteration yields per zone
+        its buffered energies and seconds, and yields them again when
+        repeated. A zone whose buffer folded yields its partials, the
+        shorter column padded with 0.0."""
+        book = self.book()
+        assert len(book) == 4 and len(ZoneBook(1.0)) == 0 and list(ZoneBook(1.0)) == []
+        rows = list(book)
+        assert [row[1:] for row in rows] == [(3, 0.1, 2.0), (3, 0.2, 0.0), (0, 2e-9, 0.0),
+                                             (7, 3.0e4, 0.25)]
+        assert all(math.isnan(row[0]) for row in rows)
+        assert [row[1:] for row in book] == [row[1:] for row in rows]
+        monkeypatch.setattr(metrics, "ROW_FOLD", 4)
+        # 0.1 + 0.2 is no float, so zone 3's energy has two partials and its
+        # one seconds partial is padded
+        assert [row[1:] for row in self.book()] == [(3, 0.30000000000000004, 2.0),
+                                                    (3, -2.0 ** -55, 0.0),
+                                                    (0, 2e-9, 0.0), (7, 3.0e4, 0.25)]
 
     def test_deepcopy_is_equal_and_independent(self):
-        rows = self.table()
-        clone = copy.deepcopy(rows)
-        assert list(clone) == list(rows)
+        book = self.book()
+        clone = copy.deepcopy(book)
+        assert list(clone)[1:] == list(book)[1:]
         clone.append(9.0, 1, 1.0, 0.5)
-        assert len(clone) == 4 and list(rows) == self.ROWS
+        assert len(clone) == 5 and len(book) == 4
+        assert {row[1] for row in clone} == {0, 1, 3, 7} and {row[1] for row in book} == {0, 3, 7}
+        assert clone.window_energy[9] == 1.0 and book.window_energy[9] == 0.0
 
-    def test_sums_match_fsum_over_tuples_bit_for_bit(self):
+    def test_sums_match_fsum_over_tuples_bit_for_bit(self, monkeypatch):
+        """Counts, AWE, AWT, per-zone sums and the windowed series of the
+        ledger's own duration / SERIES_WINDOWS windows equal len, fsum and
+        sequential sums over the rows booked, bit for bit. Most trials fold
+        a zone's buffer every 3 or 7 rows; the last use the ledger's own
+        ROW_FOLD, and two of them book enough rows to fold at it."""
         rng = random.Random(20)
-        for trial in range(20):
+        for trial in range(24):
+            monkeypatch.setattr(metrics, "ROW_FOLD",
+                                ROW_FOLD if trial >= 20 else rng.choice([6, 14]))
             duration = rng.choice([1.0, 60.0, 1200.0])
-            waste = random_rows(rng, rng.randint(0, 300), duration)
-            invest = random_rows(rng, rng.randint(1, 300), duration)
+            many = 40 * metrics.ROW_FOLD if trial >= 22 else 300
+            waste = rows_with_borders(rng, rng.randint(0, many), duration)
+            invest = rows_with_borders(rng, rng.randint(1, many), duration)
             debits = [(t, zone, rng.choice(["tx", "rx", "flood"]), e)
                       for t, zone, e, _ in random_rows(rng, rng.randint(0, 300), duration)]
             led = ledger_with(waste=waste, invest=invest, duration=duration)
             for row in debits:
                 led.record_debit(*row)
             assert led.total_debits() == math.fsum(r[3] for r in debits)
+            assert (len(led.waste_rows), len(led.invest_rows)) == (len(waste), len(invest))
             rep = compute_metrics(led)
             ie, it = math.fsum(r[2] for r in invest), math.fsum(r[3] for r in invest)
             assert rep.awe == 100.0 * math.fsum(r[2] for r in waste) / ie
             assert rep.awt == 100.0 * math.fsum(r[3] for r in waste) / it
-            window = duration / 20.0
-            assert windowed_waste_series(led, window) == series_of_rows(
-                waste, invest, duration, window)
+            assert windowed_waste_series(led) == series_of_rows(
+                waste, invest, duration, duration / SERIES_WINDOWS)
+            assert led.zone_sums() == {
+                z: tuple(math.fsum(r[col] for r in rows if r[1] == z)
+                         for rows in (waste, invest) for col in (2, 3))
+                for z in {r[1] for r in waste + invest}}
+            for book, rows in ((led.waste_rows, waste), (led.invest_rows, invest)):
+                if metrics.ROW_FOLD == ROW_FOLD:  # far more than a sum's partials
+                    assert all(len(buf) < ROW_FOLD for buf in book.zones.values())
+                for z in {r[1] for r in rows}:
+                    assert [math.fsum(r[c] for r in book if r[1] == z) for c in (2, 3)] == [
+                        math.fsum(r[c] for r in rows if r[1] == z) for c in (2, 3)]
+
+    def test_a_folded_row_costs_no_memory(self):
+        """100 000 rows booked to four zones grow the heap by less than
+        twice the four zones' buffers of ROW_FOLD floats; typed columns
+        kept every row at 28 bytes, 2.8 MB."""
+        led = MetricsLedger(duration=100.0)
+        rng = random.Random(28)
+        amounts = [awkward_amount(rng) for _ in range(997)]
+
+        def book(start, stop):
+            for k in range(start, stop):
+                led.record_invest(k * 1e-3, k % 4, amounts[k % 997], amounts[-k % 997])
+
+        book(0, 1_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            book(1_000, 101_000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(led.invest_rows) == 101_000
+        assert grown < 2 * 4 * ROW_FOLD * 8
 
 
 def book_debits(led, rng, count, nodes, magnitudes):
@@ -286,8 +355,10 @@ class TestAttemptLog:
         led.attempts.fold()
         assert [row.outcome for row in led.attempts.recent] == ["nack", "ack"]
         assert led.outcome_counts() == {"ack": 2, "timeout": 1, "nack": 1}
+        # this ledger has attempts but no packets, which is reported too
         assert invariant_problems(led, compute_metrics(led)) == [
-            "attempt outcomes outside the known set: ['nack']"]
+            "attempt outcomes outside the known set: ['nack']",
+            "the packets were sent 0 times but 4 hop attempts were booked"]
 
     def test_deepcopy_is_equal_and_independent(self):
         rng = random.Random(29)
@@ -341,6 +412,72 @@ class TestAttemptLog:
         assert grown < 10_000
 
 
+def packet_stat(rng):
+    """A stat in any known status, sent 0-3 times, delivered after an
+    awkward latency when its status says so."""
+    status = rng.choice(sorted(metrics.PACKET_STATUSES))
+    generated = awkward_amount(rng, -3, 3)
+    return PacketStat(generated_at=generated,
+                      delivered_at=generated + awkward_amount(rng, -4, 1)
+                      if status == "delivered" else None,
+                      attempts=rng.randrange(4), status=status)
+
+
+class TestPacketBook:
+    def test_retired_packets_answer_as_live_ones(self, monkeypatch):
+        """However many packets retire, and however often the latencies
+        fold, the status counts, NTG and ADL equal the oracle's over every
+        stat, bit for bit; `len` counts every packet, and `values()` yields
+        one shared read-only record per retired status, then the live
+        stats themselves."""
+        rng = random.Random(30)
+        for trial in range(20):
+            monkeypatch.setattr(metrics, "ROW_FOLD", ROW_FOLD if trial >= 16 else 5)
+            stats = [packet_stat(rng) for _ in range(rng.randrange(2 * metrics.ROW_FOLD))]
+            led = ledger_with(packets=stats)
+            retired = [pid for pid in range(1, len(stats) + 1) if rng.random() < 0.8]
+            for pid in retired:
+                led.packets.retire(pid)
+            book = led.packets
+            statuses, ntg, adl = oracle_packet_metrics(stats)
+            rep = compute_metrics(led)
+            assert (rep.ntg, rep.adl) == (ntg, adl)
+            assert led.status_counts() == statuses
+            assert book.settled == Counter(stats[pid - 1].status for pid in retired)
+            assert len(book) == len(stats) and len(book.live) == len(stats) - len(retired)
+            assert len(book.latency) < metrics.ROW_FOLD
+            yielded = list(book.values())
+            assert Counter(p.status for p in yielded) == statuses
+            assert all(a is b for a, b in zip(yielded[len(retired):], book.live.values()))
+            for record in {id(r): r for r in yielded[:len(retired)]}.values():
+                with pytest.raises(AttributeError):
+                    record.status = "pending"
+
+    def test_a_retired_packet_costs_no_memory(self):
+        """100 000 packets, each retired after its last write, grow the heap
+        by less than two latency buffers of ROW_FOLD floats; a `PacketStat`
+        with its pid and time floats took about 140 bytes a packet."""
+        book = PacketBook()
+        rng = random.Random(31)
+        stats = [packet_stat(rng) for _ in range(997)]
+
+        def run(start, stop):
+            for pid in range(start, stop):
+                book.live[pid] = copy.copy(stats[pid % 997])
+                book.retire(pid)
+
+        run(0, 1_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(1_000, 101_000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(book) == book.settled.total() == 101_000 and book.live == {}
+        assert grown < 2 * ROW_FOLD * 8
+
+
 class TestLedgerAnswers:
     def test_answers_match_fsum_over_tuples_bit_for_bit(self):
         rng = random.Random(21)
@@ -386,26 +523,31 @@ class TestLedgerAnswers:
 
 
 def balanced_run(zone_of_waste=0, debit_node=1, status="dropped-link-breakage", outcome="ack",
-                 waste_time=0.5):
+                 waste_time=0.5, delivered_attempts=1):
     """A hand-built finished run whose books balance under the defaults.
 
     Node 1 pays 0.75 J and node 2 0.5 J; zone 0 invests (5, 1) and wastes
     (2, waste_time), zone 1 invests (1, 2); the packets end in every known
-    status and the attempts take every known outcome. Each argument moves
-    one booking so that exactly one check of `invariant_problems` fails.
+    status, and all but the pending one have retired; the attempts take
+    every known outcome, and the packets were sent four times. Each
+    argument moves one booking so that exactly one check of
+    `invariant_problems` fails.
     """
     led = ledger_with(
-        packets=[PacketStat(generated_at=0.0, delivered_at=1.5, attempts=1,
+        packets=[PacketStat(generated_at=0.0, delivered_at=1.5, attempts=delivered_attempts,
                             status="delivered"),
                  PacketStat(generated_at=2.0)]
-        + [PacketStat(generated_at=1.0, attempts=2, status=known)
-           for known in [status, "dropped-node-death", "dropped-session-failed",
-                         "dropped-route-invalidated"]],
+        + [PacketStat(generated_at=1.0, attempts=attempts, status=known)
+           for known, attempts in [(status, 2), ("dropped-node-death", 0),
+                                   ("dropped-session-failed", 1),
+                                   ("dropped-route-invalidated", 0)]],
         waste=[(1.0, zone_of_waste, 2.0, waste_time)],
         invest=[(0.5, 0, 5.0, 1.0), (1.0, 1, 1.0, 2.0)],
         initial={1: 10.0, 2: 8.0},
         final={1: 9.25, 2: 7.5},
     )
+    for pid in (1, 3, 4, 5, 6):
+        led.packets.retire(pid)
     for row in [(0.5, 1, "tx", 0.5), (0.6, 2, "rx", 0.5), (1.0, debit_node, "flood", 0.25)]:
         led.record_debit(*row)
     for k, known in enumerate([outcome, "timeout", "blocked", "pending"]):
@@ -435,6 +577,10 @@ class TestInvariantProblems:
     def test_unknown_attempt_outcome(self):
         assert invariant_problems(*balanced_run(outcome="nack")) == [
             "attempt outcomes outside the known set: ['nack']"]
+
+    def test_packets_sent_more_often_than_attempts_booked(self):
+        assert invariant_problems(*balanced_run(delivered_attempts=2)) == [
+            "the packets were sent 5 times but 4 hop attempts were booked"]
 
     def test_waste_booked_to_the_wrong_zone(self):
         assert invariant_problems(*balanced_run(zone_of_waste=1)) == [
@@ -514,43 +660,48 @@ class TestComputeMetrics:
 
 
 class TestWindowedSeries:
+    # each ledger's windows are duration / SERIES_WINDOWS long: 10 s here
+    DURATION = 10.0 * SERIES_WINDOWS
+
     def test_no_waste_is_all_zero(self):
-        led = ledger_with(invest=[(t, 0, 1.0, 1.0) for t in (1.0, 11.0)], duration=20.0)
-        series = windowed_waste_series(led, 10.0)
-        assert [(awe, awt) for _, awe, awt in series] == [(0.0, 0.0), (0.0, 0.0)]
+        led = ledger_with(invest=[(t, 0, 1.0, 1.0) for t in (1.0, 11.0)], duration=self.DURATION)
+        series = windowed_waste_series(led)
+        assert [(awe, awt) for _, awe, awt in series] == [(0.0, 0.0)] * SERIES_WINDOWS
 
     def test_single_wasteful_window(self):
         led = ledger_with(
             waste=[(2.0, 0, 1.0, 0.5)],
             invest=[(t, 0, 4.0, 2.0) for t in (2.0, 12.0, 22.0)],
-            duration=30.0,
+            duration=self.DURATION,
         )
-        series = windowed_waste_series(led, 10.0)
+        series = windowed_waste_series(led)
         assert series[0] == (0.0, 25.0, 25.0)
         assert series[1] == (10.0, 0.0, 0.0)
         assert series[2] == (20.0, 0.0, 0.0)
 
     def test_a_row_at_the_duration_joins_the_last_window(self):
+        end = self.DURATION
         led = ledger_with(
-            waste=[(30.0, 0, 1.0, 0.5)],
-            invest=[(25.0, 0, 2.0, 1.0), (30.0, 0, 2.0, 1.0)],
-            duration=30.0,
+            waste=[(end, 0, 1.0, 0.5)],
+            invest=[(end - 5.0, 0, 2.0, 1.0), (end, 0, 2.0, 1.0)],
+            duration=end,
         )
-        assert windowed_waste_series(led, 10.0) == [
-            (0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (20.0, 25.0, 25.0)]
+        assert windowed_waste_series(led) == (
+            [(10.0 * w, 0.0, 0.0) for w in range(SERIES_WINDOWS - 1)] + [(end - 10.0, 25.0, 25.0)])
 
     def test_matches_flat_per_window_summation(self):
         rng = random.Random(11)
+        duration = 12.5 * SERIES_WINDOWS
         waste, invest = [], []
         for _ in range(400):
-            t = rng.uniform(0.0, 100.0)
+            t = rng.uniform(0.0, duration)
             e, tm = rng.uniform(0.1, 5.0), rng.uniform(0.1, 2.0)
             invest.append((t, 0, e, tm))
             if rng.random() < 0.4:
                 waste.append((t, 0, e * rng.random(), tm * rng.random()))
-        led = ledger_with(waste=waste, invest=invest, duration=100.0)
-        series = windowed_waste_series(led, 12.5)
-        assert len(series) == 8
+        led = ledger_with(waste=waste, invest=invest, duration=duration)
+        series = windowed_waste_series(led)
+        assert len(series) == SERIES_WINDOWS
         for w, (t0, awe, awt) in enumerate(series):
             lo, hi = w * 12.5, (w + 1) * 12.5
             win_w = [(r[2], r[3]) for r in waste if lo <= r[0] < hi]
@@ -562,16 +713,17 @@ class TestWindowedSeries:
 
     def test_whole_run_equals_invested_weighted_window_mean(self):
         rng = random.Random(5)
+        duration = 6.0 * SERIES_WINDOWS
         waste, invest = [], []
         for _ in range(300):
-            t = rng.uniform(0.0, 60.0)
+            t = rng.uniform(0.0, duration)
             e, tm = rng.uniform(0.5, 3.0), rng.uniform(0.1, 1.0)
             invest.append((t, 0, e, tm))
             if rng.random() < 0.5:
                 waste.append((t, 0, e * 0.3, tm * 0.2))
-        led = ledger_with(waste=waste, invest=invest, duration=60.0)
+        led = ledger_with(waste=waste, invest=invest, duration=duration)
         rep = compute_metrics(led)
-        series = windowed_waste_series(led, 6.0)
+        series = windowed_waste_series(led)
         inv_e = [0.0] * len(series)
         inv_t = [0.0] * len(series)
         for t, _z, e, tm in invest:
@@ -584,8 +736,9 @@ class TestWindowedSeries:
         assert rep.awt == pytest.approx(weighted_awt, rel=1e-9)
 
     def test_bad_window_length_rejected(self):
+        """A ledger with no duration has no window length and no series."""
         with pytest.raises(ValueError):
-            windowed_waste_series(MetricsLedger(), 0.0)
+            windowed_waste_series(MetricsLedger())
 
     def test_recomputation_is_identical(self):
         led = ledger_with(
