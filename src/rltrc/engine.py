@@ -9,10 +9,11 @@ them) is id order; zone member sets and session holder sets are sorted
 where they are iterated. So equal (config, seed) pairs replay the exact same
 trace.
 
-A packet's forwarding state (the nodes it reached, its acked-hop investment)
-is one `Carried` record per pid, kept only while some node holds the pid:
-queues it, or has it on the air toward the next node. Once nothing can send
-the pid again, the record goes.
+A packet's one record is its ledger `PacketStat`: its fate, and its
+forwarding state (holds, the nodes it reached, its acked-hop investment).
+The record stays in `ledger.packets.live` only while some node holds the
+pid: queues it, or has it on the air toward the next node. Every hold goes
+through `_release`, and with the last one the record retires.
 
 World model: signals travel at the configured speed vs, so a data packet
 sent over a hop of length d arrives after d/(2 vs) and its acknowledgement
@@ -308,24 +309,6 @@ class QueuedPacket:
     turn: int = 1
 
 
-@dataclass(slots=True)
-class Carried:
-    """What the network keeps of a packet while some node holds it.
-
-    Each queue entry of the pid is one hold, and so is each arrival of it on
-    the air. `reached` is every node its data reached, so a node never
-    queues a pid twice; `(inv_e, inv_t)` is the acked-hop investment still
-    eligible for write-off, zeroed when written off so waste can never
-    exceed investment. Once no hold is left no node can send the pid again,
-    and the record goes: the pid's ledger stat is final, and retires.
-    """
-
-    holds: int = 1
-    reached: set[int] = field(default_factory=set)
-    inv_e: float = 0.0
-    inv_t: float = 0.0
-
-
 @dataclass
 class NodeRuntime:
     queue: list[QueuedPacket] = field(default_factory=list)
@@ -370,8 +353,6 @@ class Simulator:
         self.channel = Channel(self.seed, cfg.alpha_min, cfg.alpha_max)
         self.ledger = MetricsLedger(duration=cfg.duration)
         self.waste_ledger = WasteLedger()
-        # pid -> its record, while some node holds the pid
-        self.carried: dict[int, Carried] = {}
         # per zone, the exploration rate rl-trc uses until the next sync; the
         # sync at t = 0 is the first event, so it is set before any transmit
         self.zone_sigma: list[float] = []
@@ -508,7 +489,7 @@ class Simulator:
             self.ledger.record_debit(self.t, node_id, kind, paid)
         ok = paid >= joules and joules > 0.0
         if ok and message:
-            self.ledger.count_message()
+            self.ledger.message_count += 1
         return ok
 
     def _charge_messages(self, sends: Iterable[tuple[int, float]], kind: str) -> None:
@@ -539,7 +520,7 @@ class Simulator:
                         messages += 1
         if payers:
             self.ledger.record_debits(self.t, payers, kind, paid_col)
-            self.ledger.count_message(messages)
+            self.ledger.message_count += messages
 
     # -- periodic events ----------------------------------------------------
 
@@ -602,16 +583,15 @@ class Simulator:
             return
         t, src = self.t, sn.src
         pid = next(self._pids)
-        packets = self.ledger.packets
-        stat = packets.live[pid] = PacketStat(t)
+        stat = self.ledger.packets.live[pid] = PacketStat(t)
         if self.nodes[src].residual_energy <= 0.0:
-            # never held, so final at once
+            # never queued: the fresh record's one hold goes at once
             stat.status = "dropped-node-death"
-            packets.retire(pid)
+            self._release(pid, stat)
             self._fail_session(sn)
             return
+        # the queue entry is the fresh record's one hold
         self.runtime[src].queue.append(QueuedPacket(pid, sid))
-        self.carried[pid] = Carried()
         sn.holders.add(src)
         self._push(t + self.cfg.proc_delay, self._on_send_attempt, src)
         gap = self._inter_arrival()
@@ -728,7 +708,8 @@ class Simulator:
                          "pending" if sent else "blocked")
         ledger.attempts.append(row)
         rt.inflight = row
-        ledger.packets.live[pid].attempts += 1
+        stat = ledger.packets.live[pid]
+        stat.attempts += 1
         cfg = self.cfg
         if sent:
             sender, receiver = self.nodes[node], self.nodes[succ]
@@ -740,7 +721,7 @@ class Simulator:
             rss = propagate(level, d, self.channel.alpha(node, succ), cfg.noise_spread, self.rng)
             if (receiver.residual_energy > 0.0 and d <= sender.radio_range
                     and rss >= receiver.min_rcv):
-                self.carried[pid].holds += 1
+                stat.holds += 1
                 self._push(t + 0.5 * d / cfg.vs, self._on_packet_arrival, row, rss, d)
         self._push(t + cfg.tau_a, self._on_ack_timeout, row)
 
@@ -755,35 +736,35 @@ class Simulator:
         """
         cfg, nodes = self.cfg, self.nodes
         node, sender, pid = row.successor, row.node, row.pid
+        ledger = self.ledger
+        stat = ledger.packets.live[pid]  # held by this arrival
         receiver = nodes[node]
         if receiver.residual_energy <= 0.0:
-            self._release(pid)
+            self._release(pid, stat)
             return
         levels = receiver.power_levels
         if not self._debit(node, cfg.rx_cost_fraction * levels[0] * self._airtime, "rx",
                            message=False):
-            self._release(pid)
+            self._release(pid, stat)
             return
         floor = nodes[sender].min_rcv
         avail = linkcache.available_levels(levels, row.action - rss + floor + cfg.noise_spread)
         ack_level = avail[0] if avail else levels[-1]
-        self.ledger.count_message()
+        ledger.message_count += 1
         ack_rss = propagate(ack_level, dist, self.channel.alpha(node, sender),
                             cfg.noise_spread, self.rng)
         if ack_rss >= floor and dist <= receiver.radio_range:
             self._push(row.t + dist / cfg.vs, self._on_ack_arrival, row, rss)
-        rec = self.carried[pid]
-        if node in rec.reached:
-            self._release(pid)
+        if node in stat.reached:
+            self._release(pid, stat)
             return
-        rec.reached.add(node)
+        stat.reached.add(node)
         sn = self.sessions[row.session]
         if node == sn.dst:
-            stat = self.ledger.packets.live[pid]
             stat.status = "delivered"
             stat.delivered_at = self.t
-            rec.inv_e = rec.inv_t = 0.0
-            self._release(pid)
+            stat.inv_e = stat.inv_t = 0.0
+            self._release(pid, stat)
             return
         # the arrival's hold passes to the queue entry
         self.runtime[node].queue.append(QueuedPacket(pid, row.session))
@@ -808,19 +789,15 @@ class Simulator:
         rtt = t - row.t
         self.ledger.record_invest(t, self.sessions[row.session].home_zone, action, rtt)
         queue = rt.queue
-        carried = self.carried
-        rec = carried.get(pid)
+        stat = self.ledger.packets.live.get(pid)
         # a queued pid always has a record; with none left, no holder is
         # left who could write this hop off, so it is not kept
-        if rec is not None:
-            rec.inv_e += action
-            rec.inv_t += rtt
+        if stat is not None:
+            stat.inv_e += action
+            stat.inv_t += rtt
             if queue and queue[0].pid == pid:
                 queue.pop(0)
-                rec.holds -= 1
-                if not rec.holds:
-                    del carried[pid]
-                    self.ledger.packets.retire(pid)
+                self._release(pid, stat)
         if queue:
             self._push(t + self.cfg.proc_delay, self._on_send_attempt, node)
 
@@ -898,9 +875,9 @@ class Simulator:
             penalty = self._flood_cost(zone)
             self.reward_states[node].apply_noack(succ, qp.turn, cfg.mx_atmpt, penalty)
         # claim the packet's acked-hop investment exactly once
-        rec = self.carried[qp.pid]
-        inv_e, inv_t = rec.inv_e, rec.inv_t
-        rec.inv_e = rec.inv_t = 0.0
+        stat = self.ledger.packets.live[qp.pid]
+        inv_e, inv_t = stat.inv_e, stat.inv_t
+        stat.inv_e = stat.inv_t = 0.0
         self._drop_queued(qp.pid, "dropped-link-breakage")
         # breakage notice travels back to the source at max level
         hops = list(sn.next_hop)
@@ -1098,13 +1075,12 @@ class Simulator:
         if session_reporter(sn.src, ctl.zone, self.nodes) is not None:
             ctl.record_session_reward(sid)
 
-    def _release(self, pid: int) -> None:
-        """Give up one hold on pid; its record goes with the last one, and
-        its ledger stat, final then, retires."""
-        rec = self.carried[pid]
-        rec.holds -= 1
-        if not rec.holds:
-            del self.carried[pid]
+    def _release(self, pid: int, stat: PacketStat) -> None:
+        """Give up one hold on pid, whose live record is `stat`; with the
+        last hold the record is final and retires. The one way a packet
+        leaves `ledger.packets.live`."""
+        stat.holds -= 1
+        if not stat.holds:
             self.ledger.packets.retire(pid)
 
     def _drop_queued(self, pid: int, status: str) -> None:
@@ -1113,7 +1089,7 @@ class Simulator:
         stat = self.ledger.packets.live[pid]
         if stat.status == "pending":
             stat.status = status
-        self._release(pid)
+        self._release(pid, stat)
 
     def _drop_head(self, node: int, rt: NodeRuntime, status: str) -> None:
         """Drop the packet at the head of node's queue and try the next one."""

@@ -72,7 +72,7 @@ def record_tx(entry: CommCacheEntry) -> None:
     entry.packets_tx += 1
 
 
-def record_ack(entry: CommCacheEntry, rec: PacketRecord, vs: float, radio_range: float) -> CommCacheEntry:
+def record_ack(entry: CommCacheEntry, rec: PacketRecord, vs: float, radio_range: float) -> None:
     """Fold an acknowledged packet into the cache.
 
     Updates counters and running averages, appends the record to last_two
@@ -107,7 +107,7 @@ def record_ack(entry: CommCacheEntry, rec: PacketRecord, vs: float, radio_range:
     last_two = entry.last_two
     last_two.append(rec)
     if len(last_two) < 2:
-        return entry
+        return
     if len(last_two) > 2:
         del last_two[0]
     rec1 = last_two[0]
@@ -126,7 +126,6 @@ def record_ack(entry: CommCacheEntry, rec: PacketRecord, vs: float, radio_range:
         entry.approx_velocity = abs(ff2 - ff1) / (sig_atn * tm)
     vel = entry.approx_velocity
     entry.expected_timestamp_end = math.inf if vel <= 0.0 else 2.0 * radio_range / vel + t_ack
-    return entry
 
 
 def predict_displacement(vel: float, t_now: float, t_ack2: float) -> float:
@@ -153,7 +152,7 @@ def available_levels(levels: tuple[float, ...], p_thres: float) -> tuple[float, 
     return levels[bisect_right(levels, p_thres):]
 
 
-def mark_reliability(entry: CommCacheEntry, actual_break_time: float) -> CommCacheEntry:
+def mark_reliability(entry: CommCacheEntry, actual_break_time: float) -> None:
     """Grade a link that broke at `actual_break_time` against its predicted lifetime.
 
     The link is unreliable exactly when it broke strictly before the
@@ -162,10 +161,9 @@ def mark_reliability(entry: CommCacheEntry, actual_break_time: float) -> CommCac
     """
     entry.reliable = actual_break_time >= entry.expected_timestamp_end
     entry.recent_trend = 0
-    return entry
 
 
-def new_episode(entry: CommCacheEntry) -> CommCacheEntry:
+def new_episode(entry: CommCacheEntry) -> None:
     """Reset per-episode motion state when a route (re)installs this link.
 
     PRR counters, sig_atn and the reliability flag persist across episodes;
@@ -176,4 +174,3 @@ def new_episode(entry: CommCacheEntry) -> CommCacheEntry:
     entry.approx_velocity = 0.0
     entry.recent_trend = 0
     entry.last_two.clear()
-    return entry

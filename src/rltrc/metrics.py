@@ -71,10 +71,24 @@ def _settled_records(record, counts: Counter):
 
 @dataclass(slots=True)
 class PacketStat:
+    """A packet's record while some node holds it.
+
+    Each queue entry of the pid is one hold, and so is each arrival of it on
+    the air. `reached` is every node its data reached, so a node never
+    queues a pid twice; `(inv_e, inv_t)` is the acked-hop investment still
+    eligible for write-off, zeroed when written off so waste can never
+    exceed investment. Once no hold is left no node can send the pid again:
+    the record is final, and retires.
+    """
+
     generated_at: float
     delivered_at: float | None = None
     attempts: int = 0
     status: str = "pending"   # delivered | pending | dropped-<cause>
+    holds: int = 1
+    reached: set[int] = field(default_factory=set)
+    inv_e: float = 0.0
+    inv_t: float = 0.0
 
 
 # every status a packet can end a run in; the engine drops for four causes
@@ -346,9 +360,6 @@ class MetricsLedger:
         book.count += len(nodes)
         if book.count >= book.due:
             book.fold()
-
-    def count_message(self, n: int = 1) -> None:
-        self.message_count += n
 
     def total_debits(self) -> float:
         return math.fsum(chain.from_iterable(self.debits.paid.values()))

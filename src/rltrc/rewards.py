@@ -131,14 +131,13 @@ def accumulate_zone_waste(
     ledger: WasteLedger,
     zone_id: int,
     wastes: Iterable[tuple[float, float]],
-) -> WasteLedger:
+) -> None:
     """Add this iteration's per-transmission waste pairs to a zone's totals."""
     for wst_energ, wst_tme in wastes:
         if wst_energ < 0.0 or wst_tme < 0.0:
             raise ValueError("negative waste entry")
         ledger.ew[zone_id] = ledger.ew.get(zone_id, 0.0) + wst_energ
         ledger.et[zone_id] = ledger.et.get(zone_id, 0.0) + wst_tme
-    return ledger
 
 
 def session_reward(ew: float, et: float) -> float:

@@ -12,8 +12,9 @@ fails: a ledger that keeps a row or a record per packet, per hop or per
 zone booking grows with the run.
 
 The peak is printed, not checked. It is set by the longest queues the
-world builds up, which hold each queued packet's state, and the 2 400 s
-world builds longer ones than its first 1 200 s do.
+world builds up, and the 2 400 s world builds longer ones than its first
+1 200 s do. A held packet costs one record, its `PacketStat` in the
+ledger's live packets, plus its queue entries.
 
 It needs only the standard library and an importable `rltrc` (installed,
 or PYTHONPATH=src).

@@ -28,7 +28,6 @@ from rltrc import policy
 from rltrc.config import VALID_MOBILITY, VALID_POLICIES, VALID_ZONE_COUNTS
 from rltrc.control import BroadcastCircle, NodeTrack, assign_zones
 from rltrc.engine import (
-    Carried,
     MobilityState,
     QueuedPacket,
     Session,
@@ -444,18 +443,16 @@ class TestRouteReply:
             for pid, sid in packets:
                 sim.ledger.packets.live[pid] = PacketStat(generated_at=0.0)
                 sim.runtime[nid].queue.append(QueuedPacket(pid=pid, session=sid))
-                sim.carried[pid] = Carried()
                 sim.sessions[sid].holders.add(nid)
         sn.holders.add(2)  # a holder whose packets have all left
         sim.runtime[4].inflight = AttemptRow(0.0, 4, 0, 4, 2, 5.0, "pending")
         sim._on_route_reply(sn.id, (0, 1, 2, 3))
         packets = sim.ledger.packets
-        status = {pid: stat.status for pid, stat in packets.live.items()}
-        assert status == {1: "pending", 2: "pending", 3: "pending", 4: "pending", 6: "pending"}
+        live = {pid: (stat.status, stat.holds) for pid, stat in packets.live.items()}
+        assert live == {pid: ("pending", 1) for pid in (1, 2, 3, 4, 6)}
         assert [q.pid for q in sim.runtime[4].queue] == [4, 6]
-        # the dropped entry was pid 5's one hold, so its record went with
-        # it, and its stat retired in the status it was dropped with
-        assert sorted(sim.carried) == [1, 2, 3, 4, 6]
+        # the dropped entry was pid 5's one hold, so its record retired in
+        # the status it was dropped with
         assert packets.settled == {"dropped-route-invalidated": 1}
         assert [(h, a) for _, _, h, a in sim._events] == [
             (sim._on_send_attempt, (nid,)) for nid in (0, 1, 4)]
@@ -522,13 +519,14 @@ CARRIED_CONFIGS = [
 
 @pytest.mark.parametrize("name, seed, overrides", CARRIED_CONFIGS)
 def test_carried_records_are_exactly_the_held_pids(name, seed, overrides):
-    """After every event, `sim.carried` has a record for exactly the pids
-    that some node queues or that an arrival event still carries, and each
-    record's hold count is that pid's queue entries plus its pending
-    arrivals, counted here from scratch. A pid queued away from its source
-    has reached the node that queues it, and no node queues a pid twice."""
+    """After every event, `ledger.packets.live` has a record for exactly the
+    pids the network carries, those that some node queues or that an
+    arrival event still carries, and each record's hold count is that pid's
+    queue entries plus its pending arrivals, counted here from scratch. A
+    pid queued away from its source has reached the node that queues it,
+    and no node queues a pid twice."""
     sim = Simulator(scenario(name, **overrides), seed=seed)
-    runtime, sessions, carried = sim.runtime, sim.sessions, sim.carried
+    runtime, sessions, packets = sim.runtime, sim.sessions, sim.ledger.packets
     arrival = Simulator._on_packet_arrival
     push, debit = sim._push, sim._debit
     checked, dead, unpaid = [], [], []
@@ -544,11 +542,12 @@ def test_carried_records_are_exactly_the_held_pids(name, seed, overrides):
         if handler.__func__ is arrival and not sim.nodes[args[0].successor].alive:
             dead.append(args[0])
         handler(*args)
-        assert {pid: rec.holds for pid, rec in carried.items()} == held(), handler.__name__
+        live = packets.live
+        assert {pid: stat.holds for pid, stat in live.items()} == held(), handler.__name__
         for nid, rt in enumerate(runtime):
             assert len({q.pid for q in rt.queue}) == len(rt.queue)
             for q in rt.queue:
-                assert nid == sessions[q.session].src or nid in carried[q.pid].reached
+                assert nid == sessions[q.session].src or nid in live[q.pid].reached
         checked.append(handler)
 
     def checked_push(t, handler, *args):
@@ -564,7 +563,7 @@ def test_carried_records_are_exactly_the_held_pids(name, seed, overrides):
     report = sim.run()
     assert invariant_problems(sim.ledger, report) == []
     assert len(checked) == next(sim._seq) - len(sim._events) > 100
-    assert set(carried) == set(held())
+    assert set(packets.live) == set(held())
     flat = sim.cfg.energy_max <= 2.0
     assert bool(dead) == bool(unpaid) == flat
 
@@ -759,13 +758,14 @@ class TestAttemptRows:
                 return on_ack(row, rss)
             sim._on_ack_timeout(row)
             assert row.outcome == "timeout"
+            live = sim.ledger.packets.live
             before = copy.deepcopy(
-                (sim.runtime, sim.reward_states, spy.invest_calls, sim.carried)
+                (sim.runtime, sim.reward_states, spy.invest_calls, dict(live))
             )
             on_ack(row, rss)
             raced.append(row)
             assert row.outcome == "timeout"
-            assert (sim.runtime, sim.reward_states, spy.invest_calls, sim.carried) == before
+            assert (sim.runtime, sim.reward_states, spy.invest_calls, dict(live)) == before
 
         sim._on_ack_arrival = timeout_first
         sim.run()
@@ -811,9 +811,9 @@ def hopeless_hop(reason, turn=1, holds=1):
     rt = sim.runtime[sn.src]
     rt.inflight = None
     pid = next(sim._pids)
-    sim.ledger.packets.live[pid] = PacketStat(generated_at=sim.t)
+    sim.ledger.packets.live[pid] = PacketStat(generated_at=sim.t, holds=holds,
+                                              inv_e=7.0, inv_t=0.25)
     rt.queue = [QueuedPacket(pid=pid, session=sn.id, turn=turn)]
-    sim.carried[pid] = Carried(holds=holds, inv_e=7.0, inv_t=0.25)
     return sim, sn, pid
 
 
@@ -835,8 +835,6 @@ class TestImmediateLinkFailure:
         assert not sim.runtime[sn.src].links[sn.dst].reliable
         # a turn within the retry budget costs the successor no grade
         assert sim.reward_states[sn.src].successor_rewards[sn.dst] == grade
-        # the queue entry was the packet's last hold, so its record went
-        assert pid not in sim.carried
         # nothing was sent, so the notice carries no last attempt to write off
         assert [(handler, args) for _, _, handler, args in sim._events] == [
             (sim._on_link_breakage, (sn.id, 0.0, 0.0, 7.0, 0.25))
@@ -844,8 +842,11 @@ class TestImmediateLinkFailure:
 
     def test_claim_zeroes_a_record_still_held(self, reason):
         sim, sn, pid = hopeless_hop(reason, holds=2)
+        t = sim.t
         sim._on_send_attempt(sn.src)
-        assert sim.carried[pid] == Carried(holds=1, inv_e=0.0, inv_t=0.0)
+        # the other hold keeps the record live, final and with nothing to claim
+        assert sim.ledger.packets.live[pid] == PacketStat(
+            generated_at=t, status="dropped-link-breakage", holds=1, inv_e=0.0, inv_t=0.0)
         assert [args for _, _, _, args in sim._events] == [(sn.id, 0.0, 0.0, 7.0, 0.25)]
 
     def test_rediscovery_books_the_write_off(self, reason):
@@ -860,6 +861,42 @@ class TestImmediateLinkFailure:
         assert spy.waste_calls == [
             (sim.t, sn.home_zone, 0.0 + flood_e + 7.0, 0.0 + flood_t + 0.25)
         ]
+
+
+def test_an_ack_after_delivery_is_written_off_by_an_upstream_holder():
+    """Records today's behaviour on ROADMAP item 2's path, not the wanted
+    one. Node 0's ack was lost, so it still queues the pid when node 1
+    delivers it to node 2. Delivery zeroes the record's acked-hop
+    investment, but node 1's ack, arriving after it, adds to the record
+    again, and a link failure at node 0 then passes that ack's investment
+    on to be written off as waste. Item 2's fix inverts the last assertion:
+    the notice then carries no investment."""
+    sim, sn = route_request_sim([(0.0, 0.0), (20.0, 0.0), (40.0, 0.0)], 0, 2)
+    sn.started = sn.discovering = True
+    sim._on_route_reply(sn.id, (0, 1, 2))
+    sim._events.clear()
+    spy = LedgerSpy(sim.ledger)
+    pid = next(sim._pids)
+    stat = sim.ledger.packets.live[pid] = PacketStat(generated_at=0.0, holds=2, reached={1})
+    for nid in (0, 1):
+        sim.runtime[nid].queue.append(QueuedPacket(pid=pid, session=sn.id))
+    sim.t = 1.0
+    rt = sim.runtime[1]
+    sim._transmit(1, 2, sim.nodes[1].max_power, rt.links[2], rt, rt.queue[0], sn)
+    for handler in (sim._on_packet_arrival, sim._on_ack_arrival):
+        [(t, args)] = [(t, args) for t, _, h, args in sim._events if h == handler]
+        sim.t = t
+        handler(*args)
+        # delivered, and still held by node 0's queue entry
+        assert sim.ledger.packets.live[pid] is stat and stat.status == "delivered"
+    [(_, _, action, rtt)] = spy.invest_calls
+    assert action == sim.nodes[1].max_power and rtt > 0.0
+    assert stat.holds == 1 and rt.queue == []
+    sim._link_failure(0, sn, 0.0, 0.0)
+    assert pid not in sim.ledger.packets.live
+    assert sim.ledger.packets.settled == {"delivered": 1}
+    breakage = [args for _, _, h, args in sim._events if h == sim._on_link_breakage]
+    assert breakage == [(sn.id, 0.0, 0.0, action, rtt)]
 
 
 @pytest.mark.parametrize("stale", ["failed", "settled"])
@@ -899,7 +936,8 @@ class TestUnpaidOrLateEvents:
             receiver = sim.nodes[row.successor]
             receiver.residual_energy = 1e-15
             messages, queued = sim.ledger.message_count, len(sim._events)
-            holds = sim.carried[row.pid].holds
+            stat = sim.ledger.packets.live[row.pid]
+            holds = stat.holds
             arrive(row, rss, dist)
             starved.append(row)
             # the partial payment drains the receiver and is booked as rx
@@ -908,10 +946,11 @@ class TestUnpaidOrLateEvents:
             assert sim.ledger.message_count == messages
             assert len(sim._events) == queued
             # the arrival gives up its hold; the sender's queue entry keeps
-            # the record, which the receiver never reached
-            assert sim.carried[row.pid].holds == holds - 1 >= 1
-            assert row.successor not in sim.carried[row.pid].reached
-            assert sim.ledger.packets.live[row.pid].status == "pending"
+            # the record live, and the receiver never reached it
+            assert sim.ledger.packets.live[row.pid] is stat
+            assert stat.holds == holds - 1 >= 1
+            assert row.successor not in stat.reached
+            assert stat.status == "pending"
 
         sim._on_packet_arrival = starve_first
         sim.run()

@@ -1,13 +1,14 @@
-"""Every function, method, property, module-level constant and module-level
-class in `src/rltrc` has a reader there.
+"""Every function, method, property, annotated class field, module-level
+constant and module-level class in `src/rltrc` has a reader there.
 
 A helper that only tests call belongs in `tests/oracles.py`, not in the
 package. The check parses the package with `ast` and looks for a use of
 each defined name (a `name` or an `obj.name` that is read) anywhere in
 `src/rltrc` outside the definition's own body; an import is not a read.
-Names are matched as spelled, not resolved: a method counts as used when
-any attribute of that name is read, and dunder names, which the language
-reads, are skipped. The public API, which only users and tests call, is
+Names are matched as spelled, not resolved: a method or a field counts as
+used when any attribute of that name is read, and dunder names, which the
+language reads, are skipped. A field that is only written, or only passed
+to a constructor, has no reader. The public API, which only users and tests call, is
 listed in PUBLIC.
 """
 
@@ -29,8 +30,9 @@ PUBLIC = {
 
 def definitions(tree: ast.Module):
     """(qualified name, name, first line, last line) for every function,
-    method and property, and for every class and assigned name at module
-    level; the lines span the definition with its decorators."""
+    method and property, every annotated field of a class body, and every
+    class and assigned name at module level; the lines span the definition
+    with its decorators."""
     found = []
 
     def visit(node, prefix):
@@ -40,6 +42,10 @@ def definitions(tree: ast.Module):
                 if not isinstance(child, ast.ClassDef) or node is tree:
                     found.append((prefix + child.name, child.name, first, child.end_lineno))
                 visit(child, prefix + child.name + ".")
+            elif (isinstance(node, ast.ClassDef) and isinstance(child, ast.AnnAssign)
+                    and isinstance(child.target, ast.Name)):
+                name = child.target.id
+                found.append((prefix + name, name, child.lineno, child.end_lineno))
             elif node is tree and isinstance(child, (ast.Assign, ast.AnnAssign)):
                 targets = child.targets if isinstance(child, ast.Assign) else [child.target]
                 for target in targets:
@@ -95,10 +101,11 @@ def test_checker_flags_a_definition_only_its_own_body_uses():
     sources = {
         "a": "LIMIT = 3\nUNUSED = 4\n\n\ndef used():\n    return LIMIT\n\n\n"
              "def recursive(n):\n    return recursive(n - 1)\n",
-        "b": "from .a import UNUSED, used\n\n\nclass C:\n    @property\n    def size(self):\n"
-             "        return used()\n\n    def grow(self):\n        return self.size\n\n"
+        "b": "from .a import UNUSED, used\n\n\nclass C:\n    width: int = 1\n    depth: int = 0\n\n"
+             "    @property\n    def size(self):\n        return used()\n\n"
+             "    def grow(self):\n        return self.size + self.width\n\n"
              "    def __len__(self):\n        return 0\n\n\nclass D:\n    def make(self):\n"
              "        return D()\n\n\nTABLE = {k: C for k in (1, 2)}\n",
     }
-    assert unreferenced(sources) == ["a.UNUSED", "a.recursive", "b.C.grow", "b.D", "b.D.make",
-                                     "b.TABLE"]
+    assert unreferenced(sources) == ["a.UNUSED", "a.recursive", "b.C.depth", "b.C.grow", "b.D",
+                                     "b.D.make", "b.TABLE"]
