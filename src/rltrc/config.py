@@ -70,11 +70,13 @@ _PAIRS = (
 # finite `duration` would repeat its event forever at one instant.
 _TIMERS = ("t_sync", "mobility_dt", "tau_a", "inter_arrival_min", "beacon_period")
 
-# Counts the world builds one object or power level each for, capped far
-# above every canned and scale world (3 200 nodes with 200 sessions, 10
-# levels) so that an accepted config fits in memory, 10^7 power levels at
-# most; override=true keeps the caps. Node and session ids then also fit
-# the ledger's 32-bit columns.
+# Counts capped far above every canned and scale world (3 200 nodes with 200
+# sessions, 10 levels) so that an accepted config fits in memory;
+# override=true keeps the caps. The world builds one object per node and per
+# session, and one level tuple per level count that every node with that
+# count shares, so level_count_max bounds the size of each shared tuple and
+# of each decision's level set. Node and session ids also fit the ledger's
+# 32-bit columns.
 _CAPS = (("nodes", 100_000), ("sessions", 10_000), ("level_count_max", 100))
 
 

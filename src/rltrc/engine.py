@@ -56,6 +56,7 @@ from .model import (
     NodeState,
     Point,
     ZoneState,
+    checked_levels,
     grid_cells,
     make_zones,
     zone_of,
@@ -376,6 +377,8 @@ class Simulator:
         av_rad = (cfg.radio_range_min + cfg.radio_range_max) / 2.0
         self.zones = make_zones(cfg.arena_width, cfg.arena_height, cfg.zones, av_rad=av_rad)
         self.nodes: list[NodeState] = []
+        # level count -> the one checked tuple every node with that count holds
+        self._levels_by_count: dict[int, tuple[float, ...]] = {}
         for z in self.zones:
             for spot in self._peripheral_spots(z, cfg.peripherals_per_zone):
                 self.nodes.append(self._make_node(len(self.nodes), spot, peripheral=True))
@@ -424,11 +427,14 @@ class Simulator:
     def _make_node(self, nid: int, pos: Point, peripheral: bool) -> NodeState:
         cfg = self.cfg
         k = self.rng.randint(cfg.level_count_min, cfg.level_count_max)
-        if k == 1:
-            levels = (cfg.level_value_max,)
-        else:
-            span = cfg.level_value_max - cfg.level_value_min
-            levels = tuple(cfg.level_value_min + span * i / (k - 1) for i in range(k))
+        levels = self._levels_by_count.get(k)
+        if levels is None:
+            if k == 1:
+                levels = (cfg.level_value_max,)
+            else:
+                span = cfg.level_value_max - cfg.level_value_min
+                levels = tuple(cfg.level_value_min + span * i / (k - 1) for i in range(k))
+            levels = self._levels_by_count[k] = checked_levels(levels)
         return NodeState(
             id=nid,
             position=pos,

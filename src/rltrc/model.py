@@ -6,6 +6,7 @@ axis-aligned rectangular zones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, TypeVar
@@ -17,6 +18,22 @@ R = TypeVar("R", bound=tuple)
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""
     return math.hypot(b[0] - a[0], b[1] - a[1])
+
+
+@functools.lru_cache(maxsize=256)
+def checked_levels(levels: tuple) -> tuple[float, ...]:
+    """`levels` as a tuple of floats, once checked positive and strictly
+    ascending; raises ValueError otherwise, a NaN level included.
+
+    Nodes with equal level counts share one tuple, so each distinct tuple is
+    converted and checked once and later calls return the same object. The
+    memo keeps the 256 most recent tuples; a raise is not memoized.
+    """
+    out = tuple(float(p) for p in levels)
+    # written as "not (x > y)" so that a NaN, which compares false, fails
+    if not out or not out[0] > 0 or not all(b > a for a, b in zip(out, out[1:])):
+        raise ValueError("power levels must be positive and strictly ascending")
+    return out
 
 
 @dataclass
@@ -38,12 +55,10 @@ class NodeState:
     is_peripheral: bool = False
 
     def __post_init__(self) -> None:
-        levels = tuple(float(p) for p in self.power_levels)
+        levels = tuple(self.power_levels)
         if not levels:
             raise ValueError("node %d has no power levels" % self.id)
-        if levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError("power levels must be positive and strictly ascending")
-        self.power_levels = levels
+        self.power_levels = checked_levels(levels)
         if self.is_peripheral and self.max_velocity != 0.0:
             raise ValueError("peripheral nodes are static")
 

@@ -5,8 +5,9 @@ estimates the expected farthest neighbor by Monte Carlo, the path oracle
 enumerates simple paths, the route oracle runs a full breadth-first search,
 the ledger oracle re-adds the rows a ledger spy copied as the run booked
 them, the packet oracle recounts every packet stat the spy kept, the
-mobility oracle moves one node at a time, and the link, neighbor and
-diameter oracles scan every pair of nodes. Test modules freeze the numbers
+mobility oracle moves one node at a time, the world oracle replays a
+world's construction draws from a fresh generator, and the link, neighbor
+and diameter oracles scan every pair of nodes. Test modules freeze the numbers
 these produce or compare against them; the oracles stay here so the
 derivation can be re-run.
 
@@ -19,6 +20,7 @@ averages it keeps as sums, and the broadcast-circle membership test that
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -279,6 +281,55 @@ def oracle_membership_diameter(points) -> float:
         for j in range(i + 1, len(points)):
             best = max(best, math.dist(points[i], points[j]))
     return best
+
+
+def oracle_world_draws(cfg, seed, zones):
+    """The nodes and sessions a world of `cfg` draws from a fresh
+    `random.Random(seed)`, replayed in the documented order.
+
+    Peripherals come first, zone by zone: each is placed on its zone's
+    internal edges (right, left, top, bottom, those inside the arena, in
+    turn, 1 m in from the edge at evenly spaced fractions along it) and
+    draws its level count, energy and radio range. Each mobile node then
+    draws x, y, its level count, top speed, energy and radio range. Last,
+    each session samples two distinct mobile ids. A node with k levels has
+    `level_value_max` alone when k is 1, else k levels evenly spaced from
+    `level_value_min` to `level_value_max`. Returns (nodes, sessions): per
+    node (position, max_velocity, residual_energy, radio_range,
+    power_levels), per session (src, dst).
+    """
+    rng = random.Random(seed)
+    w, h = cfg.arena_width, cfg.arena_height
+    lo, hi = cfg.level_value_min, cfg.level_value_max
+
+    def levels():
+        k = rng.randint(cfg.level_count_min, cfg.level_count_max)
+        return (hi,) if k == 1 else tuple(lo + (hi - lo) * i / (k - 1) for i in range(k))
+
+    nodes = []
+    for z in zones:
+        places = [place for place, inside in (
+            (lambda f: (z.x1 - 1.0, z.y0 + (z.y1 - z.y0) * f), z.x1 < w),
+            (lambda f: (z.x0 + 1.0, z.y0 + (z.y1 - z.y0) * f), z.x0 > 0.0),
+            (lambda f: (z.x0 + (z.x1 - z.x0) * f, z.y1 - 1.0), z.y1 < h),
+            (lambda f: (z.x0 + (z.x1 - z.x0) * f, z.y0 + 1.0), z.y0 > 0.0),
+        ) if inside]
+        per_edge = math.ceil(cfg.peripherals_per_zone / len(places))
+        for i in range(cfg.peripherals_per_zone):
+            position = places[i % len(places)]((i // len(places) + 1) / (per_edge + 1))
+            ks = levels()
+            nodes.append((position, 0.0, rng.uniform(cfg.energy_min, cfg.energy_max),
+                          rng.uniform(cfg.radio_range_min, cfg.radio_range_max), ks))
+    mobile = list(range(len(nodes), cfg.nodes))
+    for _ in mobile:
+        position = (rng.uniform(0.0, w), rng.uniform(0.0, h))
+        ks = levels()
+        vmax = rng.uniform(cfg.vmax_min, cfg.vmax_max)
+        energy = rng.uniform(cfg.energy_min, cfg.energy_max)
+        nodes.append((position, vmax, energy,
+                      rng.uniform(cfg.radio_range_min, cfg.radio_range_max), ks))
+    sessions = [tuple(rng.sample(mobile, 2)) for _ in range(cfg.sessions)]
+    return nodes, sessions
 
 
 def oracle_mobility_tick(nodes, states, model, dt, t_now, rng, arena, pause_max, accel):

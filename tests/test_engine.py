@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from oracles import (
     oracle_route,
     oracle_route_links,
     oracle_shortest_path,
+    oracle_world_draws,
 )
 
 import rltrc
@@ -967,6 +969,50 @@ class TestUnpaidOrLateEvents:
         assert (spy.debit_calls, spy.invest_calls, spy.waste_calls) == ([], [], [])
         assert sim._events == []
         assert not sn.discovering and sn.next_hop == {}
+
+
+class TestWorldConstruction:
+    @pytest.mark.parametrize("zones", [3, 12])
+    @pytest.mark.parametrize("peripherals", [0, 2])
+    @pytest.mark.parametrize("counts", [(1, 1), (5, 10), (90, 100)], ids=str)
+    def test_every_draw_matches_the_replayed_order(self, counts, peripherals, zones):
+        cfg = scenario("desk-compare", zones=zones, peripherals_per_zone=peripherals,
+                       level_count_min=counts[0], level_count_max=counts[1], override=True)
+        seed = 11 * zones + peripherals + counts[0]
+        sim = Simulator(cfg, seed)
+        nodes, sessions = oracle_world_draws(cfg, seed, sim.zones)
+        got = [(n.position, n.max_velocity, n.residual_energy, n.radio_range, n.power_levels)
+               for n in sim.nodes]
+
+        def bits(x):  # float.hex: equal bit for bit, not just equal
+            return tuple(map(bits, x)) if isinstance(x, tuple) else x.hex()
+
+        assert list(map(bits, got)) == list(map(bits, nodes))
+        assert [(sn.src, sn.dst) for sn in sim.sessions] == sessions
+        assert sum(n.is_peripheral for n in sim.nodes) == zones * peripherals
+
+    def test_nodes_with_equal_level_counts_share_one_tuple(self):
+        sim = Simulator(scenario("desk-converge"))
+        assert sorted(sim._levels_by_count) == list(range(5, 11))
+        for n in sim.nodes:
+            assert n.power_levels is sim._levels_by_count[len(n.power_levels)]
+
+    def test_a_large_level_count_costs_little_per_node(self):
+        nodes = 2000
+        side = (nodes / 100) ** 0.5
+        cfg = scenario("desk-converge", nodes=nodes, arena_width=140.0 * side,
+                       arena_height=105.0 * side, sessions=nodes // 16,
+                       level_count_min=90, level_count_max=100, override=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim = Simulator(cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # one tuple of up to 100 floats per node would be about 3 KB each
+        assert len(sim.nodes) == nodes
+        assert held / nodes < 1500
 
 
 class TestEndToEnd:

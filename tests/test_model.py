@@ -5,6 +5,7 @@ import pytest
 from rltrc.model import (
     NodeState,
     ZoneState,
+    checked_levels,
     distance,
     make_zones,
     zone_of,
@@ -16,18 +17,63 @@ def test_distance():
     assert distance((1.0, 1.0), (1.0, 1.0)) == 0.0
 
 
+BAD_LEVELS = "^power levels must be positive and strictly ascending$"
+
+
 class TestNodeState:
     def test_levels_must_be_ascending(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=BAD_LEVELS):
             NodeState(id=0, position=(0, 0), power_levels=(5.0, 5.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=BAD_LEVELS):
             NodeState(id=0, position=(0, 0), power_levels=(10.0, 5.0))
 
     def test_levels_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=BAD_LEVELS):
             NodeState(id=0, position=(0, 0), power_levels=(0.0, 5.0))
-        with pytest.raises(ValueError):
-            NodeState(id=0, position=(0, 0), power_levels=())
+        with pytest.raises(ValueError, match=BAD_LEVELS):
+            NodeState(id=0, position=(0, 0), power_levels=(-1.0,))
+        for nan_at in range(3):
+            levels = [5.0, 10.0, 15.0]
+            levels[nan_at] = math.nan
+            with pytest.raises(ValueError, match=BAD_LEVELS):
+                NodeState(id=0, position=(0, 0), power_levels=levels)
+        with pytest.raises(ValueError, match="^node 3 has no power levels$"):
+            NodeState(id=3, position=(0, 0), power_levels=())
+        with pytest.raises(ValueError, match="^node 4 has no power levels$"):
+            NodeState(id=4, position=(0, 0), power_levels=[])
+
+    @pytest.mark.parametrize(
+        "given", [[5, 10, 15], (5, 10.0, 15), range(5, 20, 5), [5.0, 10.0, 15.0]],
+        ids=["int-list", "mixed-tuple", "range", "float-list"])
+    def test_any_sequence_is_stored_as_a_float_tuple(self, given):
+        n = NodeState(id=0, position=(0, 0), power_levels=given)
+        assert type(n.power_levels) is tuple
+        assert [type(p) for p in n.power_levels] == [float] * 3
+        assert n.power_levels == (5.0, 10.0, 15.0)
+
+    def test_a_checked_tuple_is_kept_as_it_is(self):
+        levels = checked_levels((7.0, 9.0, 11.0))
+        assert checked_levels((7, 9, 11)) is levels
+        assert NodeState(id=0, position=(0, 0), power_levels=levels).power_levels is levels
+        again = NodeState(id=1, position=(0, 0), power_levels=[7.0, 9.0, 11.0])
+        assert again.power_levels is levels
+
+    def test_an_invalid_tuple_raises_after_a_valid_one(self):
+        NodeState(id=0, position=(0, 0), power_levels=(5.0, 10.0))
+        for _ in range(2):  # a raise is not remembered as a pass
+            with pytest.raises(ValueError, match=BAD_LEVELS):
+                NodeState(id=0, position=(0, 0), power_levels=(10.0, 5.0))
+            with pytest.raises(ValueError, match=BAD_LEVELS):
+                checked_levels((5.0, 5.0))
+        ok = NodeState(id=0, position=(0, 0), power_levels=(5.0, 10.0))
+        assert ok.power_levels == (5.0, 10.0)
+
+    def test_the_level_memo_keeps_its_fixed_size(self):
+        maxsize = checked_levels.cache_info().maxsize
+        assert maxsize == 256
+        for i in range(10_000):
+            assert checked_levels((1.0 + i, 20_000.0 + i)) == (1.0 + i, 20_000.0 + i)
+        assert checked_levels.cache_info().currsize == maxsize
 
     def test_peripheral_nodes_are_static(self):
         with pytest.raises(ValueError):
