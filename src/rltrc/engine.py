@@ -492,7 +492,7 @@ class Simulator:
         paid = e if e < joules else joules  # min(joules, e)
         if paid > 0.0:
             node.residual_energy = e - paid
-            self.ledger.record_debit(self.t, node_id, kind, paid)
+            self.ledger.record_debit(node_id, kind, paid)
         ok = paid >= joules and joules > 0.0
         if ok and message:
             self.ledger.message_count += 1
@@ -525,7 +525,7 @@ class Simulator:
                     if paid >= joules:
                         messages += 1
         if payers:
-            self.ledger.record_debits(self.t, payers, kind, paid_col)
+            self.ledger.record_debits(payers, kind, paid_col)
             self.ledger.message_count += messages
 
     # -- periodic events ----------------------------------------------------

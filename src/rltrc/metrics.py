@@ -6,8 +6,9 @@ abstract units (power levels, broadcast message counts, seconds) and drive
 AWE/AWT; utilized = invested - wasted, so AWE = 100 * wasted / invested.
 
 No book of the ledger grows with the length of a run. Each keeps counts
-and, where a reader needs a sum, the partials of its exact sum
-(`exact_partials`), and holds records only while they can still change:
+and, where a reader needs a sum, a buffer of floats that folds into the
+partials of its exact sum (`exact_partials`) once an append brings it to
+ROW_FOLD floats, and holds records only while they can still change:
 
 - `DebitBook`: the debit count and, per node, the joules booked to it.
 - `PacketBook`: a `PacketStat` per pid while some node holds the pid; once
@@ -30,8 +31,8 @@ from array import array
 from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat, takewhile, zip_longest
-from operator import attrgetter
+from itertools import chain, compress, repeat, takewhile, zip_longest
+from operator import attrgetter, ge
 
 
 CSV_VERSION_HEADER = "# rltrc metrics v1"
@@ -39,9 +40,14 @@ CSV_VERSION_HEADER = "# rltrc metrics v1"
 # the windowed series splits [0, duration) into this many windows
 SERIES_WINDOWS = 20
 
-# the floats a buffer of a zone book, or of delivered latencies, holds
-# before it folds: 4 KB
-ROW_FOLD = 512
+# the ledger's one fold rule: an append that brings a buffer of floats (a
+# node's debits, a zone's pairs, the delivered latencies) to ROW_FOLD floats,
+# or a batch that brings it there or past, replaces the buffer by the
+# partials of its exact sum, so no buffer holds 1 KB. A buffer that sums to
+# inf or nan has no partials: it stays as it is and grows past ROW_FOLD, so
+# it is not summed again. Even, so that a zone's pairs reach it exactly, and
+# above the 80 floats that the partials of a zone's pair of sums can take.
+ROW_FOLD = 128
 
 
 def exact_partials(buf: array) -> array:
@@ -110,7 +116,7 @@ class PacketBook:
     `transmitted`, the count of retired packets sent at least once,
     `attempts`, the sum of their attempts, and `latency`, the exact
     partials of `delivered_at - generated_at` over the retired delivered
-    ones (folded every ROW_FOLD latencies). `len` counts every packet.
+    ones (folded by the ROW_FOLD rule). `len` counts every packet.
     `values()` yields one record per packet with its `status`: one shared
     read-only `SettledPacket` per status of the retired ones, repeated by
     its count, then the live stats. A retired pid has no record to look up.
@@ -140,7 +146,7 @@ class PacketBook:
         if stat.status == "delivered":
             latency = self.latency
             latency.append(stat.delivered_at - stat.generated_at)
-            if len(latency) >= ROW_FOLD:
+            if len(latency) == ROW_FOLD:
                 self.latency = exact_partials(latency)
 
 
@@ -227,9 +233,9 @@ class ZoneBook:
     window w = int(t / window) of the series (the last window also takes
     the rows at or past its end), so each is the float a sequential sum
     over its rows in append order gives. It appends them as a pair to the
-    zone's buffer `zones[zone]`; a buffer of ROW_FOLD floats is replaced by
-    the partials of its energies' exact sum paired with those of its
-    seconds' (`exact_partials`), the shorter side padded with 0.0. `len`
+    zone's buffer `zones[zone]`; a buffer that reaches ROW_FOLD floats is
+    replaced by the partials of its energies' exact sum paired with those of
+    its seconds' (`exact_partials`), the shorter side padded with 0.0. `len`
     counts rows. Iteration yields, per zone with any row, its pairs as rows
     (nan, zone, energy, seconds): a buffered row has no one time, and an
     fsum per zone and column of what it yields is the exact sum of what
@@ -258,7 +264,7 @@ class ZoneBook:
             buf = self.zones[zone]
             buf.append(energy)
             buf.append(seconds)
-            if len(buf) >= ROW_FOLD:
+            if len(buf) == ROW_FOLD:
                 pairs = zip_longest(exact_partials(buf[0::2]), exact_partials(buf[1::2]),
                                     fillvalue=0.0)
                 self.zones[zone] = array("d", chain.from_iterable(pairs))
@@ -278,45 +284,23 @@ class ZoneBook:
                 math.fsum(chain.from_iterable(buf[1::2] for buf in bufs)))
 
 
-# debits booked between two folds of a `DebitBook`: at most 512 KB of
-# buffered joules. A fold sums each buffered debit about three times (some
-# 70 ns a debit), so folds are kept rare: a run that books fewer debits
-# never folds.
-DEBIT_FOLD = 1 << 16
-
-# a fold leaves a buffer shorter than this as it is: at scale most nodes pay
-# a few debits between two folds, and the fsum calls and new array of a
-# short buffer cost more than its floats. Short buffers hold under 1 KB of
-# joules per node.
-FOLD_MIN = 128
-
-
 class DebitBook:
     """How many debits a run booked, and the exact joules per node.
 
     `paid[node]` is an `array('d')` that the ledger appends each of the
-    node's debits to. `fold` replaces every buffer of FOLD_MIN floats or
-    more by the partials of its exact sum (`exact_partials`), so an fsum
-    over a node's buffer, or over all of them, gives the float an fsum over
-    every debit row would. `len` counts debits.
+    node's debits to and folds by the ROW_FOLD rule (`exact_partials`), so
+    an fsum over a node's buffer, or over all of them, gives the float an
+    fsum over every debit row would. `len` counts debits.
     """
 
-    __slots__ = ("count", "due", "paid")
+    __slots__ = ("count", "paid")
 
     def __init__(self):
         self.count = 0
-        self.due = DEBIT_FOLD     # the count at which the ledger calls `fold`
         self.paid: defaultdict[int, array] = defaultdict(partial(array, "d"))
 
     def __len__(self) -> int:
         return self.count
-
-    def fold(self) -> None:
-        paid = self.paid
-        for node, buf in paid.items():
-            if len(buf) >= FOLD_MIN:
-                paid[node] = exact_partials(buf)
-        self.due = self.count + DEBIT_FOLD
 
 
 @dataclass
@@ -342,24 +326,33 @@ class MetricsLedger:
         self.record_waste = self.waste_rows.append
         self.record_invest = self.invest_rows.append
 
-    def record_debit(self, t: float, node: int, kind: str, joules: float) -> None:
+    def record_debit(self, node: int, kind: str, joules: float) -> None:
         # the hottest call of a run: one lookup, one append, one add, one
-        # compare; the book keeps neither `t` nor `kind`
+        # length compare; the book does not keep `kind`
         book = self.debits
-        book.paid[node].append(joules)
+        buf = book.paid[node]
+        buf.append(joules)
         book.count += 1
-        if book.count >= book.due:
-            book.fold()
+        if len(buf) == ROW_FOLD:
+            book.paid[node] = exact_partials(buf)
 
-    def record_debits(self, t: float, nodes: list[int], kind: str, joules: list[float]) -> None:
-        """`record_debit(t, nodes[i], kind, joules[i])` for each i in order."""
-        book = self.debits
-        # paid[nodes[i]].append(joules[i]) for each i, looped in C (the
-        # `consume` recipe of itertools); a Python loop is a third slower
-        deque(map(array.append, map(book.paid.__getitem__, nodes), joules), maxlen=0)
-        book.count += len(nodes)
-        if book.count >= book.due:
-            book.fold()
+    def record_debits(self, nodes: list[int], kind: str, joules: list[float]) -> None:
+        """`record_debit(nodes[i], kind, joules[i])` for each i in order."""
+        paid = self.debits.paid
+        bufs = list(map(paid.__getitem__, nodes))
+        # bufs[i].append(joules[i]) for each i, looped in C (the `consume`
+        # recipe of itertools); a Python loop is a third slower
+        deque(map(array.append, bufs, joules), maxlen=0)
+        self.debits.count += len(nodes)
+        if max(map(len, bufs), default=0) >= ROW_FOLD:
+            # each node whose buffer is full, with the debits this batch paid
+            # it, picked in C: a Python loop over a batch at scale costs more
+            # than its appends
+            full = Counter(compress(nodes, map(ge, map(len, bufs), repeat(ROW_FOLD))))
+            for node, n in full.items():
+                buf = paid[node]
+                if len(buf) - n < ROW_FOLD:  # this batch brought it to ROW_FOLD or past
+                    paid[node] = exact_partials(buf)
 
     def total_debits(self) -> float:
         return math.fsum(chain.from_iterable(self.debits.paid.values()))

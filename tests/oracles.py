@@ -131,10 +131,10 @@ class LedgerSpy:
     Wraps the ledger instance's `record_debit`, `record_debits`,
     `record_waste` and `record_invest`, so tests can replay and re-sum a
     run's rows without reading how the ledger stores them. Each `*_calls`
-    list holds one tuple per row in booking order, `(t, node, kind, joules)`
+    list holds one tuple per row in booking order, `(node, kind, joules)`
     for debits and `(t, zone, energy, seconds)` otherwise, including the
     all-zero waste and investment calls the ledger itself keeps no row for.
-    A batched `record_debits(t, nodes, kind, joules)` call adds one debit
+    A batched `record_debits(nodes, kind, joules)` call adds one debit
     tuple per node, in the batch's order. It also wraps the ledger's
     `attempts.append`: `attempt_rows` keeps every `AttemptRow` the run
     appends, in order, as the object itself, so its outcome reads as the
@@ -154,10 +154,10 @@ class LedgerSpy:
             setattr(ledger, name, self._copying(getattr(ledger, name), rows))
         record_debits, debit_calls = ledger.record_debits, self.debit_calls
 
-        def spy_batch(t, nodes, kind, joules):
+        def spy_batch(nodes, kind, joules):
             assert len(nodes) == len(joules)
-            debit_calls.extend((t, node, kind, paid) for node, paid in zip(nodes, joules))
-            record_debits(t, nodes, kind, joules)
+            debit_calls.extend((node, kind, paid) for node, paid in zip(nodes, joules))
+            record_debits(nodes, kind, joules)
 
         ledger.record_debits = spy_batch
         attempt_rows, append = [], ledger.attempts.append

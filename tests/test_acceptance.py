@@ -121,7 +121,7 @@ def test_criterion_07_energy_conservation_and_recheck():
     report = sim.run()
     assert invariant_problems(sim.ledger, report) == []
     ew, et, ec, awe, awt = oracle_ledger_recheck(sim.ledger, spy)
-    assert math.fsum(r[3] for r in spy.debit_calls) == pytest.approx(ec, rel=1e-9)
+    assert math.fsum(r[2] for r in spy.debit_calls) == pytest.approx(ec, rel=1e-9)
     inc_ew = math.fsum(z.ew for z in sim.zones)
     inc_et = math.fsum(z.et for z in sim.zones)
     assert ew == pytest.approx(inc_ew, rel=1e-9)

@@ -369,7 +369,7 @@ class TestRouteRequest:
         sim.nodes[0].residual_energy = 1e-6
         spy = LedgerSpy(sim.ledger)
         sim._request_route(sn, waste=None)
-        assert (0, "flood") in [(r[1], r[2]) for r in spy.debit_calls]
+        assert (0, "flood") in [(r[0], r[1]) for r in spy.debit_calls]
         assert not sim.nodes[0].alive
         assert not sn.live
         assert sim._on_route_reply not in queued_handlers(sim)
@@ -417,8 +417,8 @@ class TestMessageCharge:
         assert batched.ledger.energy_by_node() == single.ledger.energy_by_node()
         # the dead node books no row; the drained and the partial payer each
         # book one, but only full payments count a message
-        assert [(r[0], r[1], r[2]) for r in spy_batched.debit_calls] == [
-            (4.5, nid, "flood") for nid in (0, 1, 2, 4)]
+        assert [(r[0], r[1]) for r in spy_batched.debit_calls] == [
+            (nid, "flood") for nid in (0, 1, 2, 4)]
         assert batched.ledger.debit_count == 4
         assert batched.nodes[1].residual_energy == 0.0 == batched.nodes[2].residual_energy
         assert batched.ledger.message_count == 3
@@ -944,7 +944,7 @@ class TestUnpaidOrLateEvents:
             starved.append(row)
             # the partial payment drains the receiver and is booked as rx
             assert not receiver.alive
-            assert spy.debit_calls[-1] == (sim.t, row.successor, "rx", 1e-15)
+            assert spy.debit_calls[-1] == (row.successor, "rx", 1e-15)
             assert sim.ledger.message_count == messages
             assert len(sim._events) == queued
             # the arrival gives up its hold; the sender's queue entry keeps
@@ -1065,7 +1065,7 @@ class TestEndToEnd:
         led = sim.ledger
         assert invariant_problems(led, sim.run()) == []
         replayed = oracle_energy_totals(
-            led.initial_energy, [(r[1], r[3]) for r in spy.debit_calls]
+            led.initial_energy, [(r[0], r[2]) for r in spy.debit_calls]
         )
         for nid, residual in replayed.items():
             assert led.final_energy[nid] == pytest.approx(residual, abs=1e-12)

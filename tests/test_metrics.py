@@ -13,14 +13,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import LedgerSpy, oracle_packet_metrics, oracle_waste_fraction
 
 from rltrc import metrics
+from rltrc.engine import Simulator
 from rltrc.metrics import (
     CSV_VERSION_HEADER,
-    DEBIT_FOLD,
     ROW_FOLD,
     SERIES_WINDOWS,
     AttemptLog,
     AttemptRow,
-    DebitBook,
     MetricsLedger,
     PacketBook,
     PacketStat,
@@ -31,6 +30,7 @@ from rltrc.metrics import (
     render_csv,
     windowed_waste_series,
 )
+from rltrc.scenarios import names, scenario
 
 
 def ledger_with(
@@ -147,12 +147,12 @@ class TestZoneBook:
             many = 40 * metrics.ROW_FOLD if trial >= 22 else 300
             waste = rows_with_borders(rng, rng.randint(0, many), duration)
             invest = rows_with_borders(rng, rng.randint(1, many), duration)
-            debits = [(t, zone, rng.choice(["tx", "rx", "flood"]), e)
-                      for t, zone, e, _ in random_rows(rng, rng.randint(0, 300), duration)]
+            debits = [(zone, rng.choice(["tx", "rx", "flood"]), e)
+                      for _t, zone, e, _ in random_rows(rng, rng.randint(0, 300), duration)]
             led = ledger_with(waste=waste, invest=invest, duration=duration)
             for row in debits:
                 led.record_debit(*row)
-            assert led.total_debits() == math.fsum(r[3] for r in debits)
+            assert led.total_debits() == math.fsum(r[2] for r in debits)
             assert (len(led.waste_rows), len(led.invest_rows)) == (len(waste), len(invest))
             rep = compute_metrics(led)
             ie, it = math.fsum(r[2] for r in invest), math.fsum(r[3] for r in invest)
@@ -170,6 +170,24 @@ class TestZoneBook:
                 for z in {r[1] for r in rows}:
                     assert [math.fsum(r[c] for r in book if r[1] == z) for c in (2, 3)] == [
                         math.fsum(r[c] for r in rows if r[1] == z) for c in (2, 3)]
+
+    def test_a_buffer_whose_energy_sums_to_inf_is_not_summed_again(self, monkeypatch):
+        """inf has no partials: the row that brings zone 2's buffer to
+        ROW_FOLD floats keeps its energies as they were and folds its
+        seconds. Later rows grow the buffer past ROW_FOLD without summing
+        it again, and the sums stay exact."""
+        book = ZoneBook(1.0)
+        rows = ROW_FOLD // 2
+        book.append(0.0, 2, math.inf, 0.5)
+        for _ in range(rows - 1):
+            book.append(0.0, 2, 1.0, 0.5)
+        assert list(book.zones[2][:4]) == [math.inf, 0.5 * rows, 1.0, 0.0]
+        assert len(book.zones[2]) == ROW_FOLD
+        folded = folds_of(monkeypatch, {})
+        for _ in range(rows):
+            book.append(0.0, 2, 1.0, 0.5)
+        assert folded == [] and len(book.zones[2]) == 2 * ROW_FOLD
+        assert book.totals() == (math.inf, 0.5 * 2 * rows)
 
     def test_a_folded_row_costs_no_memory(self):
         """100 000 rows booked to four zones grow the heap by less than
@@ -200,62 +218,81 @@ def book_debits(led, rng, count, nodes, magnitudes):
     of single debits and batches of 1-40 (a node may repeat in a batch)."""
     booked = 0
     while booked < count:
-        t = booked * 0.01
         if rng.random() < 0.5:
-            led.record_debit(t, rng.choice(nodes), "tx", awkward_amount(rng, *magnitudes))
+            led.record_debit(rng.choice(nodes), "tx", awkward_amount(rng, *magnitudes))
             booked += 1
         else:
             batch = [rng.choice(nodes) for _ in range(rng.randint(1, 40))]
-            led.record_debits(t, batch, "flood",
-                              [awkward_amount(rng, *magnitudes) for _ in batch])
+            led.record_debits(batch, "flood", [awkward_amount(rng, *magnitudes) for _ in batch])
             booked += len(batch)
+
+
+def folds_of(monkeypatch, bufs):
+    """The keys of `bufs` whose buffer each later `exact_partials` call is
+    given, in call order; None for a buffer `bufs` does not hold."""
+    folded = []
+    fold = metrics.exact_partials
+
+    def spy(buf):
+        folded.append(next((key for key, held in bufs.items() if held is buf), None))
+        return fold(buf)
+
+    monkeypatch.setattr(metrics, "exact_partials", spy)
+    return folded
 
 
 class TestDebitBook:
     def test_answers_stay_exact_across_folds(self, monkeypatch):
         """Count, total and per-node joules equal len and fsum over every
-        row booked, bit for bit, after at least three folds. Most trials
-        fold every 64 debits; the last uses the ledger's own spacing."""
-        folds = []
-        fold = DebitBook.fold
-        monkeypatch.setattr(DebitBook, "fold", lambda book: (folds.append(book), fold(book)))
+        row booked, bit for bit, after at least three folds of every node's
+        buffer, and no buffer is left holding ROW_FOLD floats or more. Most
+        trials fold at 6 to 64 floats, so a batch often brings a buffer past
+        ROW_FOLD; the last uses the ledger's own ROW_FOLD."""
         rng = random.Random(22)
         for trial in range(31):
-            real = trial == 30
-            monkeypatch.setattr(metrics, "DEBIT_FOLD", DEBIT_FOLD if real else 64)
+            monkeypatch.setattr(metrics, "ROW_FOLD",
+                                ROW_FOLD if trial == 30 else rng.choice([6, 8, 16, 64]))
             led = MetricsLedger()
             spy = LedgerSpy(led)
+            folded = folds_of(monkeypatch, led.debits.paid)
             nodes = rng.sample(range(50), 4)
-            interval = metrics.DEBIT_FOLD
-            folds.clear()
-            # a batch overshoots a fold by at most 39 debits
-            book_debits(led, rng, 3 * (interval + 40) + rng.randrange(interval), nodes, (-12, 12))
-            assert len(folds) >= 3
+            book_debits(led, rng, 6 * len(nodes) * metrics.ROW_FOLD, nodes, (-12, 12))
+            folds = Counter(folded)
+            assert min(folds[n] for n in nodes) >= 3 and None not in folds
+            assert all(len(buf) < metrics.ROW_FOLD for buf in led.debits.paid.values())
             rows = spy.debit_calls
             assert led.debit_count == len(led.debits) == len(rows)
-            assert led.total_debits() == math.fsum(r[3] for r in rows)
+            assert led.total_debits() == math.fsum(r[2] for r in rows)
             paid = led.energy_by_node()
-            assert paid == {n: math.fsum(r[3] for r in rows if r[1] == n) for n in nodes}
-            assert list(paid) == list(dict.fromkeys(r[1] for r in rows))  # first-paid order
+            assert paid == {n: math.fsum(r[2] for r in rows if r[0] == n) for n in nodes}
+            assert list(paid) == list(dict.fromkeys(r[0] for r in rows))  # first-paid order
 
-    def test_a_buffer_that_sums_to_inf_is_kept_as_it_is(self):
-        """inf has no partials: the fold leaves that buffer as it was, folds
-        the buffers after it and ends; the total stays inf."""
-        n = metrics.FOLD_MIN
+    def test_a_buffer_that_sums_to_inf_is_kept_as_it_is(self, monkeypatch):
+        """inf has no partials: the batch that brings node 0's buffer to
+        ROW_FOLD leaves it as it was and folds node 1's; the total stays
+        inf. Later debits grow the kept buffer past ROW_FOLD without summing
+        it again, while node 1's folds each time it reaches ROW_FOLD."""
+        n = ROW_FOLD
         led = MetricsLedger()
-        led.record_debits(0.0, [0] * n + [1] * n, "tx", [1.0] * (n - 1) + [math.inf] + [0.5] * n)
         book = led.debits
         kept = book.paid[0]
-        book.fold()
+        led.record_debits([0] * n + [1] * n, "tx", [1.0] * (n - 1) + [math.inf] + [0.5] * n)
         assert book.paid[0] is kept and list(kept) == [1.0] * (n - 1) + [math.inf]
         assert list(book.paid[1]) == [0.5 * n]
-        assert book.due == 2 * n + DEBIT_FOLD
         assert led.total_debits() == math.inf
+        folded = folds_of(monkeypatch, book.paid)
+        for _ in range(n - 1):
+            led.record_debit(0, "tx", 2.0)
+            led.record_debits([1, 0, 0], "rx", [0.5, 0.25, 0.25])
+        assert folded == [1]
+        assert book.paid[0] is kept and len(kept) == 4 * n - 3
+        assert list(book.paid[1]) == [0.5 * (2 * n - 1)]
+        assert led.total_debits() == math.inf and led.debit_count == 6 * n - 4
 
     def test_memory_stays_flat_past_the_first_folds(self):
         """100 000 to 300 000 debits over 100 nodes: the book's heap grows by
-        less than a fixed bound, where a row per debit took 5.6 MB. The
-        buffers never hold DEBIT_FOLD joules (512 KB) at once."""
+        less than a fixed bound, where a row per debit took 5.6 MB. Each
+        node's buffer holds fewer than ROW_FOLD joules (1 KB) at any time."""
         rng = random.Random(23)
         amounts = [awkward_amount(rng) for _ in range(997)]
         batch_nodes = [rng.randrange(100) for _ in range(30)]
@@ -265,8 +302,8 @@ class TestDebitBook:
         def book(start, stop):
             for i in range(start, stop, 50):  # 20 single debits and a batch of 30
                 for k in range(i, i + 20):
-                    led.record_debit(0.0, k % 100, "tx", amounts[k % 997])
-                led.record_debits(0.0, batch_nodes, "flood", batch_joules)
+                    led.record_debit(k % 100, "tx", amounts[k % 997])
+                led.record_debits(batch_nodes, "flood", batch_joules)
 
         tracemalloc.start()
         try:
@@ -277,7 +314,22 @@ class TestDebitBook:
         finally:
             tracemalloc.stop()
         assert led.debit_count == 300_000
-        assert grown < 600_000
+        assert all(len(buf) < ROW_FOLD for buf in led.debits.paid.values())
+        assert grown < 2 * 100 * ROW_FOLD * 8
+
+
+@pytest.mark.parametrize("name", names())
+def test_no_ledger_buffer_holds_row_fold_floats_after_a_canned_run(name):
+    """Every buffer of a finished canned run's books, each node's debits,
+    each zone's waste and investment pairs and the delivered latencies,
+    holds fewer than ROW_FOLD floats."""
+    sim = Simulator(scenario(name, seed=1))
+    sim.run()
+    led = sim.ledger
+    bufs = [*led.debits.paid.values(), *led.waste_rows.zones.values(),
+            *led.invest_rows.zones.values(), led.packets.latency]
+    assert len(led.debits.paid) == len(sim.nodes)
+    assert max(map(len, bufs)) < ROW_FOLD
 
 
 def attempt_row(rng, outcome):
@@ -484,15 +536,15 @@ class TestLedgerAnswers:
         for trial in range(20):
             waste = random_rows(rng, rng.randint(0, 300), 60.0)
             invest = random_rows(rng, rng.randint(0, 300), 60.0)
-            debits = [(t, node, "tx", e)
-                      for t, node, e, _ in random_rows(rng, rng.randint(0, 300), 60.0)]
+            debits = [(node, "tx", e)
+                      for _t, node, e, _ in random_rows(rng, rng.randint(0, 300), 60.0)]
             led = ledger_with(waste=waste, invest=invest)
             for row in debits:
                 led.record_debit(*row)
             assert led.debit_count == len(debits)
-            nodes = {r[1] for r in debits}
+            nodes = {r[0] for r in debits}
             assert led.energy_by_node() == {
-                n: math.fsum(r[3] for r in debits if r[1] == n) for n in nodes}
+                n: math.fsum(r[2] for r in debits if r[0] == n) for n in nodes}
             zones = {r[1] for r in waste + invest}
             assert led.zone_sums() == {
                 z: tuple(math.fsum(r[col] for r in rows if r[1] == z)
@@ -504,8 +556,8 @@ class TestLedgerAnswers:
         single, batched = MetricsLedger(), MetricsLedger()
         single_spy, batched_spy = LedgerSpy(single), LedgerSpy(batched)
         for node, paid in zip(nodes, joules):
-            single.record_debit(2.5, node, "flood", paid)
-        batched.record_debits(2.5, nodes, "flood", joules)
+            single.record_debit(node, "flood", paid)
+        batched.record_debits(nodes, "flood", joules)
         assert batched_spy.debit_calls == single_spy.debit_calls
         assert batched.debit_count == single.debit_count == 4
         assert batched.total_debits() == single.total_debits() == math.fsum(joules)
@@ -548,7 +600,7 @@ def balanced_run(zone_of_waste=0, debit_node=1, status="dropped-link-breakage", 
     )
     for pid in (1, 3, 4, 5, 6):
         led.packets.retire(pid)
-    for row in [(0.5, 1, "tx", 0.5), (0.6, 2, "rx", 0.5), (1.0, debit_node, "flood", 0.25)]:
+    for row in [(1, "tx", 0.5), (2, "rx", 0.5), (debit_node, "flood", 0.25)]:
         led.record_debit(*row)
     for k, known in enumerate([outcome, "timeout", "blocked", "pending"]):
         led.attempts.append(AttemptRow(t=0.5 + k, pid=2, session=0, node=1, successor=2,
