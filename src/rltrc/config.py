@@ -148,9 +148,9 @@ class ScenarioConfig:
         """All range violations, empty when the config is runnable.
 
         Every field is checked against its row in _FIELD_RANGES, _PAIRS or
-        _TIMERS, and the counts against _CAPS, plus the few rules that join
-        fields. Published-range problems are waived by override=true; the
-        rest are always errors.
+        _TIMERS, and the counts against _CAPS, plus the battery cap and the
+        few rules that join fields. Published-range problems are waived by
+        override=true; the rest are always errors.
         """
         hard: list[str] = []
         soft: list[str] = []
@@ -168,6 +168,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value > cap:
                 hard.append("%s must be <= %d, got %s" % (name, cap, _show(value)))
+        # each debit rounds a battery at its ulp; the conservation check of
+        # `metrics.invariant_problems` failed on desk runs from 3e5 J, not at 1e5
+        if 1e5 < self.energy_max < math.inf:
+            hard.append("energy_max must be <= 100000 J, got %s" % _show(self.energy_max))
         for lo_name, hi_name, label, rule, published in _PAIRS:
             lo, hi = getattr(self, lo_name), getattr(self, hi_name)
             if not _PAIR_RULES[rule](lo, hi):
@@ -183,6 +187,12 @@ class ScenarioConfig:
                 if not (p < math.inf and self.duration + p > self.duration):
                     hard.append("%s must be finite and move the clock at duration %g, got %g"
                                 % (name, self.duration, p))
+        # `engine._reflect` folds a random-walk or gaussian step that leaves
+        # the arena back in one pass only when it is at most the shorter side
+        step, side = self.vmax_max * self.mobility_dt, min(self.arena_width, self.arena_height)
+        if self.mobility in ("random-walk", "gaussian") and side < step < math.inf:
+            hard.append("vmax_max * mobility_dt must be at most the shorter arena side "
+                        "(%g m) under %s, got %g m" % (side, self.mobility, step))
         # every zone of a multi-zone arena has an internal edge to hold its
         # peripherals; a single zone has none
         peripherals = self.zones * self.peripherals_per_zone if self.zones > 1 else 0
@@ -236,10 +246,11 @@ def parse_config(text: str) -> ScenarioConfig:
     """Build a validated config from flat `key = value` lines.
 
     Blank lines and # comments are ignored. Raises ConfigError listing every
-    unknown key, conversion failure, and violated bound.
+    unknown or repeated key, conversion failure, and violated bound.
     """
     violations: list[str] = []
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -252,6 +263,9 @@ def parse_config(text: str) -> ScenarioConfig:
         raw = raw.strip()
         if key not in _FIELD_TYPES:
             violations.append("line %d: unknown key %r" % (lineno, key))
+            continue
+        if first_line.setdefault(key, lineno) != lineno:
+            violations.append("line %d: key %r repeats line %d" % (lineno, key, first_line[key]))
             continue
         try:
             values[key] = _convert(key, raw)

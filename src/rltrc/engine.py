@@ -131,7 +131,8 @@ class MobilityState:
 
 
 def _reflect(x: float, lo: float, hi: float) -> float:
-    # fold back into [lo, hi]; each pass shrinks the excess
+    # fold back into [lo, hi]: one pass for an x at most hi - lo outside, as
+    # validation keeps each step; far outside, 2 * hi - x rounds to -x forever
     while x < lo or x > hi:
         if x < lo:
             x = 2.0 * lo - x
@@ -544,7 +545,6 @@ class Simulator:
         Sigma reads only a zone's reward and the network's cached reward, and
         a sender's zone changes only in `assign_zones`; all three change only
         here, so each zone's sigma is worked out once, at the end of the tick.
-        Last, the ledger folds the hop attempts that have settled.
         """
         assign_zones(self.nodes, self.zones)
         for sn in self.sessions:
@@ -560,7 +560,6 @@ class Simulator:
                 tick = None
         cached = self.network.collect(self.t, self.zones)
         self.zone_sigma = [policy.compute_sigma(z.reward_ri, cached) for z in self.zones]
-        self.ledger.attempts.fold()
         self._push(self.t + self.cfg.t_sync, self._on_controller_sync)
 
     def _on_mobility_step(self) -> None:
@@ -712,7 +711,7 @@ class Simulator:
         t, pid, ledger = self.t, qp.pid, self.ledger
         row = AttemptRow(t, pid, sn.id, node, succ, level if sent else 0.0,
                          "pending" if sent else "blocked")
-        ledger.attempts.append(row)
+        ledger.attempts.book(row)
         rt.inflight = row
         stat = ledger.packets.live[pid]
         stat.attempts += 1
@@ -783,7 +782,7 @@ class Simulator:
         if rt.inflight is not row:
             return  # the attempt timed out first
         rt.inflight = None
-        row.outcome = "ack"
+        self.ledger.attempts.settle(row, "ack")
         t, action, pid = self.t, row.action, row.pid
         entry = rt.links[succ]
         linkcache.record_ack(entry, PacketRecord(row.t, t, action, rss), self.cfg.vs,
@@ -814,7 +813,7 @@ class Simulator:
             return  # the attempt was acknowledged first
         rt.inflight = None
         if row.outcome == "pending":
-            row.outcome = "timeout"
+            self.ledger.attempts.settle(row, "timeout")
         sn = self.sessions[row.session]
         self.ledger.record_invest(self.t, sn.home_zone, row.action, cfg.tau_a)
         if not rt.queue or rt.queue[0].pid != row.pid:

@@ -14,8 +14,8 @@ ROW_FOLD floats, and holds records only while they can still change:
 - `PacketBook`: a `PacketStat` per pid while some node holds the pid; once
   no node does, a count per status, the transmitted count and their
   attempts, and the delivered latencies.
-- `AttemptLog`: an `AttemptRow` per hop attempt that may still be on the
-  air; each controller sync counts the settled ones per outcome.
+- `AttemptLog`: the hop attempt count and a count per settled outcome,
+  each counted when the engine books or settles the attempt.
 - `ZoneBook`, one for waste and one for investment: the row count, per
   zone the energy and the seconds booked, and per window of the series
   their running sums.
@@ -31,7 +31,7 @@ from array import array
 from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, repeat, takewhile, zip_longest
+from itertools import chain, compress, repeat, zip_longest
 from operator import attrgetter, ge
 
 
@@ -152,14 +152,13 @@ class PacketBook:
 
 @dataclass(slots=True)
 class AttemptRow:
-    """One hop attempt: its ledger row, the sender's in-flight handle while
-    on the air, and the payload of its arrival, ack and timeout events.
+    """One hop attempt: the sender's in-flight handle while on the air, and
+    the payload of its arrival, ack and timeout events.
 
-    A sent row starts `pending` and becomes `ack` or `timeout`, whichever
+    A sent row starts `pending` and settles as `ack` or `timeout`, whichever
     event reaches the sender first; one whose debit could not be paid is
-    `blocked` and stays so. A row still `pending` at the end of the run had
-    its timeout fall past the duration. The ledger holds the row itself
-    only until a controller sync finds it settled (`AttemptLog.fold`).
+    `blocked`. A row still `pending` at the end of the run had its timeout
+    fall past the duration. The ledger keeps only counts (`AttemptLog`).
     """
 
     t: float
@@ -173,55 +172,42 @@ class AttemptRow:
 
 ATTEMPT_OUTCOMES = frozenset(("pending", "ack", "timeout", "blocked"))
 
-# an attempt that is still pending can yet change, so it is never folded
-_SETTLED = ATTEMPT_OUTCOMES - {"pending"}
-
-# what iterating an `AttemptLog` yields for a folded attempt: its outcome,
-# the one field of an attempt the ledger keeps once it has settled
+# what iterating an `AttemptLog` yields for an attempt: its outcome
 SettledAttempt = namedtuple("SettledAttempt", "outcome")
 
 
 class AttemptLog:
-    """Every hop attempt of a run.
-
-    The engine appends each new `AttemptRow` to `recent` through the bound
-    `append`. `fold` counts the settled prefix of `recent`, every row up to
-    the first one that is still pending or has an outcome outside
-    ATTEMPT_OUTCOMES, into `settled`, one count per outcome, and drops
-    those rows, so a settled attempt costs no memory and only the rows of
-    attempts that may still be on the air stay objects. `len` counts every
-    attempt. Iteration yields one record per attempt with its `outcome`:
-    the folded ones grouped by outcome, one shared `SettledAttempt` per
-    outcome, then the rows of `recent` in append order.
+    """Every hop attempt of a run: `count`, and `settled`, a count per
+    settled outcome. `book(row)` counts a new `AttemptRow`, and its outcome
+    when it is settled at once (`blocked`); `settle(row, outcome)` sets a
+    pending row's outcome and counts it. `settle` is the one writer of
+    `row.outcome` after the row is made, so the counts cannot drift from
+    the rows. Iteration yields one shared read-only `SettledAttempt` per
+    attempt, grouped by outcome.
     """
 
-    __slots__ = ("settled", "recent", "append")
-
     def __init__(self):
+        self.count = 0
         self.settled: Counter = Counter()
-        self.recent: list[AttemptRow] = []
-        self.append = self.recent.append
 
-    # a copy's `append` must be its own list's, not the original's
-    def __getstate__(self):
-        return self.settled, self.recent
+    def book(self, row: AttemptRow) -> None:
+        self.count += 1
+        if row.outcome != "pending":
+            self.settled[row.outcome] += 1
 
-    def __setstate__(self, state) -> None:
-        self.settled, self.recent = state
-        self.append = self.recent.append
+    def settle(self, row: AttemptRow, outcome: str) -> None:
+        row.outcome = outcome
+        self.settled[outcome] += 1
+
+    def outcomes(self) -> Counter:
+        """Attempts per outcome; `pending` counts those not yet settled."""
+        return self.settled + Counter(pending=self.count - self.settled.total())
 
     def __len__(self) -> int:
-        return self.settled.total() + len(self.recent)
+        return self.count
 
     def __iter__(self):
-        return chain(_settled_records(SettledAttempt, self.settled), self.recent)
-
-    def fold(self) -> None:
-        # counted in C; a Python loop over the rows took about three times as long
-        recent = self.recent
-        counts = Counter(takewhile(_SETTLED.__contains__, map(attrgetter("outcome"), recent)))
-        del recent[:counts.total()]
-        self.settled.update(counts)
+        return _settled_records(SettledAttempt, self.outcomes())
 
 
 class ZoneBook:
@@ -381,8 +367,7 @@ class MetricsLedger:
 
     def outcome_counts(self) -> Counter:
         """Hop attempts per outcome."""
-        log = self.attempts
-        return log.settled + Counter(map(attrgetter("outcome"), log.recent))
+        return self.attempts.outcomes()
 
 
 @dataclass

@@ -136,9 +136,9 @@ class LedgerSpy:
     all-zero waste and investment calls the ledger itself keeps no row for.
     A batched `record_debits(nodes, kind, joules)` call adds one debit
     tuple per node, in the batch's order. It also wraps the ledger's
-    `attempts.append`: `attempt_rows` keeps every `AttemptRow` the run
-    appends, in order, as the object itself, so its outcome reads as the
-    run left it after the ledger has folded the row into a count. Likewise
+    `attempts.book`: `attempt_rows` keeps every `AttemptRow` the run
+    books, in order, as the object itself, so its outcome reads as the run
+    left it though the ledger keeps only counts. Likewise
     `packet_stats` keeps every `PacketStat` put in the ledger's live
     packets, in order, so its fields read as the run left them after the
     ledger has retired the packet into its counts.
@@ -160,14 +160,14 @@ class LedgerSpy:
             record_debits(nodes, kind, joules)
 
         ledger.record_debits = spy_batch
-        attempt_rows, append = [], ledger.attempts.append
+        attempt_rows, book = [], ledger.attempts.book
         self.attempt_rows = attempt_rows
 
         def spy_attempt(row):
             attempt_rows.append(row)
-            append(row)
+            book(row)
 
-        ledger.attempts.append = spy_attempt
+        ledger.attempts.book = spy_attempt
         self.packet_stats: list = list(ledger.packets.live.values())
         ledger.packets.live = _KeepingDict(ledger.packets.live, self.packet_stats)
 

@@ -3,8 +3,8 @@ from dataclasses import fields
 
 import pytest
 
-from rltrc.config import (_FIELD_RANGES, _PAIRS, _TIMERS, ConfigError, ScenarioConfig, load_config,
-                          parse_config)
+from rltrc.config import (_FIELD_RANGES, _PAIRS, _TIMERS, VALID_MOBILITY, ConfigError,
+                          ScenarioConfig, load_config, parse_config)
 from rltrc.engine import Simulator
 from rltrc.metrics import invariant_problems
 from rltrc.scenarios import scenario
@@ -149,6 +149,19 @@ class TestRangeValidation:
                      "sessions must be <= 10000, got %d" % 10 ** 400, id="sessions-beyond-float-range"),
         pytest.param({"level_count_max": 101, "override": True},
                      "level_count_max must be <= 100, got 101", id="level-count-over-cap"),
+        # each debit rounds a 1e6 J battery by more than the conservation
+        # check allows: desk-converge then broke it 31 times at seed 1
+        pytest.param({"energy_min": 1e6, "energy_max": 1e6, "override": True},
+                     "energy_max must be <= 100000 J, got 1e+06", id="energy-over-cap"),
+        # reflecting a step this long back into the arena never ends
+        pytest.param({"mobility": "random-walk", "vmax_min": 1e300, "vmax_max": 1e300,
+                      "nodes": 30, "duration": 2.0},
+                     "vmax_max * mobility_dt must be at most the shorter arena side (2000 m) "
+                     "under random-walk, got 5e+299 m", id="random-walk-step-beyond-arena"),
+        pytest.param({"mobility": "gaussian", "arena_width": 100.0, "arena_height": 50.0,
+                      "vmax_max": 101.0, "override": True},
+                     "vmax_max * mobility_dt must be at most the shorter arena side (50 m) "
+                     "under gaussian, got 50.5 m", id="gaussian-step-beyond-arena"),
     ])
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]
@@ -247,6 +260,14 @@ class TestRangeValidation:
         assert ScenarioConfig(nodes=100_000, sessions=10_000, level_count_max=100,
                               override=True).validate() == []
 
+    def test_energy_and_step_at_their_bounds_pass(self):
+        assert ScenarioConfig(energy_min=1e5, energy_max=1e5, override=True).validate() == []
+        for mobility in VALID_MOBILITY:
+            assert ScenarioConfig(mobility=mobility, arena_width=100.0, arena_height=50.0,
+                                  vmax_max=100.0, override=True).validate() == []
+        # random-waypoint stops on its waypoint, inside the arena
+        assert ScenarioConfig(vmax_min=1e300, vmax_max=1e300, nodes=30).validate() == []
+
     def test_negative_receive_floor_is_rejected_before_the_run(self):
         # validate used to pass this config, and its run then raised
         # "rss_over_tpl -0.552064 outside [0, 1]" in the ack reward
@@ -324,6 +345,17 @@ class TestParseErrors:
         with pytest.raises(ConfigError) as err:
             parse_config("energy_min = 5")
         assert "[20, 50]" in str(err.value)
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("nodes = 50\nnodes = 60\n")
+        assert err.value.violations == ["line 2: key 'nodes' repeats line 1"]
+        # among the other line errors, and after dashes become underscores
+        with pytest.raises(ConfigError) as err:
+            parse_config("nodes = 50\nbogus = 1\nvmax-max = 2\nnodes = zz\nvmax_max = 3\n")
+        assert err.value.violations == ["line 2: unknown key 'bogus'",
+                                        "line 4: key 'nodes' repeats line 1",
+                                        "line 5: key 'vmax_max' repeats line 3"]
 
     def test_parse_phase_collects_every_line_error(self):
         with pytest.raises(ConfigError) as err:

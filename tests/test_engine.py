@@ -730,24 +730,35 @@ class TestAttemptRows:
             if row.outcome == "pending":
                 assert row.t + cfg.tau_a > cfg.duration
 
-    def test_only_attempts_on_the_air_at_the_last_sync_stay_rows(self):
-        """Each sync folds the settled attempts, so every `AttemptRow` the
-        log still holds was sent after the oldest attempt that was on the
-        air, at most tau_a before the last sync."""
-        cfg = scenario("desk-converge")
-        sim = Simulator(cfg, seed=1)
-        sync, syncs = sim._on_controller_sync, []
+    def test_outcome_counts_follow_the_rows_after_every_event(self):
+        """The log counts an attempt when it is booked and again when it
+        settles, so after every handled event its counts equal those of the
+        rows booked so far: each settled row under its outcome, and the
+        rest as pending."""
+        sim = Simulator(scenario("desk-converge"), seed=1)
+        rows = LedgerSpy(sim.ledger).attempt_rows
+        push, checked = sim._push, []
+        settled, on_air, seen = Counter(), [], 0
 
-        def record_sync():
-            syncs.append(sim.t)
-            sync()
+        def check(handler, *args):
+            nonlocal on_air, seen
+            handler(*args)
+            on_air += rows[seen:]
+            seen = len(rows)
+            settled.update(row.outcome for row in on_air if row.outcome != "pending")
+            on_air = [row for row in on_air if row.outcome == "pending"]
+            assert sim.ledger.outcome_counts() == settled + Counter(pending=len(on_air)), (
+                handler.__name__, sim.t)
+            checked.append(handler)
 
-        sim._on_controller_sync = record_sync
+        def checked_push(t, handler, *args):
+            push(t, check, handler, *args)
+
+        sim._push = checked_push
         sim.run()
-        log = sim.ledger.attempts
-        assert len(syncs) == 61 and len(log) > 5000
-        assert 0 < len(log.recent) < 50
-        assert all(row.t + cfg.tau_a >= syncs[-1] for row in log.recent)
+        assert len(checked) > 10_000
+        assert sim.ledger.outcome_counts() == Counter(row.outcome for row in rows)
+        assert len(rows) > 5000 and {"ack", "timeout"} <= settled.keys()
 
     def test_ack_after_timeout_is_ignored(self):
         sim = Simulator(scenario("lossless-pair"), seed=1)
@@ -761,13 +772,13 @@ class TestAttemptRows:
             sim._on_ack_timeout(row)
             assert row.outcome == "timeout"
             live = sim.ledger.packets.live
-            before = copy.deepcopy(
-                (sim.runtime, sim.reward_states, spy.invest_calls, dict(live))
-            )
+            before = copy.deepcopy((sim.runtime, sim.reward_states, spy.invest_calls,
+                                    dict(live), sim.ledger.outcome_counts()))
             on_ack(row, rss)
             raced.append(row)
             assert row.outcome == "timeout"
-            assert (sim.runtime, sim.reward_states, spy.invest_calls, dict(live)) == before
+            assert (sim.runtime, sim.reward_states, spy.invest_calls, dict(live),
+                    sim.ledger.outcome_counts()) == before
 
         sim._on_ack_arrival = timeout_first
         sim.run()

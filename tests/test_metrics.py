@@ -342,112 +342,102 @@ def attempt_row(rng, outcome):
 
 
 class TestAttemptLog:
-    def test_iteration_yields_each_appended_outcome_across_folds(self):
-        """Rows start pending or blocked and settle later, as the engine's
-        do. After every fold the log still holds, as the objects appended,
-        exactly the rows from the first pending one on, and counts the
-        outcomes of the rows before it; `len` counts every row, and
-        iteration yields one record per row with its outcome: the folded
-        ones as one shared read-only record per outcome, then the rows the
-        log still holds, in order."""
+    def test_iteration_yields_each_booked_outcome_as_rows_settle(self):
+        """Rows are booked pending or blocked and settle later, as the
+        engine's do. After every round the log counts each settled outcome
+        and the pending rest; `len` counts every row, and iteration yields
+        one record per row with its outcome, one shared read-only record
+        per outcome."""
         rng = random.Random(24)
         log = AttemptLog()
-        appended = []
+        booked = []
         for _ in range(30):
-            for row in appended:
+            for row in booked:
                 if row.outcome == "pending" and rng.random() < 0.7:
-                    row.outcome = rng.choice(["ack", "timeout"])
+                    outcome = rng.choice(["ack", "timeout"])
+                    log.settle(row, outcome)
+                    assert row.outcome == outcome
             for _ in range(rng.randrange(40)):
                 row = attempt_row(rng, rng.choice(["pending", "pending", "blocked"]))
-                log.append(row)
-                appended.append(row)
-            log.fold()
-            folded = next((k for k, row in enumerate(appended) if row.outcome == "pending"),
-                          len(appended))
-            assert len(log.recent) == len(appended) - folded
-            assert all(a is b for a, b in zip(log.recent, appended[folded:]))
-            assert log.settled == Counter(row.outcome for row in appended[:folded])
+                log.book(row)
+                booked.append(row)
+            outcomes = Counter(row.outcome for row in booked)
+            assert log.settled == outcomes - Counter(pending=outcomes["pending"])
             yielded = list(log)
-            assert len(log) == len(yielded) == len(appended)
-            assert Counter(r.outcome for r in yielded) == Counter(r.outcome for r in appended)
-            assert all(a is b for a, b in zip(yielded[folded:], log.recent))
-            shared = {id(r): r for r in yielded[:folded]}.values()
-            assert sorted(r.outcome for r in shared) == sorted(log.settled)
+            assert len(log) == len(yielded) == len(booked)
+            assert Counter(r.outcome for r in yielded) == outcomes
+            shared = {id(r): r for r in yielded}.values()
+            assert sorted(r.outcome for r in shared) == sorted(outcomes)
             for record in shared:
                 with pytest.raises(AttributeError):
                     record.outcome = "pending"
-        assert folded > len(appended) // 2  # most rows were folded
+        assert log.settled.total() > len(booked) // 2  # most rows settled
 
-    def test_pending_row_stops_the_fold(self):
+    def test_pending_counts_the_attempts_not_yet_settled(self):
         rng = random.Random(25)
         rows = [attempt_row(rng, outcome) for outcome in ["ack", "pending", "timeout", "blocked"]]
         log = AttemptLog()
         for row in rows:
-            log.append(row)
-        log.fold()
-        assert log.settled == {"ack": 1} and log.recent == rows[1:]
-        assert log.recent[0] is rows[1]
-        rows[1].outcome = "ack"
-        log.fold()
-        assert log.recent == [] and len(log) == 4
-        assert log.settled == {"ack": 2, "timeout": 1, "blocked": 1}
+            log.book(row)
+        assert log.settled == {"ack": 1, "timeout": 1, "blocked": 1}
+        assert log.outcomes() == {"ack": 1, "pending": 1, "timeout": 1, "blocked": 1}
+        log.settle(rows[1], "ack")
+        assert rows[1].outcome == "ack" and len(log) == 4
+        assert log.outcomes() == log.settled == {"ack": 2, "timeout": 1, "blocked": 1}
         assert Counter(r.outcome for r in log) == Counter(r.outcome for r in rows)
+        assert AttemptLog().outcomes() == {} and list(AttemptLog()) == []
 
-    def test_unknown_outcome_stays_an_object_and_is_reported(self):
+    def test_unknown_outcome_is_counted_and_reported(self):
         led, rep = balanced_run(outcome="nack")
-        led.attempts.fold()
-        assert [row.outcome for row in led.attempts.recent] == [
-            "nack", "timeout", "blocked", "pending"]
+        assert led.outcome_counts() == {"nack": 1, "timeout": 1, "blocked": 1, "pending": 1}
         assert invariant_problems(led, rep) == ["attempt outcomes outside the known set: ['nack']"]
-        # behind settled rows: those fold, the unknown one and all after it stay
+        # booked among settled rows, or set by a settle
         rng = random.Random(26)
         led = MetricsLedger()
-        for outcome in ["ack", "timeout", "nack", "ack"]:
-            led.attempts.append(attempt_row(rng, outcome))
-        led.attempts.fold()
-        assert [row.outcome for row in led.attempts.recent] == ["nack", "ack"]
-        assert led.outcome_counts() == {"ack": 2, "timeout": 1, "nack": 1}
+        for outcome in ["ack", "timeout", "nack", "pending"]:
+            led.attempts.book(attempt_row(rng, outcome))
+        row = attempt_row(rng, "pending")
+        led.attempts.book(row)
+        led.attempts.settle(row, "lost")
+        assert led.outcome_counts() == {"ack": 1, "timeout": 1, "nack": 1, "lost": 1,
+                                        "pending": 1}
         # this ledger has attempts but no packets, which is reported too
         assert invariant_problems(led, compute_metrics(led)) == [
-            "attempt outcomes outside the known set: ['nack']",
-            "the packets were sent 0 times but 4 hop attempts were booked"]
+            "attempt outcomes outside the known set: ['lost', 'nack']",
+            "the packets were sent 0 times but 5 hop attempts were booked"]
 
     def test_deepcopy_is_equal_and_independent(self):
         rng = random.Random(29)
         log = AttemptLog()
-        for outcome in ["ack", "timeout", "pending", "ack"]:
-            log.append(attempt_row(rng, outcome))
-        log.fold()
+        rows = [attempt_row(rng, outcome) for outcome in ["ack", "timeout", "pending", "ack"]]
+        for row in rows:
+            log.book(row)
         clone = copy.deepcopy(log)
-        assert list(clone) == list(log) and len(clone.recent) == 2
-        clone.append(attempt_row(rng, "ack"))
-        clone.recent[0].outcome = "ack"
-        clone.fold()
-        assert len(clone) == 5 and clone.recent == []
-        assert len(log) == 4 and log.recent[0].outcome == "pending"
+        assert list(clone) == list(log) and clone.outcomes() == log.outcomes()
+        clone.book(attempt_row(rng, "ack"))
+        clone.settle(attempt_row(rng, "pending"), "ack")
+        assert len(clone) == 5 and clone.outcomes() == {"ack": 4, "timeout": 1}
+        assert len(log) == 4 and log.outcomes() == {"ack": 2, "timeout": 1, "pending": 1}
 
     def test_outcome_counts_equal_a_counter_over_the_rows(self):
         rng = random.Random(27)
         led = MetricsLedger()
-        appended = []
+        booked = []
         outcomes = ["ack"] * 6 + ["timeout", "blocked", "pending"]
         for _ in range(20):
             for _ in range(rng.randrange(30)):
-                appended.append(attempt_row(rng, rng.choice(outcomes)))
-                led.attempts.append(appended[-1])
-            for row in led.attempts.recent[:5]:
-                if row.outcome == "pending":
-                    row.outcome = "timeout"
-            led.attempts.fold()
-            assert led.outcome_counts() == Counter(row.outcome for row in appended)
+                booked.append(attempt_row(rng, rng.choice(outcomes)))
+                led.attempts.book(booked[-1])
+            for row in [row for row in booked if row.outcome == "pending"][:5]:
+                led.attempts.settle(row, "timeout")
+            assert led.outcome_counts() == Counter(row.outcome for row in booked)
             assert led.outcome_counts() == Counter(row.outcome for row in led.attempts)
         assert led.attempts.settled.total() > 100
 
-    def test_a_folded_attempt_costs_no_memory(self):
-        """100 000 settled rows, folded 2 000 at a time, grow the heap by a
-        few counts and the list's spare room, under a tenth of a byte a
-        row; typed columns took 37 bytes a row, an `AttemptRow` with its
-        floats about 120."""
+    def test_an_attempt_costs_no_memory(self):
+        """100 000 rows, booked and settled, grow the heap by a few counts,
+        not a byte a row; typed columns took 37 bytes a row, an
+        `AttemptRow` with its floats about 120."""
         log = AttemptLog()
         outcomes = ["ack", "timeout", "blocked"] * 667
         tracemalloc.start()
@@ -455,12 +445,16 @@ class TestAttemptLog:
             before = tracemalloc.get_traced_memory()[0]
             for k in range(50):
                 for outcome in outcomes[:2_000]:
-                    log.append(AttemptRow(float(k), k, 0, 1, 2, 5.0, outcome))
-                log.fold()
+                    row = AttemptRow(float(k), k, 0, 1, 2, 5.0,
+                                     "blocked" if outcome == "blocked" else "pending")
+                    log.book(row)
+                    if outcome != "blocked":
+                        log.settle(row, outcome)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(log) == log.settled.total() == 100_000 and log.recent == []
+        assert len(log) == log.settled.total() == 100_000
+        assert log.outcomes() == {"ack": 33_350, "timeout": 33_350, "blocked": 33_300}
         assert grown < 10_000
 
 
@@ -567,9 +561,9 @@ class TestLedgerAnswers:
     def test_outcome_counts(self):
         led = MetricsLedger()
         for k, outcome in enumerate(["ack", "timeout", "ack", "blocked", "pending", "ack"]):
-            led.attempts.append(AttemptRow(t=k, pid=k, session=0, node=0, successor=1,
-                                           action=0.0 if outcome == "blocked" else 5.0,
-                                           outcome=outcome))
+            led.attempts.book(AttemptRow(t=k, pid=k, session=0, node=0, successor=1,
+                                         action=0.0 if outcome == "blocked" else 5.0,
+                                         outcome=outcome))
         assert led.outcome_counts() == {"ack": 3, "timeout": 1, "blocked": 1, "pending": 1}
         assert MetricsLedger().outcome_counts() == {}
 
@@ -603,8 +597,8 @@ def balanced_run(zone_of_waste=0, debit_node=1, status="dropped-link-breakage", 
     for row in [(1, "tx", 0.5), (2, "rx", 0.5), (debit_node, "flood", 0.25)]:
         led.record_debit(*row)
     for k, known in enumerate([outcome, "timeout", "blocked", "pending"]):
-        led.attempts.append(AttemptRow(t=0.5 + k, pid=2, session=0, node=1, successor=2,
-                                       action=5.0, outcome=known))
+        led.attempts.book(AttemptRow(t=0.5 + k, pid=2, session=0, node=1, successor=2,
+                                     action=5.0, outcome=known))
     return led, compute_metrics(led)
 
 
