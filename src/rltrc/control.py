@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, starmap
 from typing import Iterable, Mapping, Sequence
 
 from .model import NodeState, Point, ZoneState, distance, grid_cells, zone_of
@@ -89,9 +90,9 @@ def _membership_diameter(pts: list[Point]) -> float:
     The distance between the extreme points along x, y, x+y and x-y is a
     lower bound on the diameter. A point whose farthest bounding-box corner,
     times (1 + 1e-9) against rounding, is below that bound cannot be in the
-    farthest pair and is dropped. The survivors keep their order and go
-    through the same `distance` calls as the full scan, and both points of
-    the farthest pair survive, so the float returned is the full scan's.
+    farthest pair and is dropped. Both points of the farthest pair survive,
+    and `math.dist` over each pair of survivors, looped in C, gives the float
+    `distance` does, so the float returned is the full scan's.
     """
     if len(pts) < 2:
         return 0.0
@@ -103,11 +104,7 @@ def _membership_diameter(pts: list[Point]) -> float:
         p for p in pts
         if math.hypot(max(p[0] - x0, x1 - p[0]), max(p[1] - y0, y1 - p[1])) * (1.0 + 1e-9) >= bound
     ]
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            best = max(best, distance(pts[i], pts[j]))
-    return best
+    return max(starmap(math.dist, combinations(pts, 2)), default=0.0)
 
 
 # the forward half of the 3x3 block: each pair of adjacent cells is visited once

@@ -6,9 +6,8 @@ abstract units (power levels, broadcast message counts, seconds) and drive
 AWE/AWT; utilized = invested - wasted, so AWE = 100 * wasted / invested.
 
 No book of the ledger grows with the length of a run. Each keeps counts
-and, where a reader needs a sum, a buffer of floats that folds into the
-partials of its exact sum (`exact_partials`) once an append brings it to
-ROW_FOLD floats, and holds records only while they can still change:
+and, where a reader needs a sum, an `ExactSum` (exact in bounded memory),
+and holds records only while they can still change:
 
 - `DebitBook`: the debit count and, per node, the joules booked to it.
 - `PacketBook`: a `PacketStat` per pid while some node holds the pid; once
@@ -28,11 +27,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter, defaultdict, deque, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain, compress, repeat, zip_longest
-from operator import attrgetter, ge
+from itertools import chain, repeat, zip_longest
+from operator import attrgetter
 
 
 CSV_VERSION_HEADER = "# rltrc metrics v1"
@@ -40,13 +38,11 @@ CSV_VERSION_HEADER = "# rltrc metrics v1"
 # the windowed series splits [0, duration) into this many windows
 SERIES_WINDOWS = 20
 
-# the ledger's one fold rule: an append that brings a buffer of floats (a
-# node's debits, a zone's pairs, the delivered latencies) to ROW_FOLD floats,
-# or a batch that brings it there or past, replaces the buffer by the
-# partials of its exact sum, so no buffer holds 1 KB. A buffer that sums to
-# inf or nan has no partials: it stays as it is and grows past ROW_FOLD, so
-# it is not summed again. Even, so that a zone's pairs reach it exactly, and
-# above the 80 floats that the partials of a zone's pair of sums can take.
+# the ledger's one fold rule, applied by `ExactSum.add`: an add that brings
+# a sum's buffer to ROW_FOLD floats replaces the buffer by the partials of
+# its exact sum, so no buffer holds 1 KB. A buffer that sums to inf or nan
+# has no partials: it stays as it is and grows past ROW_FOLD, so it is not
+# summed again. Above the 40 floats that the partials of one sum can take.
 ROW_FOLD = 128
 
 
@@ -68,6 +64,32 @@ def exact_partials(buf: array) -> array:
         buf.append(-s)
         s = math.fsum(buf)
     return parts
+
+
+class ExactSum:
+    """The exact sum of the floats added, kept by the ROW_FOLD rule.
+
+    Iteration yields the buffer's floats, whose exact sum is that of every
+    float added, so an fsum over them, alone or among other floats, gives
+    the float an fsum over every float added would; `value()` is theirs.
+    """
+
+    __slots__ = ("buf",)
+
+    def __init__(self):
+        self.buf = array("d")
+
+    def add(self, x: float) -> None:
+        buf = self.buf
+        buf.append(x)
+        if len(buf) == ROW_FOLD:
+            self.buf = exact_partials(buf)
+
+    def __iter__(self):
+        return iter(self.buf)
+
+    def value(self) -> float:
+        return math.fsum(self.buf)
 
 
 def _settled_records(record, counts: Counter):
@@ -114,9 +136,9 @@ class PacketBook:
     when its last hold goes the stat is final and the engine calls
     `retire`. That folds the stat into `settled`, a count per status,
     `transmitted`, the count of retired packets sent at least once,
-    `attempts`, the sum of their attempts, and `latency`, the exact
-    partials of `delivered_at - generated_at` over the retired delivered
-    ones (folded by the ROW_FOLD rule). `len` counts every packet.
+    `attempts`, the sum of their attempts, and `latency`, the `ExactSum`
+    of `delivered_at - generated_at` over the retired delivered ones.
+    `len` counts every packet.
     `values()` yields one record per packet with its `status`: one shared
     read-only `SettledPacket` per status of the retired ones, repeated by
     its count, then the live stats. A retired pid has no record to look up.
@@ -129,7 +151,7 @@ class PacketBook:
         self.settled: Counter = Counter()
         self.transmitted = 0
         self.attempts = 0
-        self.latency = array("d")
+        self.latency = ExactSum()
 
     def __len__(self) -> int:
         return self.settled.total() + len(self.live)
@@ -144,10 +166,7 @@ class PacketBook:
             self.transmitted += 1
             self.attempts += stat.attempts
         if stat.status == "delivered":
-            latency = self.latency
-            latency.append(stat.delivered_at - stat.generated_at)
-            if len(latency) == ROW_FOLD:
-                self.latency = exact_partials(latency)
+            self.latency.add(stat.delivered_at - stat.generated_at)
 
 
 @dataclass(slots=True)
@@ -218,24 +237,23 @@ class ZoneBook:
     them to `window_energy[w]` and `window_seconds[w]`, the running sums of
     window w = int(t / window) of the series (the last window also takes
     the rows at or past its end), so each is the float a sequential sum
-    over its rows in append order gives. It appends them as a pair to the
-    zone's buffer `zones[zone]`; a buffer that reaches ROW_FOLD floats is
-    replaced by the partials of its energies' exact sum paired with those of
-    its seconds' (`exact_partials`), the shorter side padded with 0.0. `len`
-    counts rows. Iteration yields, per zone with any row, its pairs as rows
-    (nan, zone, energy, seconds): a buffered row has no one time, and an
-    fsum per zone and column of what it yields is the exact sum of what
-    was booked.
+    over its rows in append order gives. It adds them to the zone's
+    `ExactSum`s, `energy[zone]` and `seconds[zone]`. `len` counts rows.
+    Iteration yields, per zone with any row, the floats of its two sums
+    side by side as rows (nan, zone, energy, seconds), the shorter side
+    padded with 0.0: a buffered row has no one time, and an fsum per zone
+    and column of what it yields is the exact sum of what was booked.
     """
 
-    __slots__ = ("count", "window", "window_energy", "window_seconds", "zones")
+    __slots__ = ("count", "window", "window_energy", "window_seconds", "energy", "seconds")
 
     def __init__(self, window: float):
         self.count = 0
         self.window = window
         self.window_energy = [0.0] * SERIES_WINDOWS
         self.window_seconds = [0.0] * SERIES_WINDOWS
-        self.zones: defaultdict[int, array] = defaultdict(partial(array, "d"))
+        self.energy: defaultdict[int, ExactSum] = defaultdict(ExactSum)
+        self.seconds: defaultdict[int, ExactSum] = defaultdict(ExactSum)
 
     def append(self, t: float, zone: int, energy: float, seconds: float) -> None:
         # the ledger's `record_waste` and `record_invest`, called on every
@@ -247,43 +265,36 @@ class ZoneBook:
                 w = SERIES_WINDOWS - 1
             self.window_energy[w] += energy
             self.window_seconds[w] += seconds
-            buf = self.zones[zone]
-            buf.append(energy)
-            buf.append(seconds)
-            if len(buf) == ROW_FOLD:
-                pairs = zip_longest(exact_partials(buf[0::2]), exact_partials(buf[1::2]),
-                                    fillvalue=0.0)
-                self.zones[zone] = array("d", chain.from_iterable(pairs))
+            self.energy[zone].add(energy)
+            self.seconds[zone].add(seconds)
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self):
-        for zone, buf in self.zones.items():
-            for energy, seconds in zip(buf[0::2], buf[1::2]):
-                yield math.nan, zone, energy, seconds
+        for zone, energy in self.energy.items():
+            for e, s in zip_longest(energy, self.seconds[zone], fillvalue=0.0):
+                yield math.nan, zone, e, s
 
     def totals(self) -> tuple[float, float]:
         """(energy, seconds) over every row, each an exact sum."""
-        bufs = self.zones.values()
-        return (math.fsum(chain.from_iterable(buf[0::2] for buf in bufs)),
-                math.fsum(chain.from_iterable(buf[1::2] for buf in bufs)))
+        return (math.fsum(chain.from_iterable(self.energy.values())),
+                math.fsum(chain.from_iterable(self.seconds.values())))
 
 
 class DebitBook:
     """How many debits a run booked, and the exact joules per node.
 
-    `paid[node]` is an `array('d')` that the ledger appends each of the
-    node's debits to and folds by the ROW_FOLD rule (`exact_partials`), so
-    an fsum over a node's buffer, or over all of them, gives the float an
-    fsum over every debit row would. `len` counts debits.
+    `paid[node]` is the `ExactSum` the ledger adds each of the node's
+    debits to, so its value, or an fsum over every node's floats, gives the
+    float an fsum over the debit rows would. `len` counts debits.
     """
 
     __slots__ = ("count", "paid")
 
     def __init__(self):
         self.count = 0
-        self.paid: defaultdict[int, array] = defaultdict(partial(array, "d"))
+        self.paid: defaultdict[int, ExactSum] = defaultdict(ExactSum)
 
     def __len__(self) -> int:
         return self.count
@@ -313,32 +324,17 @@ class MetricsLedger:
         self.record_invest = self.invest_rows.append
 
     def record_debit(self, node: int, kind: str, joules: float) -> None:
-        # the hottest call of a run: one lookup, one append, one add, one
-        # length compare; the book does not keep `kind`
+        # the hottest call of a run; the book does not keep `kind`
         book = self.debits
-        buf = book.paid[node]
-        buf.append(joules)
+        book.paid[node].add(joules)
         book.count += 1
-        if len(buf) == ROW_FOLD:
-            book.paid[node] = exact_partials(buf)
 
     def record_debits(self, nodes: list[int], kind: str, joules: list[float]) -> None:
         """`record_debit(nodes[i], kind, joules[i])` for each i in order."""
         paid = self.debits.paid
-        bufs = list(map(paid.__getitem__, nodes))
-        # bufs[i].append(joules[i]) for each i, looped in C (the `consume`
-        # recipe of itertools); a Python loop is a third slower
-        deque(map(array.append, bufs, joules), maxlen=0)
+        for node, x in zip(nodes, joules):
+            paid[node].add(x)
         self.debits.count += len(nodes)
-        if max(map(len, bufs), default=0) >= ROW_FOLD:
-            # each node whose buffer is full, with the debits this batch paid
-            # it, picked in C: a Python loop over a batch at scale costs more
-            # than its appends
-            full = Counter(compress(nodes, map(ge, map(len, bufs), repeat(ROW_FOLD))))
-            for node, n in full.items():
-                buf = paid[node]
-                if len(buf) - n < ROW_FOLD:  # this batch brought it to ROW_FOLD or past
-                    paid[node] = exact_partials(buf)
 
     def total_debits(self) -> float:
         return math.fsum(chain.from_iterable(self.debits.paid.values()))
@@ -349,16 +345,16 @@ class MetricsLedger:
 
     def energy_by_node(self) -> dict[int, float]:
         """Joules debited from each node that paid any, an exact sum each."""
-        return {node: math.fsum(buf) for node, buf in self.debits.paid.items()}
+        return {node: paid.value() for node, paid in self.debits.paid.items()}
 
     def zone_sums(self) -> dict[int, tuple[float, float, float, float]]:
         """Per zone with any row: (waste energy, waste time, investment
         energy, investment time), each an exact sum."""
-        waste, invest = self.waste_rows.zones, self.invest_rows.zones
-        none = array("d")
-        return {zone: tuple(math.fsum(buf[side::2]) for buf in
-                            (waste.get(zone, none), invest.get(zone, none)) for side in (0, 1))
-                for zone in dict.fromkeys(chain(waste, invest))}
+        waste, invest = self.waste_rows, self.invest_rows
+        sums = (waste.energy, waste.seconds, invest.energy, invest.seconds)
+        none = ExactSum()
+        return {zone: tuple(book.get(zone, none).value() for book in sums)
+                for zone in dict.fromkeys(chain(waste.energy, invest.energy))}
 
     def status_counts(self) -> Counter:
         """Packets per status."""
@@ -432,15 +428,23 @@ def invariant_problems(ledger: MetricsLedger, report: MetricsReport) -> list[str
     The debits re-sum to `report.ec` and to each node's energy drop, every
     packet status and attempt outcome is known, the packets' attempts add
     up to the hop attempts booked, and no zone wastes more energy or time
-    than it invested."""
+    than it invested.
+
+    Each debit rounds a battery by at most half an ulp of its initial
+    energy, and a node's drop, initial - final, rounds by one more half ulp.
+    So the debits may miss a node's drop by `debit_count` ulps of its
+    initial energy, and miss `ec` by as many ulps of the largest one: that
+    is the absolute slack, or 1e-9 J if more, beside a relative 1e-9."""
     problems = []
-    debits = ledger.total_debits()
-    if not math.isclose(debits, report.ec, rel_tol=1e-9, abs_tol=1e-9):
+    debits, count, initial = ledger.total_debits(), ledger.debit_count, ledger.initial_energy
+    slack = max(1e-9, count * math.ulp(max(initial.values(), default=0.0)))
+    if not math.isclose(debits, report.ec, rel_tol=1e-9, abs_tol=slack):
         problems.append("debits sum to %r J but ec is %r J" % (debits, report.ec))
     paid = ledger.energy_by_node()
-    for node, start in ledger.initial_energy.items():
+    for node, start in initial.items():
         drop, debited = start - ledger.final_energy.get(node, start), paid.get(node, 0.0)
-        if not math.isclose(debited, drop, rel_tol=1e-9, abs_tol=1e-9):
+        slack = max(1e-9, count * math.ulp(start))
+        if not math.isclose(debited, drop, rel_tol=1e-9, abs_tol=slack):
             problems.append("node %d paid %r J but its energy dropped %r J" % (node, debited, drop))
     unknown = sorted(ledger.status_counts().keys() - PACKET_STATUSES)
     if unknown:

@@ -149,10 +149,6 @@ class TestRangeValidation:
                      "sessions must be <= 10000, got %d" % 10 ** 400, id="sessions-beyond-float-range"),
         pytest.param({"level_count_max": 101, "override": True},
                      "level_count_max must be <= 100, got 101", id="level-count-over-cap"),
-        # each debit rounds a 1e6 J battery by more than the conservation
-        # check allows: desk-converge then broke it 31 times at seed 1
-        pytest.param({"energy_min": 1e6, "energy_max": 1e6, "override": True},
-                     "energy_max must be <= 100000 J, got 1e+06", id="energy-over-cap"),
         # reflecting a step this long back into the arena never ends
         pytest.param({"mobility": "random-walk", "vmax_min": 1e300, "vmax_max": 1e300,
                       "nodes": 30, "duration": 2.0},
@@ -260,8 +256,10 @@ class TestRangeValidation:
         assert ScenarioConfig(nodes=100_000, sessions=10_000, level_count_max=100,
                               override=True).validate() == []
 
-    def test_energy_and_step_at_their_bounds_pass(self):
-        assert ScenarioConfig(energy_min=1e5, energy_max=1e5, override=True).validate() == []
+    def test_large_batteries_and_step_at_its_bound_pass(self):
+        # the conservation check's slack grows with the batteries' ulp, so
+        # no battery cap is needed
+        assert ScenarioConfig(energy_min=1e7, energy_max=1e7, override=True).validate() == []
         for mobility in VALID_MOBILITY:
             assert ScenarioConfig(mobility=mobility, arena_width=100.0, arena_height=50.0,
                                   vmax_max=100.0, override=True).validate() == []

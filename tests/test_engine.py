@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -1189,6 +1190,86 @@ def test_random_configs_keep_the_run_invariants():
         deaths += sum(p.status == "dropped-node-death" for p in sim.ledger.packets.values())
     # the near-zero batteries really reach the node-death branch
     assert deaths > 0
+
+
+WIDE_FUZZ_DRAWS = 30
+
+
+def wide_random_configs(seed, count):
+    """`random_configs(seed, count)`, each also drawn over what those keep
+    at desk-compare's values, under override=true: battery size (0.1 J to
+    1e7 J), level values (0.01 to 50), radio ranges and route margin,
+    `tau_a` and `vs`, the timers, alpha and `rx_cost_fraction`."""
+    rng = random.Random(seed)
+    configs = []
+    for cfg in random_configs(seed, count):
+        battery = rng.choice([1e7, 10.0 ** rng.uniform(-1.0, 7.0)])
+        level = 10.0 ** rng.uniform(-2.0, 1.2)
+        radio = rng.uniform(20.0, 45.0)
+        alpha = rng.uniform(0.05, 0.4)
+        gap = rng.uniform(0.3, 2.0)
+        configs.append(dataclasses.replace(
+            cfg,
+            override=True,
+            energy_min=battery * rng.uniform(0.5, 1.0),
+            energy_max=battery,
+            level_value_min=level,
+            level_value_max=min(50.0, level * 10.0 ** rng.uniform(0.1, 1.5)),
+            radio_range_min=radio,
+            radio_range_max=radio + rng.uniform(0.0, 15.0),
+            route_margin=rng.uniform(0.0, 25.0),
+            tau_a=rng.uniform(0.2, 2.0),
+            vs=rng.uniform(10.0, 100.0),
+            t_sync=rng.uniform(1.0, 10.0),
+            t_net=rng.uniform(5.0, 30.0),
+            mobility_dt=rng.uniform(0.1, 1.0),
+            inter_arrival_min=gap,
+            inter_arrival_max=gap * rng.uniform(1.0, 1.5),
+            beacon_period=rng.uniform(0.5, 2.0),
+            alpha_min=alpha,
+            alpha_max=rng.uniform(alpha, 0.6),
+            rx_cost_fraction=rng.uniform(0.1, 1.0),
+        ))
+    return configs
+
+
+def test_wide_random_configs_keep_the_run_invariants():
+    """Batteries far larger than the debits they pay round at a coarse ulp,
+    which the conservation check must allow for, and so must every other
+    invariant across the timers, radio and channel fields drawn."""
+    configs = wide_random_configs(12, WIDE_FUZZ_DRAWS)
+    assert len(configs) == WIDE_FUZZ_DRAWS and max(c.energy_max for c in configs) == 1e7
+    delivering = 0
+    for cfg in configs:
+        assert cfg.validate() == []
+        sim = Simulator(cfg)
+        report = sim.run()
+        assert invariant_problems(sim.ledger, report) == [], cfg
+        delivering += bool(report.ntg)
+    # levels below the receive floor deliver nothing; the rest reach the
+    # forwarding path
+    assert delivering >= 5
+
+
+SMALL_LEVELS_AT_1E5 = {"energy_min": 1e5, "energy_max": 1e5,
+                      "level_value_min": 0.01, "level_value_max": 0.05}
+
+
+@pytest.mark.parametrize("name, seed, overrides", [
+    ("desk-compare", 1, SMALL_LEVELS_AT_1E5),
+    ("desk-compare", 2, SMALL_LEVELS_AT_1E5),
+    ("desk-converge", 1, {"energy_min": 1e6, "energy_max": 1e6}),
+], ids=["desk-compare-small-levels-seed1", "desk-compare-small-levels-seed2", "desk-converge"])
+def test_large_batteries_keep_energy_conservation(name, seed, overrides):
+    """Each debit rounds a 1e5 J battery by up to half its ulp, 7e-12 J,
+    and a 1e6 J one by 6e-11 J: more than 1e-9 of desk-compare's EC of
+    about 0.05 J at levels of 0.01 to 0.05, or than 1e-9 J over a
+    desk-converge node's drop. A fixed tolerance reported both as broken
+    conservation."""
+    sim = Simulator(scenario(name, seed=seed, **overrides))
+    report = sim.run()
+    assert invariant_problems(sim.ledger, report) == []
+    assert sim.ledger.debit_count > 0
 
 
 # the second run's small batteries reach every drop status, node deaths included

@@ -20,6 +20,7 @@ from rltrc.metrics import (
     SERIES_WINDOWS,
     AttemptLog,
     AttemptRow,
+    ExactSum,
     MetricsLedger,
     PacketBook,
     PacketStat,
@@ -95,6 +96,61 @@ def rows_with_borders(rng, n, duration):
     return sorted(rows + random_rows(rng, n, duration), key=lambda row: row[0])
 
 
+def folds_of(monkeypatch, sums):
+    """The keys of `sums` whose `ExactSum` buffer each later `exact_partials`
+    call is given, in call order; None for a buffer no sum of `sums` holds."""
+    folded = []
+    fold = metrics.exact_partials
+
+    def spy(buf):
+        folded.append(next((key for key, held in sums.items() if held.buf is buf), None))
+        return fold(buf)
+
+    monkeypatch.setattr(metrics, "exact_partials", spy)
+    return folded
+
+
+class TestExactSum:
+    def test_value_and_floats_stay_exact_across_folds(self, monkeypatch):
+        """After every add, `value()` and an fsum over the floats iterated
+        equal an fsum over every float added, bit for bit. The add that
+        brings the buffer to ROW_FOLD floats folds it, and no other add
+        does, so the buffer never holds ROW_FOLD floats. Most trials fold
+        at 6 to 64 floats, read at call time; the last at the ledger's own
+        ROW_FOLD."""
+        rng = random.Random(27)
+        sums = {}
+        folded = folds_of(monkeypatch, sums)
+        for trial in range(21):
+            monkeypatch.setattr(metrics, "ROW_FOLD",
+                                ROW_FOLD if trial == 20 else rng.choice([6, 8, 16, 64]))
+            total = sums["sum"] = ExactSum()
+            added = []
+            for _ in range(5 * metrics.ROW_FOLD):
+                folds = len(folded) + (len(total.buf) + 1 == metrics.ROW_FOLD)
+                added.append(awkward_amount(rng, -12, 12))
+                total.add(added[-1])
+                assert len(folded) == folds and len(total.buf) < metrics.ROW_FOLD
+                assert total.value() == math.fsum(total) == math.fsum(added)
+            assert folded.count("sum") >= 5 * trial + 5 and None not in folded
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_sum_of_inf_or_nan_keeps_its_buffer_and_is_not_summed_again(self, monkeypatch, bad):
+        """inf and nan have no partials: the add that brings the buffer to
+        ROW_FOLD floats leaves it as it was, and later adds grow it past
+        ROW_FOLD without summing it again."""
+        total = ExactSum()
+        kept = total.buf
+        for x in [1.0] * (ROW_FOLD - 1) + [bad]:
+            total.add(x)
+        assert total.buf is kept and list(kept[:-1]) == [1.0] * (ROW_FOLD - 1)
+        folded = folds_of(monkeypatch, {"sum": total})
+        for _ in range(ROW_FOLD):
+            total.add(2.0)
+        assert folded == [] and total.buf is kept and len(kept) == 2 * ROW_FOLD
+        assert repr(total.value()) == repr(bad)
+
+
 class TestZoneBook:
     ROWS = [(0.5, 3, 0.1, 2.0), (1.25, 0, 2e-9, 0.0), (1.25, 7, 3.0e4, 0.25), (2.0, 3, 0.2, 0.0),
             (2.5, 7, 0.0, 0.0)]
@@ -107,9 +163,9 @@ class TestZoneBook:
 
     def test_len_and_iteration(self, monkeypatch):
         """`len` counts rows but the all-zero one; iteration yields per zone
-        its buffered energies and seconds, and yields them again when
-        repeated. A zone whose buffer folded yields its partials, the
-        shorter column padded with 0.0."""
+        the floats of its energy and seconds sums side by side, and yields
+        them again when repeated. A zone whose sums folded yields their
+        partials, the shorter column padded with 0.0."""
         book = self.book()
         assert len(book) == 4 and len(ZoneBook(1.0)) == 0 and list(ZoneBook(1.0)) == []
         rows = list(book)
@@ -117,7 +173,7 @@ class TestZoneBook:
                                              (7, 3.0e4, 0.25)]
         assert all(math.isnan(row[0]) for row in rows)
         assert [row[1:] for row in book] == [row[1:] for row in rows]
-        monkeypatch.setattr(metrics, "ROW_FOLD", 4)
+        monkeypatch.setattr(metrics, "ROW_FOLD", 2)
         # 0.1 + 0.2 is no float, so zone 3's energy has two partials and its
         # one seconds partial is padded
         assert [row[1:] for row in self.book()] == [(3, 0.30000000000000004, 2.0),
@@ -137,12 +193,12 @@ class TestZoneBook:
         """Counts, AWE, AWT, per-zone sums and the windowed series of the
         ledger's own duration / SERIES_WINDOWS windows equal len, fsum and
         sequential sums over the rows booked, bit for bit. Most trials fold
-        a zone's buffer every 3 or 7 rows; the last use the ledger's own
+        a zone's sums every 3 or 7 rows; the last use the ledger's own
         ROW_FOLD, and two of them book enough rows to fold at it."""
         rng = random.Random(20)
         for trial in range(24):
             monkeypatch.setattr(metrics, "ROW_FOLD",
-                                ROW_FOLD if trial >= 20 else rng.choice([6, 14]))
+                                ROW_FOLD if trial >= 20 else rng.choice([3, 7]))
             duration = rng.choice([1.0, 60.0, 1200.0])
             many = 40 * metrics.ROW_FOLD if trial >= 22 else 300
             waste = rows_with_borders(rng, rng.randint(0, many), duration)
@@ -166,33 +222,37 @@ class TestZoneBook:
                 for z in {r[1] for r in waste + invest}}
             for book, rows in ((led.waste_rows, waste), (led.invest_rows, invest)):
                 if metrics.ROW_FOLD == ROW_FOLD:  # far more than a sum's partials
-                    assert all(len(buf) < ROW_FOLD for buf in book.zones.values())
+                    assert all(len(total.buf) < ROW_FOLD
+                               for total in [*book.energy.values(), *book.seconds.values()])
                 for z in {r[1] for r in rows}:
                     assert [math.fsum(r[c] for r in book if r[1] == z) for c in (2, 3)] == [
                         math.fsum(r[c] for r in rows if r[1] == z) for c in (2, 3)]
 
     def test_a_buffer_whose_energy_sums_to_inf_is_not_summed_again(self, monkeypatch):
-        """inf has no partials: the row that brings zone 2's buffer to
+        """inf has no partials: the row that brings zone 2's sums to
         ROW_FOLD floats keeps its energies as they were and folds its
-        seconds. Later rows grow the buffer past ROW_FOLD without summing
-        it again, and the sums stay exact."""
+        seconds. Later rows grow the energy buffer past ROW_FOLD without
+        summing it again while the seconds fold on, and the sums stay
+        exact."""
         book = ZoneBook(1.0)
-        rows = ROW_FOLD // 2
+        rows = ROW_FOLD
         book.append(0.0, 2, math.inf, 0.5)
+        kept = book.energy[2].buf
         for _ in range(rows - 1):
             book.append(0.0, 2, 1.0, 0.5)
-        assert list(book.zones[2][:4]) == [math.inf, 0.5 * rows, 1.0, 0.0]
-        assert len(book.zones[2]) == ROW_FOLD
-        folded = folds_of(monkeypatch, {})
+        assert book.energy[2].buf is kept and list(kept) == [math.inf] + [1.0] * (rows - 1)
+        assert list(book.seconds[2]) == [0.5 * rows]
+        assert [row[2:] for row in book][:2] == [(math.inf, 0.5 * rows), (1.0, 0.0)]
+        folded = folds_of(monkeypatch, {"energy": book.energy[2], "seconds": book.seconds[2]})
         for _ in range(rows):
             book.append(0.0, 2, 1.0, 0.5)
-        assert folded == [] and len(book.zones[2]) == 2 * ROW_FOLD
+        assert folded == ["seconds"] and book.energy[2].buf is kept and len(kept) == 2 * rows
         assert book.totals() == (math.inf, 0.5 * 2 * rows)
 
     def test_a_folded_row_costs_no_memory(self):
         """100 000 rows booked to four zones grow the heap by less than
-        twice the four zones' buffers of ROW_FOLD floats; typed columns
-        kept every row at 28 bytes, 2.8 MB."""
+        twice the four zones' energy and seconds buffers of ROW_FOLD floats;
+        typed columns kept every row at 28 bytes, 2.8 MB."""
         led = MetricsLedger(duration=100.0)
         rng = random.Random(28)
         amounts = [awkward_amount(rng) for _ in range(997)]
@@ -210,7 +270,7 @@ class TestZoneBook:
         finally:
             tracemalloc.stop()
         assert len(led.invest_rows) == 101_000
-        assert grown < 2 * 4 * ROW_FOLD * 8
+        assert grown < 2 * 4 * 2 * ROW_FOLD * 8
 
 
 def book_debits(led, rng, count, nodes, magnitudes):
@@ -227,27 +287,13 @@ def book_debits(led, rng, count, nodes, magnitudes):
             booked += len(batch)
 
 
-def folds_of(monkeypatch, bufs):
-    """The keys of `bufs` whose buffer each later `exact_partials` call is
-    given, in call order; None for a buffer `bufs` does not hold."""
-    folded = []
-    fold = metrics.exact_partials
-
-    def spy(buf):
-        folded.append(next((key for key, held in bufs.items() if held is buf), None))
-        return fold(buf)
-
-    monkeypatch.setattr(metrics, "exact_partials", spy)
-    return folded
-
-
 class TestDebitBook:
     def test_answers_stay_exact_across_folds(self, monkeypatch):
         """Count, total and per-node joules equal len and fsum over every
         row booked, bit for bit, after at least three folds of every node's
         buffer, and no buffer is left holding ROW_FOLD floats or more. Most
-        trials fold at 6 to 64 floats, so a batch often brings a buffer past
-        ROW_FOLD; the last uses the ledger's own ROW_FOLD."""
+        trials fold at 6 to 64 floats, so a batch often folds a buffer
+        partway through; the last uses the ledger's own ROW_FOLD."""
         rng = random.Random(22)
         for trial in range(31):
             monkeypatch.setattr(metrics, "ROW_FOLD",
@@ -259,7 +305,7 @@ class TestDebitBook:
             book_debits(led, rng, 6 * len(nodes) * metrics.ROW_FOLD, nodes, (-12, 12))
             folds = Counter(folded)
             assert min(folds[n] for n in nodes) >= 3 and None not in folds
-            assert all(len(buf) < metrics.ROW_FOLD for buf in led.debits.paid.values())
+            assert all(len(paid.buf) < metrics.ROW_FOLD for paid in led.debits.paid.values())
             rows = spy.debit_calls
             assert led.debit_count == len(led.debits) == len(rows)
             assert led.total_debits() == math.fsum(r[2] for r in rows)
@@ -275,9 +321,9 @@ class TestDebitBook:
         n = ROW_FOLD
         led = MetricsLedger()
         book = led.debits
-        kept = book.paid[0]
+        kept = book.paid[0].buf
         led.record_debits([0] * n + [1] * n, "tx", [1.0] * (n - 1) + [math.inf] + [0.5] * n)
-        assert book.paid[0] is kept and list(kept) == [1.0] * (n - 1) + [math.inf]
+        assert book.paid[0].buf is kept and list(kept) == [1.0] * (n - 1) + [math.inf]
         assert list(book.paid[1]) == [0.5 * n]
         assert led.total_debits() == math.inf
         folded = folds_of(monkeypatch, book.paid)
@@ -285,7 +331,7 @@ class TestDebitBook:
             led.record_debit(0, "tx", 2.0)
             led.record_debits([1, 0, 0], "rx", [0.5, 0.25, 0.25])
         assert folded == [1]
-        assert book.paid[0] is kept and len(kept) == 4 * n - 3
+        assert book.paid[0].buf is kept and len(kept) == 4 * n - 3
         assert list(book.paid[1]) == [0.5 * (2 * n - 1)]
         assert led.total_debits() == math.inf and led.debit_count == 6 * n - 4
 
@@ -314,22 +360,23 @@ class TestDebitBook:
         finally:
             tracemalloc.stop()
         assert led.debit_count == 300_000
-        assert all(len(buf) < ROW_FOLD for buf in led.debits.paid.values())
+        assert all(len(paid.buf) < ROW_FOLD for paid in led.debits.paid.values())
         assert grown < 2 * 100 * ROW_FOLD * 8
 
 
 @pytest.mark.parametrize("name", names())
 def test_no_ledger_buffer_holds_row_fold_floats_after_a_canned_run(name):
-    """Every buffer of a finished canned run's books, each node's debits,
-    each zone's waste and investment pairs and the delivered latencies,
-    holds fewer than ROW_FOLD floats."""
+    """The buffer of every `ExactSum` of a finished canned run's books, each
+    node's debits, each zone's waste and investment energy and seconds, and
+    the delivered latencies, holds fewer than ROW_FOLD floats."""
     sim = Simulator(scenario(name, seed=1))
     sim.run()
     led = sim.ledger
-    bufs = [*led.debits.paid.values(), *led.waste_rows.zones.values(),
-            *led.invest_rows.zones.values(), led.packets.latency]
+    sums = [*led.debits.paid.values(), led.packets.latency]
+    for book in (led.waste_rows, led.invest_rows):
+        sums += [*book.energy.values(), *book.seconds.values()]
     assert len(led.debits.paid) == len(sim.nodes)
-    assert max(map(len, bufs)) < ROW_FOLD
+    assert max(len(total.buf) for total in sums) < ROW_FOLD
 
 
 def attempt_row(rng, outcome):
@@ -491,7 +538,7 @@ class TestPacketBook:
             assert led.status_counts() == statuses
             assert book.settled == Counter(stats[pid - 1].status for pid in retired)
             assert len(book) == len(stats) and len(book.live) == len(stats) - len(retired)
-            assert len(book.latency) < metrics.ROW_FOLD
+            assert len(book.latency.buf) < metrics.ROW_FOLD
             yielded = list(book.values())
             assert Counter(p.status for p in yielded) == statuses
             assert all(a is b for a, b in zip(yielded[len(retired):], book.live.values()))
