@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .model import PERIPHERAL_INSET, make_zones, peripheral_spots
 from .policy import BASELINE_KINDS
 
 VALID_ZONE_COUNTS = (3, 6, 9, 12)
@@ -197,6 +198,21 @@ class ScenarioConfig:
                 "nodes=%d leaves fewer than 2 mobile nodes after %d peripherals"
                 % (self.nodes, peripherals)
             )
+        # every relay must land strictly inside its own zone: `zone_of` gives
+        # a point on a zone's edge to the lowest zone id, and a point off the
+        # arena to none. The node cap bounds the relays placed here
+        w, h = self.arena_width, self.arena_height
+        if (self.zones in VALID_ZONE_COUNTS and 0 < w < math.inf and 0 < h < math.inf
+                and peripherals <= min(self.nodes, dict(_CAPS)["nodes"])):
+            misplaced = [(x, y, z) for z in make_zones(w, h, self.zones, av_rad=0.0)
+                         for x, y in peripheral_spots(z, self.peripherals_per_zone, w, h)
+                         if not (z.x0 < x < z.x1 and z.y0 < y < z.y1)]
+            if misplaced:
+                x, y, z = misplaced[0]
+                hard.append("relay at (%g, %g) does not lie strictly inside its zone %d "
+                            "([%g, %g] x [%g, %g]); relays sit %g m inside a zone's "
+                            "internal edges" % (x, y, z.id, z.x0, z.x1, z.y0, z.y1,
+                                                PERIPHERAL_INSET))
         if self.zones in VALID_ZONE_COUNTS and self.nodes >= 1:
             # in integers: nodes / zones overflows a float beyond float range
             if not 5 * self.zones <= self.nodes <= 150 * self.zones:

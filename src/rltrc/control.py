@@ -151,28 +151,29 @@ class Tick:
 
     The neighbour counts over the alive nodes are worked out on first ask
     and kept, so the zones that share a tick share one pass. Radio ranges
-    are fixed for a node's life and are read from the nodes when needed.
+    are fixed for a node's life and are read from `nodes` when needed.
     """
 
-    __slots__ = ("positions", "alive", "_counts")
+    __slots__ = ("nodes", "positions", "alive", "_counts")
 
     def __init__(self, nodes: Sequence[NodeState]) -> None:
+        self.nodes = nodes
         self.positions = [n.position for n in nodes]
         self.alive = [n.id for n in nodes if n.residual_energy > 0.0]
         self._counts: dict[int, int] | None = None
 
-    def neighbor_counts(self, nodes: Sequence[NodeState]) -> dict[int, int]:
+    def neighbor_counts(self) -> dict[int, int]:
         if self._counts is None:
-            pos = self.positions
+            pos, nodes = self.positions, self.nodes
             self._counts = neighbor_counts(
                 [(i, pos[i][0], pos[i][1], nodes[i].radio_range) for i in self.alive])
         return self._counts
 
-    def sees_anyone(self, members: list[int], nodes: Sequence[NodeState]) -> bool:
+    def sees_anyone(self, members: list[int]) -> bool:
         """True when some member has another alive node within its radio
         range, that is when some member's neighbour count is above 0; the
         same `hypot` test as `neighbor_counts`, stopping at the first hit."""
-        pos, alive, hypot = self.positions, self.alive, math.hypot
+        pos, alive, nodes, hypot = self.positions, self.alive, self.nodes, math.hypot
         for m in members:
             ux, uy = pos[m]
             reach = nodes[m].radio_range
@@ -244,7 +245,7 @@ class ZoneController:
             self.theta_from = None
         if members:
             zone.av_rad = math.fsum(nodes[m].radio_range for m in members) / len(members)
-            if tick.sees_anyone(members, nodes):
+            if tick.sees_anyone(members):
                 self.phi_from = (members, tick)
         zone.reward_ri = zone_reward(
             [reward_states[m].total() for m in members],
@@ -252,7 +253,7 @@ class ZoneController:
         )
         return [(m, nodes[m].min_power) for m in members]
 
-    def geometry(self, nodes: Sequence[NodeState]) -> ZoneState:
+    def geometry(self) -> ZoneState:
         """The zone with theta and phi brought up to its last sync: what the
         syncs since the last read left pending is computed and cleared."""
         zone = self.zone
@@ -263,7 +264,7 @@ class ZoneController:
             self.theta_from = None
         if self.phi_from is not None:
             members, tick = self.phi_from
-            counts = tick.neighbor_counts(nodes)
+            counts = tick.neighbor_counts()
             zone.phi = math.fsum(counts[m] for m in members) / len(members)
             self.phi_from = None
         return zone

@@ -59,6 +59,7 @@ from .model import (
     checked_levels,
     grid_cells,
     make_zones,
+    peripheral_spots,
     zone_of,
 )
 from .policy import LinkSnapshot
@@ -381,7 +382,8 @@ class Simulator:
         # level count -> the one checked tuple every node with that count holds
         self._levels_by_count: dict[int, tuple[float, ...]] = {}
         for z in self.zones:
-            for spot in self._peripheral_spots(z, cfg.peripherals_per_zone):
+            for spot in peripheral_spots(z, cfg.peripherals_per_zone, cfg.arena_width,
+                                         cfg.arena_height):
                 self.nodes.append(self._make_node(len(self.nodes), spot, peripheral=True))
         self.mobile_ids = list(range(len(self.nodes), cfg.nodes))
         for nid in self.mobile_ids:
@@ -397,33 +399,6 @@ class Simulator:
         self.sessions = [Session(sid, *self.rng.sample(self.mobile_ids, 2))
                          for sid in range(cfg.sessions)]
         self.ledger.initial_energy = {n.id: n.residual_energy for n in self.nodes}
-
-    def _peripheral_spots(self, z: ZoneState, count: int) -> list[Point]:
-        """Static relay positions just inside the zone's internal edges."""
-        inset = 1.0
-        edges = []
-        if z.x1 < self.cfg.arena_width:
-            edges.append("right")
-        if z.x0 > 0.0:
-            edges.append("left")
-        if z.y1 < self.cfg.arena_height:
-            edges.append("top")
-        if z.y0 > 0.0:
-            edges.append("bottom")
-        spots: list[Point] = []
-        rounds = (count + len(edges) - 1) // len(edges)
-        for i in range(count):
-            edge = edges[i % len(edges)]
-            frac = (i // len(edges) + 1) / (rounds + 1)
-            if edge == "right":
-                spots.append((z.x1 - inset, z.y0 + (z.y1 - z.y0) * frac))
-            elif edge == "left":
-                spots.append((z.x0 + inset, z.y0 + (z.y1 - z.y0) * frac))
-            elif edge == "top":
-                spots.append((z.x0 + (z.x1 - z.x0) * frac, z.y1 - inset))
-            else:
-                spots.append((z.x0 + (z.x1 - z.x0) * frac, z.y0 + inset))
-        return spots
 
     def _make_node(self, nid: int, pos: Point, peripheral: bool) -> NodeState:
         cfg = self.cfg
@@ -853,8 +828,8 @@ class Simulator:
         """Charge a flood over `scope`; book and return its investment, the
         cost and minimum-hop time summed over the zones `zone_ids`."""
         self._charge_flood(scope)
-        ctls, nodes, t_hop = self.controllers, self.nodes, self.cfg.t_hop
-        zones = [ctls[zid].geometry(nodes) for zid in zone_ids]
+        ctls, t_hop = self.controllers, self.cfg.t_hop
+        zones = [ctls[zid].geometry() for zid in zone_ids]
         cost = math.fsum([self._flood_cost(z) for z in zones])
         time = math.fsum([min_hop_count(z.theta, z.phi, z.av_rad) * t_hop for z in zones])
         self.ledger.record_invest(self.t, sn.home_zone, cost, time)
@@ -876,7 +851,7 @@ class Simulator:
         succ = sn.next_hop[node]
         linkcache.mark_reliability(rt.links[succ], self.t)
         if self._rltrc:
-            zone = self.controllers[self.nodes[node].zone_id].geometry(self.nodes)
+            zone = self.controllers[self.nodes[node].zone_id].geometry()
             penalty = self._flood_cost(zone)
             self.reward_states[node].apply_noack(succ, qp.turn, cfg.mx_atmpt, penalty)
         # claim the packet's acked-hop investment exactly once

@@ -97,8 +97,8 @@ def record_ack(entry: CommCacheEntry, rec: PacketRecord, vs: float, radio_range:
         raise MalformedAckError(
             "ack reports RSS %.6g above transmit power %.6g" % (rss, tx_power)
         )
-    if t_ack <= t_msg:
-        raise ValueError("ack time must follow send time")
+    if t_ack < t_msg:
+        raise ValueError("ack time must not precede send time")
     rx = entry.packets_rx + 1
     entry.packets_rx = rx
     entry.sum_rss += rss

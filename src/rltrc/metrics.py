@@ -29,7 +29,7 @@ import math
 from array import array
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
-from itertools import chain, repeat, zip_longest
+from itertools import chain, repeat
 from operator import attrgetter
 
 
@@ -239,10 +239,8 @@ class ZoneBook:
     the rows at or past its end), so each is the float a sequential sum
     over its rows in append order gives. It adds them to the zone's
     `ExactSum`s, `energy[zone]` and `seconds[zone]`. `len` counts rows.
-    Iteration yields, per zone with any row, the floats of its two sums
-    side by side as rows (nan, zone, energy, seconds), the shorter side
-    padded with 0.0: a buffered row has no one time, and an fsum per zone
-    and column of what it yields is the exact sum of what was booked.
+    Iteration yields one row (nan, zone, energy, seconds) per zone with any
+    row: the zone's two exact sums, which have no one time.
     """
 
     __slots__ = ("count", "window", "window_energy", "window_seconds", "energy", "seconds")
@@ -273,8 +271,7 @@ class ZoneBook:
 
     def __iter__(self):
         for zone, energy in self.energy.items():
-            for e, s in zip_longest(energy, self.seconds[zone], fillvalue=0.0):
-                yield math.nan, zone, e, s
+            yield math.nan, zone, energy.value(), self.seconds[zone].value()
 
     def totals(self) -> tuple[float, float]:
         """(energy, seconds) over every row, each an exact sum."""
@@ -300,22 +297,20 @@ class DebitBook:
         return self.count
 
 
-@dataclass
 class MetricsLedger:
-    initial_energy: dict[int, float] = field(default_factory=dict)
-    final_energy: dict[int, float] = field(default_factory=dict)
-    debits: DebitBook = field(default_factory=DebitBook)
-    message_count: int = 0
-    packets: PacketBook = field(default_factory=PacketBook)
-    attempts: AttemptLog = field(default_factory=AttemptLog)
-    # made from `duration`, whose windows they sum over
-    waste_rows: ZoneBook = field(init=False)
-    invest_rows: ZoneBook = field(init=False)
-    duration: float = 0.0
+    """Every book of one run. `duration` sets the series windows the zone
+    books sum over; with no duration there is no series, and every row
+    joins window 0."""
 
-    def __post_init__(self):
-        # with no duration there is no series, and every row joins window 0
-        window = self.duration / SERIES_WINDOWS if self.duration > 0.0 else math.inf
+    def __init__(self, duration: float = 0.0):
+        self.duration = duration
+        self.initial_energy: dict[int, float] = {}
+        self.final_energy: dict[int, float] = {}
+        self.debits = DebitBook()
+        self.message_count = 0
+        self.packets = PacketBook()
+        self.attempts = AttemptLog()
+        window = duration / SERIES_WINDOWS if duration > 0.0 else math.inf
         self.waste_rows = ZoneBook(window)
         self.invest_rows = ZoneBook(window)
         # record_waste(t, zone, energy, seconds) and record_invest(...): a

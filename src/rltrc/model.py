@@ -159,6 +159,40 @@ def make_zones(width: float, height: float, count: int, av_rad: float) -> list[Z
     return zones
 
 
+# how far inside its zone's internal edge a static relay sits, in meters
+PERIPHERAL_INSET = 1.0
+
+
+def peripheral_spots(z: ZoneState, count: int, width: float, height: float) -> list[Point]:
+    """`count` static relay positions PERIPHERAL_INSET inside the internal
+    edges of zone z of a width x height arena, taken round-robin over the
+    right, left, top and bottom edges that it has."""
+    inset = PERIPHERAL_INSET
+    edges = []
+    if z.x1 < width:
+        edges.append("right")
+    if z.x0 > 0.0:
+        edges.append("left")
+    if z.y1 < height:
+        edges.append("top")
+    if z.y0 > 0.0:
+        edges.append("bottom")
+    spots: list[Point] = []
+    rounds = (count + len(edges) - 1) // len(edges)
+    for i in range(count):
+        edge = edges[i % len(edges)]
+        frac = (i // len(edges) + 1) / (rounds + 1)
+        if edge == "right":
+            spots.append((z.x1 - inset, z.y0 + (z.y1 - z.y0) * frac))
+        elif edge == "left":
+            spots.append((z.x0 + inset, z.y0 + (z.y1 - z.y0) * frac))
+        elif edge == "top":
+            spots.append((z.x0 + (z.x1 - z.x0) * frac, z.y1 - inset))
+        else:
+            spots.append((z.x0 + (z.x1 - z.x0) * frac, z.y0 + inset))
+    return spots
+
+
 def zone_of(point: Point, zones: list[ZoneState]) -> int:
     """Zone id containing the point; boundary ties go to the lowest zone id.
 

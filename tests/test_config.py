@@ -3,10 +3,11 @@ from dataclasses import fields
 
 import pytest
 
-from rltrc.config import (_FIELD_RANGES, _PAIRS, _TIMERS, VALID_MOBILITY, ConfigError,
-                          ScenarioConfig, load_config, parse_config)
+from rltrc.config import (_FIELD_RANGES, _PAIRS, _TIMERS, VALID_MOBILITY, VALID_ZONE_COUNTS,
+                          ConfigError, ScenarioConfig, load_config, parse_config)
 from rltrc.engine import Simulator
 from rltrc.metrics import invariant_problems
+from rltrc.model import make_zones
 from rltrc.scenarios import scenario
 
 
@@ -118,6 +119,8 @@ class TestRangeValidation:
         # cannot tile an arena without area, an infinite battery or top
         # level gives NaN energies, an infinite top speed or gaussian_accel
         # moves nodes to (nan, nan), and at vs = inf an ack lands at its send
+        # time, so its round trip travels inf * 0 = nan meters and the link
+        # caches' attenuation turns NaN
         ({"arena_width": math.nan, "override": True},
          "arena_width must be finite and positive, got nan"),
         ({"arena_width": math.inf, "override": True},
@@ -158,6 +161,22 @@ class TestRangeValidation:
                       "vmax_max": 101.0, "override": True},
                      "vmax_max * mobility_dt must be at most the shorter arena side (50 m) "
                      "under gaussian, got 50.5 m", id="gaussian-step-beyond-arena"),
+        # a relay sits 1 m inside a zone edge: in a zone 0.5 m wide it lies off
+        # the arena and the world raised; in a zone 1 m wide it lands on the
+        # opposite edge, where `zone_of` gave the middle zone's right-edge
+        # relay to the zone on its left. override=true keeps the rule
+        pytest.param({"arena_width": 1.5, "override": True},
+                     "relay at (-0.5, 666.667) does not lie strictly inside its zone 0 "
+                     "([0, 0.5] x [0, 2000]); relays sit 1 m inside a zone's internal edges",
+                     id="relay-off-the-arena"),
+        pytest.param({"arena_width": 3.0, "override": True},
+                     "relay at (0, 666.667) does not lie strictly inside its zone 0 "
+                     "([0, 1] x [0, 2000]); relays sit 1 m inside a zone's internal edges",
+                     id="relay-on-a-zone-edge"),
+        pytest.param({"zones": 6, "nodes": 60, "arena_height": 2.0, "override": True},
+                     "relay at (333.333, 0) does not lie strictly inside its zone 0 "
+                     "([0, 666.667] x [0, 1]); relays sit 1 m inside a zone's internal edges",
+                     id="relay-on-a-zone-edge-in-y"),
     ])
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]
@@ -300,7 +319,7 @@ class TestRangeValidation:
                 floats.append(report.ntg)
             assert all(math.isfinite(x) for x in floats), (value, report)
             if cfg.duration > 0.0:
-                assert any(p.status == "delivered" for p in sim.ledger.packets.values()), value
+                assert sim.ledger.status_counts()["delivered"], value
         # the field's default does run
         assert scenario("desk-compare", **self.READER.get(name, {})).validate() == []
 
@@ -309,6 +328,26 @@ class TestRangeValidation:
             zones=5, mobility="teleport", duration=-1.0, radio_range_min=0.0
         ).validate()
         assert len(errs) >= 4
+
+    @pytest.mark.parametrize("zones", VALID_ZONE_COUNTS)
+    def test_relays_join_their_own_zone_in_the_narrowest_zones(self, zones):
+        """Zones a hair over 1 m wide and tall are accepted, and each relay
+        of the world joins the zone it was placed in; at exactly 1 m the
+        world is not built."""
+        cols = sum(z.y0 == 0.0 for z in make_zones(1.0, 1.0, zones, av_rad=0.0))
+        rows = zones // cols
+        side = 1.0 + 1e-9
+        cfg = ScenarioConfig(zones=zones, nodes=5 * zones, arena_width=cols * side,
+                             arena_height=rows * side, duration=1.0, override=True)
+        assert cfg.validate() == []
+        sim = Simulator(cfg)
+        relays = [n for n in sim.nodes if n.is_peripheral]
+        assert len(relays) == 2 * zones
+        assert [n.zone_id for n in relays] == [i // 2 for i in range(2 * zones)]
+        sim.run()
+        with pytest.raises(ConfigError, match="does not lie strictly inside its zone"):
+            Simulator(ScenarioConfig(zones=zones, nodes=5 * zones, arena_width=float(cols),
+                                     arena_height=float(rows), override=True))
 
 
 class TestParseErrors:

@@ -154,7 +154,7 @@ class TestZoneControllerSync:
         return (ctl or self.ctl).sync(t_now, self.nodes, self.rewards, tick=Tick(self.nodes))
 
     def read(self):
-        return self.ctl.geometry(self.nodes)
+        return self.ctl.geometry()
 
     def test_registry_refresh(self):
         self.sync(10.0)

@@ -913,6 +913,45 @@ def test_an_ack_after_delivery_is_written_off_by_an_upstream_holder():
     assert breakage == [(sn.id, 0.0, 0.0, action, rtt)]
 
 
+def test_an_ack_is_counted_as_a_message_but_no_node_pays_for_it():
+    """Records today's behaviour, not the wanted one. The receiver of a hop
+    pays to listen, then counts its ack in OMC and sends it at `ack_level`,
+    but no node pays for the ack: the hop books two messages and only a
+    tx and an rx debit. On lossless-pair seed 1, OMC is 65: 24 data sends,
+    24 acks, 14 zone-state, 2 flood and 1 control message, against 24 tx
+    and 24 rx debits. A fix debits the ack to the receiver, which changes
+    every golden, and inverts the debit assertion."""
+    sim, sn = route_request_sim([(0.0, 0.0), (20.0, 0.0)], 0, 1)
+    sn.started = sn.discovering = True
+    sim._on_route_reply(sn.id, (0, 1))
+    sim._events.clear()
+    spy = LedgerSpy(sim.ledger)
+    pid = next(sim._pids)
+    sim.ledger.packets.live[pid] = PacketStat(generated_at=0.0)
+    rt = sim.runtime[0]
+    rt.queue.append(QueuedPacket(pid=pid, session=sn.id))
+    messages, energy = sim.ledger.message_count, sim.nodes[1].residual_energy
+    sim.t = 1.0
+    sim._transmit(0, 1, sim.nodes[0].max_power, rt.links[1], rt, rt.queue[0], sn)
+    [(t, args)] = [(t, args) for t, _, h, args in sim._events if h == sim._on_packet_arrival]
+    sim.t = t
+    sim._on_packet_arrival(*args)
+    assert sim.ledger.status_counts() == {"delivered": 1}
+    # the ack went out, and reaches node 0
+    assert sim._on_ack_arrival in queued_handlers(sim)
+    assert sim.ledger.message_count == messages + 2
+    [(_, _, rx)] = [call for call in spy.debit_calls if call[0] == 1]
+    assert [call[:2] for call in spy.debit_calls] == [(0, "tx"), (1, "rx")]
+    assert sim.nodes[1].residual_energy == energy - rx
+    sim = Simulator(scenario("lossless-pair"), seed=1)
+    spy = LedgerSpy(sim.ledger)
+    report = sim.run()
+    kinds = Counter(kind for _, kind, _ in spy.debit_calls)
+    assert kinds == {"tx": 24, "rx": 24, "zone-state": 14, "flood": 2, "control": 1}
+    assert sim.ledger.outcome_counts() == {"ack": 24}
+    assert report.omc == 65 == kinds.total() - kinds["rx"] + 24
+
+
 @pytest.mark.parametrize("stale", ["failed", "settled"])
 def test_stale_route_reply_changes_nothing(stale):
     """A reply that arrives for a failed session, or for one whose
@@ -1046,11 +1085,11 @@ class TestEndToEnd:
     def test_lossless_pair_never_drops(self):
         sim = Simulator(scenario("lossless-pair"))
         sim.run()
-        statuses = [p.status for p in sim.ledger.packets.values()]
-        assert statuses
-        assert all(s in ("delivered", "pending") for s in statuses)
+        statuses = sim.ledger.status_counts()
+        assert statuses["delivered"]
+        assert statuses.keys() <= {"delivered", "pending"}
         # at most the packet in flight when the horizon ends stays pending
-        assert sum(1 for s in statuses if s == "pending") <= 1
+        assert statuses["pending"] <= 1
 
     def test_zero_duration_run(self):
         rep = Simulator(scenario("lossless-pair", duration=0.0)).run()
@@ -1187,7 +1226,7 @@ def test_random_configs_keep_the_run_invariants():
         assert cfg.validate() == []
         sim = Simulator(cfg)
         assert invariant_problems(sim.ledger, sim.run()) == [], cfg
-        deaths += sum(p.status == "dropped-node-death" for p in sim.ledger.packets.values())
+        deaths += sim.ledger.status_counts()["dropped-node-death"]
     # the near-zero batteries really reach the node-death branch
     assert deaths > 0
 
@@ -1199,7 +1238,8 @@ def wide_random_configs(seed, count):
     """`random_configs(seed, count)`, each also drawn over what those keep
     at desk-compare's values, under override=true: battery size (0.1 J to
     1e7 J), level values (0.01 to 50), radio ranges and route margin,
-    `tau_a` and `vs`, the timers, alpha and `rx_cost_fraction`."""
+    `tau_a`, `vs` (10 to 1e300 m/s: at most of these an ack lands at its
+    send time), the timers, alpha and `rx_cost_fraction`."""
     rng = random.Random(seed)
     configs = []
     for cfg in random_configs(seed, count):
@@ -1219,7 +1259,7 @@ def wide_random_configs(seed, count):
             radio_range_max=radio + rng.uniform(0.0, 15.0),
             route_margin=rng.uniform(0.0, 25.0),
             tau_a=rng.uniform(0.2, 2.0),
-            vs=rng.uniform(10.0, 100.0),
+            vs=10.0 ** rng.uniform(1.0, 300.0),
             t_sync=rng.uniform(1.0, 10.0),
             t_net=rng.uniform(5.0, 30.0),
             mobility_dt=rng.uniform(0.1, 1.0),

@@ -162,23 +162,24 @@ class TestZoneBook:
         return book
 
     def test_len_and_iteration(self, monkeypatch):
-        """`len` counts rows but the all-zero one; iteration yields per zone
-        the floats of its energy and seconds sums side by side, and yields
-        them again when repeated. A zone whose sums folded yields their
-        partials, the shorter column padded with 0.0."""
+        """`len` counts rows but the all-zero one; iteration yields one row
+        per zone, in the order the zones were first booked, whose energy
+        and seconds are fsums over the zone's rows, and yields it again when
+        repeated. A zone whose sums folded yields the same floats."""
         book = self.book()
         assert len(book) == 4 and len(ZoneBook(1.0)) == 0 and list(ZoneBook(1.0)) == []
+        want = [(z, math.fsum(r[2] for r in self.ROWS if r[1] == z),
+                 math.fsum(r[3] for r in self.ROWS if r[1] == z)) for z in (3, 0, 7)]
+        # 0.1 + 0.2 is no float: zone 3's energy is its exact sum, rounded once
+        assert want == [(3, 0.30000000000000004, 2.0), (0, 2e-9, 0.0), (7, 3.0e4, 0.25)]
         rows = list(book)
-        assert [row[1:] for row in rows] == [(3, 0.1, 2.0), (3, 0.2, 0.0), (0, 2e-9, 0.0),
-                                             (7, 3.0e4, 0.25)]
+        assert [row[1:] for row in rows] == want
         assert all(math.isnan(row[0]) for row in rows)
-        assert [row[1:] for row in book] == [row[1:] for row in rows]
-        monkeypatch.setattr(metrics, "ROW_FOLD", 2)
-        # 0.1 + 0.2 is no float, so zone 3's energy has two partials and its
-        # one seconds partial is padded
-        assert [row[1:] for row in self.book()] == [(3, 0.30000000000000004, 2.0),
-                                                    (3, -2.0 ** -55, 0.0),
-                                                    (0, 2e-9, 0.0), (7, 3.0e4, 0.25)]
+        assert [row[1:] for row in book] == want
+        # at 2, zone 3's energy folds to two partials
+        for fold in (2, 3):
+            monkeypatch.setattr(metrics, "ROW_FOLD", fold)
+            assert [row[1:] for row in self.book()] == want
 
     def test_deepcopy_is_equal_and_independent(self):
         book = self.book()
@@ -224,9 +225,12 @@ class TestZoneBook:
                 if metrics.ROW_FOLD == ROW_FOLD:  # far more than a sum's partials
                     assert all(len(total.buf) < ROW_FOLD
                                for total in [*book.energy.values(), *book.seconds.values()])
-                for z in {r[1] for r in rows}:
-                    assert [math.fsum(r[c] for r in book if r[1] == z) for c in (2, 3)] == [
-                        math.fsum(r[c] for r in rows if r[1] == z) for c in (2, 3)]
+                booked = {r[1] for r in rows if r[2] or r[3]}
+                yielded = list(book)
+                assert len(yielded) == len(booked)
+                assert {r[1]: r[2:] for r in yielded} == {
+                    z: tuple(math.fsum(r[c] for r in rows if r[1] == z) for c in (2, 3))
+                    for z in booked}
 
     def test_a_buffer_whose_energy_sums_to_inf_is_not_summed_again(self, monkeypatch):
         """inf has no partials: the row that brings zone 2's sums to
@@ -242,12 +246,17 @@ class TestZoneBook:
             book.append(0.0, 2, 1.0, 0.5)
         assert book.energy[2].buf is kept and list(kept) == [math.inf] + [1.0] * (rows - 1)
         assert list(book.seconds[2]) == [0.5 * rows]
-        assert [row[2:] for row in book][:2] == [(math.inf, 0.5 * rows), (1.0, 0.0)]
+        assert [row[1:] for row in book] == [(2, math.inf, 0.5 * rows)]
         folded = folds_of(monkeypatch, {"energy": book.energy[2], "seconds": book.seconds[2]})
         for _ in range(rows):
             book.append(0.0, 2, 1.0, 0.5)
         assert folded == ["seconds"] and book.energy[2].buf is kept and len(kept) == 2 * rows
         assert book.totals() == (math.inf, 0.5 * 2 * rows)
+        # a nan energy makes the zone's sum nan, which its row passes on too
+        book.append(0.0, 5, math.nan, 1.0)
+        book.append(0.0, 5, 1.0, 1.0)
+        (_t, zone, energy, seconds), = [row for row in book if row[1] == 5]
+        assert zone == 5 and math.isnan(energy) and seconds == 2.0
 
     def test_a_folded_row_costs_no_memory(self):
         """100 000 rows booked to four zones grow the heap by less than

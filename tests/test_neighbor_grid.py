@@ -235,7 +235,7 @@ def test_sync_neighbor_counts_match_all_pairs_oracle(layout_seed):
     zone.member_nodes = members
     ctl = ZoneController(zone, {})
     ctl.sync(0.0, sim.nodes, sim.reward_states, tick=Tick(sim.nodes))
-    assert ctl.geometry(sim.nodes).phi == math.fsum(want[m] for m in members) / len(members)
+    assert ctl.geometry().phi == math.fsum(want[m] for m in members) / len(members)
     assert neighbor_counts([]) == {}
 
 
@@ -260,7 +260,7 @@ def test_sync_recounts_after_a_zone_state_death(share):
     assert not doomed.alive
     zone0, zone1 = sim.zones[0], sim.zones[1]
     assert zone0.member_nodes == {0, 1} and zone1.member_nodes == {2, 3}
-    assert sim.controllers[0].geometry(sim.nodes).phi == math.fsum(before[m] for m in (0, 1)) / 2
+    assert sim.controllers[0].geometry().phi == math.fsum(before[m] for m in (0, 1)) / 2
     after = oracle_neighbor_counts(sim.nodes, ids)
     assert after[2] < before[2] and after[3] < before[3]
-    assert sim.controllers[1].geometry(sim.nodes).phi == math.fsum(after[m] for m in (2, 3)) / 2
+    assert sim.controllers[1].geometry().phi == math.fsum(after[m] for m in (2, 3)) / 2

@@ -67,7 +67,7 @@ def test_every_tick_reads_the_eager_values(golden, name, overrides):
     def hooked() -> None:
         on_sync()
         for ctl in sim.controllers:
-            zone = ctl.geometry(sim.nodes)
+            zone = ctl.geometry()
             assert (zone.theta, zone.phi, zone.av_rad) == want[zone.id], (sim.t, zone.id)
         ticks.append(sim.t)
 
@@ -101,7 +101,7 @@ class TestUnreadTicks:
         self.ctl.sync(0.0, self.nodes, self.rewards, tick=Tick(self.nodes))
 
     def read(self):
-        zone = self.ctl.geometry(self.nodes)
+        zone = self.ctl.geometry()
         return zone.theta, zone.phi, zone.av_rad
 
     def test_isolated_syncs_keep_the_last_phi_that_saw_anyone(self):
