@@ -11,11 +11,12 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import NoReturn
 
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, load_config
 from .engine import Simulator
 from .metrics import SUMMARY_COLUMNS, MetricsReport, emit_csv, render_csv
 from .scenarios import names, scenario
@@ -41,15 +42,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if bool(args.config) == bool(args.scenario):
         print("run: exactly one of --config or --scenario is required", file=sys.stderr)
         return 1
-    overrides: dict[str, object] = {}
+    cfg = load_config(args.config) if args.config else scenario(args.scenario)
     if args.policy is not None:
-        overrides["policy"] = args.policy
-    if args.config:
-        cfg = load_config(args.config)
-        if overrides:
-            cfg = ScenarioConfig(**{**cfg.__dict__, **overrides})
-    else:
-        cfg = scenario(args.scenario, **overrides)
+        cfg = dataclasses.replace(cfg, policy=args.policy)
     base_seed = cfg.seed if args.seed is None else args.seed
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -1,9 +1,10 @@
 """Scenario configuration: defaults, flat key=value parsing, range validation.
 
-Every knob a run needs lives here. Validation enforces the published
-parameter ranges unless the scenario sets override=true, in which case desk
-scale scenarios may shrink the arena and related constants while keeping the
-rest of the contract.
+Every knob a run needs lives here. A ScenarioConfig validates itself when it
+is made and cannot change afterwards, so every config a caller holds is
+runnable. Validation enforces the published parameter ranges unless the
+scenario sets override=true, in which case desk scale scenarios may shrink
+the arena and related constants while keeping the rest of the contract.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .model import PERIPHERAL_INSET, make_zones, peripheral_spots
+from .model import PERIPHERAL_INSET, make_zones, peripheral_spots, power_levels
 from .policy import BASELINE_KINDS
 
 VALID_ZONE_COUNTS = (3, 6, 9, 12)
@@ -86,8 +87,12 @@ def _show(value) -> str:
     return str(value) if isinstance(value, int) else "%g" % value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario, checked once when it is made: a config that `validate`
+    finds fault with raises ConfigError listing every fault. Frozen, so use
+    `dataclasses.replace` to get a changed, checked copy."""
+
     name: str = "scenario"
     zones: int = 3
     nodes: int = 50
@@ -140,6 +145,11 @@ class ScenarioConfig:
     rssi_low: float = 2.0
     override: bool = False
 
+    def __post_init__(self) -> None:
+        violations = self.validate()
+        if violations:
+            raise ConfigError(violations)
+
     @property
     def airtime(self) -> float:
         """Seconds one data packet occupies the radio."""
@@ -178,6 +188,20 @@ class ScenarioConfig:
                 if lo < low or hi > high:
                     soft.append("%s must lie in [%g, %g]%s, got [%s, %s]"
                                 % (what, low, high, unit, _show(lo), _show(hi)))
+        # a node draws its level count in the count pair and spaces that many
+        # levels between the value pair; values too close to space one
+        # count strictly apart would fail the world build
+        counts = self.level_count_min, self.level_count_max
+        lo, hi = self.level_value_min, self.level_value_max
+        if 0 < counts[0] <= counts[1] <= dict(_CAPS)["level_count_max"] and 0 < lo < hi < math.inf:
+            for k in range(counts[0], counts[1] + 1):
+                try:
+                    power_levels(k, lo, hi)
+                except ValueError:
+                    hard.append("level values [%r, %r] cannot space %d power levels strictly "
+                                "apart; every level count in [%d, %d] must give strictly "
+                                "ascending levels" % (lo, hi, k, *counts))
+                    break
         if math.isfinite(self.duration):
             for name in _TIMERS:
                 p = getattr(self, name)
@@ -285,13 +309,14 @@ def parse_config(text: str) -> ScenarioConfig:
             violations.append("line %d: %s: %s" % (lineno, key, exc))
     if violations:
         raise ConfigError(violations)
-    cfg = ScenarioConfig(**values)
-    violations = cfg.validate()
-    if violations:
-        raise ConfigError(violations)
-    return cfg
+    return ScenarioConfig(**values)
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(["%s is not UTF-8 text: byte 0x%02x at offset %d"
+                           % (path, exc.object[exc.start], exc.start)]) from None
+    return parse_config(text)

@@ -32,7 +32,7 @@ from random import Random
 from typing import Callable, Iterable, Sequence
 
 from . import linkcache, policy, rewards
-from .config import ConfigError, ScenarioConfig
+from .config import ScenarioConfig
 from .control import (
     BroadcastCircle,
     NetworkController,
@@ -56,10 +56,10 @@ from .model import (
     NodeState,
     Point,
     ZoneState,
-    checked_levels,
     grid_cells,
     make_zones,
     peripheral_spots,
+    power_levels,
     zone_of,
 )
 from .policy import LinkSnapshot
@@ -343,9 +343,6 @@ class Session:
 
 class Simulator:
     def __init__(self, cfg: ScenarioConfig, seed: int | None = None):
-        violations = cfg.validate()
-        if violations:
-            raise ConfigError(violations)
         self.cfg = cfg
         self.seed = cfg.seed if seed is None else seed
         self.rng = Random(self.seed)
@@ -405,12 +402,8 @@ class Simulator:
         k = self.rng.randint(cfg.level_count_min, cfg.level_count_max)
         levels = self._levels_by_count.get(k)
         if levels is None:
-            if k == 1:
-                levels = (cfg.level_value_max,)
-            else:
-                span = cfg.level_value_max - cfg.level_value_min
-                levels = tuple(cfg.level_value_min + span * i / (k - 1) for i in range(k))
-            levels = self._levels_by_count[k] = checked_levels(levels)
+            levels = self._levels_by_count[k] = power_levels(k, cfg.level_value_min,
+                                                             cfg.level_value_max)
         return NodeState(
             id=nid,
             position=pos,

@@ -36,6 +36,19 @@ def checked_levels(levels: tuple) -> tuple[float, ...]:
     return out
 
 
+def power_levels(count: int, low: float, high: float) -> tuple[float, ...]:
+    """The checked levels of a node with `count` power levels: `high` alone
+    for one level, else `count` levels evenly spaced from `low` to `high`.
+
+    Raises ValueError when `low` and `high` lie too close together to space
+    `count` levels strictly apart: below an ulp apart they round equal.
+    """
+    if count == 1:
+        return checked_levels((high,))
+    span = high - low
+    return checked_levels(tuple(low + span * i / (count - 1) for i in range(count)))
+
+
 @dataclass
 class NodeState:
     """A sensor node: position, kinematics, energy budget, radio capabilities.

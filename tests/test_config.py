@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import fields
 
@@ -7,13 +8,23 @@ from rltrc.config import (_FIELD_RANGES, _PAIRS, _TIMERS, VALID_MOBILITY, VALID_
                           ConfigError, ScenarioConfig, load_config, parse_config)
 from rltrc.engine import Simulator
 from rltrc.metrics import invariant_problems
-from rltrc.model import make_zones
-from rltrc.scenarios import scenario
+from rltrc.model import make_zones, power_levels
+from rltrc.scenarios import SCENARIOS, scenario
+
+
+def violations(**overrides) -> list[str]:
+    """What `ScenarioConfig(**overrides)` raises as its ConfigError's list,
+    or [] when the config is made."""
+    try:
+        ScenarioConfig(**overrides)
+    except ConfigError as err:
+        return err.violations
+    return []
 
 
 class TestDefaults:
     def test_defaults_are_valid(self):
-        assert ScenarioConfig().validate() == []
+        assert violations() == []
 
     def test_empty_text_gives_defaults(self):
         assert parse_config("") == ScenarioConfig()
@@ -28,47 +39,59 @@ class TestDefaults:
         assert cfg.t_sync == 7.0
 
 
+class TestCheckedWhenMade:
+    def test_a_field_cannot_be_assigned(self):
+        cfg = ScenarioConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.nodes = 7
+        assert cfg.nodes == 50
+
+    def test_replace_checks_the_copy(self):
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(ScenarioConfig(), nodes=7)
+        assert err.value.violations == [
+            "nodes=7 leaves fewer than 2 mobile nodes after 6 peripherals",
+            "nodes per zone must lie in [5, 150], got 2.33 (7 nodes / 3 zones)"]
+        assert dataclasses.replace(ScenarioConfig(), nodes=60).nodes == 60
+
+
 class TestRangeValidation:
     def test_published_scale_combinations_pass(self):
-        assert ScenarioConfig(zones=6, nodes=200).validate() == []
-        assert ScenarioConfig(zones=12, nodes=600).validate() == []
+        assert violations(zones=6, nodes=200) == []
+        assert violations(zones=12, nodes=600) == []
 
     def test_zone_count_restricted(self):
-        errs = ScenarioConfig(zones=5).validate()
+        errs = violations(zones=5)
         assert any("zones" in e for e in errs)
 
     def test_per_zone_cap(self):
-        errs = ScenarioConfig(zones=3, nodes=500).validate()
+        errs = violations(zones=3, nodes=500)
         assert any("per zone" in e for e in errs)
 
     def test_per_zone_floor(self):
-        errs = ScenarioConfig(zones=12, nodes=24).validate()
+        errs = violations(zones=12, nodes=24)
         assert any("per zone" in e for e in errs)
 
     def test_arena_bound(self):
-        errs = ScenarioConfig(arena_width=500.0).validate()
+        errs = violations(arena_width=500.0)
         assert any("arena" in e for e in errs)
 
     def test_negative_route_margin_rejected(self):
-        errs = ScenarioConfig(route_margin=-1.0).validate()
+        errs = violations(route_margin=-1.0)
         assert any("route_margin" in e for e in errs)
 
-    def test_too_few_mobile_nodes_rejected_before_build(self, monkeypatch):
-        # 3 zones x 2 peripherals leave 2 mobile nodes of 8, and 1 of 7
-        assert ScenarioConfig(zones=3, nodes=8, override=True).validate() == []
-        cfg = ScenarioConfig(zones=3, nodes=7, override=True)
-        errs = cfg.validate()
-        assert errs == ["nodes=7 leaves fewer than 2 mobile nodes after 6 peripherals"]
-        monkeypatch.setattr(Simulator, "_build_world", lambda self: pytest.fail("world built"))
+    def test_too_few_mobile_nodes_rejected_before_build(self):
+        # 3 zones x 2 peripherals leave 2 mobile nodes of 8, and 1 of 7;
+        # the config is refused when it is made, so no world can be built
+        assert violations(zones=3, nodes=8, override=True) == []
         with pytest.raises(ConfigError) as err:
-            Simulator(cfg)
-        assert err.value.violations == errs
+            ScenarioConfig(zones=3, nodes=7, override=True)
+        assert err.value.violations == [
+            "nodes=7 leaves fewer than 2 mobile nodes after 6 peripherals"]
 
     def test_override_waives_published_ranges_only(self):
-        cfg = ScenarioConfig(arena_width=100.0, arena_height=80.0, override=True)
-        assert cfg.validate() == []
-        bad = ScenarioConfig(arena_width=100.0, zones=5, override=True)
-        assert any("zones" in e for e in bad.validate())
+        assert violations(arena_width=100.0, arena_height=80.0, override=True) == []
+        assert any("zones" in e for e in violations(arena_width=100.0, zones=5, override=True))
 
     @pytest.mark.parametrize("overrides, message", [
         ({"zones": 5}, "zones must be one of [3, 6, 9, 12], got 5"),
@@ -177,10 +200,17 @@ class TestRangeValidation:
                      "relay at (333.333, 0) does not lie strictly inside its zone 0 "
                      "([0, 666.667] x [0, 1]); relays sit 1 m inside a zone's internal edges",
                      id="relay-on-a-zone-edge-in-y"),
+        # spaced evenly, five levels between values two ulps apart round two
+        # of them equal, and the world build raised; override=true keeps it
+        pytest.param({"level_value_min": 1.0, "level_value_max": 1.0000000000000004,
+                      "override": True},
+                     "level values [1.0, 1.0000000000000004] cannot space 5 power levels "
+                     "strictly apart; every level count in [5, 10] must give strictly "
+                     "ascending levels", id="level-values-too-close"),
     ])
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]
-        assert ScenarioConfig(**overrides).validate() == expected
+        assert violations(**overrides) == expected
 
     @pytest.mark.parametrize("overrides, message", [
         ({"t_sync": 0.0}, "t_sync must be finite and move the clock at duration 60, got 0"),
@@ -208,7 +238,7 @@ class TestRangeValidation:
     def test_timer_that_cannot_run_is_rejected(self, overrides, message):
         # each config passes the older checks, then hangs, raises or
         # schedules events in the past when run; only validate runs here
-        assert ScenarioConfig(**overrides).validate() == [message]
+        assert violations(**overrides) == [message]
 
     @pytest.mark.parametrize("overrides, message", [
         ({"rx_cost_fraction": -0.5}, "rx_cost_fraction must be finite and positive, got -0.5"),
@@ -228,7 +258,7 @@ class TestRangeValidation:
     def test_config_that_delivers_nothing_is_rejected(self, overrides, message):
         # each config passes the older checks, then runs with no packet
         # received or none sent at all; only validate runs here
-        assert ScenarioConfig(**overrides).validate() == [message]
+        assert violations(**overrides) == [message]
 
     @pytest.mark.parametrize("overrides, message", [
         # at inf every signal arrives at full power at any distance
@@ -253,10 +283,10 @@ class TestRangeValidation:
     def test_value_without_physical_meaning_is_rejected(self, overrides, message):
         # validate used to pass each of these, and desk-compare then ran
         # without an error
-        assert ScenarioConfig(**overrides).validate() == [message]
+        assert violations(**overrides) == [message]
 
     def test_collect_at_every_sync_stays_valid(self):
-        assert ScenarioConfig(t_net=0.0).validate() == []
+        assert violations(t_net=0.0) == []
 
     def test_every_numeric_field_has_one_range(self):
         singles = [name for _, _, names in _FIELD_RANGES for name in names]
@@ -269,28 +299,27 @@ class TestRangeValidation:
         assert numeric - ranged == {"zones", "seed"}
 
     def test_zero_receive_floor_and_small_cap_pass(self):
-        assert ScenarioConfig(min_rcv=0.0, broadcast_cost_cap=1e-9).validate() == []
+        assert violations(min_rcv=0.0, broadcast_cost_cap=1e-9) == []
 
     def test_counts_at_their_caps_pass(self):
-        assert ScenarioConfig(nodes=100_000, sessions=10_000, level_count_max=100,
-                              override=True).validate() == []
+        assert violations(nodes=100_000, sessions=10_000, level_count_max=100,
+                          override=True) == []
 
     def test_large_batteries_and_step_at_its_bound_pass(self):
         # the conservation check's slack grows with the batteries' ulp, so
         # no battery cap is needed
-        assert ScenarioConfig(energy_min=1e7, energy_max=1e7, override=True).validate() == []
+        assert violations(energy_min=1e7, energy_max=1e7, override=True) == []
         for mobility in VALID_MOBILITY:
-            assert ScenarioConfig(mobility=mobility, arena_width=100.0, arena_height=50.0,
-                                  vmax_max=100.0, override=True).validate() == []
+            assert violations(mobility=mobility, arena_width=100.0, arena_height=50.0,
+                              vmax_max=100.0, override=True) == []
         # random-waypoint stops on its waypoint, inside the arena
-        assert ScenarioConfig(vmax_min=1e300, vmax_max=1e300, nodes=30).validate() == []
+        assert violations(vmax_min=1e300, vmax_max=1e300, nodes=30) == []
 
     def test_negative_receive_floor_is_rejected_before_the_run(self):
         # validate used to pass this config, and its run then raised
         # "rss_over_tpl -0.552064 outside [0, 1]" in the ack reward
-        cfg = scenario("desk-compare", seed=1, min_rcv=-20.0, alpha_min=0.5, alpha_max=0.9)
         with pytest.raises(ConfigError) as err:
-            Simulator(cfg).run()
+            scenario("desk-compare", seed=1, min_rcv=-20.0, alpha_min=0.5, alpha_max=0.9)
         assert err.value.violations == ["min_rcv must be finite and >= 0, got -20"]
 
     # the policy or mobility model that reads a field, where the default does not
@@ -307,8 +336,9 @@ class TestRangeValidation:
         floats and, when it lasts, delivers a packet."""
         for value in (math.nan, math.inf, -math.inf, -1.0, 0.0):
             overrides = {"duration": 10.0, **self.READER.get(name, {}), name: value}
-            cfg = scenario("desk-compare", seed=1, **overrides)
-            if cfg.validate():
+            try:
+                cfg = scenario("desk-compare", seed=1, **overrides)
+            except ConfigError:
                 continue
             sim = Simulator(cfg)
             report = sim.run()
@@ -321,33 +351,44 @@ class TestRangeValidation:
             if cfg.duration > 0.0:
                 assert sim.ledger.status_counts()["delivered"], value
         # the field's default does run
-        assert scenario("desk-compare", **self.READER.get(name, {})).validate() == []
+        assert violations(**{**SCENARIOS["desk-compare"], **self.READER.get(name, {})}) == []
+
+    def test_close_level_values_build_or_are_refused(self):
+        """Values two ulps apart space up to three levels strictly apart,
+        and a world whose nodes draw one to three levels builds; four levels
+        round two equal, so a count range that reaches four is refused."""
+        lo, hi = 1.0, 1.0000000000000004
+        sim = Simulator(scenario("desk-compare", level_value_min=lo, level_value_max=hi,
+                                 level_count_min=1, level_count_max=3))
+        assert {len(n.power_levels) for n in sim.nodes} == {1, 2, 3}
+        with pytest.raises(ValueError, match="strictly ascending"):
+            power_levels(4, lo, hi)
+        assert violations(level_value_min=lo, level_value_max=hi, level_count_min=1,
+                          level_count_max=4) == [
+            "level values [1.0, 1.0000000000000004] cannot space 4 power levels strictly "
+            "apart; every level count in [1, 4] must give strictly ascending levels"]
 
     def test_all_violations_reported(self):
-        errs = ScenarioConfig(
-            zones=5, mobility="teleport", duration=-1.0, radio_range_min=0.0
-        ).validate()
+        errs = violations(zones=5, mobility="teleport", duration=-1.0, radio_range_min=0.0)
         assert len(errs) >= 4
 
     @pytest.mark.parametrize("zones", VALID_ZONE_COUNTS)
     def test_relays_join_their_own_zone_in_the_narrowest_zones(self, zones):
         """Zones a hair over 1 m wide and tall are accepted, and each relay
         of the world joins the zone it was placed in; at exactly 1 m the
-        world is not built."""
+        config is not made."""
         cols = sum(z.y0 == 0.0 for z in make_zones(1.0, 1.0, zones, av_rad=0.0))
         rows = zones // cols
         side = 1.0 + 1e-9
-        cfg = ScenarioConfig(zones=zones, nodes=5 * zones, arena_width=cols * side,
-                             arena_height=rows * side, duration=1.0, override=True)
-        assert cfg.validate() == []
-        sim = Simulator(cfg)
+        sim = Simulator(ScenarioConfig(zones=zones, nodes=5 * zones, arena_width=cols * side,
+                                       arena_height=rows * side, duration=1.0, override=True))
         relays = [n for n in sim.nodes if n.is_peripheral]
         assert len(relays) == 2 * zones
         assert [n.zone_id for n in relays] == [i // 2 for i in range(2 * zones)]
         sim.run()
         with pytest.raises(ConfigError, match="does not lie strictly inside its zone"):
-            Simulator(ScenarioConfig(zones=zones, nodes=5 * zones, arena_width=float(cols),
-                                     arena_height=float(rows), override=True))
+            ScenarioConfig(zones=zones, nodes=5 * zones, arena_width=float(cols),
+                           arena_height=float(rows), override=True)
 
 
 class TestParseErrors:
@@ -411,6 +452,13 @@ class TestLoadConfig:
         p.write_text("zones = 6\nnodes = 120\nseed = 9\n", encoding="utf-8")
         cfg = load_config(str(p))
         assert (cfg.zones, cfg.nodes, cfg.seed) == (6, 120, 9)
+
+    def test_file_that_is_not_utf8_names_its_path(self, tmp_path):
+        p = tmp_path / "latin.cfg"
+        p.write_bytes(b"nodes = 5\xff0\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(p))
+        assert err.value.violations == ["%s is not UTF-8 text: byte 0xff at offset 9" % p]
 
     def test_airtime_property(self):
         cfg = ScenarioConfig(payload_bytes=50.0, bitrate=250000.0)

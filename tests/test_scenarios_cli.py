@@ -20,7 +20,6 @@ class TestScenarioSuite:
             cfg = scenario(name)
             assert isinstance(cfg, ScenarioConfig)
             assert cfg.name == name
-            assert cfg.validate() == []
 
     def test_overrides_apply(self):
         cfg = scenario("desk-compare", seed=42, policy="fixed-max")
@@ -149,12 +148,29 @@ class TestCli:
         ("nodes = 1" + "0" * 400 + "\n", "nodes per zone must lie in [5, 150], got 3333"),
         # a count over its hard cap, which override=true does not waive
         ("sessions = 10001\noverride = true\n", "sessions must be <= 10000, got 10001"),
-    ], ids=["arena_width", "noise_spread", "nodes", "sessions"])
+        # the world build used to raise on two equal levels
+        ("override = true\nlevel_value_min = 1\nlevel_value_max = 1.0000000000000004\n",
+         "level values [1.0, 1.0000000000000004] cannot space 5 power levels strictly apart"),
+    ], ids=["arena_width", "noise_spread", "nodes", "sessions", "levels"])
     def test_nan_arena_width_exits_one(self, text, message, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(bad)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "latin.cfg"
+        bad.write_bytes(b"nodes = 5\xff0\n")
+        assert main(["run", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: %s is not UTF-8 text: byte 0xff at offset 9\n" % bad)
+
+    def test_unknown_policy_exits_one_before_the_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(["run", "--scenario", "lossless-pair", "--policy", "greedy",
+                     "--out", str(out)]) == 1
+        assert "config error: policy must be one of" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_scenario_exits_one(self, capsys):
         assert main(["run", "--scenario", "nope"]) == 1
