@@ -161,10 +161,21 @@ class ScenarioConfig:
         Every field is checked against its row in _FIELD_RANGES, _PAIRS or
         _TIMERS, and the counts against _CAPS, plus the few rules that join
         fields. Published-range problems are waived by override=true; the
-        rest are always errors.
+        rest are always errors. An int field that holds no int (a float or a
+        bool) is reported alone, as every other rule counts with it.
         """
+        wrong = ["%s must be an integer, got %r" % (name, getattr(self, name))
+                 for name, ftype in _FIELD_TYPES.items()
+                 if ftype == "int" and type(getattr(self, name)) is not int]
+        if wrong:
+            return wrong
         hard: list[str] = []
         soft: list[str] = []
+        # the CLI writes <name>-seed<k>-summary.csv and the like under --out
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(c in self.name for c in "/\\\0")):
+            hard.append("name must be a plain file name: not empty, '.' or '..', and "
+                        "without '/', '\\' or NUL, got %r" % (self.name,))
         for name, choices in (("zones", VALID_ZONE_COUNTS), ("mobility", VALID_MOBILITY),
                               ("policy", VALID_POLICIES)):
             value = getattr(self, name)

@@ -158,6 +158,8 @@ def mobility_step(
     `states[i]` is the motion state of `nodes[i]`. Nodes move one after
     another in the given order, each drawing from `rng` in turn; static
     nodes (`max_velocity <= 0`) and dead ones stay put and draw nothing.
+    `model` is one of the config's VALID_MOBILITY. Under "gaussian", `accel`
+    is a velocity kick in m/s: each step adds gauss(0, accel) to each axis.
     """
     w, h = arena
     uniform = rng.uniform
@@ -217,8 +219,6 @@ def mobility_step(
                 vy = -vy
             state.velocity = (vx, vy)
             node.position = (rx, ry)
-    else:
-        raise ValueError("unknown mobility model %r" % model)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,6 @@ SIGMA_CEIL = 0.999
 BASELINE_KINDS = ("fixed-max", "odtpc-like", "beacon-rssi-like", "beacon-prr-like")
 
 
-class UnusableLinkError(RuntimeError):
-    """No power level clears the link's threshold; the route must be rebuilt."""
-
-
 def _clamp(sigma: float) -> float:
     return min(SIGMA_CEIL, max(SIGMA_FLOOR, sigma))
 
@@ -66,10 +62,9 @@ def select_power_level(
     Unreliable links always get the maximum. Otherwise the maximum is kept
     with probability 1-sigma and a uniform draw over all k levels covers the
     rest, so the maximum wins with (1-sigma)+sigma/k and every other level
-    with sigma/k.
+    with sigma/k. `available` is never empty: the caller gives up a link
+    that no level clears before it decides.
     """
-    if not available:
-        raise UnusableLinkError("no usable power level")
     if not reliable:
         return available[-1]
     if rng.random() < 1.0 - sigma:
@@ -108,12 +103,10 @@ def baseline_decide(
     """Pick a level under one of the non-learning comparison policies.
 
     Cold links (no feedback yet) always get the maximum. The periodic beacon
-    energy debit of the prr policy is booked by the engine, not here.
+    energy debit of the prr policy is booked by the engine, not here. `kind`
+    is one of BASELINE_KINDS, as the config admits no other policy, and
+    `levels` is a node's ascending set, never empty.
     """
-    if kind not in BASELINE_KINDS:
-        raise ValueError("unknown policy kind %r" % kind)
-    if not levels:
-        raise UnusableLinkError("no power levels configured")
     if kind == "fixed-max":
         return levels[-1]
     if snap.last_rss is None or snap.distance is None:

@@ -14,19 +14,13 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
-class InvalidActionError(ValueError):
-    """Transmit action outside (0, p_max]."""
-
-
 def node_self_reward(r_prev: float, p_max: float, action: float) -> float:
     """Accumulated self-reward after transmitting at `action`: saving added on.
 
     Starts at 0 and never decreases; transmitting at full power adds nothing.
+    The caller passes a level of the sender's own ascending set, so `action`
+    lies in (0, p_max].
     """
-    if action > p_max or action <= 0.0:
-        raise InvalidActionError(
-            "action %.6g outside (0, %.6g]" % (action, p_max)
-        )
     return p_max - action + r_prev
 
 
@@ -38,14 +32,9 @@ def successor_reward_ack(prr: float, rss_over_tpl: float, trend: int) -> float:
 
     The base mixes delivery rate and signal margin, each mapped into
     [0.5, 1]; a favourable movement trend flattens the exponent so the same
-    base grades higher.
+    base grades higher. The caller reads all three from a link cache entry,
+    so prr and rss_over_tpl lie in [0, 1] and trend is -1, 0 or +1.
     """
-    if not 0.0 <= prr <= 1.0:
-        raise ValueError("prr %.6g outside [0, 1]" % prr)
-    if not 0.0 <= rss_over_tpl <= 1.0:
-        raise ValueError("rss_over_tpl %.6g outside [0, 1]" % rss_over_tpl)
-    if trend not in _TREND_EXPONENT:
-        raise ValueError("trend must be -1, 0 or +1")
     x = ((1.0 + prr) / 2.0) * ((1.0 + rss_over_tpl) / 2.0)
     return x ** _TREND_EXPONENT[trend]
 
@@ -78,10 +67,8 @@ def broadcast_cost(ng: float, h_avg: float, cap: float) -> float:
 
     Sum of ng^i for i = 1..floor(h_avg), saturated at `cap`. Integral ng is
     summed in exact integer arithmetic so the closed form and the direct sum
-    agree bit for bit.
+    agree bit for bit. The caller floors ng at 1.
     """
-    if ng < 1.0:
-        raise ValueError("branching factor below 1")
     m = math.floor(h_avg)
     if m <= 0:
         return 0.0
@@ -106,11 +93,9 @@ def transmission_waste(
     First attempts waste nothing; a retry writes off the previous attempt's
     power and ack wait. A hop that runs out of retries is written off by the
     route rediscovery instead: its last attempt, the floods over the spanned
-    zones and everything invested in the packet up to this hop. So turns past
-    `mx_atmpt` are rejected here.
+    zones and everything invested in the packet up to this hop, so the caller
+    passes only turns in [1, mx_atmpt].
     """
-    if not 1 <= turn <= mx_atmpt:
-        raise ValueError("turn %d outside [1, %d]" % (turn, mx_atmpt))
     if turn == 1:
         return 0.0, 0.0
     return prev_action, tau_a
@@ -132,10 +117,9 @@ def accumulate_zone_waste(
     zone_id: int,
     wastes: Iterable[tuple[float, float]],
 ) -> None:
-    """Add this iteration's per-transmission waste pairs to a zone's totals."""
+    """Add this iteration's per-transmission waste pairs, none of whose
+    parts is negative, to a zone's totals."""
     for wst_energ, wst_tme in wastes:
-        if wst_energ < 0.0 or wst_tme < 0.0:
-            raise ValueError("negative waste entry")
         ledger.ew[zone_id] = ledger.ew.get(zone_id, 0.0) + wst_energ
         ledger.et[zone_id] = ledger.et.get(zone_id, 0.0) + wst_tme
 
@@ -144,10 +128,8 @@ def session_reward(ew: float, et: float) -> float:
     """Session reward in (0, 1], shrinking as zone waste grows.
 
     Equals exp(-ew) raised to 1 - 1/(1+et): either zero waste component
-    keeps the reward at 1.
+    keeps the reward at 1. Zone waste totals are never negative.
     """
-    if ew < 0.0 or et < 0.0:
-        raise ValueError("waste totals must be non-negative")
     return math.exp(-ew * (1.0 - 1.0 / (1.0 + et)))
 
 

@@ -127,7 +127,7 @@ class TestRangeValidation:
          "inter-arrival bounds must lie in [0.05, 0.2] s, got [0.05, 0.3]"),
         ({"mx_atmpt": 5}, "mx_atmpt must be 3 or 4, got 5"),
         # a negative receive floor accepts a received strength below 0, and
-        # the ack reward then raises on a strength ratio outside [0, 1]
+        # the ack reward then grades a strength ratio outside [0, 1]
         ({"min_rcv": -20.0}, "min_rcv must be finite and >= 0, got -20"),
         ({"min_rcv": -1e-9}, "min_rcv must be finite and >= 0, got -1e-09"),
         # a NaN or non-positive cap books flood investment of NaN or below 0,
@@ -207,6 +207,21 @@ class TestRangeValidation:
                      "level values [1.0, 1.0000000000000004] cannot space 5 power levels "
                      "strictly apart; every level count in [5, 10] must give strictly "
                      "ascending levels", id="level-values-too-close"),
+        # each was made and then raised TypeError in the world build, raised
+        # it from validate's integer arithmetic, or was refused as "got 2";
+        # a fault in an int field is reported alone
+        *(pytest.param({name: value}, "%s must be an integer, got %r" % (name, value),
+                       id="%s-%r" % (name, value))
+          for name, value in [("nodes", 50.5), ("sessions", 2.5), ("seed", 1.5), ("zones", 3.0),
+                              ("level_count_min", 1.5), ("mx_atmpt", 2.5), ("nodes", True),
+                              ("nodes", 0.5)]),
+        # the CLI names its --out files after the config; "../escaped"
+        # wrote them into the parent of --out
+        *(pytest.param({"name": name}, "name must be a plain file name: not empty, '.' or '..', "
+                       "and without '/', '\\' or NUL, got %r" % (name,), id="name-" + label)
+          for name, label in [("", "empty"), (".", "dot"), ("..", "dotdot"),
+                              ("../escaped", "parent"), ("out/run", "slash"),
+                              ("a\\b", "backslash"), ("a\0b", "nul"), (None, "none")]),
     ])
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]
@@ -367,6 +382,11 @@ class TestRangeValidation:
                           level_count_max=4) == [
             "level values [1.0, 1.0000000000000004] cannot space 4 power levels strictly "
             "apart; every level count in [1, 4] must give strictly ascending levels"]
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig) if f.type == "int"])
+    def test_every_int_field_refuses_an_equal_float(self, name):
+        value = float(getattr(ScenarioConfig(), name))
+        assert violations(**{name: value}) == ["%s must be an integer, got %r" % (name, value)]
 
     def test_all_violations_reported(self):
         errs = violations(zones=5, mobility="teleport", duration=-1.0, radio_range_min=0.0)

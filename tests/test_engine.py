@@ -41,7 +41,7 @@ from rltrc.engine import (
 from rltrc.linkcache import CommCacheEntry
 from rltrc.metrics import AttemptRow, PacketStat, invariant_problems, render_csv
 from rltrc.model import NodeState
-from rltrc.policy import compute_sigma
+from rltrc.policy import BASELINE_KINDS, compute_sigma
 from rltrc.rewards import avg_hop_count, broadcast_cost, successor_reward_ack
 from rltrc.scenarios import scenario
 
@@ -111,11 +111,6 @@ class TestMobility:
                 step = math.dist(prev, node.position)
                 assert step <= 3.0 * 0.5 + 1e-9
                 prev = node.position
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            mobility_step([make_node()], [MobilityState()], "teleport", 1.0, 0.0,
-                          random.Random(0), (10.0, 10.0), 2.0, 0.5)
 
     @pytest.mark.parametrize("model", VALID_MOBILITY)
     def test_population_step_matches_the_per_node_oracle(self, model):
@@ -330,7 +325,7 @@ class TestDiscovery:
 
     def test_flood_cost_branches_at_least_once(self):
         # members that see 0.5 neighbours on average still flood with
-        # branching factor 1; broadcast_cost rejects anything below it
+        # branching factor 1; broadcast_cost assumes at least that
         sim = discovery_sim(4, [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0), (60.0, 0.0)])
         zone = sim.zones[0]
         zone.phi = 0.5
@@ -1291,6 +1286,52 @@ def test_wide_random_configs_keep_the_run_invariants():
     # levels below the receive floor deliver nothing; the rest reach the
     # forwarding path
     assert delivering >= 5
+
+
+# Each hop helper trusts its caller for the domain below instead of
+# checking it on every call: helper -> (the module the engine calls it
+# through, that domain over the helper's arguments)
+HOP_DOMAINS = {
+    "node_self_reward": (rltrc.rewards, lambda r_prev, p_max, action: 0.0 < action <= p_max),
+    "successor_reward_ack": (rltrc.rewards, lambda prr, rss_over_tpl, trend: (
+        0.0 <= prr <= 1.0 and 0.0 <= rss_over_tpl <= 1.0 and trend in (-1, 0, 1))),
+    "record_ack": (rltrc.linkcache, lambda entry, rec, vs, radio_range: (
+        rec.rss <= rec.tx_power and rec.t_msg <= rec.t_ack)),
+    "select_power_level": (policy, lambda available, sigma, reliable, rng: len(available) > 0),
+    "baseline_decide": (policy, lambda kind, snap, levels, **_: (
+        kind in BASELINE_KINDS and len(levels) > 0)),
+    "broadcast_cost": (rltrc.engine, lambda ng, h_avg, cap: ng >= 1.0),
+    "transmission_waste": (rltrc.rewards, lambda turn, prev_action, tau_a, mx_atmpt: (
+        1 <= turn <= mx_atmpt)),
+    "accumulate_zone_waste": (rltrc.engine, lambda ledger, zone_id, wastes: all(
+        e >= 0.0 and t >= 0.0 for e, t in wastes)),
+    "session_reward": (rltrc.control, lambda ew, et: ew >= 0.0 and et >= 0.0),
+    "mobility_step": (rltrc.engine, lambda nodes, states, model, *_: model in VALID_MOBILITY),
+}
+
+
+def test_hop_helpers_are_called_only_inside_their_domains(monkeypatch):
+    """Across the golden traces and the fuzzed configs, every call of a
+    HOP_DOMAINS helper lies in its domain, and every helper is called."""
+    called, outside = set(), {}
+
+    def spy(name, helper, inside):
+        def checked(*args, **kwargs):
+            called.add(name)
+            if not inside(*args, **kwargs):
+                outside.setdefault(name, (args, kwargs))
+            return helper(*args, **kwargs)
+        return checked
+
+    for name, (module, inside) in HOP_DOMAINS.items():
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name), inside))
+    configs = [scenario(name, seed=1, **overrides) for name, overrides in GOLDEN_TRACES.values()]
+    configs += random_configs(11, FUZZ_DRAWS) + wide_random_configs(12, WIDE_FUZZ_DRAWS)
+    assert len(configs) == 16 + 90
+    for cfg in configs:
+        Simulator(cfg).run()
+    assert outside == {}
+    assert called == set(HOP_DOMAINS)
 
 
 SMALL_LEVELS_AT_1E5 = {"energy_min": 1e5, "energy_max": 1e5,

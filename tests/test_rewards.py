@@ -9,7 +9,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import oracle_max_distance, oracle_waste_fraction
 
 from rltrc.rewards import (
-    InvalidActionError,
     NodeRewardState,
     WasteLedger,
     accumulate_zone_waste,
@@ -35,14 +34,6 @@ class TestNodeSelfReward:
     def test_full_power_adds_nothing(self):
         assert node_self_reward(3.0, 15.0, 15.0) == 3.0
 
-    def test_action_above_max_rejected(self):
-        with pytest.raises(InvalidActionError):
-            node_self_reward(0.0, 25.0, 26.0)
-
-    def test_nonpositive_action_rejected(self):
-        with pytest.raises(InvalidActionError):
-            node_self_reward(0.0, 25.0, 0.0)
-
     def test_never_decreases(self):
         rng = random.Random(7)
         r = 0.0
@@ -67,14 +58,6 @@ class TestSuccessorRewardAck:
     def test_trend_ordering(self):
         rd = {t: successor_reward_ack(0.6, 0.5, t) for t in (-1, 0, 1)}
         assert rd[-1] < rd[0] < rd[1]
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            successor_reward_ack(1.2, 0.5, 0)
-        with pytest.raises(ValueError):
-            successor_reward_ack(0.5, -0.1, 0)
-        with pytest.raises(ValueError):
-            successor_reward_ack(0.5, 0.5, 2)
 
     def test_monotone_in_each_input(self):
         rng = random.Random(11)
@@ -160,10 +143,6 @@ class TestBroadcastCost:
         # 2.5 ** 1001 overflows a float; the cost saturates instead
         assert broadcast_cost(2.5, 1000.0, cap=1e12) == 1e12
 
-    def test_bad_branching(self):
-        with pytest.raises(ValueError):
-            broadcast_cost(0.5, 3.0, cap=math.inf)
-
 
 class TestTransmissionWaste:
     def test_first_turn_wastes_nothing(self):
@@ -172,12 +151,6 @@ class TestTransmissionWaste:
     def test_intermediate_turn(self):
         assert transmission_waste(2, 12.0, 0.05, 3) == (12.0, 0.05)
         assert transmission_waste(3, 12.0, 0.05, 3) == (12.0, 0.05)
-
-    def test_turn_out_of_range(self):
-        # the final write-off (turn mx_atmpt + 1) is booked by route rediscovery
-        for turn in (0, 4, 5):
-            with pytest.raises(ValueError):
-                transmission_waste(turn, 12.0, 0.05, 3)
 
 
 class TestWasteLedger:
@@ -202,10 +175,6 @@ class TestWasteLedger:
         accumulate_zone_waste(split, 3, rows[:4])
         accumulate_zone_waste(split, 3, rows[4:])
         assert one.zone_totals(3) == pytest.approx(split.zone_totals(3))
-
-    def test_negative_waste_rejected(self):
-        with pytest.raises(ValueError):
-            accumulate_zone_waste(WasteLedger(), 0, [(-1.0, 0.0)])
 
     def test_matches_recheck_oracle(self):
         rng = random.Random(3)
@@ -237,10 +206,6 @@ class TestSessionReward:
             if ew > 0.0 and et > 0.0:
                 assert session_reward(ew + 1.0, et) < r
                 assert session_reward(ew, et + 1.0) < r
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            session_reward(-1.0, 0.0)
 
 
 def test_zone_reward_sums_components():

@@ -172,6 +172,14 @@ class TestCli:
         assert "config error: policy must be one of" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_name_that_climbs_out_of_the_output_directory_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "named.cfg"
+        bad.write_text("name = ../escaped\n", encoding="utf-8")
+        out = tmp_path / "named"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        assert "config error: name must be a plain file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["named.cfg"]
+
     def test_unknown_scenario_exits_one(self, capsys):
         assert main(["run", "--scenario", "nope"]) == 1
         assert "unknown scenario" in capsys.readouterr().err
