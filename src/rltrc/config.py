@@ -10,6 +10,7 @@ the arena and related constants while keeping the rest of the contract.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .model import PERIPHERAL_INSET, make_zones, peripheral_spots, power_levels
@@ -80,6 +81,28 @@ _TIMERS = ("t_sync", "mobility_dt", "tau_a", "inter_arrival_min", "beacon_period
 # of each decision's level set. Node and session ids also fit the ledger's
 # 32-bit columns.
 _CAPS = (("nodes", 100_000), ("sessions", 10_000), ("level_count_max", 100))
+
+
+# What each annotated field type admits, and how its message names it. A
+# float field also takes an int, but no bool: a bool passes only for a bool
+# field.
+_TYPE_RULES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "bool": ((bool,), "true or false"),
+}
+
+
+def _type_fault(name: str, ftype: str, value) -> str | None:
+    accepted, what = _TYPE_RULES[ftype]
+    if not isinstance(value, accepted) or ftype != "bool" and isinstance(value, bool):
+        return "%s must be %s, got %r" % (name, what, value)
+    # the float rules add and divide with the value, which overflows beyond
+    # float range
+    if ftype == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "%s must be a number within float range, got %d" % (name, value)
+    return None
 
 
 def _show(value) -> str:
@@ -161,19 +184,18 @@ class ScenarioConfig:
         Every field is checked against its row in _FIELD_RANGES, _PAIRS or
         _TIMERS, and the counts against _CAPS, plus the few rules that join
         fields. Published-range problems are waived by override=true; the
-        rest are always errors. An int field that holds no int (a float or a
-        bool) is reported alone, as every other rule counts with it.
+        rest are always errors. A field that holds no value of its annotated
+        type (see _TYPE_RULES) is reported alone, as every other rule
+        compares or counts with it.
         """
-        wrong = ["%s must be an integer, got %r" % (name, getattr(self, name))
-                 for name, ftype in _FIELD_TYPES.items()
-                 if ftype == "int" and type(getattr(self, name)) is not int]
+        wrong = [fault for name, ftype in _FIELD_TYPES.items()
+                 if (fault := _type_fault(name, ftype, getattr(self, name)))]
         if wrong:
             return wrong
         hard: list[str] = []
         soft: list[str] = []
         # the CLI writes <name>-seed<k>-summary.csv and the like under --out
-        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
-                or any(c in self.name for c in "/\\\0")):
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             hard.append("name must be a plain file name: not empty, '.' or '..', and "
                         "without '/', '\\' or NUL, got %r" % (self.name,))
         for name, choices in (("zones", VALID_ZONE_COUNTS), ("mobility", VALID_MOBILITY),
@@ -324,10 +346,13 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
+    """The config a UTF-8 file of `key = value` lines gives; a leading
+    byte-order mark, as some editors write, is dropped. Decoded as plain
+    UTF-8 first, so a bad byte's offset counts from the start of the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(["%s is not UTF-8 text: byte 0x%02x at offset %d"
                            % (path, exc.object[exc.start], exc.start)]) from None
-    return parse_config(text)
+    return parse_config(text.removeprefix("\ufeff"))

@@ -228,6 +228,7 @@ def shortest_route(
     place: dict[int, tuple[tuple, list]],
     cells: dict[tuple[int, int], list[tuple]],
     channel: Channel,
+    floor: float,
     src: int,
     dst: int,
     risky_ok: bool,
@@ -238,9 +239,10 @@ def shortest_route(
     `place` maps each live node to its record and its cell `[key, block or
     None, records]`, and `cells` holds each cell's records. A node's
     candidates are the records of the 3x3 block around its cell, gathered
-    when the cell is first asked and kept on it. Links graded unreliable
-    count only when `risky_ok`. The channel coefficient is looked up only
-    for in-reach pairs whose budget its ceiling does not already clear.
+    when the cell is first asked and kept on it. A link's top power arrives
+    at `floor` or above, and links graded unreliable count only when
+    `risky_ok`. The channel coefficient is looked up only for in-reach
+    pairs whose budget its ceiling does not already clear.
 
     Breadth-first levels run backward from dst, each expanded in ascending
     id order, and a node records as its next hop the node that labels it
@@ -260,8 +262,8 @@ def shortest_route(
     while level:
         nxt = []
         for v in level:
-            (_, xv, yv, _, _, rcv, _), cell = place[v]
-            for u, xu, yu, reach, top, _, links in cell[1] or _block(cells, cell):
+            (_, xv, yv, _, _, _), cell = place[v]
+            for u, xu, yu, reach, top, links in cell[1] or _block(cells, cell):
                 if u in next_hop:
                     continue
                 dx = xv - xu
@@ -269,7 +271,7 @@ def shortest_route(
                 if dx > reach or -dx > reach:
                     continue
                 d = hypot(dx, yv - yu)
-                if d > reach or top - ceiling * d < rcv and top - alpha(u, v) * d < rcv:
+                if d > reach or top - ceiling * d < floor and top - alpha(u, v) * d < floor:
                     continue
                 if not risky_ok:
                     entry = links.get(v)
@@ -356,7 +358,7 @@ class Simulator:
         # per zone, the exploration rate rl-trc uses until the next sync; the
         # sync at t = 0 is the first event, so it is set before any transmit
         self.zone_sigma: list[float] = []
-        self._link_terms: list[tuple[float, float, float, dict[int, CommCacheEntry]]] = []
+        self._link_terms: list[tuple[float, float, dict[int, CommCacheEntry]]] = []
         # the nodes a mobility tick moves and their motion states; set by run()
         self._movers: tuple[list[NodeState], list[MobilityState]] = ([], [])
         # per-world constants of the hop cycle, read on every packet
@@ -376,7 +378,7 @@ class Simulator:
         av_rad = (cfg.radio_range_min + cfg.radio_range_max) / 2.0
         self.zones = make_zones(cfg.arena_width, cfg.arena_height, cfg.zones, av_rad=av_rad)
         self.nodes: list[NodeState] = []
-        # level count -> the one checked tuple every node with that count holds
+        # level count -> the one tuple every node with that count holds
         self._levels_by_count: dict[int, tuple[float, ...]] = {}
         for z in self.zones:
             for spot in peripheral_spots(z, cfg.peripherals_per_zone, cfg.arena_width,
@@ -411,7 +413,6 @@ class Simulator:
             residual_energy=self.rng.uniform(cfg.energy_min, cfg.energy_max),
             power_levels=levels,
             radio_range=self.rng.uniform(cfg.radio_range_min, cfg.radio_range_max),
-            min_rcv=cfg.min_rcv,
             is_peripheral=peripheral,
         )
 
@@ -633,9 +634,7 @@ class Simulator:
                 if linkcache.should_drop(dist_est, sender.radio_range):
                     self._link_failure(node, sn, 0.0, 0.0)
                     return
-            p_thres = linkcache.power_threshold(
-                entry.sig_atn, dist_est, self.nodes[succ].min_rcv
-            )
+            p_thres = linkcache.power_threshold(entry.sig_atn, dist_est, self.cfg.min_rcv)
             avail = linkcache.available_levels(sender.power_levels, p_thres)
             if not avail:
                 self._link_failure(node, sn, 0.0, 0.0)
@@ -658,7 +657,7 @@ class Simulator:
             prr=entry.prr,
             sig_atn=entry.sig_atn,
             distance=self.cfg.vs * last.rtt if last else None,
-            min_rcv=self.nodes[succ].min_rcv,
+            min_rcv=self.cfg.min_rcv,
         )
         return policy.baseline_decide(
             self.cfg.policy, snap, sender.power_levels,
@@ -693,7 +692,7 @@ class Simulator:
             d = math.hypot(xr - xs, yr - ys)  # model.distance(sender, receiver)
             rss = propagate(level, d, self.channel.alpha(node, succ), cfg.noise_spread, self.rng)
             if (receiver.residual_energy > 0.0 and d <= sender.radio_range
-                    and rss >= receiver.min_rcv):
+                    and rss >= cfg.min_rcv):
                 stat.holds += 1
                 self._push(t + 0.5 * d / cfg.vs, self._on_packet_arrival, row, rss, d)
         self._push(t + cfg.tau_a, self._on_ack_timeout, row)
@@ -704,7 +703,7 @@ class Simulator:
 
         The receiver pays for listening, then acknowledges across the same
         hop at the lowest level whose margin over the measured loss clears
-        the sender's receive floor plus the noise spread, or at its maximum
+        the world's receive floor plus the noise spread, or at its maximum
         when none does; the ack is as lossy as any signal.
         """
         cfg, nodes = self.cfg, self.nodes
@@ -720,7 +719,7 @@ class Simulator:
                            message=False):
             self._release(pid, stat)
             return
-        floor = nodes[sender].min_rcv
+        floor = cfg.min_rcv
         avail = linkcache.available_levels(levels, row.action - rss + floor + cfg.noise_spread)
         ack_level = avail[0] if avail else levels[-1]
         ledger.message_count += 1
@@ -956,17 +955,17 @@ class Simulator:
         is dead or no route exists.
 
         u -> v is a link when v lies within u's reach, its radio range less
-        the route margin, and u's top power arrives above v's receive floor
+        the route margin, and u's top power arrives above the receive floor
         over the channel. The search runs over the links not graded
         unreliable, and again over every link when that finds no route.
 
         Each live node has one flat record `(id, x, y, reach, top power,
-        receive floor, link caches)`, the last four from the world's link
-        table, bucketed in scope order by `grid_cells` into cells whose side
-        is the largest reach plus 1 m. The cell is strictly wider than any
-        reach, so every in-reach pair sits in the 3x3 block of cells around
-        a node's cell even after float rounding at a cell border, and the
-        links are exactly those of an all-pairs scan.
+        link caches)`, the last three from the world's link table, bucketed
+        in scope order by `grid_cells` into cells whose side is the largest
+        reach plus 1 m. The cell is strictly wider than any reach, so every
+        in-reach pair sits in the 3x3 block of cells around a node's cell
+        even after float rounding at a cell border, and the links are
+        exactly those of an all-pairs scan.
         """
         nodes = self.nodes
         terms = self._link_terms or self._build_link_terms()
@@ -989,18 +988,18 @@ class Simulator:
                 place[rec[0]] = (rec, cell)
         if src not in place or dst not in place:
             return None
-        channel = self.channel
-        return (shortest_route(place, cells, channel, src, dst, False)
-                or shortest_route(place, cells, channel, src, dst, True))
+        channel, floor = self.channel, self.cfg.min_rcv
+        return (shortest_route(place, cells, channel, floor, src, dst, False)
+                or shortest_route(place, cells, channel, floor, src, dst, True))
 
-    def _build_link_terms(self) -> list[tuple[float, float, float, dict[int, CommCacheEntry]]]:
-        """Each node's `(reach, top power, receive floor, link caches)` for
-        the route search. Radio range, power levels and receive floor are
-        fixed when a node is made, and a runtime keeps its one `links` dict,
-        so the table is built once, at the first search."""
+    def _build_link_terms(self) -> list[tuple[float, float, dict[int, CommCacheEntry]]]:
+        """Each node's `(reach, top power, link caches)` for the route
+        search. Radio range and power levels are fixed when a node is made,
+        and a runtime keeps its one `links` dict, so the table is built
+        once, at the first search."""
         margin = self.cfg.route_margin
         # route links must leave slack for motion during their lifetime
-        self._link_terms = [(max(n.radio_range - margin, 0.0), n.max_power, n.min_rcv, rt.links)
+        self._link_terms = [(max(n.radio_range - margin, 0.0), n.max_power, rt.links)
                             for n, rt in zip(self.nodes, self.runtime)]
         return self._link_terms
 

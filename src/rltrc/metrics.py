@@ -464,11 +464,9 @@ def windowed_waste_series(ledger: MetricsLedger) -> list[tuple[float, float, flo
 
     The SERIES_WINDOWS windows of duration / SERIES_WINDOWS seconds tile
     [0, duration), and a row at the duration joins the last one; a window
-    with no investment reports zeros. A ledger with no duration has no
-    windows and raises ValueError.
+    with no investment reports zeros. The ledger's duration is positive:
+    `Simulator.run` asks for no series of a zero-length run.
     """
-    if not ledger.duration > 0.0:
-        raise ValueError("a ledger with no duration has no windows")
     waste, invest = ledger.waste_rows, ledger.invest_rows
     window = invest.window
     out = []

@@ -6,7 +6,6 @@ axis-aligned rectangular zones.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, TypeVar
@@ -20,41 +19,31 @@ def distance(a: Point, b: Point) -> float:
     return math.hypot(b[0] - a[0], b[1] - a[1])
 
 
-@functools.lru_cache(maxsize=256)
-def checked_levels(levels: tuple) -> tuple[float, ...]:
-    """`levels` as a tuple of floats, once checked positive and strictly
-    ascending; raises ValueError otherwise, a NaN level included.
-
-    Nodes with equal level counts share one tuple, so each distinct tuple is
-    converted and checked once and later calls return the same object. The
-    memo keeps the 256 most recent tuples; a raise is not memoized.
-    """
-    out = tuple(float(p) for p in levels)
-    # written as "not (x > y)" so that a NaN, which compares false, fails
-    if not out or not out[0] > 0 or not all(b > a for a, b in zip(out, out[1:])):
-        raise ValueError("power levels must be positive and strictly ascending")
-    return out
-
-
 def power_levels(count: int, low: float, high: float) -> tuple[float, ...]:
-    """The checked levels of a node with `count` power levels: `high` alone
-    for one level, else `count` levels evenly spaced from `low` to `high`.
+    """The levels of a node with `count` power levels: `high` alone for one
+    level, else `count` levels evenly spaced from `low` to `high`.
 
-    Raises ValueError when `low` and `high` lie too close together to space
-    `count` levels strictly apart: below an ulp apart they round equal.
+    Raises ValueError when the levels are not positive and strictly
+    ascending, a NaN level included: `low` and `high` below an ulp apart
+    round equal, so they cannot space `count` levels strictly apart.
     """
     if count == 1:
-        return checked_levels((high,))
-    span = high - low
-    return checked_levels(tuple(low + span * i / (count - 1) for i in range(count)))
+        out = (float(high),)
+    else:
+        out = tuple(low + (high - low) * i / (count - 1) for i in range(count))
+    # written as "not (x > y)" so that a NaN, which compares false, fails
+    if not out[0] > 0 or not all(b > a for a, b in zip(out, out[1:])):
+        raise ValueError("power levels must be positive and strictly ascending")
+    return out
 
 
 @dataclass
 class NodeState:
     """A sensor node: position, kinematics, energy budget, radio capabilities.
 
-    power_levels must be strictly ascending and positive; a node is alive
-    exactly while residual_energy > 0; peripheral nodes never move.
+    Only what the world build draws for each node: power_levels is the
+    one tuple of its level count, and the config's one receive floor is
+    `min_rcv`. A node is alive exactly while residual_energy > 0.
     """
 
     id: int
@@ -63,17 +52,8 @@ class NodeState:
     residual_energy: float = 1.0
     power_levels: tuple[float, ...] = (1.0,)
     radio_range: float = 10.0
-    min_rcv: float = 1.0
     zone_id: int = 0
     is_peripheral: bool = False
-
-    def __post_init__(self) -> None:
-        levels = tuple(self.power_levels)
-        if not levels:
-            raise ValueError("node %d has no power levels" % self.id)
-        self.power_levels = checked_levels(levels)
-        if self.is_peripheral and self.max_velocity != 0.0:
-            raise ValueError("peripheral nodes are static")
 
     @property
     def alive(self) -> bool:
@@ -151,9 +131,8 @@ def make_zones(width: float, height: float, count: int, av_rad: float) -> list[Z
     assigned row-major. Initial theta is the rectangle diagonal, phi
     starts at its invariant floor until the first controller sync, and
     av_rad holds `av_rad` until a sync finds the zone with members.
+    `count` is one of the config's VALID_ZONE_COUNTS, so at least 1.
     """
-    if count < 1:
-        raise ValueError("zone count must be >= 1")
     rows = max(r for r in range(1, int(math.isqrt(count)) + 1) if count % r == 0)
     cols = count // rows
     zones = []

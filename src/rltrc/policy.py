@@ -85,11 +85,9 @@ class LinkSnapshot:
 
 
 def _notch(levels: tuple[float, ...], current: float, step: int) -> float:
-    """Move one index within `levels`, clamped at both ends."""
-    try:
-        i = levels.index(current)
-    except ValueError:
-        return levels[-1]
+    """Move one index within `levels`, clamped at both ends; `current` is
+    one of them, as the engine passes only levels of the sender's set."""
+    i = levels.index(current)
     return levels[min(len(levels) - 1, max(0, i + step))]
 
 

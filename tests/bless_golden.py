@@ -5,7 +5,8 @@ commit the rewritten JSON files. The regression test refuses to update them
 itself: a digest mismatch is a failure, never an auto-bless.
 
 `python tests/bless_golden.py --check` writes nothing: it reruns every
-golden, reports each one whose file would change and exits 1 if any would.
+golden, reports each one whose file would change, with each key whose value
+moved, and exits 1 if any would.
 It also reports, and exits 1 on, any JSON file in the golden directory that
 no golden trace produces, such as one left behind by a rename. It needs
 only the standard library, so it checks the digests on interpreters
@@ -70,6 +71,25 @@ def stray_goldens() -> list[str]:
     return sorted(p.name for p in GOLDEN_DIR.glob("*.json") if p.name not in produced)
 
 
+def moved(path: Path, payload: dict) -> str:
+    """Each key whose value differs between the blessed file at `path` and
+    `payload`, as `key blessed -> new` in JSON."""
+    if not path.is_file():
+        return "no blessed file"
+    try:
+        blessed = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:
+        return "the blessed file is not JSON"
+
+    def show(values: dict, key: str) -> str:
+        return json.dumps(values[key], sort_keys=True) if key in values else "(absent)"
+
+    changes = ["%s %s -> %s" % (key, show(blessed, key), show(payload, key))
+               for key in sorted(set(blessed) | set(payload))
+               if show(blessed, key) != show(payload, key)]
+    return "; ".join(changes) or "formatting only"
+
+
 def trace(name: str, seed: int, **overrides) -> tuple[dict, list[str]]:
     """The golden payload of one run, and the run's invariant problems."""
     sim = Simulator(scenario(name, seed=seed, **overrides))
@@ -109,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
                 print("ok %s" % path.name)
             else:
                 mismatched += 1
-                print("MISMATCH %s" % path.name)
+                print("MISMATCH %s: %s" % (path.name, moved(path, payload)))
         elif not problems:
             path.write_text(text, encoding="utf-8")
             print("blessed %s" % path.name)

@@ -228,16 +228,16 @@ def oracle_ledger_recheck(ledger, spy: LedgerSpy) -> tuple[float, float, float, 
     return ew, et, ec, awe, awt
 
 
-def oracle_route_links(nodes, scope, margin, alpha, links):
+def oracle_route_links(nodes, scope, margin, floor, alpha, links):
     """All-pairs scan for the links route discovery may use.
 
     Live nodes are the scope's alive nodes. u -> v is a link when
     v lies within u's reach (radio range less margin, floored at zero) and
-    u's top power still arrives above v's receive floor over the channel
-    coefficient alpha(u, v), which is asked for in-reach pairs only. Links
-    whose cache entry `links[u][v]` is graded unreliable go to the risky
-    map. Returns (adjacency, risky) keyed in live order, adjacency lists
-    sorted.
+    u's top power still arrives at or above the receive floor `floor` over
+    the channel coefficient alpha(u, v), which is asked for in-reach pairs
+    only. Links whose cache entry `links[u][v]` is graded unreliable go to
+    the risky map. Returns (adjacency, risky) keyed in live order,
+    adjacency lists sorted.
     """
     live = [n for n in scope if nodes[n].residual_energy > 0.0]
     adjacency = {u: [] for u in live}
@@ -250,7 +250,7 @@ def oracle_route_links(nodes, scope, margin, alpha, links):
                 continue
             nv = nodes[v]
             d = math.dist(nu.position, nv.position)
-            if d <= reach and nu.power_levels[-1] - alpha(u, v) * d >= nv.min_rcv:
+            if d <= reach and nu.power_levels[-1] - alpha(u, v) * d >= floor:
                 entry = links[u].get(v)
                 if entry is not None and not entry.reliable:
                     risky[u].append(v)

@@ -221,7 +221,21 @@ class TestRangeValidation:
                        "and without '/', '\\' or NUL, got %r" % (name,), id="name-" + label)
           for name, label in [("", "empty"), (".", "dot"), ("..", "dotdot"),
                               ("../escaped", "parent"), ("out/run", "slash"),
-                              ("a\\b", "backslash"), ("a\0b", "nul"), (None, "none")]),
+                              ("a\\b", "backslash"), ("a\0b", "nul")]),
+        # a field that holds no value of its annotated type is reported
+        # alone: each of these raised TypeError from a comparison, or was
+        # made with a truthy override that waived the published ranges, or
+        # made a 1 m arena of True
+        *(pytest.param({name: value}, "%s must be %s, got %r" % (name, what, value),
+                       id="%s-%s" % (name.replace("_", "-"), label))
+          for name, value, what, label in [
+              ("name", None, "a string", "none"), ("duration", "60", "a number", "str"),
+              ("t_sync", "5", "a number", "str"), ("override", "no", "true or false", "str"),
+              ("override", 1, "true or false", "int"), ("arena_width", True, "a number", "bool"),
+              ("policy", None, "a string", "none"), ("mobility", 2, "a string", "int")]),
+        pytest.param({"duration": 10 ** 400},
+                     "duration must be a number within float range, got %d" % 10 ** 400,
+                     id="duration-beyond-float-range"),
     ])
     def test_each_violation_message(self, overrides, message):
         expected = message if isinstance(message, list) else [message]
@@ -388,6 +402,11 @@ class TestRangeValidation:
         value = float(getattr(ScenarioConfig(), name))
         assert violations(**{name: value}) == ["%s must be an integer, got %r" % (name, value)]
 
+    def test_a_float_field_takes_an_int(self):
+        cfg = scenario("lossless-pair", duration=30, arena_width=25, min_rcv=1)
+        assert cfg == scenario("lossless-pair")
+        assert Simulator(cfg).run() == Simulator(scenario("lossless-pair")).run()
+
     def test_all_violations_reported(self):
         errs = violations(zones=5, mobility="teleport", duration=-1.0, radio_range_min=0.0)
         assert len(errs) >= 4
@@ -479,6 +498,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(str(p))
         assert err.value.violations == ["%s is not UTF-8 text: byte 0xff at offset 9" % p]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "marked.cfg"
+        p.write_bytes(b"\xef\xbb\xbfnodes = 60\n")
+        assert load_config(str(p)) == ScenarioConfig(nodes=60)
+        # a bad byte's offset still counts from the start of the file
+        p.write_bytes(b"\xef\xbb\xbfnodes = 5\xff0\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(p))
+        assert err.value.violations == ["%s is not UTF-8 text: byte 0xff at offset 12" % p]
 
     def test_airtime_property(self):
         cfg = ScenarioConfig(payload_bytes=50.0, bitrate=250000.0)

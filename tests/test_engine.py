@@ -54,7 +54,6 @@ def make_node(nid=0, pos=(0.0, 0.0), vmax=1.0):
         residual_energy=10.0,
         power_levels=(5.0, 25.0),
         radio_range=35.0,
-        min_rcv=1.0,
     )
 
 
@@ -212,7 +211,7 @@ class TestRouting:
                 node.radio_range = rng.uniform(15.0, 40.0)
             scope = list(range(n))
             adjacency, _ = oracle_route_links(sim.nodes, scope, sim.cfg.route_margin,
-                                              sim.channel.alpha,
+                                              sim.cfg.min_rcv, sim.channel.alpha,
                                               [rt.links for rt in sim.runtime])
             want = oracle_shortest_path({u: set(vs) for u, vs in adjacency.items()}, 0, n - 1)
             got = sim._discover_route(0, n - 1, scope)
@@ -805,8 +804,9 @@ def hopeless_hop(reason, turn=1, holds=1):
     source, its link cache rigged so that rl-trc gives the hop up unsent.
 
     "displacement": the successor seems to have moved past twice the radio
-    range since the last ack. "no-level": no level of the sender clears the
-    successor's receive threshold. The packet carries an acked-hop
+    range since the last ack. "no-level": the successor seems to have moved
+    a metre or two over a link attenuating 1e9 per metre, so no level of
+    the sender clears the receive threshold. The packet carries an acked-hop
     investment of (7, 0.25) from earlier hops; `holds` counts its queue
     entry and any other hold on it, such as a copy on the air elsewhere.
     """
@@ -818,7 +818,7 @@ def hopeless_hop(reason, turn=1, holds=1):
     if reason == "displacement":
         entry.approx_velocity = 1e9
     else:
-        sim.nodes[sn.dst].min_rcv = 1e9
+        entry.approx_velocity, entry.sig_atn = 1.0, 1e9
     sim.t = sim.cfg.duration + 1.0
     sim._events.clear()
     rt = sim.runtime[sn.src]
@@ -1299,7 +1299,7 @@ HOP_DOMAINS = {
         rec.rss <= rec.tx_power and rec.t_msg <= rec.t_ack)),
     "select_power_level": (policy, lambda available, sigma, reliable, rng: len(available) > 0),
     "baseline_decide": (policy, lambda kind, snap, levels, **_: (
-        kind in BASELINE_KINDS and len(levels) > 0)),
+        kind in BASELINE_KINDS and len(levels) > 0 and snap.current_level in levels)),
     "broadcast_cost": (rltrc.engine, lambda ng, h_avg, cap: ng >= 1.0),
     "transmission_waste": (rltrc.rewards, lambda turn, prev_action, tau_a, mx_atmpt: (
         1 <= turn <= mx_atmpt)),

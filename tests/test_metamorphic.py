@@ -1,12 +1,21 @@
-"""Metamorphic relation T (time x2): a run and its transformed twin at one
-seed, compared exactly, with no oracle.
+"""Metamorphic relations T (time x2) and P (power x2): a run and its
+transformed twin at one seed, compared exactly, with no oracle.
 
 T doubles every time field and halves every speed, so each distance a node
 travels, each signal's flight and each random draw scaled by a field come
-out as before, and every event happens at twice its time. Every factor is a
-power of two, so each product is exact and the relation holds as `==`: the
+out as before, and every event happens at twice its time. The twin has the
 same messages, energy, throughput, live nodes and waste fractions, twice
 the delivery latency, and the same waste series at doubled timestamps.
+
+P doubles every power, energy and attenuation field, so each link budget,
+each level choice and each battery's lifetime in messages come out as
+before. The twin spends exactly twice the energy, and every other metric
+and the series are unchanged. rl-trc's sigma adds a unitless 1 to a sum of
+power savings, so P does not hold for it on every world; the one divergence
+kept below pins today's behaviour.
+
+Every factor is a power of two, so each product is exact and both
+relations hold as `==`.
 """
 
 import dataclasses
@@ -16,21 +25,32 @@ import pytest
 
 from rltrc.config import ScenarioConfig
 from rltrc.engine import Simulator
+from rltrc.policy import BASELINE_KINDS
 from rltrc.scenarios import scenario
 
-TIME_FIELDS = ("duration", "pause_max", "mobility_dt", "session_start_max", "t_sync", "t_net",
-               "tau_a", "proc_delay", "t_hop", "inter_arrival_min", "inter_arrival_max",
-               "beacon_period")
-# `gaussian_accel` is a velocity kick in m/s added once per mobility step,
-# so it scales as a speed
-SPEED_FIELDS = ("vmax_min", "vmax_max", "vs", "gaussian_accel")
-# lengths, powers, energies and rates that T leaves alone: `bitrate` and
-# `payload_bytes` only set the energy one packet costs
-UNSCALED_FIELDS = ("arena_width", "arena_height", "radio_range_min", "radio_range_max",
-                   "route_margin", "energy_min", "energy_max", "level_value_min",
-                   "level_value_max", "alpha_min", "alpha_max", "noise_spread", "min_rcv",
-                   "prior_sig_atn", "broadcast_cost_cap", "bitrate", "payload_bytes",
-                   "rx_cost_fraction", "rssi_high", "rssi_low")
+# each float field's factor under (T, P). Under T a time doubles and a speed
+# halves; `gaussian_accel` is a velocity kick in m/s added once per mobility
+# step, so it scales as a speed. Under P a power, an energy, a level, a
+# signal strength or an attenuation per metre doubles, and so does the flood
+# cost cap, which is booked in the units of a power level. Lengths and
+# rates stay: `bitrate` and `payload_bytes` only set the seconds one packet
+# occupies the radio
+SCALES = {
+    "duration": (2.0, 1.0), "pause_max": (2.0, 1.0), "mobility_dt": (2.0, 1.0),
+    "session_start_max": (2.0, 1.0), "t_sync": (2.0, 1.0), "t_net": (2.0, 1.0),
+    "tau_a": (2.0, 1.0), "proc_delay": (2.0, 1.0), "t_hop": (2.0, 1.0),
+    "inter_arrival_min": (2.0, 1.0), "inter_arrival_max": (2.0, 1.0),
+    "beacon_period": (2.0, 1.0),
+    "vmax_min": (0.5, 1.0), "vmax_max": (0.5, 1.0), "vs": (0.5, 1.0),
+    "gaussian_accel": (0.5, 1.0),
+    "level_value_min": (1.0, 2.0), "level_value_max": (1.0, 2.0), "energy_min": (1.0, 2.0),
+    "energy_max": (1.0, 2.0), "min_rcv": (1.0, 2.0), "noise_spread": (1.0, 2.0),
+    "alpha_min": (1.0, 2.0), "alpha_max": (1.0, 2.0), "rssi_high": (1.0, 2.0),
+    "rssi_low": (1.0, 2.0), "prior_sig_atn": (1.0, 2.0), "broadcast_cost_cap": (1.0, 2.0),
+    "arena_width": (1.0, 1.0), "arena_height": (1.0, 1.0), "radio_range_min": (1.0, 1.0),
+    "radio_range_max": (1.0, 1.0), "route_margin": (1.0, 1.0), "bitrate": (1.0, 1.0),
+    "payload_bytes": (1.0, 1.0), "rx_cost_fraction": (1.0, 1.0),
+}
 
 WORLDS = [
     ("desk-compare", {}),
@@ -45,15 +65,30 @@ WORLDS = [
     ("desk-compare", {"noise_spread": 0.1}),
 ]
 
+# (scenario, policy, seed): every baseline on desk-compare at seeds 1-3,
+# rl-trc there at the seeds where P holds, every policy on desk-conserve
+# and rl-trc on desk-converge at seed 1. P also holds for every baseline on
+# desk-converge at seed 1, left out as each of those runs takes 0.2 s
+POWER_WORLDS = (
+    [("desk-compare", policy, seed) for policy in BASELINE_KINDS for seed in (1, 2, 3)]
+    + [("desk-compare", "rl-trc", seed) for seed in (2, 3)]
+    + [("desk-conserve", policy, 1) for policy in ("rl-trc",) + BASELINE_KINDS]
+    + [("desk-converge", "rl-trc", 1)]
+)
 
-def time_doubled(cfg: ScenarioConfig) -> ScenarioConfig:
-    return dataclasses.replace(cfg, **{f: 2.0 * getattr(cfg, f) for f in TIME_FIELDS},
-                               **{f: 0.5 * getattr(cfg, f) for f in SPEED_FIELDS})
+T, P = 0, 1  # a relation's column in SCALES
+
+
+def scaled(cfg: ScenarioConfig, relation: int) -> ScenarioConfig:
+    """`cfg` with each float field times its factor under `relation`."""
+    return dataclasses.replace(cfg, **{name: factors[relation] * getattr(cfg, name)
+                                       for name, factors in SCALES.items()
+                                       if factors[relation] != 1.0})
 
 
 def test_every_float_field_is_scaled_or_left_alone_on_purpose():
     floats = sorted(f.name for f in fields(ScenarioConfig) if f.type == "float")
-    assert sorted(TIME_FIELDS + SPEED_FIELDS + UNSCALED_FIELDS) == floats
+    assert sorted(SCALES) == floats
 
 
 @pytest.mark.parametrize("name, overrides", WORLDS,
@@ -61,9 +96,33 @@ def test_every_float_field_is_scaled_or_left_alone_on_purpose():
                               for name, o in WORLDS])
 def test_doubled_time_at_half_speed_is_the_same_run_twice_as_slow(name, overrides):
     cfg = scenario(name, seed=1, **overrides)
-    base, slow = Simulator(cfg).run(), Simulator(time_doubled(cfg)).run()
+    base, slow = Simulator(cfg).run(), Simulator(scaled(cfg, T)).run()
     assert base.omc > 0 and base.adl > 0.0
     for metric in ("omc", "ec", "ntg", "paln", "awe", "awt"):
         assert getattr(slow, metric) == getattr(base, metric), metric
     assert slow.adl == 2.0 * base.adl
     assert slow.series == [(2.0 * t, awe, awt) for t, awe, awt in base.series]
+
+
+@pytest.mark.parametrize("name, policy, seed", POWER_WORLDS,
+                         ids=["%s-%s-seed%d" % world for world in POWER_WORLDS])
+def test_doubled_power_is_the_same_run_at_twice_the_energy(name, policy, seed):
+    cfg = scenario(name, seed=seed, policy=policy)
+    base, strong = Simulator(cfg).run(), Simulator(scaled(cfg, P)).run()
+    assert base.omc > 0 and base.ec > 0.0 and base.awe > 0.0
+    for metric in ("omc", "ntg", "adl", "paln", "awe", "awt"):
+        assert getattr(strong, metric) == getattr(base, metric), metric
+    assert strong.ec == 2.0 * base.ec
+    assert strong.series == base.series
+
+
+def test_doubled_power_changes_an_rl_trc_run_today():
+    """Records today's behaviour, not the wanted one: on desk-compare at
+    seed 1, rl-trc's seventh sigma differs under P (0.99356 against 0.99672),
+    as sigma's `1 - 1/(1 + ri)` adds a unitless 1 to a sum of power
+    savings, and the twin then makes other choices. When P holds here,
+    move this world into POWER_WORLDS."""
+    cfg = scenario("desk-compare", seed=1)
+    base, strong = Simulator(cfg).run(), Simulator(scaled(cfg, P)).run()
+    assert (base.omc, round(base.ec, 2)) == (3148, 52.37)
+    assert (strong.omc, round(strong.ec, 2)) == (3195, 108.16)

@@ -837,11 +837,6 @@ class TestWindowedSeries:
         assert rep.awe == pytest.approx(weighted_awe, rel=1e-9)
         assert rep.awt == pytest.approx(weighted_awt, rel=1e-9)
 
-    def test_bad_window_length_rejected(self):
-        """A ledger with no duration has no window length and no series."""
-        with pytest.raises(ValueError):
-            windowed_waste_series(MetricsLedger())
-
     def test_recomputation_is_identical(self):
         led = ledger_with(
             waste=[(1.0, 0, 2.0, 1.0)],

@@ -5,9 +5,9 @@ import pytest
 from rltrc.model import (
     NodeState,
     ZoneState,
-    checked_levels,
     distance,
     make_zones,
+    power_levels,
     zone_of,
 )
 
@@ -20,66 +20,28 @@ def test_distance():
 BAD_LEVELS = "^power levels must be positive and strictly ascending$"
 
 
-class TestNodeState:
+class TestPowerLevels:
+    def test_levels_are_evenly_spaced_floats(self):
+        # a float config field may hold an int; the levels are floats still
+        for count, want in [(1, (25.0,)), (3, (5.0, 15.0, 25.0))]:
+            levels = power_levels(count, 5, 25)
+            assert levels == want and [type(p) for p in levels] == [float] * count
+
     def test_levels_must_be_ascending(self):
-        with pytest.raises(ValueError, match=BAD_LEVELS):
-            NodeState(id=0, position=(0, 0), power_levels=(5.0, 5.0))
-        with pytest.raises(ValueError, match=BAD_LEVELS):
-            NodeState(id=0, position=(0, 0), power_levels=(10.0, 5.0))
+        # values an ulp apart cannot space three levels; NaN compares false
+        for count, low, high in [(2, 1.0, 1.0), (3, 1.0, math.nextafter(1.0, 2.0)),
+                                 (3, 5.0, math.nan)]:
+            with pytest.raises(ValueError, match=BAD_LEVELS):
+                power_levels(count, low, high)
 
     def test_levels_must_be_positive(self):
-        with pytest.raises(ValueError, match=BAD_LEVELS):
-            NodeState(id=0, position=(0, 0), power_levels=(0.0, 5.0))
-        with pytest.raises(ValueError, match=BAD_LEVELS):
-            NodeState(id=0, position=(0, 0), power_levels=(-1.0,))
-        for nan_at in range(3):
-            levels = [5.0, 10.0, 15.0]
-            levels[nan_at] = math.nan
+        for count, low, high in [(3, 0.0, 5.0), (3, -1.0, 5.0), (1, 5.0, -1.0),
+                                 (3, math.nan, 5.0), (1, 5.0, math.nan)]:
             with pytest.raises(ValueError, match=BAD_LEVELS):
-                NodeState(id=0, position=(0, 0), power_levels=levels)
-        with pytest.raises(ValueError, match="^node 3 has no power levels$"):
-            NodeState(id=3, position=(0, 0), power_levels=())
-        with pytest.raises(ValueError, match="^node 4 has no power levels$"):
-            NodeState(id=4, position=(0, 0), power_levels=[])
+                power_levels(count, low, high)
 
-    @pytest.mark.parametrize(
-        "given", [[5, 10, 15], (5, 10.0, 15), range(5, 20, 5), [5.0, 10.0, 15.0]],
-        ids=["int-list", "mixed-tuple", "range", "float-list"])
-    def test_any_sequence_is_stored_as_a_float_tuple(self, given):
-        n = NodeState(id=0, position=(0, 0), power_levels=given)
-        assert type(n.power_levels) is tuple
-        assert [type(p) for p in n.power_levels] == [float] * 3
-        assert n.power_levels == (5.0, 10.0, 15.0)
 
-    def test_a_checked_tuple_is_kept_as_it_is(self):
-        levels = checked_levels((7.0, 9.0, 11.0))
-        assert checked_levels((7, 9, 11)) is levels
-        assert NodeState(id=0, position=(0, 0), power_levels=levels).power_levels is levels
-        again = NodeState(id=1, position=(0, 0), power_levels=[7.0, 9.0, 11.0])
-        assert again.power_levels is levels
-
-    def test_an_invalid_tuple_raises_after_a_valid_one(self):
-        NodeState(id=0, position=(0, 0), power_levels=(5.0, 10.0))
-        for _ in range(2):  # a raise is not remembered as a pass
-            with pytest.raises(ValueError, match=BAD_LEVELS):
-                NodeState(id=0, position=(0, 0), power_levels=(10.0, 5.0))
-            with pytest.raises(ValueError, match=BAD_LEVELS):
-                checked_levels((5.0, 5.0))
-        ok = NodeState(id=0, position=(0, 0), power_levels=(5.0, 10.0))
-        assert ok.power_levels == (5.0, 10.0)
-
-    def test_the_level_memo_keeps_its_fixed_size(self):
-        maxsize = checked_levels.cache_info().maxsize
-        assert maxsize == 256
-        for i in range(10_000):
-            assert checked_levels((1.0 + i, 20_000.0 + i)) == (1.0 + i, 20_000.0 + i)
-        assert checked_levels.cache_info().currsize == maxsize
-
-    def test_peripheral_nodes_are_static(self):
-        with pytest.raises(ValueError):
-            NodeState(id=0, position=(0, 0), is_peripheral=True, max_velocity=2.0)
-        NodeState(id=0, position=(0, 0), is_peripheral=True)  # ok
-
+class TestNodeState:
     def test_alive_and_power_bounds(self):
         n = NodeState(id=1, position=(0, 0), residual_energy=0.5, power_levels=(5.0, 10.0, 15.0))
         assert n.alive
@@ -128,10 +90,6 @@ class TestZones:
             zone_of((301.0, 50.0), zones)
         with pytest.raises(ValueError):
             zone_of((-1.0, 50.0), zones)
-
-    def test_bad_count(self):
-        with pytest.raises(ValueError):
-            make_zones(100.0, 100.0, 0, av_rad=25.0)
 
     def test_geometry_helpers(self):
         z = ZoneState(id=0, x0=0, y0=0, x1=30, y1=40)

@@ -26,8 +26,9 @@ NODES = 80
 LAYOUTS = range(12)
 
 
-def scattered_sim(rng: random.Random) -> Simulator:
-    """A static world whose nodes sit where cell borders matter.
+def scattered_sim(rng: random.Random, floors: tuple[float, float] = (0.5, 8.0)) -> Simulator:
+    """A static world whose nodes sit where cell borders matter, with a
+    receive floor drawn from `floors`.
 
     Node 0 carries the largest radio range and stays alive, so it fixes the
     cell side of every discovery and sync that includes it: the largest
@@ -35,13 +36,13 @@ def scattered_sim(rng: random.Random) -> Simulator:
     """
     margin = rng.choice((0.0, 0.0, rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0), 45.0))
     cfg = scenario("lossless-pair", nodes=NODES, sessions=1, arena_width=WIDTH,
-                   arena_height=HEIGHT, duration=0.0, route_margin=margin)
+                   arena_height=HEIGHT, duration=0.0, route_margin=margin,
+                   min_rcv=rng.uniform(*floors))
     sim = Simulator(cfg)
     nodes = sim.nodes
     top = rng.uniform(20.0, 40.0)
     for n in nodes:
         n.radio_range = rng.uniform(10.0, top)
-        n.min_rcv = rng.uniform(0.5, 8.0)
         n.residual_energy = 0.0 if rng.random() < 0.1 else 5.0
     nodes[0].radio_range = top
     nodes[0].residual_energy = 5.0
@@ -95,7 +96,7 @@ def oracle_queries(sim, rng, alpha):
         scope = sorted(set(ids) - set(rng.sample(ids, rng.randrange(NODES // 2))) | {0, src})
         oracle_asked = set()
         adjacency, risky = oracle_route_links(
-            sim.nodes, scope, sim.cfg.route_margin,
+            sim.nodes, scope, sim.cfg.route_margin, sim.cfg.min_rcv,
             lambda u, v: oracle_asked.add((u, v)) or alpha(u, v),
             [rt.links for rt in sim.runtime])
         want = None
@@ -189,22 +190,21 @@ def test_alpha_never_exceeds_the_ceiling(span):
 
 
 def test_discovery_with_undecided_links_matches_all_pairs_oracle(monkeypatch):
-    """Receive floors of 16-23 against top powers of 5-25 leave links the
-    ceiling clears, links it cannot decide and links that fail. The channel
-    is asked about undecided links only, and routes still match the oracle."""
+    """A receive floor of 16-23 per layout against top powers of 5-25 leaves
+    links the ceiling clears, links it cannot decide and links that fail.
+    The channel is asked about undecided links only, and routes still match
+    the oracle."""
     cleared = undecided = asked_pass = asked_fail = 0
     for layout_seed in LAYOUTS:
         rng = random.Random(layout_seed)
-        sim = scattered_sim(rng)
-        nodes, ceiling = sim.nodes, sim.channel.ceiling
-        for n in nodes:
-            n.min_rcv = rng.uniform(16.0, 23.0)
+        sim = scattered_sim(rng, floors=(16.0, 23.0))
+        nodes, ceiling, floor = sim.nodes, sim.channel.ceiling, sim.cfg.min_rcv
         alpha = sim.channel.alpha
         asked = recorded_alpha(sim, monkeypatch)
 
         def budget(u, v, coefficient):
             d = math.dist(nodes[u].position, nodes[v].position)
-            return nodes[u].max_power - coefficient * d >= nodes[v].min_rcv
+            return nodes[u].max_power - coefficient * d >= floor
 
         for src, dst, scope, want, oracle_asked in oracle_queries(sim, rng, alpha):
             asked.clear()

@@ -116,11 +116,6 @@ class TestBaselines:
         s = snap(last_rss=9.0, current_level=5.0)
         assert baseline_decide("beacon-rssi-like", s, levels, rssi_high=8.0, rssi_low=2.0) == 5.0
 
-    def test_stepping_from_an_unlisted_level_restarts_at_max(self):
-        s = snap(last_rss=9.0, current_level=7.0)
-        assert baseline_decide("beacon-rssi-like", s, (5.0, 10.0, 15.0),
-                               rssi_high=8.0, rssi_low=2.0) == 15.0
-
     def test_prr_rule(self):
         levels = (5.0, 10.0, 15.0)
         assert baseline_decide("beacon-prr-like", snap(prr=0.5), levels) == 15.0

@@ -79,6 +79,25 @@ class TestGoldenTraces:
         assert "STRAY lossless-pair-renamed-seed1.json" in out
         assert "0 of 1 goldens mismatch" in out
 
+    def test_check_names_the_keys_that_moved(self, tmp_path, monkeypatch, capsys):
+        """A mismatch line names each key whose value moved, with its blessed
+        and its new value, or says that no file was blessed."""
+        golden = "lossless-pair"
+        name = "%s-seed1.json" % golden
+        blessed = json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))
+        omc = blessed["omc"]
+        blessed["omc"] = omc + 1
+        (tmp_path / name).write_text(json.dumps(blessed, indent=2, sort_keys=True) + "\n",
+                                     encoding="utf-8")
+        monkeypatch.setattr(bless_golden, "GOLDEN_DIR", tmp_path)
+        monkeypatch.setattr(bless_golden, "GOLDEN_TRACES", {golden: GOLDEN_TRACES[golden]})
+        assert bless_golden.main(["--check"]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH %s: omc %d -> %d\n" % (name, omc + 1, omc) in out
+        (tmp_path / name).unlink()
+        assert bless_golden.main(["--check"]) == 1
+        assert "MISMATCH %s: no blessed file\n" % name in capsys.readouterr().out
+
 
 class TestCli:
     def test_list_names_everything(self, capsys):
@@ -127,6 +146,18 @@ class TestCli:
         assert "seed 2" in capsys.readouterr().out
         assert main(["run", "--config", str(cfg), "--policy", "fixed-max"]) == 0
         assert "policy fixed-max" in capsys.readouterr().out
+
+    def test_config_file_with_a_byte_order_mark_runs(self, tmp_path, capsys):
+        """A leading UTF-8 byte-order mark, as some editors write, was read
+        into the first key: "unknown key '\\ufeffname'"."""
+        text = "".join("%s = %s\n" % kv for kv in SCENARIOS["lossless-pair"].items())
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert main(["run", "--config", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main(["run", "--config", str(marked)]) == 0
+        assert capsys.readouterr() == want and "ntg 100.00" in want.out
 
     def test_policy_override(self, capsys):
         assert main(["run", "--scenario", "desk-conserve", "--policy", "fixed-max"]) == 0
