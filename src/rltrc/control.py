@@ -251,7 +251,7 @@ class ZoneController:
             [reward_states[m].total() for m in members],
             self.session_rewards.values(),
         )
-        return [(m, nodes[m].min_power) for m in members]
+        return [(m, nodes[m].power_levels[0]) for m in members]
 
     def geometry(self) -> ZoneState:
         """The zone with theta and phi brought up to its last sync: what the

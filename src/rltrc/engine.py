@@ -319,7 +319,6 @@ class NodeRuntime:
     queue: list[QueuedPacket] = field(default_factory=list)
     inflight: AttemptRow | None = None   # the one attempt a node may have on the air
     links: dict[int, CommCacheEntry] = field(default_factory=dict)  # successor -> link cache
-    levels_used: dict[int, float] = field(default_factory=dict)  # successor -> last baseline level
 
 
 @dataclass
@@ -378,16 +377,18 @@ class Simulator:
         av_rad = (cfg.radio_range_min + cfg.radio_range_max) / 2.0
         self.zones = make_zones(cfg.arena_width, cfg.arena_height, cfg.zones, av_rad=av_rad)
         self.nodes: list[NodeState] = []
-        # level count -> the one tuple every node with that count holds
-        self._levels_by_count: dict[int, tuple[float, ...]] = {}
+        # level count -> the one tuple every node with that count holds; the
+        # config proved that each count in its range spaces its levels apart
+        levels_by_count = {k: power_levels(k, cfg.level_value_min, cfg.level_value_max)
+                           for k in range(cfg.level_count_min, cfg.level_count_max + 1)}
         for z in self.zones:
             for spot in peripheral_spots(z, cfg.peripherals_per_zone, cfg.arena_width,
                                          cfg.arena_height):
-                self.nodes.append(self._make_node(len(self.nodes), spot, peripheral=True))
-        self.mobile_ids = list(range(len(self.nodes), cfg.nodes))
-        for nid in self.mobile_ids:
+                self.nodes.append(self._make_node(len(self.nodes), spot, True, levels_by_count))
+        mobile_ids = list(range(len(self.nodes), cfg.nodes))
+        for nid in mobile_ids:
             pos = (self.rng.uniform(0.0, cfg.arena_width), self.rng.uniform(0.0, cfg.arena_height))
-            self.nodes.append(self._make_node(nid, pos, peripheral=False))
+            self.nodes.append(self._make_node(nid, pos, False, levels_by_count))
         assign_zones(self.nodes, self.zones)
         # each node's last sighting by its zone controller, for destination lookup
         self.registry: dict[int, NodeTrack] = {}
@@ -395,17 +396,14 @@ class Simulator:
         self.network = NetworkController(cfg.t_net)
         self.reward_states = [NodeRewardState() for _ in self.nodes]
         self.runtime = [NodeRuntime() for _ in self.nodes]
-        self.sessions = [Session(sid, *self.rng.sample(self.mobile_ids, 2))
+        self.sessions = [Session(sid, *self.rng.sample(mobile_ids, 2))
                          for sid in range(cfg.sessions)]
         self.ledger.initial_energy = {n.id: n.residual_energy for n in self.nodes}
 
-    def _make_node(self, nid: int, pos: Point, peripheral: bool) -> NodeState:
+    def _make_node(self, nid: int, pos: Point, peripheral: bool,
+                   levels_by_count: dict[int, tuple[float, ...]]) -> NodeState:
         cfg = self.cfg
-        k = self.rng.randint(cfg.level_count_min, cfg.level_count_max)
-        levels = self._levels_by_count.get(k)
-        if levels is None:
-            levels = self._levels_by_count[k] = power_levels(k, cfg.level_value_min,
-                                                             cfg.level_value_max)
+        levels = levels_by_count[self.rng.randint(cfg.level_count_min, cfg.level_count_max)]
         return NodeState(
             id=nid,
             position=pos,
@@ -539,7 +537,7 @@ class Simulator:
         self._push(self.t + cfg.mobility_dt, self._on_mobility_step)
 
     def _on_beacon(self) -> None:
-        self._charge_messages([(node.id, node.min_power) for node in self.nodes], "beacon")
+        self._charge_messages([(node.id, node.power_levels[0]) for node in self.nodes], "beacon")
         self._push(self.t + self.cfg.beacon_period, self._on_beacon)
 
     # -- sessions and packets -----------------------------------------------
@@ -643,25 +641,22 @@ class Simulator:
                 avail, self.zone_sigma[sender.zone_id], entry.reliable, self.rng
             )
         else:
-            level = rt.levels_used[succ] = self._select_baseline(node, succ, entry, rt)
+            level = entry.level = self._select_baseline(sender, entry)
         self._transmit(node, succ, level, entry, rt, qp, sn)
 
-    def _select_baseline(
-        self, node: int, succ: int, entry: CommCacheEntry, rt: NodeRuntime
-    ) -> float:
-        sender = self.nodes[node]
+    def _select_baseline(self, sender: NodeState, entry: CommCacheEntry) -> float:
+        cfg = self.cfg
         last = entry.last_two[-1] if entry.last_two else None
         snap = LinkSnapshot(
-            current_level=rt.levels_used.get(succ, sender.max_power),
+            current_level=entry.level,
             last_rss=last.rss if last else None,
             prr=entry.prr,
             sig_atn=entry.sig_atn,
-            distance=self.cfg.vs * last.rtt if last else None,
-            min_rcv=self.cfg.min_rcv,
+            distance=cfg.vs * last.rtt if last else None,
         )
         return policy.baseline_decide(
-            self.cfg.policy, snap, sender.power_levels,
-            rssi_high=self.cfg.rssi_high, rssi_low=self.cfg.rssi_low,
+            cfg.policy, snap, sender.power_levels,
+            rssi_high=cfg.rssi_high, rssi_low=cfg.rssi_low, min_rcv=cfg.min_rcv,
         )
 
     def _transmit(
@@ -855,7 +850,7 @@ class Simulator:
         hops = list(sn.next_hop)
         back_hops = hops.index(node)
         relays = hops[1 : back_hops + 1]
-        self._charge_messages([(r, self.nodes[r].max_power) for r in relays], "control")
+        self._charge_messages([(r, self.nodes[r].power_levels[-1]) for r in relays], "control")
         # queued packets stay put until the replacement route says whether
         # their holder is still on the path
         sn.next_hop = {}
@@ -905,7 +900,8 @@ class Simulator:
             self._fail_session(sn)
             return
         hops = len(route) - 1
-        self._charge_messages([(r, nodes[r].max_power) for r in reversed(route[1:])], "control")
+        self._charge_messages([(r, nodes[r].power_levels[-1]) for r in reversed(route[1:])],
+                             "control")
         self._push(self.t + 2.0 * hops * cfg.t_hop, self._on_route_reply, sn.id, route)
 
     def _corridor_zones(self, src: int, circle: BroadcastCircle) -> tuple[int, ...]:
@@ -946,7 +942,6 @@ class Simulator:
         """Each node of `scope` relays the request once at its top level;
         a node a charge before it killed pays nothing."""
         nodes = self.nodes
-        # power_levels[-1] is max_power, read without the property call
         self._charge_messages([(nid, nodes[nid].power_levels[-1]) for nid in scope], "flood")
 
     def _discover_route(self, src: int, dst: int, scope: list[int]) -> tuple[int, ...] | None:
@@ -999,7 +994,7 @@ class Simulator:
         once, at the first search."""
         margin = self.cfg.route_margin
         # route links must leave slack for motion during their lifetime
-        self._link_terms = [(max(n.radio_range - margin, 0.0), n.max_power, rt.links)
+        self._link_terms = [(max(n.radio_range - margin, 0.0), n.power_levels[-1], rt.links)
                             for n, rt in zip(self.nodes, self.runtime)]
         return self._link_terms
 
@@ -1016,9 +1011,13 @@ class Simulator:
             return
         sn.discovering = False
         sn.next_hop = dict(zip(route, route[1:]))
-        runtime = self.runtime
+        runtime, nodes = self.runtime, self.nodes
         for u, v in sn.next_hop.items():
-            entry = runtime[u].links.setdefault(v, CommCacheEntry(sig_atn=self.cfg.prior_sig_atn))
+            links = runtime[u].links
+            entry = links.get(v)
+            if entry is None:
+                entry = links[v] = CommCacheEntry(sig_atn=self.cfg.prior_sig_atn,
+                                                  level=nodes[u].power_levels[-1])
             linkcache.new_episode(entry)
         for nid in sorted(sn.holders):
             rt = runtime[nid]

@@ -46,6 +46,7 @@ class CommCacheEntry:
     expected_timestamp_end: float = math.inf
     last_two: list[PacketRecord] = field(default_factory=list)
     reliable: bool = True
+    level: float = 0.0                  # a baseline's last level; starts at the sender's top
 
     @property
     def prr(self) -> float:

@@ -59,14 +59,6 @@ class NodeState:
     def alive(self) -> bool:
         return self.residual_energy > 0.0
 
-    @property
-    def max_power(self) -> float:
-        return self.power_levels[-1]
-
-    @property
-    def min_power(self) -> float:
-        return self.power_levels[0]
-
 
 def grid_cells(records: Iterable[R], side: float) -> dict[tuple[int, int], list[R]]:
     """Records `(id, x, y, ...)` bucketed by position into square cells, for

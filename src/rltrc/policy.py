@@ -81,7 +81,6 @@ class LinkSnapshot:
     prr: float
     sig_atn: float
     distance: float | None   # last estimated sender-successor distance
-    min_rcv: float
 
 
 def _notch(levels: tuple[float, ...], current: float, step: int) -> float:
@@ -97,13 +96,15 @@ def baseline_decide(
     levels: tuple[float, ...],
     rssi_high: float = 0.0,
     rssi_low: float = 0.0,
+    min_rcv: float = 0.0,
 ) -> float:
     """Pick a level under one of the non-learning comparison policies.
 
     Cold links (no feedback yet) always get the maximum. The periodic beacon
     energy debit of the prr policy is booked by the engine, not here. `kind`
-    is one of BASELINE_KINDS, as the config admits no other policy, and
-    `levels` is a node's ascending set, never empty.
+    is one of BASELINE_KINDS, as the config admits no other policy,
+    `levels` is a node's ascending set, never empty, and `min_rcv` is the
+    world's receive floor.
     """
     if kind == "fixed-max":
         return levels[-1]
@@ -111,7 +112,7 @@ def baseline_decide(
         return levels[-1]
     if kind == "odtpc-like":
         for p in levels:
-            if p - snap.sig_atn * snap.distance > snap.min_rcv:
+            if p - snap.sig_atn * snap.distance > min_rcv:
                 return p
         return levels[-1]
     if kind == "beacon-rssi-like":

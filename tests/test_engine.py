@@ -118,7 +118,7 @@ class TestMobility:
         position, motion state and the generator as the per-node loop does."""
         sim = Simulator(scenario("desk-compare", mobility=model, gaussian_accel=2.0))
         cfg = sim.cfg
-        for n in sim.nodes[sim.mobile_ids[0]::5]:
+        for n in [n for n in sim.nodes if not n.is_peripheral][::5]:
             n.residual_energy = 0.0
         states = [MobilityState() for _ in sim.nodes]
         want_nodes, want_states = copy.deepcopy((sim.nodes, states))
@@ -389,9 +389,9 @@ class TestMessageCharge:
         """Five nodes at top level 25: node 1 holds exactly one relay's
         cost, node 2 half of it, node 3 is already dead."""
         sim = discovery_sim(5, [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0), (60.0, 0.0), (80.0, 0.0)])
-        cost = sim.nodes[1].max_power * sim.cfg.airtime
+        cost = sim.nodes[1].power_levels[-1] * sim.cfg.airtime
         sim.nodes[1].residual_energy = cost
-        sim.nodes[2].residual_energy = 0.5 * sim.nodes[2].max_power * sim.cfg.airtime
+        sim.nodes[2].residual_energy = 0.5 * sim.nodes[2].power_levels[-1] * sim.cfg.airtime
         sim.nodes[3].residual_energy = 0.0
         sim.t = 4.5
         return sim
@@ -404,7 +404,7 @@ class TestMessageCharge:
         for nid in scope:
             node = single.nodes[nid]
             if node.alive:
-                single._debit(nid, node.max_power * single.cfg.airtime, "flood", message=True)
+                single._debit(nid, node.power_levels[-1] * single.cfg.airtime, "flood", message=True)
         assert spy_batched.debit_calls == spy_single.debit_calls
         assert ([n.residual_energy for n in batched.nodes]
                 == [n.residual_energy for n in single.nodes])
@@ -455,6 +455,33 @@ class TestRouteReply:
             (sim._on_send_attempt, (nid,)) for nid in (0, 1, 4)]
         assert sn.holders == {0, 1, 4}
         assert sn.next_hop == {0: 1, 1: 2, 2: 3}
+
+    def test_reply_makes_a_link_cache_only_for_a_hop_that_has_none(self, monkeypatch):
+        """A hop that has a cache keeps it, with its PRR counters, its
+        attenuation and a baseline's last level, and starts a new episode
+        on it. A hop without one gets one cache, at the prior attenuation
+        and the sender's top level."""
+        sim, sn = route_request_sim([(0.0, 0.0), (20.0, 0.0), (40.0, 0.0)], 0, 2)
+        sn.started = sn.discovering = True
+        low = sim.nodes[0].power_levels[0]
+        old = sim.runtime[0].links[1] = CommCacheEntry(
+            sig_atn=0.3, packets_tx=4, packets_rx=3, approx_velocity=2.0,
+            expected_timestamp_end=9.0, level=low)
+        made = []
+
+        def counted(**kwargs):
+            made.append(kwargs)
+            return CommCacheEntry(**kwargs)
+
+        monkeypatch.setattr(rltrc.engine, "CommCacheEntry", counted)
+        sim._on_route_reply(sn.id, (0, 1, 2))
+        assert sim.runtime[0].links[1] is old
+        assert (old.sig_atn, old.packets_tx, old.packets_rx, old.level) == (0.3, 4, 3, low)
+        assert (old.approx_velocity, old.expected_timestamp_end) == (0.0, math.inf)
+        top = sim.nodes[1].power_levels[-1]
+        assert made == [{"sig_atn": sim.cfg.prior_sig_atn, "level": top}]
+        assert sim.runtime[1].links[2] == CommCacheEntry(sig_atn=sim.cfg.prior_sig_atn, level=top)
+        assert low < sim.nodes[0].power_levels[-1]
 
     def test_holders_cover_every_queued_packet(self):
         """After every event of desk-converge at seed 1, each node that
@@ -895,7 +922,7 @@ def test_an_ack_after_delivery_is_written_off_by_an_upstream_holder():
         sim.runtime[nid].queue.append(QueuedPacket(pid=pid, session=sn.id))
     sim.t = 1.0
     rt = sim.runtime[1]
-    sim._transmit(1, 2, sim.nodes[1].max_power, rt.links[2], rt, rt.queue[0], sn)
+    sim._transmit(1, 2, sim.nodes[1].power_levels[-1], rt.links[2], rt, rt.queue[0], sn)
     for handler in (sim._on_packet_arrival, sim._on_ack_arrival):
         [(t, args)] = [(t, args) for t, _, h, args in sim._events if h == handler]
         sim.t = t
@@ -903,7 +930,7 @@ def test_an_ack_after_delivery_is_written_off_by_an_upstream_holder():
         # delivered, and still held by node 0's queue entry
         assert sim.ledger.packets.live[pid] is stat and stat.status == "delivered"
     [(_, _, action, rtt)] = spy.invest_calls
-    assert action == sim.nodes[1].max_power and rtt > 0.0
+    assert action == sim.nodes[1].power_levels[-1] and rtt > 0.0
     assert stat.holds == 1 and rt.queue == []
     sim._link_failure(0, sn, 0.0, 0.0)
     assert pid not in sim.ledger.packets.live
@@ -931,7 +958,7 @@ def test_an_ack_is_counted_as_a_message_but_no_node_pays_for_it():
     rt.queue.append(QueuedPacket(pid=pid, session=sn.id))
     messages, energy = sim.ledger.message_count, sim.nodes[1].residual_energy
     sim.t = 1.0
-    sim._transmit(0, 1, sim.nodes[0].max_power, rt.links[1], rt, rt.queue[0], sn)
+    sim._transmit(0, 1, sim.nodes[0].power_levels[-1], rt.links[1], rt, rt.queue[0], sn)
     [(t, args)] = [(t, args) for t, _, h, args in sim._events if h == sim._on_packet_arrival]
     sim.t = t
     sim._on_packet_arrival(*args)
@@ -1043,9 +1070,10 @@ class TestWorldConstruction:
 
     def test_nodes_with_equal_level_counts_share_one_tuple(self):
         sim = Simulator(scenario("desk-converge"))
-        assert sorted(sim._levels_by_count) == list(range(5, 11))
+        shared = {}
         for n in sim.nodes:
-            assert n.power_levels is sim._levels_by_count[len(n.power_levels)]
+            assert n.power_levels is shared.setdefault(len(n.power_levels), n.power_levels)
+        assert sorted(shared) == list(range(5, 11))
 
     def test_a_large_level_count_costs_little_per_node(self):
         nodes = 2000

@@ -1,5 +1,6 @@
-"""Metamorphic relations T (time x2) and P (power x2): a run and its
-transformed twin at one seed, compared exactly, with no oracle.
+"""Metamorphic relations T (time x2), P (power x2), S (space x2) and the
+duration prefix: a run and its transformed twin at one seed, compared
+exactly, with no oracle.
 
 T doubles every time field and halves every speed, so each distance a node
 travels, each signal's flight and each random draw scaled by a field come
@@ -14,8 +15,18 @@ and the series are unchanged. rl-trc's sigma adds a unitless 1 to a sum of
 power savings, so P does not hold for it on every world; the one divergence
 kept below pins today's behaviour.
 
-Every factor is a power of two, so each product is exact and both
-relations hold as `==`.
+S doubles every length and speed and halves every attenuation per metre,
+so each trip takes as long as before and each link budget over a doubled
+distance comes out as before. The twin is the same run: every metric and
+the series are unchanged. Two terms break it today, and a test pins each:
+the relays' inset, an absolute length, and `avg_hop_count`'s unitless 1
+added to a term per metre.
+
+The duration prefix runs one config to D and to 2D: nothing before D
+depends on D, so both dispatch the same events up to D.
+
+Every factor is a power of two, so each product is exact and every
+relation holds as `==`.
 """
 
 import dataclasses
@@ -23,33 +34,39 @@ from dataclasses import fields
 
 import pytest
 
+from rltrc import model
 from rltrc.config import ScenarioConfig
 from rltrc.engine import Simulator
 from rltrc.policy import BASELINE_KINDS
 from rltrc.scenarios import scenario
 
-# each float field's factor under (T, P). Under T a time doubles and a speed
-# halves; `gaussian_accel` is a velocity kick in m/s added once per mobility
-# step, so it scales as a speed. Under P a power, an energy, a level, a
-# signal strength or an attenuation per metre doubles, and so does the flood
-# cost cap, which is booked in the units of a power level. Lengths and
-# rates stay: `bitrate` and `payload_bytes` only set the seconds one packet
-# occupies the radio
+# each float field's factor under (T, P, S). Under T a time doubles and a
+# speed halves; `gaussian_accel` is a velocity kick in m/s added once per
+# mobility step, so it scales as a speed. Under P a power, an energy, a
+# level, a signal strength or an attenuation per metre doubles, and so does
+# the flood cost cap, which is booked in the units of a power level. Under S
+# a length and a speed double, and an attenuation per metre halves, so each
+# link budget over a doubled distance comes out as before. Rates stay:
+# `bitrate` and `payload_bytes` only set the seconds one packet occupies
+# the radio
 SCALES = {
-    "duration": (2.0, 1.0), "pause_max": (2.0, 1.0), "mobility_dt": (2.0, 1.0),
-    "session_start_max": (2.0, 1.0), "t_sync": (2.0, 1.0), "t_net": (2.0, 1.0),
-    "tau_a": (2.0, 1.0), "proc_delay": (2.0, 1.0), "t_hop": (2.0, 1.0),
-    "inter_arrival_min": (2.0, 1.0), "inter_arrival_max": (2.0, 1.0),
-    "beacon_period": (2.0, 1.0),
-    "vmax_min": (0.5, 1.0), "vmax_max": (0.5, 1.0), "vs": (0.5, 1.0),
-    "gaussian_accel": (0.5, 1.0),
-    "level_value_min": (1.0, 2.0), "level_value_max": (1.0, 2.0), "energy_min": (1.0, 2.0),
-    "energy_max": (1.0, 2.0), "min_rcv": (1.0, 2.0), "noise_spread": (1.0, 2.0),
-    "alpha_min": (1.0, 2.0), "alpha_max": (1.0, 2.0), "rssi_high": (1.0, 2.0),
-    "rssi_low": (1.0, 2.0), "prior_sig_atn": (1.0, 2.0), "broadcast_cost_cap": (1.0, 2.0),
-    "arena_width": (1.0, 1.0), "arena_height": (1.0, 1.0), "radio_range_min": (1.0, 1.0),
-    "radio_range_max": (1.0, 1.0), "route_margin": (1.0, 1.0), "bitrate": (1.0, 1.0),
-    "payload_bytes": (1.0, 1.0), "rx_cost_fraction": (1.0, 1.0),
+    "duration": (2.0, 1.0, 1.0), "pause_max": (2.0, 1.0, 1.0),
+    "mobility_dt": (2.0, 1.0, 1.0), "session_start_max": (2.0, 1.0, 1.0),
+    "t_sync": (2.0, 1.0, 1.0), "t_net": (2.0, 1.0, 1.0), "tau_a": (2.0, 1.0, 1.0),
+    "proc_delay": (2.0, 1.0, 1.0), "t_hop": (2.0, 1.0, 1.0),
+    "inter_arrival_min": (2.0, 1.0, 1.0), "inter_arrival_max": (2.0, 1.0, 1.0),
+    "beacon_period": (2.0, 1.0, 1.0),
+    "vmax_min": (0.5, 1.0, 2.0), "vmax_max": (0.5, 1.0, 2.0), "vs": (0.5, 1.0, 2.0),
+    "gaussian_accel": (0.5, 1.0, 2.0),
+    "level_value_min": (1.0, 2.0, 1.0), "level_value_max": (1.0, 2.0, 1.0),
+    "energy_min": (1.0, 2.0, 1.0), "energy_max": (1.0, 2.0, 1.0), "min_rcv": (1.0, 2.0, 1.0),
+    "noise_spread": (1.0, 2.0, 1.0), "alpha_min": (1.0, 2.0, 0.5),
+    "alpha_max": (1.0, 2.0, 0.5), "rssi_high": (1.0, 2.0, 1.0), "rssi_low": (1.0, 2.0, 1.0),
+    "prior_sig_atn": (1.0, 2.0, 0.5), "broadcast_cost_cap": (1.0, 2.0, 1.0),
+    "arena_width": (1.0, 1.0, 2.0), "arena_height": (1.0, 1.0, 2.0),
+    "radio_range_min": (1.0, 1.0, 2.0), "radio_range_max": (1.0, 1.0, 2.0),
+    "route_margin": (1.0, 1.0, 2.0), "bitrate": (1.0, 1.0, 1.0),
+    "payload_bytes": (1.0, 1.0, 1.0), "rx_cost_fraction": (1.0, 1.0, 1.0),
 }
 
 WORLDS = [
@@ -76,7 +93,7 @@ POWER_WORLDS = (
     + [("desk-converge", "rl-trc", 1)]
 )
 
-T, P = 0, 1  # a relation's column in SCALES
+T, P, S = 0, 1, 2  # a relation's column in SCALES
 
 
 def scaled(cfg: ScenarioConfig, relation: int) -> ScenarioConfig:
@@ -126,3 +143,115 @@ def test_doubled_power_changes_an_rl_trc_run_today():
     base, strong = Simulator(cfg).run(), Simulator(scaled(cfg, P)).run()
     assert (base.omc, round(base.ec, 2)) == (3148, 52.37)
     assert (strong.omc, round(strong.ec, 2)) == (3195, 108.16)
+
+
+# S runs without relays: they sit PERIPHERAL_INSET inside a zone edge, an
+# absolute length, and a test below pins what that does to S
+SPACE_WORLDS = [
+    ("lossless-pair", {}),
+    ("desk-converge", {}),
+    ("desk-compare", {}),
+    ("desk-compare", {"policy": "fixed-max"}),
+    ("desk-compare", {"mobility": "random-walk"}),
+    ("desk-compare", {"mobility": "gaussian"}),
+]
+METRICS = ("omc", "ec", "ntg", "adl", "paln", "awe", "awt")
+
+
+def assert_same_run(got, want):
+    for metric in METRICS:
+        assert getattr(got, metric) == getattr(want, metric), metric
+    assert got.series == want.series
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name, overrides", SPACE_WORLDS,
+                         ids=["-".join([name, *("%s=%s" % kv for kv in o.items())])
+                              for name, o in SPACE_WORLDS])
+def test_doubled_space_at_double_speed_is_the_same_run(name, overrides, seed):
+    cfg = scenario(name, seed=seed, peripherals_per_zone=0, **overrides)
+    base = Simulator(cfg).run()
+    assert base.omc > 0 and base.ntg > 0.0
+    assert_same_run(Simulator(scaled(cfg, S)).run(), base)
+
+
+def test_doubled_space_moves_the_relays_today():
+    """Records today's behaviour, not the wanted one: relays sit
+    `model.PERIPHERAL_INSET` = 1 m inside a zone edge, a length S leaves
+    as it is, so on desk-compare at seed 1 the relays of the twin sit at
+    other spots and the run differs. When the inset scales with the zone,
+    move the relays into SPACE_WORLDS."""
+    cfg = scenario("desk-compare", seed=1)
+    base, wide = Simulator(cfg).run(), Simulator(scaled(cfg, S)).run()
+    assert (base.omc, round(base.ec, 2)) == (3148, 52.37)
+    assert (wide.omc, round(wide.ec, 2)) == (3150, 52.00)
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("desk-compare", 1), ("desk-compare", 2), ("desk-compare", 3),
+    ("desk-converge", 1), ("desk-conserve", 1),
+])
+def test_doubled_space_holds_with_relays_when_the_inset_doubles_too(name, seed, monkeypatch):
+    """The inset is the one length that breaks S with relays: doubled in
+    the twin's world build, S holds."""
+    cfg = scenario(name, seed=seed)
+    base = Simulator(cfg).run()
+    monkeypatch.setattr(model, "PERIPHERAL_INSET", 2.0 * model.PERIPHERAL_INSET)
+    assert_same_run(Simulator(scaled(cfg, S)).run(), base)
+
+
+def test_doubled_space_changes_awe_when_no_flood_cost_is_capped_today():
+    """Records today's behaviour, not the wanted one: `avg_hop_count`'s
+    `1 + (2 phi + 1)/(2 phi av_rad)` adds a unitless 1 to a term per metre,
+    so a flood's booked cost depends on the length scale. The canned cap
+    of 30 binds on every desk flood and hides it; at a cap of 1e300 the
+    twin books other flood costs, and only AWE, with its series, differs.
+    When floods book the joules they charge, S holds here."""
+    cfg = scenario("desk-compare", seed=1, peripherals_per_zone=0, broadcast_cost_cap=1e300)
+    base, wide = Simulator(cfg).run(), Simulator(scaled(cfg, S)).run()
+    for metric in METRICS:
+        if metric != "awe":
+            assert getattr(wide, metric) == getattr(base, metric), metric
+    assert base.omc == 2649
+    assert (round(base.awe, 2), round(wide.awe, 2)) == (15.10, 24.57)
+
+
+def dispatched(cfg: ScenarioConfig) -> list[tuple[float, str]]:
+    """(time, handler name) of every event a run of `cfg` dispatches, in
+    order, recorded through `Simulator._push`."""
+    sim = Simulator(cfg)
+    push, seen = sim._push, []
+
+    def recorded(handler, *args):
+        seen.append((sim.t, handler.__name__))
+        handler(*args)
+
+    sim._push = lambda t, handler, *args: push(t, recorded, handler, *args)
+    sim.run()
+    return seen
+
+
+# (scenario, overrides): a run to the duration D below and a run to 2D
+PREFIX_WORLDS = [
+    ("desk-compare", {}),
+    ("desk-compare", {"policy": "beacon-prr-like"}),
+    ("desk-compare", {"mobility": "gaussian"}),
+    ("desk-converge", {"duration": 100.0}),
+    ("desk-conserve", {"energy_min": 0.5, "energy_max": 2.0}),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name, overrides", PREFIX_WORLDS,
+                         ids=["-".join([name, *("%s=%s" % kv for kv in o.items())])
+                              for name, o in PREFIX_WORLDS])
+def test_a_longer_run_dispatches_the_same_events_up_to_the_shorter_duration(
+        name, overrides, seed):
+    """Nothing before the duration D depends on it: a run to 2D at the same
+    seed dispatches the same events, at the same times and in the same
+    order, up to D."""
+    cfg = scenario(name, seed=seed, **overrides)
+    short = dispatched(cfg)
+    longer = dispatched(dataclasses.replace(cfg, duration=2.0 * cfg.duration))
+    assert len(short) > 1000 and len(longer) > len(short)
+    assert [event for event in longer if event[0] <= cfg.duration] == short

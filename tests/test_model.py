@@ -42,11 +42,9 @@ class TestPowerLevels:
 
 
 class TestNodeState:
-    def test_alive_and_power_bounds(self):
+    def test_alive_while_energy_is_positive(self):
         n = NodeState(id=1, position=(0, 0), residual_energy=0.5, power_levels=(5.0, 10.0, 15.0))
         assert n.alive
-        assert n.max_power == 15.0
-        assert n.min_power == 5.0
         n.residual_energy = 0.0
         assert not n.alive
 

@@ -204,7 +204,7 @@ def test_discovery_with_undecided_links_matches_all_pairs_oracle(monkeypatch):
 
         def budget(u, v, coefficient):
             d = math.dist(nodes[u].position, nodes[v].position)
-            return nodes[u].max_power - coefficient * d >= floor
+            return nodes[u].power_levels[-1] - coefficient * d >= floor
 
         for src, dst, scope, want, oracle_asked in oracle_queries(sim, rng, alpha):
             asked.clear()
@@ -251,7 +251,7 @@ def test_sync_recounts_after_a_zone_state_death(share):
     for nid, pos in enumerate(spots):
         sim.nodes[nid].position = pos
     doomed = sim.nodes[0]
-    doomed.residual_energy = share * doomed.min_power * cfg.airtime
+    doomed.residual_energy = share * doomed.power_levels[0] * cfg.airtime
     ids = range(len(sim.nodes))
     before = oracle_neighbor_counts(sim.nodes, ids)
 

@@ -79,7 +79,6 @@ def snap(**kw):
         prr=1.0,
         sig_atn=1.0,
         distance=4.0,
-        min_rcv=1.0,
     )
     base.update(kw)
     return LinkSnapshot(**base)
@@ -95,12 +94,15 @@ class TestBaselines:
 
     def test_odtpc_margin_rule(self):
         # predicted rss = level - 1.75*4 must exceed min_rcv=1: level > 8
-        s = snap(sig_atn=1.75, distance=4.0, min_rcv=1.0)
-        assert baseline_decide("odtpc-like", s, (5.0, 10.0, 15.0)) == 10.0
+        s = snap(sig_atn=1.75, distance=4.0)
+        assert baseline_decide("odtpc-like", s, (5.0, 10.0, 15.0), min_rcv=1.0) == 10.0
+        # the floor is the one passed: at 3 a level of 10 arrives at exactly
+        # the floor, not above it
+        assert baseline_decide("odtpc-like", s, (5.0, 10.0, 15.0), min_rcv=3.0) == 15.0
 
     def test_odtpc_falls_back_to_max(self):
-        s = snap(sig_atn=10.0, distance=4.0, min_rcv=1.0)
-        assert baseline_decide("odtpc-like", s, (5.0, 10.0, 15.0)) == 15.0
+        s = snap(sig_atn=10.0, distance=4.0)
+        assert baseline_decide("odtpc-like", s, (5.0, 10.0, 15.0), min_rcv=1.0) == 15.0
 
     def test_rssi_stepping(self):
         levels = (5.0, 10.0, 15.0)

@@ -17,14 +17,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rltrc"
 
-# module.qualified name -> why nothing in src/rltrc has to call it
+# module.qualified name -> why nothing in src/rltrc has to call it; an
+# entry that src/rltrc does read fails test_every_public_entry_is_unread_in_src
 PUBLIC = {
-    "cli.main": "the `rltrc` console script",
     "cli._Parser.error": "argparse calls it on a usage error",
-    "scenarios.scenario": "canned configs for users and tests",
-    "scenarios.names": "lists the canned scenarios",
     "metrics.invariant_problems": "the run-invariant check a caller runs on a finished run",
-    "metrics.MetricsLedger.debit_count": "the ledger's read API",
 }
 
 
@@ -95,6 +92,11 @@ def test_public_list_names_existing_definitions():
                for module, text in package_sources().items()
                for qualname, *_ in definitions(ast.parse(text))}
     assert set(PUBLIC) <= defined, sorted(set(PUBLIC) - defined)
+
+
+def test_every_public_entry_is_unread_in_src():
+    read = set(PUBLIC) - set(unreferenced(package_sources()))
+    assert read == set(), "src/rltrc reads these, so PUBLIC need not list them: %s" % sorted(read)
 
 
 def test_checker_flags_a_definition_only_its_own_body_uses():
