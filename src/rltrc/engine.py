@@ -62,7 +62,6 @@ from .model import (
     power_levels,
     zone_of,
 )
-from .policy import LinkSnapshot
 from .rewards import (
     NodeRewardState,
     WasteLedger,
@@ -156,8 +155,9 @@ def mobility_step(
     """Advance a node population by dt under the configured model.
 
     `states[i]` is the motion state of `nodes[i]`. Nodes move one after
-    another in the given order, each drawing from `rng` in turn; static
-    nodes (`max_velocity <= 0`) and dead ones stay put and draw nothing.
+    another in the given order, each drawing from `rng` in turn; dead ones
+    stay put and draw nothing. Every node has a positive top speed, as
+    `run()` passes only those.
     `model` is one of the config's VALID_MOBILITY. Under "gaussian", `accel`
     is a velocity kick in m/s: each step adds gauss(0, accel) to each axis.
     """
@@ -168,8 +168,7 @@ def mobility_step(
         # this step would reach it, then pauses and later draws a new leg
         hypot = math.hypot
         for node, state in zip(nodes, states):
-            if (node.residual_energy <= 0.0 or node.max_velocity <= 0.0
-                    or t_now < state.pause_until):
+            if node.residual_energy <= 0.0 or t_now < state.pause_until:
                 continue
             pos, target, speed = node.position, state.waypoint, state.speed
             if speed <= 0.0 or pos == target:
@@ -180,7 +179,7 @@ def mobility_step(
             x, y = pos
             tx, ty = target
             d = hypot(tx - x, ty - y)
-            if d <= step or d == 0.0:
+            if d <= step:
                 pos = target
             else:
                 f = step / d
@@ -191,9 +190,9 @@ def mobility_step(
                 state.speed = 0.0
     elif model == "random-walk":
         for node in nodes:
-            vmax = node.max_velocity
-            if vmax <= 0.0 or node.residual_energy <= 0.0:
+            if node.residual_energy <= 0.0:
                 continue
+            vmax = node.max_velocity
             heading = uniform(0.0, 2.0 * math.pi)
             nx = node.position[0] + vmax * dt * math.cos(heading)
             ny = node.position[1] + vmax * dt * math.sin(heading)
@@ -201,9 +200,9 @@ def mobility_step(
     elif model == "gaussian":
         gauss = rng.gauss
         for node, state in zip(nodes, states):
-            vmax = node.max_velocity
-            if vmax <= 0.0 or node.residual_energy <= 0.0:
+            if node.residual_energy <= 0.0:
                 continue
+            vmax = node.max_velocity
             vx = state.velocity[0] + gauss(0.0, accel)
             vy = state.velocity[1] + gauss(0.0, accel)
             speed = math.hypot(vx, vy)
@@ -250,10 +249,9 @@ def shortest_route(
     the links into the rest of the scope are never tested. Every level
     below src's is then complete, and a cell is wider than any reach, so
     a node's next hop is the lowest-id node one level closer that it links
-    to; the path so read minimizes (hops, sequence).
+    to; the path so read minimizes (hops, sequence). src and dst differ,
+    as they are a session's two ends.
     """
-    if src == dst:
-        return (src,)
     hypot = math.hypot
     alpha = channel.alpha
     ceiling = channel.ceiling
@@ -595,11 +593,13 @@ class Simulator:
     def _on_send_attempt(self, node: int) -> None:
         """Send the head packet of node's queue to its successor.
 
-        Under rl-trc the link cache first decides whether the hop can still
-        be made: a successor predicted to have moved beyond twice the radio
-        range, or a threshold no power level clears, gives the hop up as a
-        link failure. Otherwise the sender picks a level epsilon-greedily
-        from the usable ones at its zone's sigma.
+        The policy only picks the level; every policy books the same
+        rewards. Under rl-trc the link cache first decides whether the hop
+        can still be made: a successor predicted to have moved beyond twice
+        the radio range, or a threshold no power level clears, gives the hop
+        up as a link failure. Otherwise the sender picks a level
+        epsilon-greedily from the usable ones at its zone's sigma. A
+        baseline reads the link cache and keeps its pick as the link's level.
         """
         rt = self.runtime[node]
         sender = self.nodes[node]
@@ -641,23 +641,11 @@ class Simulator:
                 avail, self.zone_sigma[sender.zone_id], entry.reliable, self.rng
             )
         else:
-            level = entry.level = self._select_baseline(sender, entry)
+            cfg = self.cfg
+            level = entry.level = policy.baseline_decide(
+                cfg.policy, entry, sender.power_levels, vs=cfg.vs,
+                rssi_high=cfg.rssi_high, rssi_low=cfg.rssi_low, min_rcv=cfg.min_rcv)
         self._transmit(node, succ, level, entry, rt, qp, sn)
-
-    def _select_baseline(self, sender: NodeState, entry: CommCacheEntry) -> float:
-        cfg = self.cfg
-        last = entry.last_two[-1] if entry.last_two else None
-        snap = LinkSnapshot(
-            current_level=entry.level,
-            last_rss=last.rss if last else None,
-            prr=entry.prr,
-            sig_atn=entry.sig_atn,
-            distance=cfg.vs * last.rtt if last else None,
-        )
-        return policy.baseline_decide(
-            cfg.policy, snap, sender.power_levels,
-            rssi_high=cfg.rssi_high, rssi_low=cfg.rssi_low, min_rcv=cfg.min_rcv,
-        )
 
     def _transmit(
         self,
@@ -749,10 +737,8 @@ class Simulator:
         entry = rt.links[succ]
         linkcache.record_ack(entry, PacketRecord(row.t, t, action, rss), self.cfg.vs,
                              self.nodes[node].radio_range)
-        if self._rltrc:
-            self.reward_states[node].apply_ack(
-                succ, entry.prr, entry.rss_over_tpl, entry.recent_trend
-            )
+        self.reward_states[node].apply_ack(succ, entry.prr, entry.rss_over_tpl,
+                                           entry.recent_trend)
         rtt = t - row.t
         self.ledger.record_invest(t, self.sessions[row.session].home_zone, action, rtt)
         queue = rt.queue
@@ -837,10 +823,9 @@ class Simulator:
         qp = rt.queue.pop(0)
         succ = sn.next_hop[node]
         linkcache.mark_reliability(rt.links[succ], self.t)
-        if self._rltrc:
-            zone = self.controllers[self.nodes[node].zone_id].geometry()
-            penalty = self._flood_cost(zone)
-            self.reward_states[node].apply_noack(succ, qp.turn, cfg.mx_atmpt, penalty)
+        zone = self.controllers[self.nodes[node].zone_id].geometry()
+        penalty = self._flood_cost(zone)
+        self.reward_states[node].apply_noack(succ, qp.turn, cfg.mx_atmpt, penalty)
         # claim the packet's acked-hop investment exactly once
         stat = self.ledger.packets.live[qp.pid]
         inv_e, inv_t = stat.inv_e, stat.inv_t
@@ -1007,7 +992,7 @@ class Simulator:
         holder that no longer queues any is dropped from the set.
         """
         sn = self.sessions[sid]
-        if not sn.live or not sn.discovering:
+        if not sn.discovering:
             return
         sn.discovering = False
         sn.next_hop = dict(zip(route, route[1:]))

@@ -9,8 +9,9 @@ cover the comparison runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
+
+from .linkcache import CommCacheEntry
 
 SIGMA_FLOOR = 0.001
 SIGMA_CEIL = 0.999
@@ -72,17 +73,6 @@ def select_power_level(
     return available[rng.randrange(len(available))]
 
 
-@dataclass
-class LinkSnapshot:
-    """What a baseline policy is allowed to see about one link."""
-
-    current_level: float
-    last_rss: float | None   # None while the link is cold
-    prr: float
-    sig_atn: float
-    distance: float | None   # last estimated sender-successor distance
-
-
 def _notch(levels: tuple[float, ...], current: float, step: int) -> float:
     """Move one index within `levels`, clamped at both ends; `current` is
     one of them, as the engine passes only levels of the sender's set."""
@@ -92,36 +82,41 @@ def _notch(levels: tuple[float, ...], current: float, step: int) -> float:
 
 def baseline_decide(
     kind: str,
-    snap: LinkSnapshot,
+    link: CommCacheEntry,
     levels: tuple[float, ...],
-    rssi_high: float = 0.0,
-    rssi_low: float = 0.0,
-    min_rcv: float = 0.0,
+    *,
+    vs: float,
+    rssi_high: float,
+    rssi_low: float,
+    min_rcv: float,
 ) -> float:
     """Pick a level under one of the non-learning comparison policies.
 
-    Cold links (no feedback yet) always get the maximum. The periodic beacon
-    energy debit of the prr policy is booked by the engine, not here. `kind`
-    is one of BASELINE_KINDS, as the config admits no other policy,
-    `levels` is a node's ascending set, never empty, and `min_rcv` is the
-    world's receive floor.
+    The pick reads only the sender's cache entry for the successor: its
+    last acknowledged packet, PRR, attenuation and last level, which is
+    one of `levels`. A cold link (no ack yet) always gets the maximum. The
+    distance is the last round trip at the signal speed `vs`. The periodic
+    beacon energy debit of the prr policy is booked by the engine, not
+    here. `kind` is one of BASELINE_KINDS, as the config admits no other
+    policy, `levels` is a node's ascending set, never empty, and `min_rcv`
+    is the world's receive floor.
     """
-    if kind == "fixed-max":
+    if kind == "fixed-max" or not link.last_two:
         return levels[-1]
-    if snap.last_rss is None or snap.distance is None:
-        return levels[-1]
+    last = link.last_two[-1]
     if kind == "odtpc-like":
+        distance = vs * last.rtt
         for p in levels:
-            if p - snap.sig_atn * snap.distance > min_rcv:
+            if p - link.sig_atn * distance > min_rcv:
                 return p
         return levels[-1]
     if kind == "beacon-rssi-like":
-        if snap.last_rss > rssi_high:
-            return _notch(levels, snap.current_level, -1)
-        if snap.last_rss < rssi_low:
-            return _notch(levels, snap.current_level, +1)
-        return snap.current_level
+        if last.rss > rssi_high:
+            return _notch(levels, link.level, -1)
+        if last.rss < rssi_low:
+            return _notch(levels, link.level, +1)
+        return link.level
     # beacon-prr-like
-    if snap.prr < 0.9:
+    if link.prr < 0.9:
         return levels[-1]
-    return _notch(levels, snap.current_level, -1)
+    return _notch(levels, link.level, -1)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from bless_golden import golden_path
 from oracles import LedgerSpy, oracle_ledger_recheck, oracle_max_distance
 
 from rltrc.engine import Simulator
@@ -24,9 +25,6 @@ from rltrc.metrics import invariant_problems, render_csv
 from rltrc.policy import compute_sigma, select_power_level
 from rltrc.rewards import broadcast_cost, per_hop_progress, successor_reward_ack
 from rltrc.scenarios import names, scenario
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
 
 def test_criterion_01_farthest_neighbor_closed_form():
     """Closed-form mean farthest-neighbor distance matches Monte Carlo."""
@@ -137,7 +135,7 @@ def test_criterion_08_determinism_and_golden_digests():
     second = Simulator(scenario("desk-conserve")).run()
     assert render_csv(first) == render_csv(second)
     for name in names():
-        blessed = json.loads((GOLDEN_DIR / ("%s-seed1.json" % name)).read_text())
+        blessed = json.loads(golden_path(name).read_text(encoding="utf-8"))
         report = Simulator(scenario(name, seed=blessed["seed"])).run()
         summary = hashlib.sha256(render_csv(report).encode()).hexdigest()
         series = hashlib.sha256(render_csv(report.series).encode()).hexdigest()

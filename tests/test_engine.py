@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import os
@@ -13,7 +12,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from bless_golden import GOLDEN_DIR, GOLDEN_TRACES
+from bless_golden import GOLDEN_TRACES, golden_path, trace
+from fuzz import FUZZ_DRAWS, WIDE_FUZZ_DRAWS, random_configs, wide_random_configs
 from oracles import (
     LedgerSpy,
     circle_contains,
@@ -28,7 +28,7 @@ from oracles import (
 
 import rltrc
 from rltrc import policy
-from rltrc.config import VALID_MOBILITY, VALID_POLICIES, VALID_ZONE_COUNTS
+from rltrc.config import VALID_MOBILITY
 from rltrc.control import BroadcastCircle, NodeTrack, assign_zones
 from rltrc.engine import (
     MobilityState,
@@ -42,7 +42,7 @@ from rltrc.linkcache import CommCacheEntry
 from rltrc.metrics import AttemptRow, PacketStat, invariant_problems, render_csv
 from rltrc.model import NodeState
 from rltrc.policy import BASELINE_KINDS, compute_sigma
-from rltrc.rewards import avg_hop_count, broadcast_cost, successor_reward_ack
+from rltrc.rewards import NodeRewardState, avg_hop_count, broadcast_cost, successor_reward_ack
 from rltrc.scenarios import scenario
 
 
@@ -83,12 +83,15 @@ class TestMobility:
         assert node.position == (2.0, 2.0)
 
     def test_static_node_never_moves(self):
-        node = make_node(pos=(1.0, 1.0), vmax=0.0)
-        state = MobilityState()
-        for t in range(20):
-            mobility_step([node], [state], "random-waypoint", 0.5, 0.5 * t,
-                          random.Random(t), (10.0, 10.0), 2.0, 0.5)
-        assert node.position == (1.0, 1.0)
+        """`run()` hands the mobility step only nodes with a positive top
+        speed, so peripherals and a mobile node with none stay put."""
+        sim = Simulator(scenario("desk-compare", duration=20.0), seed=1)
+        sim.nodes[-1].max_velocity = 0.0
+        static = [n for n in sim.nodes if n.max_velocity <= 0.0]
+        before = [n.position for n in static]
+        sim.run()
+        assert len(static) > 1 and [n.position for n in static] == before
+        assert all(n.max_velocity > 0.0 for n in sim._movers[0])
 
     def test_reflect_folds_into_range(self):
         assert _reflect(-3.0, 0.0, 10.0) == 3.0
@@ -113,15 +116,16 @@ class TestMobility:
 
     @pytest.mark.parametrize("model", VALID_MOBILITY)
     def test_population_step_matches_the_per_node_oracle(self, model):
-        """50 ticks of desk-compare's population, peripherals and dead nodes
-        included (one more dies halfway): the one-call step leaves every
-        position, motion state and the generator as the per-node loop does."""
+        """50 ticks of desk-compare's mobile nodes, dead ones included (one
+        more dies halfway): the one-call step leaves every position, motion
+        state and the generator as the per-node loop does."""
         sim = Simulator(scenario("desk-compare", mobility=model, gaussian_accel=2.0))
         cfg = sim.cfg
-        for n in [n for n in sim.nodes if not n.is_peripheral][::5]:
+        movers = [n for n in sim.nodes if not n.is_peripheral]
+        for n in movers[::5]:
             n.residual_energy = 0.0
-        states = [MobilityState() for _ in sim.nodes]
-        want_nodes, want_states = copy.deepcopy((sim.nodes, states))
+        states = [MobilityState() for _ in movers]
+        want_nodes, want_states = copy.deepcopy((movers, states))
         want_rng = random.Random()
         want_rng.setstate(sim.rng.getstate())
         args = (cfg.mobility_dt, (cfg.arena_width, cfg.arena_height), cfg.pause_max,
@@ -129,18 +133,18 @@ class TestMobility:
         moved = 0
         for tick in range(1, 51):
             if tick == 25:
-                sim.nodes[-1].residual_energy = want_nodes[-1].residual_energy = 0.0
+                movers[-1].residual_energy = want_nodes[-1].residual_energy = 0.0
             t = tick * cfg.mobility_dt
-            before = [n.position for n in sim.nodes]
-            mobility_step(sim.nodes, states, model, cfg.mobility_dt, t, sim.rng, *args[1:])
+            before = [n.position for n in movers]
+            mobility_step(movers, states, model, cfg.mobility_dt, t, sim.rng, *args[1:])
             oracle_mobility_tick(want_nodes, want_states, model, cfg.mobility_dt, t, want_rng,
                                  *args[1:])
-            assert [n.position for n in sim.nodes] == [n.position for n in want_nodes]
+            assert [n.position for n in movers] == [n.position for n in want_nodes]
             assert states == want_states
             assert sim.rng.getstate() == want_rng.getstate()
-            moved += sum(a != b for a, b in zip(before, (n.position for n in sim.nodes)))
-            assert all(sim.nodes[i].position == before[i] for i, n in enumerate(sim.nodes)
-                       if not n.alive or n.is_peripheral)
+            moved += sum(a != b for a, b in zip(before, (n.position for n in movers)))
+            assert all(movers[i].position == before[i] for i, n in enumerate(movers)
+                       if not n.alive)
         assert moved > 0
 
     def test_waypoint_speed_resamples_within_band(self):
@@ -192,10 +196,6 @@ class TestRouting:
         sim = discovery_sim(4, [(0.0, 0.0), (20.0, 0.0), (80.0, 0.0), (100.0, 0.0)])
         assert sim._discover_route(0, 1, [0, 1, 2, 3]) == (0, 1)
         assert sim._discover_route(0, 3, [0, 1, 2, 3]) is None
-
-    def test_src_equals_dst(self):
-        sim = discovery_sim(2, [(0.0, 0.0), (100.0, 0.0)])
-        assert sim._discover_route(0, 0, [0, 1]) == (0,)
 
     def test_matches_exhaustive_oracle(self):
         """60 seeded layouts of 2-9 nodes with radio ranges of 15-40 m, so
@@ -701,14 +701,16 @@ def test_default_flood_cost_cap_saturates_every_desk_flood(monkeypatch):
     assert len(costs) > 10 and set(costs) == {cfg.broadcast_cost_cap}
 
 
-@pytest.mark.parametrize("name", ["desk-compare", "desk-converge"])
-def test_successor_grade_after_every_ack_reads_the_link_cache(name):
+@pytest.mark.parametrize("golden", ["desk-compare", "desk-converge"]
+                         + ["desk-compare-" + kind for kind in BASELINE_KINDS])
+def test_successor_grade_after_every_ack_reads_the_link_cache(golden):
     """After each acknowledged hop the sender's grade of its successor is
     `successor_reward_ack` of the link cache just updated, with the inputs
     worked out here from the cache's counters: the reception rate rx/tx and
-    the ratio of the average RSS to the average transmit level."""
-    sim = Simulator(scenario(name), seed=1)
-    assert sim.cfg.policy == "rl-trc"
+    the ratio of the average RSS to the average transmit level. A baseline
+    differs from rl-trc only in its level decision, so it grades the same."""
+    name, overrides = GOLDEN_TRACES[golden]
+    sim = Simulator(scenario(name, **overrides), seed=1)
     ack_arrival = sim._on_ack_arrival
     checked = []
 
@@ -727,6 +729,24 @@ def test_successor_grade_after_every_ack_reads_the_link_cache(name):
     sim._on_ack_arrival = checked_ack
     sim.run()
     assert len(checked) == sim.ledger.outcome_counts()["ack"] > 500
+
+
+def test_no_baseline_reads_a_reward(monkeypatch):
+    """With the reward bookkeeping made a no-op, every baseline's digests
+    on desk-compare seed 1 stay the blessed ones, while rl-trc's move: the
+    rewards every policy books feed only rl-trc's sigma."""
+    for method in ("apply_action", "apply_ack", "apply_noack"):
+        monkeypatch.setattr(NodeRewardState, method, lambda self, *args: None)
+
+    def digests(golden):
+        name, overrides = GOLDEN_TRACES[golden]
+        got, _ = trace(name, seed=1, **overrides)
+        want = json.loads(golden_path(golden).read_text(encoding="utf-8"))
+        return [(got[key], want[key]) for key in ("summary_sha256", "series_sha256")]
+
+    for kind in BASELINE_KINDS:
+        assert all(got == want for got, want in digests("desk-compare-" + kind)), kind
+    assert all(got != want for got, want in digests("desk-compare"))
 
 
 class TestAttemptRows:
@@ -1165,7 +1185,7 @@ class TestEndToEnd:
     def test_golden_bytes_under_any_hash_seed(self, hash_seed):
         # a fresh interpreter per string-hash seed, so results that leaned on
         # the iteration order of a str-keyed set or dict would differ here
-        want = json.loads((GOLDEN_DIR / "desk-compare-seed1.json").read_text(encoding="utf-8"))
+        want = json.loads(golden_path("desk-compare").read_text(encoding="utf-8"))
         paths = [str(Path(rltrc.__file__).parents[1]), str(Path(__file__).parent)]
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(paths))
         child = "import json; from bless_golden import trace; print(json.dumps(trace(%r, seed=1)[0]))"
@@ -1212,39 +1232,6 @@ def test_scale_smoke_800_nodes_keeps_the_run_invariants():
     assert report.ntg is not None and sim.ledger.debit_count > 0
 
 
-FUZZ_DRAWS = 60
-
-
-def random_configs(seed, count):
-    """`count` short runs drawn over policy, mobility, zone count, energy
-    and noise, all in desk-compare's arena.
-
-    `nodes` honours `validate`'s bounds by construction: at least five
-    nodes per zone and at least two mobile nodes besides the peripherals.
-    Near-zero batteries make nodes die mid-run.
-    """
-    rng = random.Random(seed)
-    per_zone = scenario("desk-compare").peripherals_per_zone
-    configs = []
-    for _ in range(count):
-        zones = rng.choice(VALID_ZONE_COUNTS)
-        fewest = max(5 * zones, per_zone * zones + 2)
-        low, high = rng.choice([(0.05, 0.3), (100.0, 200.0)])
-        configs.append(scenario(
-            "desk-compare",
-            seed=rng.randrange(1, 10**6),
-            policy=rng.choice(VALID_POLICIES),
-            mobility=rng.choice(VALID_MOBILITY),
-            zones=zones,
-            nodes=rng.randint(fewest, max(fewest, 60)),
-            energy_min=low,
-            energy_max=high,
-            noise_spread=rng.choice([0.0, rng.uniform(0.0, 0.2)]),
-            duration=rng.uniform(10.0, 20.0),
-        ))
-    return configs
-
-
 def test_random_configs_keep_the_run_invariants():
     configs = random_configs(11, FUZZ_DRAWS)
     assert len(configs) == FUZZ_DRAWS
@@ -1255,48 +1242,6 @@ def test_random_configs_keep_the_run_invariants():
         deaths += sim.ledger.status_counts()["dropped-node-death"]
     # the near-zero batteries really reach the node-death branch
     assert deaths > 0
-
-
-WIDE_FUZZ_DRAWS = 30
-
-
-def wide_random_configs(seed, count):
-    """`random_configs(seed, count)`, each also drawn over what those keep
-    at desk-compare's values, under override=true: battery size (0.1 J to
-    1e7 J), level values (0.01 to 50), radio ranges and route margin,
-    `tau_a`, `vs` (10 to 1e300 m/s: at most of these an ack lands at its
-    send time), the timers, alpha and `rx_cost_fraction`."""
-    rng = random.Random(seed)
-    configs = []
-    for cfg in random_configs(seed, count):
-        battery = rng.choice([1e7, 10.0 ** rng.uniform(-1.0, 7.0)])
-        level = 10.0 ** rng.uniform(-2.0, 1.2)
-        radio = rng.uniform(20.0, 45.0)
-        alpha = rng.uniform(0.05, 0.4)
-        gap = rng.uniform(0.3, 2.0)
-        configs.append(dataclasses.replace(
-            cfg,
-            override=True,
-            energy_min=battery * rng.uniform(0.5, 1.0),
-            energy_max=battery,
-            level_value_min=level,
-            level_value_max=min(50.0, level * 10.0 ** rng.uniform(0.1, 1.5)),
-            radio_range_min=radio,
-            radio_range_max=radio + rng.uniform(0.0, 15.0),
-            route_margin=rng.uniform(0.0, 25.0),
-            tau_a=rng.uniform(0.2, 2.0),
-            vs=10.0 ** rng.uniform(1.0, 300.0),
-            t_sync=rng.uniform(1.0, 10.0),
-            t_net=rng.uniform(5.0, 30.0),
-            mobility_dt=rng.uniform(0.1, 1.0),
-            inter_arrival_min=gap,
-            inter_arrival_max=gap * rng.uniform(1.0, 1.5),
-            beacon_period=rng.uniform(0.5, 2.0),
-            alpha_min=alpha,
-            alpha_max=rng.uniform(alpha, 0.6),
-            rx_cost_fraction=rng.uniform(0.1, 1.0),
-        ))
-    return configs
 
 
 def test_wide_random_configs_keep_the_run_invariants():
@@ -1326,15 +1271,16 @@ HOP_DOMAINS = {
     "record_ack": (rltrc.linkcache, lambda entry, rec, vs, radio_range: (
         rec.rss <= rec.tx_power and rec.t_msg <= rec.t_ack)),
     "select_power_level": (policy, lambda available, sigma, reliable, rng: len(available) > 0),
-    "baseline_decide": (policy, lambda kind, snap, levels, **_: (
-        kind in BASELINE_KINDS and len(levels) > 0 and snap.current_level in levels)),
+    "baseline_decide": (policy, lambda kind, link, levels, **_: (
+        kind in BASELINE_KINDS and len(levels) > 0 and link.level in levels)),
     "broadcast_cost": (rltrc.engine, lambda ng, h_avg, cap: ng >= 1.0),
     "transmission_waste": (rltrc.rewards, lambda turn, prev_action, tau_a, mx_atmpt: (
         1 <= turn <= mx_atmpt)),
     "accumulate_zone_waste": (rltrc.engine, lambda ledger, zone_id, wastes: all(
         e >= 0.0 and t >= 0.0 for e, t in wastes)),
     "session_reward": (rltrc.control, lambda ew, et: ew >= 0.0 and et >= 0.0),
-    "mobility_step": (rltrc.engine, lambda nodes, states, model, *_: model in VALID_MOBILITY),
+    "mobility_step": (rltrc.engine, lambda nodes, states, model, *_: (
+        model in VALID_MOBILITY and all(n.max_velocity > 0.0 for n in nodes))),
 }
 
 

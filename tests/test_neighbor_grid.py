@@ -85,12 +85,13 @@ def recorded_alpha(sim, monkeypatch) -> list[tuple[int, int]]:
 
 
 def oracle_queries(sim, rng, alpha):
-    """48 seeded discovery queries `(src, dst, scope, want, oracle_asked)`:
-    the route the all-pairs oracle finds and the pairs it asks the channel
-    about. The first query's source is dead unless it is node 0."""
+    """48 seeded discovery queries `(src, dst, scope, want, oracle_asked)`
+    between two distinct nodes, as a session's ends are: the route the
+    all-pairs oracle finds and the pairs it asks the channel about. The
+    first query's source is dead unless it is node 0."""
     ids = list(range(NODES))
     for query in range(48):
-        src, dst = rng.choice(ids), rng.choice(ids)
+        src, dst = rng.sample(ids, 2)
         if query == 0 and src:
             sim.nodes[src].residual_energy = 0.0
         scope = sorted(set(ids) - set(rng.sample(ids, rng.randrange(NODES // 2))) | {0, src})

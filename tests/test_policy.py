@@ -2,12 +2,8 @@ import random
 
 import pytest
 
-from rltrc.policy import (
-    LinkSnapshot,
-    baseline_decide,
-    compute_sigma,
-    select_power_level,
-)
+from rltrc.linkcache import CommCacheEntry, PacketRecord
+from rltrc.policy import baseline_decide, compute_sigma, select_power_level
 
 
 class TestComputeSigma:
@@ -72,53 +68,61 @@ class TestSelectPowerLevel:
             assert counts[lvl] / n == pytest.approx(0.05, abs=0.005)
 
 
-def snap(**kw):
-    base = dict(
-        current_level=10.0,
-        last_rss=5.0,
-        prr=1.0,
-        sig_atn=1.0,
-        distance=4.0,
-    )
-    base.update(kw)
-    return LinkSnapshot(**base)
+def snap(level=10.0, rss=5.0, acked=(1, 1), sig_atn=1.0, distance=4.0, cold=False):
+    """A link whose last level is `level` and whose one acknowledged packet
+    was sent and received at the equal strength `rss`, after a round trip
+    of `distance` seconds, so `distance` metres at vs = 1 m/s; `acked` is
+    (acks, sends), and a cold link has no acknowledged packet."""
+    records = [] if cold else [PacketRecord(0.0, distance, rss, rss)]
+    rx, tx = acked
+    return CommCacheEntry(sig_atn=sig_atn, packets_tx=tx, packets_rx=rx, last_two=records,
+                          level=level)
+
+
+def decide(kind, link, levels, **kw):
+    """`baseline_decide` at vs = 1 m/s, RSSI band [2, 8] and receive floor
+    1, each overridable."""
+    return baseline_decide(kind, link, levels,
+                           **{"vs": 1.0, "rssi_high": 8.0, "rssi_low": 2.0, "min_rcv": 1.0, **kw})
 
 
 class TestBaselines:
     def test_fixed_max(self):
-        assert baseline_decide("fixed-max", snap(), (5.0, 10.0, 15.0)) == 15.0
+        assert decide("fixed-max", snap(), (5.0, 10.0, 15.0)) == 15.0
 
     def test_cold_link_gets_max(self):
         for kind in ("odtpc-like", "beacon-rssi-like", "beacon-prr-like"):
-            assert baseline_decide(kind, snap(last_rss=None), (5.0, 10.0, 15.0)) == 15.0
+            assert decide(kind, snap(cold=True), (5.0, 10.0, 15.0)) == 15.0
 
     def test_odtpc_margin_rule(self):
         # predicted rss = level - 1.75*4 must exceed min_rcv=1: level > 8
         s = snap(sig_atn=1.75, distance=4.0)
-        assert baseline_decide("odtpc-like", s, (5.0, 10.0, 15.0), min_rcv=1.0) == 10.0
+        assert decide("odtpc-like", s, (5.0, 10.0, 15.0), min_rcv=1.0) == 10.0
         # the floor is the one passed: at 3 a level of 10 arrives at exactly
         # the floor, not above it
-        assert baseline_decide("odtpc-like", s, (5.0, 10.0, 15.0), min_rcv=3.0) == 15.0
+        assert decide("odtpc-like", s, (5.0, 10.0, 15.0), min_rcv=3.0) == 15.0
+
+    def test_odtpc_distance_is_the_round_trip_at_signal_speed(self):
+        # a 2 s round trip at 2 m/s is the same 4 m as a 4 s one at 1 m/s
+        s = snap(sig_atn=1.75, distance=2.0)
+        assert decide("odtpc-like", s, (5.0, 10.0, 15.0), vs=2.0, min_rcv=1.0) == 10.0
+        assert decide("odtpc-like", s, (5.0, 10.0, 15.0), vs=1.0, min_rcv=1.0) == 5.0
 
     def test_odtpc_falls_back_to_max(self):
         s = snap(sig_atn=10.0, distance=4.0)
-        assert baseline_decide("odtpc-like", s, (5.0, 10.0, 15.0), min_rcv=1.0) == 15.0
+        assert decide("odtpc-like", s, (5.0, 10.0, 15.0), min_rcv=1.0) == 15.0
 
     def test_rssi_stepping(self):
         levels = (5.0, 10.0, 15.0)
-        strong = snap(last_rss=9.0, current_level=10.0)
-        weak = snap(last_rss=0.5, current_level=10.0)
-        mid = snap(last_rss=4.0, current_level=10.0)
-        assert baseline_decide("beacon-rssi-like", strong, levels, rssi_high=8.0, rssi_low=2.0) == 5.0
-        assert baseline_decide("beacon-rssi-like", weak, levels, rssi_high=8.0, rssi_low=2.0) == 15.0
-        assert baseline_decide("beacon-rssi-like", mid, levels, rssi_high=8.0, rssi_low=2.0) == 10.0
+        assert decide("beacon-rssi-like", snap(rss=9.0), levels) == 5.0
+        assert decide("beacon-rssi-like", snap(rss=0.5), levels) == 15.0
+        assert decide("beacon-rssi-like", snap(rss=4.0), levels) == 10.0
 
     def test_rssi_stepping_clamps_at_ends(self):
         levels = (5.0, 10.0, 15.0)
-        s = snap(last_rss=9.0, current_level=5.0)
-        assert baseline_decide("beacon-rssi-like", s, levels, rssi_high=8.0, rssi_low=2.0) == 5.0
+        assert decide("beacon-rssi-like", snap(rss=9.0, level=5.0), levels) == 5.0
 
     def test_prr_rule(self):
         levels = (5.0, 10.0, 15.0)
-        assert baseline_decide("beacon-prr-like", snap(prr=0.5), levels) == 15.0
-        assert baseline_decide("beacon-prr-like", snap(prr=0.95, current_level=15.0), levels) == 10.0
+        assert decide("beacon-prr-like", snap(acked=(1, 2)), levels) == 15.0
+        assert decide("beacon-prr-like", snap(acked=(19, 20), level=15.0), levels) == 10.0

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import bless_golden
-from bless_golden import GOLDEN_DIR, GOLDEN_TRACES, stray_goldens, trace
+from bless_golden import GOLDEN_DIR, GOLDEN_TRACES, golden_path, stray_goldens, trace
 
 from rltrc.cli import main
 from rltrc.config import ScenarioConfig
@@ -51,8 +51,7 @@ class TestGoldenTraces:
         # mobility models and noise no canned scenario runs; beacon-prr-like
         # is the only policy with beacons
         name, overrides = GOLDEN_TRACES[golden]
-        path = GOLDEN_DIR / ("%s-seed1.json" % golden)
-        want = json.loads(path.read_text(encoding="utf-8"))
+        want = json.loads(golden_path(golden).read_text(encoding="utf-8"))
         got, problems = trace(name, seed=want["seed"], **overrides)
         assert got == want, (
             "behavior changed for %s; rerun tests/bless_golden.py only if intended"
@@ -67,7 +66,7 @@ class TestGoldenTraces:
         """`--check` reports a golden file that no trace produces, and
         exits 1 on it though every produced golden matches."""
         golden = "lossless-pair"
-        name = "%s-seed1.json" % golden
+        name = golden_path(golden).name
         (tmp_path / name).write_bytes((GOLDEN_DIR / name).read_bytes())
         monkeypatch.setattr(bless_golden, "GOLDEN_DIR", tmp_path)
         monkeypatch.setattr(bless_golden, "GOLDEN_TRACES", {golden: GOLDEN_TRACES[golden]})
@@ -83,7 +82,7 @@ class TestGoldenTraces:
         """A mismatch line names each key whose value moved, with its blessed
         and its new value, or says that no file was blessed."""
         golden = "lossless-pair"
-        name = "%s-seed1.json" % golden
+        name = golden_path(golden).name
         blessed = json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))
         omc = blessed["omc"]
         blessed["omc"] = omc + 1

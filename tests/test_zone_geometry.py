@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from bless_golden import golden_path
 from oracles import LedgerSpy, oracle_membership_diameter, oracle_neighbor_counts
 
 from rltrc.control import Tick, ZoneController, assign_zones
@@ -24,9 +25,6 @@ from rltrc.metrics import render_csv
 from rltrc.model import NodeState, make_zones
 from rltrc.rewards import NodeRewardState, avg_hop_count, broadcast_cost, min_hop_count
 from rltrc.scenarios import scenario
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
 
 def eager_sync(want: dict, zone, nodes) -> None:
     """The eager values of `zone` after a sync over `nodes` as they are now."""
@@ -74,7 +72,7 @@ def test_every_tick_reads_the_eager_values(golden, name, overrides):
     sim._on_controller_sync = hooked
     report = sim.run()
     assert len(ticks) == int(sim.cfg.duration // sim.cfg.t_sync) + 1
-    blessed = json.loads((GOLDEN_DIR / ("%s-seed1.json" % golden)).read_text())
+    blessed = json.loads(golden_path(golden).read_text(encoding="utf-8"))
     assert hashlib.sha256(render_csv(report).encode()).hexdigest() == blessed["summary_sha256"]
     assert (hashlib.sha256(render_csv(report.series).encode()).hexdigest()
             == blessed["series_sha256"])
