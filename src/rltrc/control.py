@@ -60,11 +60,11 @@ def destination_lookup(
 ) -> BroadcastCircle:
     """Smallest circle guaranteed to hold the destination since it was last seen.
 
-    An unknown destination yields the full-flood sentinel spanning every zone.
+    `registry` holds `dst`: every node is alive at t = 0, and the t = 0 sync,
+    the run's first event, files every member's track before any session
+    starts, so the radius is always finite.
     """
-    track = registry.get(dst)
-    if track is None:
-        return BroadcastCircle((0.0, 0.0), math.inf, tuple(z.id for z in zones))
+    track = registry[dst]
     radius = track.max_velocity * (t_now - track.last_seen)
     return BroadcastCircle(track.position, radius, circle_spans(track.position, radius, zones))
 
@@ -92,10 +92,9 @@ def _membership_diameter(pts: list[Point]) -> float:
     times (1 + 1e-9) against rounding, is below that bound cannot be in the
     farthest pair and is dropped. Both points of the farthest pair survive,
     and `math.dist` over each pair of survivors, looped in C, gives the float
-    `distance` does, so the float returned is the full scan's.
+    `distance` does, so the float returned is the full scan's. The caller
+    passes at least two points.
     """
-    if len(pts) < 2:
-        return 0.0
     ends = [(min(pts, key=k), max(pts, key=k)) for k in _EXTENTS]
     bound = max(distance(a, b) for a, b in ends)
     (x0, _), (x1, _) = ends[0]
@@ -104,7 +103,7 @@ def _membership_diameter(pts: list[Point]) -> float:
         p for p in pts
         if math.hypot(max(p[0] - x0, x1 - p[0]), max(p[1] - y0, y1 - p[1])) * (1.0 + 1e-9) >= bound
     ]
-    return max(starmap(math.dist, combinations(pts, 2)), default=0.0)
+    return max(starmap(math.dist, combinations(pts, 2)))
 
 
 # the forward half of the 3x3 block: each pair of adjacent cells is visited once
@@ -121,10 +120,8 @@ def neighbor_counts(records: list[tuple[int, float, float, float]]) -> dict[int,
     cell is paired with itself and with its four forward neighbours, so
     each unordered pair is measured once: `d` is the `distance` of either
     order (x - y is exactly -(y - x)), and it counts for each end whose
-    range covers it.
+    range covers it. The caller passes at least two records.
     """
-    if not records:
-        return {}
     side = max(rec[3] for rec in records) + 1.0
     cells = grid_cells(records, side)
     counts = dict.fromkeys([rec[0] for rec in records], 0)

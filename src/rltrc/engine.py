@@ -326,9 +326,8 @@ class Session:
     id: int
     src: int
     dst: int
-    live: bool = True
+    live: bool = False  # from its start until `_fail_session`
     home_zone: int = 0
-    started: bool = False
     discovering: bool = False
     # the installed route as node -> successor, in route order; empty when none
     next_hop: dict[int, int] = field(default_factory=dict)
@@ -504,7 +503,7 @@ class Simulator:
         kill a member; a new tick is then taken before the next controller
         so that later zones do not count the dead node.
 
-        Started, live sessions file their rewards first: a session reward
+        Live sessions file their rewards first: a session reward
         reads only its home zone's waste totals, which no sync charge changes.
 
         Sigma reads only a zone's reward and the network's cached reward, and
@@ -513,7 +512,7 @@ class Simulator:
         """
         assign_zones(self.nodes, self.zones)
         for sn in self.sessions:
-            if sn.started and sn.live:
+            if sn.live:
                 self.controllers[sn.home_zone].record_session_reward(sn.id)
         tick = None
         for ctl in self.controllers:
@@ -542,7 +541,7 @@ class Simulator:
 
     def _on_session_start(self, sid: int) -> None:
         sn = self.sessions[sid]
-        sn.started = True
+        sn.live = True
         sn.home_zone = zone_of(self.nodes[sn.src].position, self.zones)
         self._push(self.t, self._on_packet_gen, sid)
         self._request_route(sn, waste=None)
@@ -771,7 +770,7 @@ class Simulator:
         qp = rt.queue[0]
         qp.turn += 1
         if qp.turn <= cfg.mx_atmpt:
-            we, wt = rewards.transmission_waste(qp.turn, row.action, cfg.tau_a, cfg.mx_atmpt)
+            we, wt = rewards.transmission_waste(row.action, cfg.tau_a)
             self._book_waste(sn.home_zone, we, wt)
             self._push(self.t, self._on_send_attempt, node)
         elif node in sn.next_hop:
@@ -782,11 +781,10 @@ class Simulator:
     # -- failure / discovery ------------------------------------------------
 
     def _book_waste(self, zone_id: int, we: float, wt: float) -> None:
-        if we or wt:
-            accumulate_zone_waste(self.waste_ledger, zone_id, [(we, wt)])
-            zone = self.zones[zone_id]
-            zone.ew, zone.et = self.waste_ledger.zone_totals(zone_id)
-            self.ledger.record_waste(self.t, zone_id, we, wt)
+        accumulate_zone_waste(self.waste_ledger, zone_id, [(we, wt)])
+        zone = self.zones[zone_id]
+        zone.ew, zone.et = self.waste_ledger.zone_totals(zone_id)
+        self.ledger.record_waste(self.t, zone_id, we, wt)
 
     def _flood_cost(self, z: ZoneState) -> float:
         """Messages a flood across zone z costs, at its average hop depth;

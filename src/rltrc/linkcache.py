@@ -55,12 +55,11 @@ class CommCacheEntry:
 
     @property
     def rss_over_tpl(self) -> float:
-        """avg_rss / avg_tpl in [0,1]; 1.0 while no ack has been received."""
+        """avg_rss / avg_tpl in [0,1]; 1.0 while no ack has been received.
+        Every acked packet was sent at a level above 0, so avg_tpl is too."""
         n = self.packets_rx
         if n:
-            avg_tpl = self.sum_tpl / n
-            if avg_tpl > 0:
-                return (self.sum_rss / n) / avg_tpl
+            return (self.sum_rss / n) / (self.sum_tpl / n)
         return 1.0
 
 

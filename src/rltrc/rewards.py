@@ -85,19 +85,15 @@ def broadcast_cost(ng: float, h_avg: float, cap: float) -> float:
     return min(total, cap)
 
 
-def transmission_waste(
-    turn: int, prev_action: float, tau_a: float, mx_atmpt: int
-) -> tuple[float, float]:
-    """Energy and time written off by one hop attempt at retry `turn`.
+def transmission_waste(prev_action: float, tau_a: float) -> tuple[float, float]:
+    """Energy and time written off by one retry: the previous attempt's
+    power and ack wait.
 
-    First attempts waste nothing; a retry writes off the previous attempt's
-    power and ack wait. A hop that runs out of retries is written off by the
-    route rediscovery instead: its last attempt, the floods over the spanned
-    zones and everything invested in the packet up to this hop, so the caller
-    passes only turns in [1, mx_atmpt].
+    The caller asks only for a retry within the hop's budget. A hop that
+    runs out of retries is written off by the route rediscovery instead:
+    its last attempt, the floods over the spanned zones and everything
+    invested in the packet up to this hop.
     """
-    if turn == 1:
-        return 0.0, 0.0
     return prev_action, tau_a
 
 

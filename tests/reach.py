@@ -12,10 +12,11 @@ here is one that only a test that calls the code directly, or no test at
 all, covers: a candidate for a precondition or for deletion.
 
 Each run also renders its summary and series and checks the run
-invariants, as the golden and fuzz tests do. The script needs only the
-standard library and measures the `rltrc` beside it, whatever else is
-installed. It takes about 20 s on one core, and it always exits 0: the
-list is a report, not a gate.
+invariants, as the golden and fuzz tests do; each problem found is printed
+with the config of its run. The script needs only the standard library and
+measures the `rltrc` beside it, whatever else is installed. It takes about
+20 s on one core. It exits 1 when some run breaks an invariant, and 0
+otherwise: the unreached list is a report, not a gate.
 """
 
 from __future__ import annotations
@@ -81,12 +82,16 @@ def main() -> int:
                    for name, overrides in GOLDEN_TRACES.values()]
         configs += random_configs(11, FUZZ_DRAWS) + wide_random_configs(12, WIDE_FUZZ_DRAWS)
         configs += [scenario(name, seed=seed) for name in names() for seed in SEEDS]
+        broken = 0
         for cfg in configs:
             sim = Simulator(cfg)
             report = sim.run()
             render_csv(report)
             render_csv(report.series)
-            invariant_problems(sim.ledger, report)
+            problems = invariant_problems(sim.ledger, report)
+            for problem in problems:
+                print("invariant broken: %s\n  in %r" % (problem, cfg))
+            broken += bool(problems)
     finally:
         sys.settrace(None)
     missed = 0
@@ -97,7 +102,9 @@ def main() -> int:
                 missed += 1
                 print("%s:%d %s: %s" % (path.name, line, func, source[line - 1].strip()))
     print("%d runs; %d function-body lines of src/rltrc unreached" % (len(configs), missed))
-    return 0
+    if broken:
+        print("%d runs broke an invariant" % broken)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -53,12 +53,6 @@ class TestDestinationLookup:
         c = destination_lookup(7, 100.0, reg, self.zones)
         assert c.spans_zones == (0, 1)
 
-    def test_unknown_destination_floods_everywhere(self):
-        c = destination_lookup(99, 100.0, {}, self.zones)
-        assert c.spans_zones == tuple(range(6))
-        assert c.radius == math.inf
-        assert circle_contains(c, (299.0, 199.0))
-
     def test_radius_monotone_in_elapsed(self):
         reg = {7: NodeTrack((50.0, 50.0), 90.0, 2.0)}
         radii = [destination_lookup(7, t, reg, self.zones).radius for t in (90, 95, 100, 200)]
@@ -109,10 +103,9 @@ class TestAssignZones:
 
 
 def diameter_cases():
-    """Seeded layouts for the pruned diameter, degenerate ones first."""
+    """Seeded layouts of at least two points for the pruned diameter,
+    degenerate ones first."""
     rng = random.Random(5)
-    yield []
-    yield [(3.0, 4.0)]
     yield [(3.0, 4.0), (0.0, 0.0)]
     yield [(7.5, 2.25)] * 6
     yield [(1.0, 1.0)] * 3 + [(1.0, 1.0 + 1e-12)]

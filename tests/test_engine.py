@@ -333,11 +333,16 @@ class TestDiscovery:
 
 
 def route_request_sim(positions, src, dst, **overrides):
-    """discovery_sim with zones assigned and session 0 from src to dst."""
+    """discovery_sim with zones assigned, every node's track registered as
+    the t = 0 sync files it, and session 0 from src to dst live, as its
+    start leaves it."""
     sim = discovery_sim(len(positions), positions, **overrides)
     assign_zones(sim.nodes, sim.zones)
+    for n in sim.nodes:
+        sim.registry[n.id] = NodeTrack(n.position, sim.t, n.max_velocity)
     sn = sim.sessions[0]
     sn.src, sn.dst = src, dst
+    sn.live = True
     return sim, sn
 
 
@@ -375,13 +380,35 @@ class TestRouteRequest:
         # drains relay 1, so only relay 2, up in zone 3, can carry the route.
         positions = [(2.0, 5.0), (20.0, 5.0), (20.0, 20.0), (38.0, 5.0)]
         sim, sn = route_request_sim(positions, 0, 3, zones=6)
-        sim.registry[3] = NodeTrack(positions[3], sim.t, 0.0)
         sim.nodes[1].residual_energy = 1e-6
         assert [n.zone_id for n in sim.nodes] == [0, 0, 3, 0]
         sim._request_route(sn, waste=None)
         assert not sim.nodes[1].alive
         assert sn.live
         assert [(h, a) for _, _, h, a in sim._events] == [(sim._on_route_reply, (0, (0, 2, 3)))]
+
+
+class FirstSessionStart(Exception):
+    pass
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_TRACES))
+def test_registry_holds_every_node_when_the_first_session_starts(golden, monkeypatch):
+    """The t = 0 sync, the run's first event, files every node's track
+    before any session starts, so no route request asks the destination
+    lookup for a node the registry lacks."""
+    seen = []
+
+    def first_start(sim, sid):
+        seen.append(sorted(sim.registry))
+        raise FirstSessionStart
+
+    monkeypatch.setattr(Simulator, "_on_session_start", first_start)
+    name, overrides = GOLDEN_TRACES[golden]
+    sim = Simulator(scenario(name, seed=1, **overrides))
+    with pytest.raises(FirstSessionStart):
+        sim.run()
+    assert seen == [list(range(len(sim.nodes)))]
 
 
 class TestMessageCharge:
@@ -433,8 +460,8 @@ class TestRouteReply:
         every holder still queuing, try to send again, in id order."""
         positions = [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0), (60.0, 0.0), (20.0, 15.0)]
         sim, sn = route_request_sim(positions, 0, 3)
-        sn.started = sn.discovering = True
-        sim.sessions.append(Session(1, 0, 3))
+        sn.discovering = True
+        sim.sessions.append(Session(1, 0, 3, live=True))
         held = {0: [(1, 0)], 1: [(2, 0), (3, 1)], 4: [(4, 0), (5, 0), (6, 1)]}
         for nid, packets in held.items():
             for pid, sid in packets:
@@ -462,7 +489,7 @@ class TestRouteReply:
         on it. A hop without one gets one cache, at the prior attenuation
         and the sender's top level."""
         sim, sn = route_request_sim([(0.0, 0.0), (20.0, 0.0), (40.0, 0.0)], 0, 2)
-        sn.started = sn.discovering = True
+        sn.discovering = True
         low = sim.nodes[0].power_levels[0]
         old = sim.runtime[0].links[1] = CommCacheEntry(
             sig_atn=0.3, packets_tx=4, packets_rx=3, approx_velocity=2.0,
@@ -932,7 +959,7 @@ def test_an_ack_after_delivery_is_written_off_by_an_upstream_holder():
     on to be written off as waste. Item 2's fix inverts the last assertion:
     the notice then carries no investment."""
     sim, sn = route_request_sim([(0.0, 0.0), (20.0, 0.0), (40.0, 0.0)], 0, 2)
-    sn.started = sn.discovering = True
+    sn.discovering = True
     sim._on_route_reply(sn.id, (0, 1, 2))
     sim._events.clear()
     spy = LedgerSpy(sim.ledger)
@@ -968,7 +995,7 @@ def test_an_ack_is_counted_as_a_message_but_no_node_pays_for_it():
     and 24 rx debits. A fix debits the ack to the receiver, which changes
     every golden, and inverts the debit assertion."""
     sim, sn = route_request_sim([(0.0, 0.0), (20.0, 0.0)], 0, 1)
-    sn.started = sn.discovering = True
+    sn.discovering = True
     sim._on_route_reply(sn.id, (0, 1))
     sim._events.clear()
     spy = LedgerSpy(sim.ledger)
@@ -1261,26 +1288,29 @@ def test_wide_random_configs_keep_the_run_invariants():
     assert delivering >= 5
 
 
-# Each hop helper trusts its caller for the domain below instead of
-# checking it on every call: helper -> (the module the engine calls it
-# through, that domain over the helper's arguments)
+# Each hop, control or reward helper below trusts its one caller for the
+# domain given instead of checking it on every call: helper -> (the module
+# it is called through, that domain over the helper's arguments)
 HOP_DOMAINS = {
     "node_self_reward": (rltrc.rewards, lambda r_prev, p_max, action: 0.0 < action <= p_max),
     "successor_reward_ack": (rltrc.rewards, lambda prr, rss_over_tpl, trend: (
         0.0 <= prr <= 1.0 and 0.0 <= rss_over_tpl <= 1.0 and trend in (-1, 0, 1))),
     "record_ack": (rltrc.linkcache, lambda entry, rec, vs, radio_range: (
-        rec.rss <= rec.tx_power and rec.t_msg <= rec.t_ack)),
+        rec.rss <= rec.tx_power and rec.t_msg <= rec.t_ack and rec.tx_power > 0.0)),
     "select_power_level": (policy, lambda available, sigma, reliable, rng: len(available) > 0),
     "baseline_decide": (policy, lambda kind, link, levels, **_: (
         kind in BASELINE_KINDS and len(levels) > 0 and link.level in levels)),
     "broadcast_cost": (rltrc.engine, lambda ng, h_avg, cap: ng >= 1.0),
-    "transmission_waste": (rltrc.rewards, lambda turn, prev_action, tau_a, mx_atmpt: (
-        1 <= turn <= mx_atmpt)),
+    "transmission_waste": (rltrc.rewards, lambda prev_action, tau_a: (
+        prev_action >= 0.0 and tau_a > 0.0)),
     "accumulate_zone_waste": (rltrc.engine, lambda ledger, zone_id, wastes: all(
         e >= 0.0 and t >= 0.0 for e, t in wastes)),
     "session_reward": (rltrc.control, lambda ew, et: ew >= 0.0 and et >= 0.0),
     "mobility_step": (rltrc.engine, lambda nodes, states, model, *_: (
         model in VALID_MOBILITY and all(n.max_velocity > 0.0 for n in nodes))),
+    "destination_lookup": (rltrc.engine, lambda dst, t_now, registry, zones: dst in registry),
+    "_membership_diameter": (rltrc.control, lambda pts: len(pts) >= 2),
+    "neighbor_counts": (rltrc.control, lambda records: len(records) >= 2),
 }
 
 

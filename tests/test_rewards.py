@@ -145,12 +145,8 @@ class TestBroadcastCost:
 
 
 class TestTransmissionWaste:
-    def test_first_turn_wastes_nothing(self):
-        assert transmission_waste(1, 12.0, 0.05, 3) == (0.0, 0.0)
-
     def test_intermediate_turn(self):
-        assert transmission_waste(2, 12.0, 0.05, 3) == (12.0, 0.05)
-        assert transmission_waste(3, 12.0, 0.05, 3) == (12.0, 0.05)
+        assert transmission_waste(12.0, 0.05) == (12.0, 0.05)
 
 
 class TestWasteLedger:
