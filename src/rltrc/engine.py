@@ -312,14 +312,14 @@ class QueuedPacket:
     turn: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRuntime:
     queue: list[QueuedPacket] = field(default_factory=list)
     inflight: AttemptRow | None = None   # the one attempt a node may have on the air
     links: dict[int, CommCacheEntry] = field(default_factory=dict)  # successor -> link cache
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     """A data session between two nodes with its currently installed route."""
 
@@ -371,45 +371,45 @@ class Simulator:
 
     def _build_world(self) -> None:
         cfg = self.cfg
+        w, h = cfg.arena_width, cfg.arena_height
         av_rad = (cfg.radio_range_min + cfg.radio_range_max) / 2.0
-        self.zones = make_zones(cfg.arena_width, cfg.arena_height, cfg.zones, av_rad=av_rad)
-        self.nodes: list[NodeState] = []
+        self.zones = make_zones(w, h, cfg.zones, av_rad=av_rad)
         # level count -> the one tuple every node with that count holds; the
         # config proved that each count in its range spaces its levels apart
         levels_by_count = {k: power_levels(k, cfg.level_value_min, cfg.level_value_max)
                            for k in range(cfg.level_count_min, cfg.level_count_max + 1)}
+        # every draw is inline, in the order tests/oracles.py's
+        # oracle_world_draws documents, and is the one Random would make:
+        # uniform(a, b) is a + (b - a) * random(), randint(a, b) is
+        # randrange(a, b + 1), and uniform(0.0, w) is w * random()
+        rand, randrange = self.rng.random, self.rng.randrange
+        k0, k1 = cfg.level_count_min, cfg.level_count_max + 1
+        v0, v_span = cfg.vmax_min, cfg.vmax_max - cfg.vmax_min
+        e0, e_span = cfg.energy_min, cfg.energy_max - cfg.energy_min
+        r0, r_span = cfg.radio_range_min, cfg.radio_range_max - cfg.radio_range_min
+        nodes: list[NodeState] = []
         for z in self.zones:
-            for spot in peripheral_spots(z, cfg.peripherals_per_zone, cfg.arena_width,
-                                         cfg.arena_height):
-                self.nodes.append(self._make_node(len(self.nodes), spot, True, levels_by_count))
-        mobile_ids = list(range(len(self.nodes), cfg.nodes))
+            for spot in peripheral_spots(z, cfg.peripherals_per_zone, w, h):
+                levels = levels_by_count[randrange(k0, k1)]
+                nodes.append(NodeState(len(nodes), spot, 0.0, e0 + e_span * rand(), levels,
+                                       r0 + r_span * rand(), 0, True))
+        mobile_ids = list(range(len(nodes), cfg.nodes))
         for nid in mobile_ids:
-            pos = (self.rng.uniform(0.0, cfg.arena_width), self.rng.uniform(0.0, cfg.arena_height))
-            self.nodes.append(self._make_node(nid, pos, False, levels_by_count))
-        assign_zones(self.nodes, self.zones)
+            pos = (w * rand(), h * rand())
+            levels = levels_by_count[randrange(k0, k1)]
+            nodes.append(NodeState(nid, pos, v0 + v_span * rand(), e0 + e_span * rand(), levels,
+                                   r0 + r_span * rand(), 0, False))
+        assign_zones(nodes, self.zones)
+        self.nodes = nodes
         # each node's last sighting by its zone controller, for destination lookup
         self.registry: dict[int, NodeTrack] = {}
         self.controllers = [ZoneController(z, self.registry) for z in self.zones]
         self.network = NetworkController(cfg.t_net)
-        self.reward_states = [NodeRewardState() for _ in self.nodes]
-        self.runtime = [NodeRuntime() for _ in self.nodes]
+        self.reward_states = [NodeRewardState() for _ in nodes]
+        self.runtime = [NodeRuntime() for _ in nodes]
         self.sessions = [Session(sid, *self.rng.sample(mobile_ids, 2))
                          for sid in range(cfg.sessions)]
-        self.ledger.initial_energy = {n.id: n.residual_energy for n in self.nodes}
-
-    def _make_node(self, nid: int, pos: Point, peripheral: bool,
-                   levels_by_count: dict[int, tuple[float, ...]]) -> NodeState:
-        cfg = self.cfg
-        levels = levels_by_count[self.rng.randint(cfg.level_count_min, cfg.level_count_max)]
-        return NodeState(
-            id=nid,
-            position=pos,
-            max_velocity=0.0 if peripheral else self.rng.uniform(cfg.vmax_min, cfg.vmax_max),
-            residual_energy=self.rng.uniform(cfg.energy_min, cfg.energy_max),
-            power_levels=levels,
-            radio_range=self.rng.uniform(cfg.radio_range_min, cfg.radio_range_max),
-            is_peripheral=peripheral,
-        )
+        self.ledger.initial_energy = {n.id: n.residual_energy for n in nodes}
 
     # -- event machinery ----------------------------------------------------
 

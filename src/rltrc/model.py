@@ -37,7 +37,7 @@ def power_levels(count: int, low: float, high: float) -> tuple[float, ...]:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     """A sensor node: position, kinematics, energy budget, radio capabilities.
 

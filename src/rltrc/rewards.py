@@ -138,7 +138,7 @@ def network_reward(zone_rewards: Iterable[float]) -> float:
     return math.fsum(zone_rewards)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRewardState:
     """One node's reward bookkeeping: self-reward and per-successor grades."""
 

@@ -294,9 +294,10 @@ def oracle_world_draws(cfg, seed, zones):
     draws x, y, its level count, top speed, energy and radio range. Last,
     each session samples two distinct mobile ids. A node with k levels has
     `level_value_max` alone when k is 1, else k levels evenly spaced from
-    `level_value_min` to `level_value_max`. Returns (nodes, sessions): per
-    node (position, max_velocity, residual_energy, radio_range,
-    power_levels), per session (src, dst).
+    `level_value_min` to `level_value_max`. Returns (nodes, sessions,
+    state): per node (position, max_velocity, residual_energy, radio_range,
+    power_levels), per session (src, dst), and the generator's `getstate()`
+    after the last draw.
     """
     rng = random.Random(seed)
     w, h = cfg.arena_width, cfg.arena_height
@@ -329,7 +330,7 @@ def oracle_world_draws(cfg, seed, zones):
         nodes.append((position, vmax, energy,
                       rng.uniform(cfg.radio_range_min, cfg.radio_range_max), ks))
     sessions = [tuple(rng.sample(mobile, 2)) for _ in range(cfg.sessions)]
-    return nodes, sessions
+    return nodes, sessions, rng.getstate()
 
 
 def oracle_mobility_tick(nodes, states, model, dt, t_now, rng, arena, pause_max, accel):

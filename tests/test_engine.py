@@ -43,7 +43,7 @@ from rltrc.metrics import AttemptRow, PacketStat, invariant_problems, render_csv
 from rltrc.model import NodeState
 from rltrc.policy import BASELINE_KINDS, compute_sigma
 from rltrc.rewards import NodeRewardState, avg_hop_count, broadcast_cost, successor_reward_ack
-from rltrc.scenarios import scenario
+from rltrc.scenarios import names, scenario
 
 
 def make_node(nid=0, pos=(0.0, 0.0), vmax=1.0):
@@ -683,6 +683,25 @@ class TestInterArrival:
                 u = random.Random(seed).random()
                 assert random.Random(seed).expovariate(lambd) == -math.log(1.0 - u) / lambd
 
+    def test_inline_world_draws_are_uniform_and_randint(self):
+        # _build_world draws uniform and randint inline; pin that they still
+        # are those calls on the running Python, generator state included
+        cfgs = [scenario(name) for name in names()]
+        spans = {(lo, hi) for c in cfgs for lo, hi in (
+            (c.vmax_min, c.vmax_max), (c.energy_min, c.energy_max),
+            (c.radio_range_min, c.radio_range_max))}
+        sides = {side for c in cfgs for side in (c.arena_width, c.arena_height)}
+        counts = {(c.level_count_min, c.level_count_max) for c in cfgs} | {(1, 1), (90, 100)}
+        for seed in range(200):
+            for a, b in spans:
+                assert a + (b - a) * random.Random(seed).random() == random.Random(seed).uniform(a, b)
+            for side in sides:
+                assert side * random.Random(seed).random() == random.Random(seed).uniform(0.0, side)
+            for k0, k1 in counts:
+                r, want = random.Random(seed), random.Random(seed)
+                assert r.randrange(k0, k1 + 1) == want.randint(k0, k1)
+                assert r.getstate() == want.getstate()
+
 
 def test_sigma_per_tick_equals_sigma_recomputed_at_each_decision(monkeypatch):
     sim = Simulator(scenario("desk-converge"))
@@ -1104,7 +1123,7 @@ class TestWorldConstruction:
                        level_count_min=counts[0], level_count_max=counts[1], override=True)
         seed = 11 * zones + peripherals + counts[0]
         sim = Simulator(cfg, seed)
-        nodes, sessions = oracle_world_draws(cfg, seed, sim.zones)
+        nodes, sessions, state = oracle_world_draws(cfg, seed, sim.zones)
         got = [(n.position, n.max_velocity, n.residual_energy, n.radio_range, n.power_levels)
                for n in sim.nodes]
 
@@ -1113,7 +1132,20 @@ class TestWorldConstruction:
 
         assert list(map(bits, got)) == list(map(bits, nodes))
         assert [(sn.src, sn.dst) for sn in sim.sessions] == sessions
+        assert sim.rng.getstate() == state  # no draw more or fewer
         assert sum(n.is_peripheral for n in sim.nodes) == zones * peripherals
+
+    def test_per_node_records_are_slotted(self):
+        # a misspelt field (sn.strated = True) must raise, not make a new
+        # attribute that nothing reads
+        sim = Simulator(scenario("desk-compare"))
+        records = (sim.nodes[0], sim.runtime[0], sim.reward_states[0], sim.sessions[0])
+        assert [type(r).__name__ for r in records] == [
+            "NodeState", "NodeRuntime", "NodeRewardState", "Session"]
+        for record in records:
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.misspelt = 1
 
     def test_nodes_with_equal_level_counts_share_one_tuple(self):
         sim = Simulator(scenario("desk-converge"))
